@@ -23,15 +23,14 @@ changing under it; a tracked kernel whose speedup drops more than the
 tolerance (default 25%) below its committed baseline fails the run, as
 does a gemm-suite geometric-mean speedup below the floor (default 10x).
 
-When a compiled kernel backend (:mod:`repro.core.backends`) is usable,
-every kernel additionally times the **numpy-vs-compiled** pair on the
-path the backend accelerates -- the ``bmma``-engine popcount-reduce GEMM
-for gemm/serving specs, the full conv entry point for conv specs -- and
-the gate also requires byte-identity between the two, a compiled
-geometric mean no slower than numpy overall, and a gemm-suite compiled
-geomean of at least :data:`DEFAULT_MIN_COMPILED_GEMM_SPEEDUP`.  Runs
-without a compiled backend (the CI ``without-numba``/numpy-only leg)
-simply omit the comparison; the gate skips those checks.
+When the compiled ``cffi`` kernel backend (:mod:`repro.core.backends`)
+loads, every conv kernel additionally times the full conv entry point
+on ``backend="numpy"`` (im2col + fold) against ``backend="cffi"`` (the
+packed window gather where the dispatch prefers it) -- the one place a
+compiled kernel runs on the default path.  The gate then also requires
+byte-identity between the two and, above the smoke tier, a compiled
+geometric mean no slower than numpy.  Runs without cffi simply omit the
+comparison; the gate skips those checks.
 
 CLI (see ``python -m repro.bench --help``)::
 
@@ -62,12 +61,10 @@ __all__ = [
     "DEFAULT_BASELINE_PATH",
     "DEFAULT_TOLERANCE",
     "DEFAULT_MIN_GEMM_SPEEDUP",
-    "DEFAULT_MIN_COMPILED_GEMM_SPEEDUP",
     "GemmSpec",
     "ConvSpec",
     "KernelResult",
     "BenchReport",
-    "compiled_backend",
     "gemm_suite",
     "conv_suite",
     "serving_suite",
@@ -82,7 +79,8 @@ __all__ = [
 #: baselines instead of comparing apples to oranges.
 #:
 #: v2: per-kernel numpy-vs-compiled comparison fields
-#: (``numpy_path_us`` / ``compiled_*``) and their summary geomeans.
+#: (``numpy_path_us`` / ``compiled_*``, filled on conv rows) and their
+#: summary geomean.
 SCHEMA_VERSION = 2
 
 RESULT_FILENAME = "BENCH_kernels.json"
@@ -101,24 +99,6 @@ DEFAULT_TOLERANCE = 0.25
 
 #: Floor on the gemm suite's geometric-mean packed-vs-reference speedup.
 DEFAULT_MIN_GEMM_SPEEDUP = 10.0
-
-#: Floor on the gemm suite's geometric-mean compiled-vs-numpy speedup on
-#: the popcount-reduce GEMM path (only enforced when a compiled backend
-#: ran; the fused C/JIT kernel measures 3.5-4.8x at the bench shapes, so
-#: 2x is a regression floor, not an aspiration).
-DEFAULT_MIN_COMPILED_GEMM_SPEEDUP = 2.0
-
-
-def compiled_backend() -> "backends.Backend | None":
-    """Highest-priority usable *compiled* backend, or ``None``.
-
-    What the bench times against numpy; ``None`` (numpy-only
-    interpreter) simply omits the comparison columns.
-    """
-    for b in backends.available_backends():
-        if b.compiled and backends.kernel("packed_gemm", b) is not None:
-            return b
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -171,10 +151,9 @@ class KernelResult:
     """Timed packed-vs-reference outcome of one kernel.
 
     The ``numpy_path_us`` / ``compiled_*`` fields (schema v2) compare the
-    numpy and compiled executions of the *same* packed path -- the
-    ``bmma``-engine popcount-reduce GEMM for gemm/serving specs, the full
-    conv entry point for conv specs.  They stay ``None`` on numpy-only
-    runs, and the gate then skips the compiled checks.
+    numpy and compiled executions of the full conv entry point.  They
+    stay ``None`` on gemm/serving rows and on runs without cffi, and the
+    gate then skips the compiled checks.
     """
 
     id: str
@@ -218,14 +197,6 @@ class BenchReport:
             if r.compiled_speedup is not None
         ]
 
-    @property
-    def gemm_compiled_speedups(self) -> list[float]:
-        return [
-            r.compiled_speedup
-            for r in self.kernels
-            if r.suite == "gemm" and r.compiled_speedup is not None
-        ]
-
     def summary(self) -> dict[str, float]:
         speedups = [r.speedup for r in self.kernels]
         out = {
@@ -236,9 +207,6 @@ class BenchReport:
         }
         if self.compiled_speedups:
             out["compiled_geomean_speedup"] = geomean(self.compiled_speedups)
-            out["gemm_compiled_geomean_speedup"] = geomean(
-                self.gemm_compiled_speedups
-            )
         return out
 
     def to_dict(self) -> dict[str, Any]:
@@ -383,11 +351,11 @@ def _compiled_compare(
     """Time ``run(backend_name)`` numpy-vs-compiled on the same path.
 
     Returns the schema-v2 ``KernelResult`` field values, or ``{}`` when
-    no compiled backend is usable (numpy-only leg).  Identity is checked
-    against both the numpy execution *and* the plane-wise reference.
+    cffi does not load.  Identity is checked against both the numpy
+    execution *and* the plane-wise reference.
     """
-    cb = compiled_backend()
-    if cb is None:
+    cb = backends.get_backend()
+    if not cb.compiled:
         return {}
     numpy_us, numpy_out = _best_of(lambda: run("numpy"), repeats)
     compiled_us, compiled_out = _best_of(lambda: run(cb.name), repeats)
@@ -413,18 +381,6 @@ def _run_gemm(spec: GemmSpec, rng: np.random.Generator, repeats: int) -> KernelR
     packed_us, packed_out = _best_of(
         lambda: packed_matmul(w, x, pair.weight, pair.activation), repeats
     )
-    # the backend accelerates the bmma-engine popcount-reduce GEMM (the
-    # default auto-dispatch picks the BLAS fold engine for these shapes,
-    # which no backend touches) -- pin the engine so the comparison times
-    # the path that actually differs
-    compiled = _compiled_compare(
-        lambda backend: packed_matmul(
-            w, x, pair.weight, pair.activation,
-            engine="bmma", backend=backend,
-        ),
-        ref_out,
-        repeats,
-    )
     return KernelResult(
         id=spec.id,
         suite=spec.suite,
@@ -435,7 +391,6 @@ def _run_gemm(spec: GemmSpec, rng: np.random.Generator, repeats: int) -> KernelR
         speedup=ref_us / packed_us if packed_us else 0.0,
         identical=bool(np.array_equal(ref_out, packed_out)),
         repeats=repeats,
-        **compiled,
     )
 
 
@@ -471,9 +426,9 @@ def _run_conv(spec: ConvSpec, rng: np.random.Generator, repeats: int) -> KernelR
 
     ref_us, ref_out = _best_of(lambda: run("bitserial"), repeats)
     packed_us, packed_out = _best_of(lambda: run("packed"), repeats)
-    # full conv entry point: a compiled backend additionally swaps the
-    # im2col digit-matrix materialization for the packed-window gather
-    # where the dispatch heuristic prefers it
+    # full conv entry point: cffi swaps the im2col digit-matrix
+    # materialization for the packed-window gather where the dispatch
+    # prefers it
     compiled = _compiled_compare(
         lambda backend: run("packed", backend), ref_out, repeats
     )
@@ -583,24 +538,23 @@ def check_report(
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     min_gemm_speedup: float = DEFAULT_MIN_GEMM_SPEEDUP,
-    min_compiled_gemm_speedup: float = DEFAULT_MIN_COMPILED_GEMM_SPEEDUP,
 ) -> list[str]:
     """The CI gate: return a list of failures (empty means pass).
 
     * any kernel whose packed output was not byte-identical;
     * gemm-suite geometric-mean speedup below ``min_gemm_speedup``;
-    * when the run carries compiled-vs-numpy data: any kernel where the
-      compiled output was not byte-identical, a compiled geomean below
-      1.0 (the compiled backend must never be a pessimization), and a
-      gemm-suite compiled geomean below ``min_compiled_gemm_speedup``;
-      numpy-only runs skip these checks;
+    * when the run carries compiled-vs-numpy data (conv rows with cffi):
+      any kernel where the compiled output was not byte-identical, and
+      -- except on the smoke tier, whose shapes are too tiny for a
+      meaningful ratio -- a compiled geomean below 1.0 (the compiled
+      backend must never be a pessimization);
     * with a baseline: any tracked kernel whose measured speedup fell more
       than ``tolerance`` below its committed speedup, and any committed
       kernel that disappeared from the run (silent coverage loss).
 
     Baseline ratio tracking deliberately covers only the numpy
     ``speedup`` column: compiled timings depend on the host toolchain,
-    so the compiled gates are absolute floors, not baseline diffs.
+    so the compiled gate is an absolute floor, not a baseline diff.
     """
     failures: list[str] = []
     for r in report.kernels:
@@ -620,21 +574,13 @@ def check_report(
             f"gemm suite geomean speedup {gg:.1f}x below the "
             f"{min_gemm_speedup:.0f}x floor"
         )
-    # min_compiled_gemm_speedup == 0 disables both compiled perf floors
-    # (smoke-tier shapes are too tiny for meaningful ratios); compiled
-    # byte-identity above is never waived
-    if report.compiled_speedups and min_compiled_gemm_speedup > 0:
+    # compiled byte-identity above is never waived
+    if report.compiled_speedups and report.suite != "smoke":
         cg = geomean(report.compiled_speedups)
         if cg < 1.0:
             failures.append(
                 f"compiled backend geomean {cg:.2f}x vs numpy -- the "
                 "compiled path must not be slower than the numpy path"
-            )
-        cgg = geomean(report.gemm_compiled_speedups)
-        if report.gemm_compiled_speedups and cgg < min_compiled_gemm_speedup:
-            failures.append(
-                f"gemm suite compiled geomean {cgg:.2f}x below the "
-                f"{min_compiled_gemm_speedup:.1f}x floor"
             )
     if baseline is not None:
         measured = {r.id: r for r in report.kernels}

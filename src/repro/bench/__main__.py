@@ -13,12 +13,10 @@ baseline (``benchmarks/baselines/BENCH_kernels.json``): exit 1 on any
 byte-identity failure, a gemm-suite geomean speedup below the floor, or a
 tracked kernel regressing more than the tolerance.
 
-When a compiled kernel backend (:mod:`repro.core.backends`) is usable the
-run also times numpy-vs-compiled on each kernel's accelerated path; the
-gate then additionally requires compiled byte-identity, a compiled
-geomean of at least 1x overall, and the gemm-suite compiled floor.
-``--backends-table PATH`` writes that comparison as a markdown table
-(what CI uploads as the backend-comparison artifact).
+When the compiled ``cffi`` kernel backend (:mod:`repro.core.backends`)
+loads, the run also times each conv kernel numpy-vs-cffi; the gate then
+additionally requires compiled byte-identity and, above the smoke tier,
+a compiled geomean of at least 1x.
 
 ``--report`` additionally appends a trend row to ``BENCH_trend.csv`` and
 renders ``BENCH_report.md`` (kernel tables + serving modeled cost + trend
@@ -37,7 +35,6 @@ import sys
 
 from . import (
     DEFAULT_BASELINE_PATH,
-    DEFAULT_MIN_COMPILED_GEMM_SPEEDUP,
     DEFAULT_MIN_GEMM_SPEEDUP,
     DEFAULT_TOLERANCE,
     RESULT_FILENAME,
@@ -95,9 +92,8 @@ def _format_table(report) -> str:
             if r.compiled_backend is not None
         )
         lines.append(
-            f"{f'compiled [{backend}] vs numpy geomean (all / gemm)':<48} "
-            f"{s['compiled_geomean_speedup']:>23.2f}x "
-            f"{s['gemm_compiled_geomean_speedup']:>8.2f}x"
+            f"{f'compiled [{backend}] vs numpy geomean (conv)':<48} "
+            f"{s['compiled_geomean_speedup']:>23.2f}x"
         )
     for m in report.serving:
         lines.append(
@@ -106,37 +102,6 @@ def _format_table(report) -> str:
             f"gemms={m['gemm_problems']} "
             f"plan_cache_hit_rate={m['plan_cache_hit_rate']:.2f}"
         )
-    return "\n".join(lines)
-
-
-def _format_backends_table(report) -> str:
-    """Markdown numpy-vs-compiled comparison (the CI bench artifact)."""
-    rows = [r for r in report.kernels if r.compiled_speedup is not None]
-    if not rows:
-        return (
-            "No compiled backend was usable in this run; "
-            "all kernels executed the numpy paths.\n"
-        )
-    backend = rows[0].compiled_backend
-    lines = [
-        f"# Backend comparison: numpy vs `{backend}`",
-        "",
-        "| kernel | numpy path (us) | compiled (us) | speedup | identical |",
-        "|---|---:|---:|---:|:---:|",
-    ]
-    for r in rows:
-        lines.append(
-            f"| {r.id} | {r.numpy_path_us:.0f} | {r.compiled_us:.0f} "
-            f"| {r.compiled_speedup:.2f}x "
-            f"| {'yes' if r.compiled_identical else '**NO**'} |"
-        )
-    s = report.summary()
-    lines += [
-        "",
-        f"geomean: **{s['compiled_geomean_speedup']:.2f}x** overall, "
-        f"**{s['gemm_compiled_geomean_speedup']:.2f}x** on the gemm suite.",
-        "",
-    ]
     return "\n".join(lines)
 
 
@@ -174,16 +139,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="floor on the gemm suite's geomean speedup "
                              f"(default {DEFAULT_MIN_GEMM_SPEEDUP:.0f}; 0 "
                              "disables)")
-    parser.add_argument("--min-compiled-gemm-speedup", type=float,
-                        default=None,
-                        help="floor on the gemm suite's compiled-vs-numpy "
-                             "geomean (default "
-                             f"{DEFAULT_MIN_COMPILED_GEMM_SPEEDUP:.1f}; "
-                             "0 disables; moot without a compiled backend)")
-    parser.add_argument("--backends-table", type=pathlib.Path, default=None,
-                        metavar="PATH",
-                        help="write the numpy-vs-compiled comparison as a "
-                             "markdown table there (CI artifact)")
     parser.add_argument("--report", action="store_true",
                         help="append a trend row to BENCH_trend.csv and "
                              "render BENCH_report.md under --out")
@@ -231,11 +186,6 @@ def main(argv: list[str] | None = None) -> int:
     report.write(out_path)
     print(f"\nwrote {out_path}")
 
-    if args.backends_table is not None:
-        args.backends_table.parent.mkdir(parents=True, exist_ok=True)
-        args.backends_table.write_text(_format_backends_table(report))
-        print(f"wrote {args.backends_table}")
-
     if args.report:
         # report before the gate: a regression must not suppress the
         # artifact that explains it
@@ -282,17 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     floor = args.min_gemm_speedup
     if floor is None:
         floor = 0.0 if tier_name == "smoke" else DEFAULT_MIN_GEMM_SPEEDUP
-    compiled_floor = args.min_compiled_gemm_speedup
-    if compiled_floor is None:
-        # smoke shapes are too tiny for a meaningful ratio floor
-        compiled_floor = (
-            0.0 if tier_name == "smoke"
-            else DEFAULT_MIN_COMPILED_GEMM_SPEEDUP
-        )
     failures = check_report(
-        report, baseline,
-        tolerance=args.tolerance, min_gemm_speedup=floor,
-        min_compiled_gemm_speedup=compiled_floor,
+        report, baseline, tolerance=args.tolerance, min_gemm_speedup=floor,
     )
     timing_failures = [f for f in failures if "byte-identical" not in f]
     if timing_failures:
@@ -307,9 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         report.write(out_path)
         failures = check_report(
-            report, baseline,
-            tolerance=args.tolerance, min_gemm_speedup=floor,
-            min_compiled_gemm_speedup=compiled_floor,
+            report, baseline, tolerance=args.tolerance, min_gemm_speedup=floor,
         )
     if failures:
         print("\nBENCH GATE FAILED:", file=sys.stderr)

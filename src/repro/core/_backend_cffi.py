@@ -1,17 +1,16 @@
-"""cffi kernel backend: the packed hot loops as ahead-of-time C.
+"""cffi kernel backend: the packed conv gather's hot loops as C.
 
-Three functions mirror the numpy packed path exactly (bit for bit):
+Three functions mirror the numpy packed path exactly (bit for bit); the
+packed conv gather (:mod:`repro.kernels.packed_conv`) is their only
+caller:
 
 * ``repro_pack_bits`` -- rows of 0/1 bytes packed little-endian into
   ``uint64`` words (:func:`repro.core.bitops.pack_bits` layout);
 * ``repro_packed_gemm`` -- the *fused weighted* popcount-reduce GEMM
   ``out[i, j] = sum_{s,t} 2**(s+t) * popc(a[s*m+i] op b[t*n+j])``, i.e.
-  the whole batched BMMA plus the shifted-add bit combination in one
-  pass.  The numpy path materializes the ``(p, q, M, N)`` int64 plane
-  intermediate (the dominant cost at bench shapes); fusing the shift
-  weights into the accumulation skips it entirely, and the result is
-  exact in int64 (no float-mantissa bound), feeding the same fold
-  epilogue as the BLAS ``fold`` engine;
+  every bit-plane pair plus the shifted-add bit combination in one
+  pass, exact in int64, feeding the same fold epilogue as the BLAS
+  ``fold`` engine;
 * ``repro_conv_gather`` -- per-window gather of channel-packed words
   from a padded feature map (``memcpy`` of ``kw * cwords`` word runs),
   replacing the im2col digit-matrix materialization.

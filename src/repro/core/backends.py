@@ -1,442 +1,181 @@
-"""Kernel-backend registry: who executes the packed hot loops.
+"""Kernel backends: who executes the packed conv gather's hot loops.
 
-PR 5 made the packed-word path the default *strategy*; this module makes
-the *implementation* of its three hot loops -- :func:`~repro.core.bitops.
-pack_bits`, the popcount-reduce GEMM, and the packed conv window gather
--- selectable.  A :class:`Backend` descriptor names one implementation
-tier and advertises which loops it accelerates via capability flags;
-the registry auto-detects what this interpreter can run (numba first,
-then cffi, with the pure-numpy reference always available and always
-correct) and every kernel call site resolves its backend through one
-precedence chain:
+Two fixed tiers:
 
-    call kwarg  >  :func:`set_backend`  >  ``REPRO_BACKEND``  >  auto
+* ``numpy`` -- always usable and always correct.  It has no compiled
+  kernels, so every caller keeps its vectorized numpy path.
+* ``cffi`` -- the ahead-of-time C kernels of
+  :mod:`repro.core._backend_cffi`: ``pack_bits``, the fused weighted
+  popcount GEMM and the conv window gather.  Usable when its shared
+  object builds or loads.
 
-Compiled backends are *optional acceleration*, never a semantic change:
-each compiled kernel is byte-identical to the numpy path (enforced by
-the hypothesis suite and the ``repro.bench`` byte-identity oracle), and
-any load/build failure degrades to numpy with a single warning instead
-of an error.  Only an *explicit* request for an unusable backend
-(``set_backend``/call kwarg) raises.
+:func:`get_backend` picks ``cffi`` when it loads and ``numpy``
+otherwise; ``apmm``/``apconv`` also take a per-call ``backend=``
+(``"numpy"`` or ``"cffi"``).  The only caller of compiled kernels is
+:mod:`repro.kernels.packed_conv`, because the conv window gather is the
+one place a compiled kernel beats the default numpy path (im2col + the
+BLAS ``fold`` engine).
 
-The registry is also the single source of truth for kernel *strategy*
-validation: :func:`resolve_dispatch` replaces the previously duplicated
-``strategy`` checks in ``apmm``/``apconv`` with one check that
-enumerates the valid ``(strategy, backend)`` combinations uniformly,
-and keeps old-style backend-name strings passed as ``strategy=``
-working through a once-warning deprecation shim.
+Compiled kernels are byte-identical to the numpy path (enforced by the
+hypothesis suite and the ``repro.bench`` byte-identity oracle).  A cffi
+load failure costs one :class:`RuntimeWarning` and degrades to numpy;
+only an explicit ``backend="cffi"`` then raises.
+
+:func:`resolve_dispatch` is the one ``(strategy, backend)`` check that
+``apmm`` and ``apconv`` share.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "CAPABILITIES",
     "STRATEGIES",
     "Backend",
-    "available_backends",
-    "backend_names",
+    "NUMPY",
+    "CFFI",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "resolve_backend",
     "kernel",
     "resolve_dispatch",
-    "valid_combinations",
 ]
 
-#: The packed hot loops a compiled backend may accelerate.
+#: The packed hot loops the cffi tier compiles:
 #:
 #: * ``pack_bits`` -- bit-plane rows packed into ``uint64`` words;
 #: * ``packed_gemm`` -- the fused weighted popcount-reduce GEMM
-#:   (``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` in one pass, no
-#:   ``(p, q, M, N)`` intermediate);
+#:   (``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` in one pass);
 #: * ``conv_gather`` -- packed conv window gather over a word-packed
-#:   feature map (kills the im2col digit-matrix materialization).
+#:   feature map (no im2col digit matrix).
 CAPABILITIES = ("pack_bits", "packed_gemm", "conv_gather")
 
-#: Kernel execution strategies (the axis `apmm`/`apconv` always had).
-#: ``"packed"`` is the only backend-sensitive one; ``"integer"`` and
-#: ``"bitserial"`` are numpy reference paths by definition.
+#: Kernel execution strategies of `apmm`/`apconv`.  ``"packed"`` is the
+#: only backend-sensitive one; ``"integer"`` and ``"bitserial"`` are
+#: numpy reference paths by definition.
 STRATEGIES = ("packed", "integer", "bitserial")
-
-#: Environment override, lowest-priority explicit selection.
-_ENV_VAR = "REPRO_BACKEND"
 
 
 @dataclass(frozen=True)
 class Backend:
-    """One implementation tier of the packed hot loops.
-
-    Attributes
-    ----------
-    name:
-        Registry key (``"numpy"``, ``"cffi"``, ``"numba"``).
-    kind:
-        Implementation family: ``"python"`` (vectorized numpy),
-        ``"native"`` (ahead-of-time C via cffi), ``"jit"`` (numba).
-    compiled:
-        Whether kernels run outside the numpy interpreter loop.
-    priority:
-        Auto-detection rank (highest usable backend wins).
-    capabilities:
-        Subset of :data:`CAPABILITIES` this backend accelerates; the
-        numpy backend advertises none (call sites keep their existing
-        vectorized code when :func:`kernel` returns ``None``).
-    loader:
-        Zero-arg callable returning the capability -> kernel mapping;
-        ``None`` for the numpy reference tier.  Loading is lazy (a cffi
-        backend compiles its shared object on first use, disk-cached)
-        and failure marks the backend unusable rather than raising.
-    """
+    """One kernel tier: its name and the compiled kernels it provides."""
 
     name: str
-    kind: str
     compiled: bool
-    priority: int
     capabilities: frozenset[str]
-    loader: Callable[[], Mapping[str, Callable[..., Any]]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
 
-_REGISTRY: dict[str, Backend] = {}
-#: Lazily loaded kernel tables; a ``None`` value marks a backend whose
-#: loader raised (unusable until the process restarts).
-_KERNELS: dict[str, Mapping[str, Callable[..., Any]] | None] = {}
-#: Process-wide selection installed by :func:`set_backend` (None = defer
-#: to the environment / auto-detection).
-_ACTIVE: list[str | None] = [None]
-#: Warn-once bookkeeping (degradations should not spam per kernel call).
-_WARNED: set[str] = set()
+NUMPY = Backend("numpy", compiled=False, capabilities=frozenset())
+CFFI = Backend("cffi", compiled=True, capabilities=frozenset(CAPABILITIES))
+_BY_NAME = {b.name: b for b in (NUMPY, CFFI)}
+
+_COMBINATIONS = (
+    f"packed x ({'/'.join(_BY_NAME)}), integer x (numpy), bitserial x (numpy)"
+)
+
+#: The cffi kernel table: ``None`` before the first load attempt, empty
+#: after a failed one (the process then stays on numpy).
+_cffi_table: dict[str, Callable[..., Any]] | None = None
 
 
-def _warn_once(key: str, message: str, category: type[Warning] = RuntimeWarning) -> None:
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(message, category, stacklevel=3)
-
-
-def register_backend(backend: Backend) -> None:
-    """Add a backend to the registry (name collisions are a bug)."""
-    if backend.name in _REGISTRY:
-        raise ValueError(f"backend {backend.name!r} is already registered")
-    unknown = set(backend.capabilities) - set(CAPABILITIES)
-    if unknown:
-        raise ValueError(
-            f"backend {backend.name!r} declares unknown capabilities "
-            f"{sorted(unknown)}; valid: {CAPABILITIES}"
-        )
-    _REGISTRY[backend.name] = backend
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, highest detection priority first."""
-    return tuple(
-        b.name
-        for b in sorted(_REGISTRY.values(), key=lambda b: -b.priority)
-    )
-
-
-def available_backends() -> tuple[Backend, ...]:
-    """Registered backends, highest detection priority first.
-
-    Registration means the import probe succeeded; a backend can still
-    turn out unusable when its kernels first load (e.g. no C compiler
-    for a cold cffi cache), at which point selection degrades to numpy.
-    """
-    return tuple(
-        sorted(_REGISTRY.values(), key=lambda b: -b.priority)
-    )
-
-
-def _kernels_for(backend: Backend) -> Mapping[str, Callable[..., Any]] | None:
-    """The backend's kernel table, loading (and caching) it on first use.
-
-    Returns ``None`` for the numpy tier and for compiled backends whose
-    loader failed -- callers treat both as "use the numpy code path".
-    """
-    if backend.loader is None:
-        return None
-    if backend.name in _KERNELS:
-        return _KERNELS[backend.name]
+def _cffi_kernels() -> Mapping[str, Callable[..., Any]]:
+    """The cffi kernel table, built or loaded on first use."""
+    global _cffi_table
+    if _cffi_table is not None:
+        return _cffi_table
     try:
-        table = backend.loader()
+        from . import _backend_cffi
+
+        table = dict(_backend_cffi.kernels())
+        missing = set(CAPABILITIES) - set(table)
+        if missing:
+            raise RuntimeError(f"no kernels for {sorted(missing)}")
     except Exception as exc:
-        # Degradation is this module's contract: a broken toolchain must
-        # cost one warning, not take down import or the hot path.
-        _KERNELS[backend.name] = None
-        _warn_once(
-            f"load-failed:{backend.name}",
-            f"kernel backend {backend.name!r} failed to load "
+        # a broken toolchain must cost one warning, not the hot path
+        warnings.warn(
+            f"cffi kernel backend failed to load "
             f"({type(exc).__name__}: {exc}); falling back to numpy",
+            RuntimeWarning,
+            stacklevel=4,
         )
-        return None
-    missing = set(backend.capabilities) - set(table)
-    if missing:
-        _KERNELS[backend.name] = None
-        _warn_once(
-            f"load-failed:{backend.name}",
-            f"kernel backend {backend.name!r} loaded without advertised "
-            f"kernels {sorted(missing)}; falling back to numpy",
-        )
-        return None
-    _KERNELS[backend.name] = table
+        table = {}
+    _cffi_table = table
     return table
 
 
-def _usable(backend: Backend) -> bool:
-    """Whether this backend can actually execute its advertised kernels."""
-    if backend.loader is None:
-        return True
-    return _kernels_for(backend) is not None
+def get_backend() -> Backend:
+    """``cffi`` when its shared object loads (building it if needed),
+    else ``numpy``."""
+    return CFFI if _cffi_kernels() else NUMPY
 
 
-def resolve_backend(choice: "str | Backend | None" = None) -> Backend:
-    """Resolve a per-call backend choice to a usable :class:`Backend`.
+def _named(choice: Backend | str) -> Backend:
+    name = choice.name if isinstance(choice, Backend) else choice
+    backend = _BY_NAME.get(name)
+    if backend is None:
+        raise ValueError(
+            f"unknown backend {choice!r}; choose from {'/'.join(_BY_NAME)}"
+        )
+    return backend
 
-    ``None`` defers to the process-wide selection (:func:`get_backend`).
-    An explicit name must name a registered, usable backend; unknown
-    names raise with the full registry enumerated, and a registered but
-    unusable backend raises rather than silently degrading (the caller
-    asked for it by name).
+
+def resolve_backend(choice: Backend | str | None = None) -> Backend:
+    """A per-call backend choice as a usable :class:`Backend`.
+
+    ``None`` means :func:`get_backend`.  An unknown name raises
+    ``ValueError``; ``"cffi"`` raises ``RuntimeError`` when its kernels
+    failed to load, because the caller asked for it by name.
     """
     if choice is None:
         return get_backend()
-    if isinstance(choice, Backend):
-        backend = choice
-    else:
-        backend = _REGISTRY.get(choice)
-        if backend is None:
-            raise ValueError(
-                f"unknown backend {choice!r}; registered backends: "
-                f"{'/'.join(backend_names())}"
-            )
-    if not _usable(backend):
+    backend = _named(choice)
+    if backend.compiled and not _cffi_kernels():
         raise RuntimeError(
-            f"backend {backend.name!r} is registered but failed to load "
-            "its kernels (see the earlier warning); use backend='numpy' "
-            "or fix the toolchain"
+            "backend 'cffi' failed to load its kernels (see the earlier "
+            "warning); use backend='numpy' or fix the toolchain"
         )
     return backend
-
-
-def get_backend() -> Backend:
-    """The process-wide active backend.
-
-    Precedence: :func:`set_backend` > ``REPRO_BACKEND`` > auto-detection
-    (highest-priority usable backend).  An unknown or unusable
-    environment override warns once and degrades -- the environment is
-    configuration, not code, so it must not turn a working deployment
-    into a crash loop.
-    """
-    if _ACTIVE[0] is not None:
-        backend = _REGISTRY[_ACTIVE[0]]
-        if _usable(backend):
-            return backend
-        # set_backend validated usability at call time; a later load
-        # failure (cache evicted mid-process) still degrades gracefully.
-        _warn_once(
-            f"active-degraded:{backend.name}",
-            f"active backend {backend.name!r} became unusable; "
-            "degrading to auto-detection",
-        )
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        backend = _REGISTRY.get(env)
-        if backend is None:
-            _warn_once(
-                f"env-unknown:{env}",
-                f"{_ENV_VAR}={env!r} names no registered backend "
-                f"({'/'.join(backend_names())}); using auto-detection",
-            )
-        elif not _usable(backend):
-            _warn_once(
-                f"env-unusable:{env}",
-                f"{_ENV_VAR}={env!r} is registered but failed to load; "
-                "using auto-detection",
-            )
-        else:
-            return backend
-    for backend in available_backends():
-        if _usable(backend):
-            return backend
-    raise RuntimeError("no usable kernel backend registered")  # unreachable
-
-
-def set_backend(name: str | None) -> Backend:
-    """Install a process-wide backend selection (``None`` resets to auto).
-
-    Unlike the environment override, an explicit ``set_backend`` of an
-    unknown or unusable backend raises.
-    """
-    if name is None:
-        _ACTIVE[0] = None
-        return get_backend()
-    backend = resolve_backend(name)
-    _ACTIVE[0] = backend.name
-    return backend
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[Backend]:
-    """Scoped :func:`set_backend`: restores the previous selection."""
-    previous = _ACTIVE[0]
-    backend = set_backend(name)
-    try:
-        yield backend
-    finally:
-        _ACTIVE[0] = previous
 
 
 def kernel(
-    capability: str, backend: "Backend | str | None" = None
+    capability: str, backend: Backend | str | None = None
 ) -> Callable[..., Any] | None:
-    """The backend's compiled kernel for one capability, or ``None``.
-
-    ``None`` means "run the numpy code path": the backend is the numpy
-    tier, lacks the capability, or failed to load.  Call sites branch on
-    this exactly once per kernel invocation.
-    """
+    """The compiled kernel for one capability, or ``None`` on numpy."""
     if capability not in CAPABILITIES:
         raise ValueError(
             f"unknown capability {capability!r}; valid: {CAPABILITIES}"
         )
-    resolved = resolve_backend(backend)
-    if capability not in resolved.capabilities:
+    if not resolve_backend(backend).compiled:
         return None
-    table = _kernels_for(resolved)
-    if table is None:
-        return None
-    return table[capability]
-
-
-# ----------------------------------------------------------------------
-# strategy dispatch (the registry-driven check apmm/apconv share)
-# ----------------------------------------------------------------------
-def valid_combinations() -> str:
-    """Human-readable enumeration of valid ``(strategy, backend)`` pairs."""
-    names = "/".join(backend_names())
-    return (
-        f"packed x ({names}), integer x (numpy), bitserial x (numpy)"
-    )
+    return _cffi_kernels()[capability]
 
 
 def resolve_dispatch(
     strategy: str,
-    backend: "str | Backend | None" = None,
+    backend: Backend | str | None = None,
     *,
     kernel_name: str = "kernel",
 ) -> tuple[str, Backend]:
-    """Validate one ``(strategy, backend)`` request; the single check
-    both ``apmm`` and ``apconv`` route through.
+    """Validate one ``(strategy, backend)`` request for ``apmm``/``apconv``.
 
-    * ``strategy`` must be one of :data:`STRATEGIES` -- except that a
-      registered *backend* name passed as ``strategy=`` (the pre-registry
-      calling convention) maps onto ``("packed", that backend)`` with a
-      once-per-process :class:`DeprecationWarning`;
-    * the reference strategies (``integer``/``bitserial``) only combine
-      with the numpy backend -- they exist to be the backend-free oracle;
-    * errors enumerate the valid combinations uniformly.
+    ``strategy`` must be one of :data:`STRATEGIES`, and the reference
+    strategies (``integer``/``bitserial``) only combine with ``numpy``
+    -- they exist to be the backend-free oracle.  Errors enumerate the
+    valid combinations.
     """
     if strategy not in STRATEGIES:
-        shim = _REGISTRY.get(strategy)
-        if shim is not None:
-            _warn_once(
-                f"strategy-shim:{strategy}",
-                f"passing backend name {strategy!r} as strategy= is "
-                f"deprecated; use strategy='packed', backend={strategy!r}",
-                DeprecationWarning,
-            )
-            if backend is not None:
-                resolved = resolve_backend(backend)
-                if resolved.name != shim.name:
-                    raise ValueError(
-                        f"{kernel_name}: strategy={strategy!r} (legacy "
-                        f"backend name) conflicts with backend="
-                        f"{resolved.name!r}; valid combinations: "
-                        f"{valid_combinations()}"
-                    )
-            return "packed", resolve_backend(shim.name)
         raise ValueError(
             f"{kernel_name}: unknown strategy {strategy!r}; valid "
-            f"(strategy, backend) combinations: {valid_combinations()}"
+            f"(strategy, backend) combinations: {_COMBINATIONS}"
         )
-    if strategy in ("integer", "bitserial"):
-        if backend is not None:
-            resolved = resolve_backend(backend)
-            if resolved.name != "numpy":
-                raise ValueError(
-                    f"{kernel_name}: strategy {strategy!r} is a numpy "
-                    f"reference path and cannot run on backend "
-                    f"{resolved.name!r}; valid combinations: "
-                    f"{valid_combinations()}"
-                )
-        return strategy, _REGISTRY["numpy"]
-    return "packed", resolve_backend(backend)
-
-
-# ----------------------------------------------------------------------
-# registration / auto-detection (import time: cheap probes only)
-# ----------------------------------------------------------------------
-def _load_numba():
-    from . import _backend_numba
-
-    return _backend_numba.kernels()
-
-
-def _load_cffi():
-    from . import _backend_cffi
-
-    return _backend_cffi.kernels()
-
-
-def _probe(module: str) -> bool:
-    """Cheap import-time availability probe (no compilation)."""
-    import importlib.util
-
-    try:
-        return importlib.util.find_spec(module) is not None
-    except (ImportError, ValueError):
-        return False
-
-
-register_backend(
-    Backend(
-        name="numpy",
-        kind="python",
-        compiled=False,
-        priority=10,
-        capabilities=frozenset(),
-    )
-)
-
-if _probe("numba"):
-    register_backend(
-        Backend(
-            name="numba",
-            kind="jit",
-            compiled=True,
-            priority=30,
-            capabilities=frozenset(CAPABILITIES),
-            loader=_load_numba,
+    if strategy == "packed":
+        return strategy, resolve_backend(backend)
+    if backend is not None and _named(backend) is not NUMPY:
+        raise ValueError(
+            f"{kernel_name}: strategy {strategy!r} is a numpy reference "
+            f"path and cannot run on backend {_named(backend).name!r}; "
+            f"valid combinations: {_COMBINATIONS}"
         )
-    )
-
-if _probe("cffi"):
-    register_backend(
-        Backend(
-            name="cffi",
-            kind="native",
-            compiled=True,
-            priority=20,
-            capabilities=frozenset(CAPABILITIES),
-            loader=_load_cffi,
-        )
-    )
+    return strategy, NUMPY

@@ -45,14 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
-from .bitops import (
-    WORD_BITS,
-    bit_decompose,
-    pack_bits,
-    packed_words,
-    popcount_reduce,
-)
+from .bitops import bit_decompose, pack_bits, popcount_reduce
 from .emulate import INT32_MAX, INT32_MIN, combine_plane_popcounts
 from .opselect import OperatorPlan, TCOp, select_operator
 from .types import Precision
@@ -118,37 +111,13 @@ class PackedOperand:
         return popcount_reduce(self.words, axis=-1)
 
 
-def pack_operand(
-    digits: np.ndarray,
-    precision: Precision,
-    *,
-    backend: "backends.Backend | str | None" = None,
-    counters=None,
-) -> PackedOperand:
-    """Decompose a ``(rows, K)`` digit matrix and pack it plane-wise.
-
-    ``backend`` selects who packs (:mod:`repro.core.backends`); a
-    compiled ``pack_bits`` kernel produces byte-identical words to the
-    numpy reference (``bit_decompose`` already guarantees 0/1 planes,
-    so the compiled path skips no validation the numpy path performs
-    on them).
-    """
+def pack_operand(digits: np.ndarray, precision: Precision) -> PackedOperand:
+    """Decompose a ``(rows, K)`` digit matrix and pack it plane-wise."""
     digits = np.asarray(digits)
     if digits.ndim != 2:
         raise ValueError(f"digits must be 2-D, got shape {digits.shape}")
-    planes = bit_decompose(digits, precision.bits)
-    fn = backends.kernel("pack_bits", backend)
-    if fn is None:
-        words = pack_bits(planes)
-    else:
-        bits, rows, k = planes.shape
-        words = fn(planes.reshape(bits * rows, k)).reshape(
-            bits, rows, packed_words(k)
-        )
-        if counters is not None:
-            counters.compiled_kernels += 1
     return PackedOperand(
-        words=words,
+        words=pack_bits(bit_decompose(digits, precision.bits)),
         k_logical=digits.shape[1],
         precision=precision,
     )
@@ -194,8 +163,8 @@ def _fold_epilogue(
 
     ``popc_fold`` is ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` -- however
     it was produced (digit-GEMM fold, or the compiled fused popcount
-    GEMM in the word domain); the epilogue algebra is identical, which
-    is what keeps every engine/backend byte-identical.
+    GEMM of :mod:`repro.kernels.packed_conv`); the epilogue algebra is
+    identical, which is what keeps both paths byte-identical.
     """
     out = plan.popc_scale * popc_fold
     if plan.k_scale:
@@ -214,31 +183,18 @@ def packed_matmul_planes(
     *,
     check_overflow: bool = True,
     counters=None,
-    backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
     """The ``bmma`` engine on already-packed operands.
 
-    On the numpy backend this issues one whole-matrix
-    :func:`~repro.tensorcore.bmma.bmma_batched` over the virtual batched
-    operands (every ``(s, t)`` plane pair at once, the simulator
-    analogue of the paper's batch-based BMMA), then applies the operator
-    plan's affine correction and the shifted-add combination.  A
-    compiled backend with the ``packed_gemm`` capability instead runs
-    the *fused weighted* popcount GEMM -- the shift weights folded into
-    the accumulation, so the ``(p, q, M, N)`` int64 plane intermediate
-    (the dominant cost of the numpy path at bench shapes) is never
-    materialized -- and finishes with the same fold epilogue the
-    ``fold`` engine uses.  Exact in int64 either way; outputs are
-    byte-identical across backends.
+    Issues one whole-matrix :func:`~repro.tensorcore.bmma.bmma_batched`
+    over the virtual batched operands (every ``(s, t)`` plane pair at
+    once, the simulator analogue of the paper's batch-based BMMA), then
+    applies the operator plan's affine correction and the shifted-add
+    combination.  Exact in int64.
     """
-    from ..tensorcore.bmma import (  # core must stay importable without
-        # tensorcore at module-import time (layering: tensorcore sits
-        # above core and itself imports core.bitops).
-        BMMA_K,
-        BMMA_M,
-        BMMA_N,
-        bmma_batched,
-    )
+    # core must stay importable without tensorcore at module-import time
+    # (layering: tensorcore sits above core and itself imports core.bitops)
+    from ..tensorcore.bmma import bmma_batched
 
     if w_packed.nwords != x_packed.nwords:
         raise ValueError(
@@ -251,43 +207,8 @@ def packed_matmul_planes(
         )
     p, m = w_packed.bits, w_packed.rows
     q, n = x_packed.bits, x_packed.rows
-    fn = backends.kernel("packed_gemm", backend)
-    if fn is not None:
-        fold = fn(
-            w_packed.batched(), x_packed.batched(),
-            p, m, q, n, plan.op is TCOp.AND,
-        )
-        sp = np.int64((1 << p) - 1)
-        sq = np.int64((1 << q) - 1)
-        row_w = row_x = None
-        if plan.needs_row_sums:
-            # sum_s 2**s * rowsum(W_s), straight off the packed words
-            shifts = np.int64(1) << np.arange(p, dtype=np.int64)
-            row_w = (w_packed.row_popcounts() * shifts[:, None]).sum(axis=0)
-        if plan.needs_col_sums:
-            shifts = np.int64(1) << np.arange(q, dtype=np.int64)
-            row_x = (x_packed.row_popcounts() * shifts[:, None]).sum(axis=0)
-        out = _fold_epilogue(
-            fold, plan, w_packed.k_logical, sp, sq, row_w, row_x
-        )
-        if counters is not None:
-            # hardware-equivalent tally: identical to the bmma_batched
-            # path, so counter-based assertions hold across backends
-            k_padded = w_packed.nwords * WORD_BITS
-            calls = (
-                -(-(p * m) // BMMA_M)
-                * -(-(q * n) // BMMA_N)
-                * -(-k_padded // BMMA_K)
-            )
-            counters.bmma_calls += calls
-            counters.tc_macs += calls * BMMA_M * BMMA_N * BMMA_K
-            counters.compiled_kernels += 1
-        if check_overflow:
-            _check_overflow(out)
-        return out
     batched = bmma_batched(
-        w_packed.batched(), x_packed.batched(), plan.op,
-        counters=counters, backend=backend,
+        w_packed.batched(), x_packed.batched(), plan.op, counters=counters,
     )
     # (p*M, q*N) -> (p, q, M, N), then the shared correction/combination
     popc = batched.reshape(p, m, q, n).transpose(0, 2, 1, 3)
@@ -361,7 +282,6 @@ def packed_matmul(
     engine: str = "auto",
     check_overflow: bool = True,
     counters=None,
-    backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
     """Arbitrary-precision matmul on the vectorized packed-word backend.
 
@@ -377,11 +297,6 @@ def packed_matmul(
     runs; the ``fold`` engine performs algebraically collapsed work and
     leaves counting to the cost model, which continues to charge the full
     virtual batched BMMA (:func:`repro.perf.cost.gemm_cost`).
-
-    ``backend`` picks the kernel backend for the ``bmma`` engine's hot
-    loops (:mod:`repro.core.backends`; ``None`` means the active
-    backend).  The ``fold`` engine is a BLAS call and ignores it --
-    engine selection stays orthogonal to backend selection.
     """
     w_digits = np.asarray(w_digits)
     x_digits = np.asarray(x_digits)
@@ -424,10 +339,9 @@ def packed_matmul(
         return out
 
     return packed_matmul_planes(
-        pack_operand(w_digits, weight, backend=backend, counters=counters),
-        pack_operand(x_digits, feature, backend=backend, counters=counters),
+        pack_operand(w_digits, weight),
+        pack_operand(x_digits, feature),
         plan,
         check_overflow=check_overflow,
         counters=counters,
-        backend=backend,
     )

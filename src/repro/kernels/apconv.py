@@ -81,11 +81,11 @@ def apconv(
     Parameters mirror :func:`repro.kernels.apmm.apmm` (including the
     ``backend`` kernel-backend selector); geometry is NCHW digits in,
     ``(N, C_out, OH, OW)`` out (int64 accumulators, or digits when
-    ``out_quantizer`` re-quantizes for the next layer).  On a backend
-    with the ``conv_gather`` capability the packed strategy skips the
-    im2col digit-matrix materialization entirely
-    (:mod:`repro.kernels.packed_conv`); outputs are byte-identical
-    either way.
+    ``out_quantizer`` re-quantizes for the next layer).  On the compiled
+    ``cffi`` backend the packed strategy skips the im2col digit-matrix
+    materialization for low plane-pair counts
+    (:func:`~repro.kernels.packed_conv.packed_conv_preferred`); outputs
+    are byte-identical either way.
     """
     # Kernel-boundary tracing (wall clock; same hook as apmm).
     tracer = kernel_tracer()
@@ -131,10 +131,7 @@ def apconv(
         cols = im2col(padded, kh, stride)  # (batch*OH*OW, C_in*kh*kw)
         w_flat = w_digits.reshape(cout, cin * kh * kw)
         if strategy == "packed":
-            acc = packed_matmul(
-                w_flat, cols, weight, feature,
-                backend=run_backend, counters=run_counters,
-            )
+            acc = packed_matmul(w_flat, cols, weight, feature)
         elif strategy == "bitserial":
             acc = apbit_matmul(w_flat, cols, weight, feature)
         else:

@@ -44,15 +44,14 @@ from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
 from ..perf.cost import KernelCost, gemm_cost
-from ..tensorcore.counters import ExecutionCounters
 from ..tensorcore.device import DeviceSpec, RTX3090
 from .autotune import TuneResult, autotune
 from .tiling import TileConfig
 
 __all__ = ["APMMResult", "apmm", "STRATEGIES"]
 
-#: Re-exported from :mod:`repro.core.backends` (the registry is the
-#: single source of truth for strategy validation since the backend API).
+#: Re-exported from :mod:`repro.core.backends`, which validates
+#: strategies for both ``apmm`` and ``apconv``.
 STRATEGIES = backends.STRATEGIES
 
 
@@ -101,12 +100,11 @@ def apmm(
         ``"integer"`` (decoded-integer reference) or ``"bitserial"``
         (plane-wise Tensor-Core reference); identical outputs.
     backend:
-        Kernel backend for the packed strategy's hot loops
-        (:mod:`repro.core.backends`); ``None`` resolves through the
-        process-wide precedence chain.  The reference strategies only
-        combine with ``"numpy"``; :func:`~repro.core.backends.
-        resolve_dispatch` validates the pair and enumerates the valid
-        combinations on error.
+        Kernel backend (:mod:`repro.core.backends`): ``None``,
+        ``"numpy"`` or ``"cffi"``.  GEMMs never run compiled kernels
+        (the BLAS ``fold`` engine wins), so the choice only validates;
+        it matters for :func:`~repro.kernels.apconv.apconv`.  The
+        reference strategies only combine with ``"numpy"``.
     out_quantizer:
         Optional fused re-quantization to an arbitrary-precision output
         (section 4.1b); the cost then writes ``q_out``-bit packed data.
@@ -140,12 +138,8 @@ def apmm(
         config = tune.config
     config.validate_for_device(device)
 
-    run_counters = ExecutionCounters()
     if strategy == "packed":
-        acc = packed_matmul(
-            w_digits, x_digits, weight, feature,
-            backend=run_backend, counters=run_counters,
-        )
+        acc = packed_matmul(w_digits, x_digits, weight, feature)
     elif strategy == "bitserial":
         acc = apbit_matmul(w_digits, x_digits, weight, feature)
     else:
@@ -167,10 +161,6 @@ def apmm(
         decompose_input=decompose_input,
         name=f"apmm-w{weight.bits}a{feature.bits}-{m}x{n}x{k}",
     )
-    # The analytic model charges the virtual-hardware work; which backend
-    # *actually* executed the hot loops is an observed fact, recorded on
-    # top so plans/spans/tests can assert it.
-    cost.counters.compiled_kernels = run_counters.compiled_kernels
     if tracer.enabled:
         tracer.span(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,

@@ -1,13 +1,15 @@
 """Packed-word convolution without im2col materialization.
 
-The PR 5 packed conv lowers onto APMM by materializing the im2col digit
-matrix -- ``(batch * OH * OW, C_in * KH * KW)`` int64 digits, every input
-pixel duplicated ``KH * KW`` times *before* bit packing.  This module is
-the compiled-backend alternative: pack the padded feature map **once**
-(channel-last, ``C_in`` bits per pixel packed into ``ceil(C_in / 64)``
-words) and let the backend's ``conv_gather`` kernel copy each window's
-``KH * KW`` word-runs straight into the GEMM operand -- the duplication
-happens on 64x-compressed words, and the digit matrix never exists.
+The default packed conv lowers onto APMM by materializing the im2col
+digit matrix -- ``(batch * OH * OW, C_in * KH * KW)`` int64 digits, every
+input pixel duplicated ``KH * KW`` times *before* bit packing.  This
+module is the compiled alternative, and the only caller of the cffi
+kernels (:mod:`repro.core.backends`): pack the padded feature map
+**once** (channel-last, ``C_in`` bits per pixel packed into
+``ceil(C_in / 64)`` words) and let the ``conv_gather`` kernel copy each
+window's ``KH * KW`` word-runs straight into the GEMM operand -- the
+duplication happens on 64x-compressed words, and the digit matrix never
+exists.
 
 K-order differs from the im2col path (``(KH, KW, C_in)`` vs ``(C_in, KH,
 KW)``), but popcount reductions are permutation-invariant over K, and the
@@ -15,9 +17,9 @@ zero filler bits in each ``C_in`` word group are neutral for both ``AND``
 and ``XOR`` because both operands are zero there; outputs are therefore
 byte-identical to the im2col path (the hypothesis suite enforces it).
 
-The GEMM itself is the backend's fused weighted popcount kernel plus the
-shared fold epilogue of :mod:`repro.core.packed` -- same algebra, same
-int64 exactness.
+The GEMM itself is the fused weighted popcount kernel plus the shared
+fold epilogue of :mod:`repro.core.packed` -- same algebra, same int64
+exactness.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import backends
-from ..core.bitops import (
-    WORD_BITS,
-    bit_decompose,
-    pack_bits,
-    packed_words,
-    popcount_reduce,
-)
+from ..core.bitops import WORD_BITS, bit_decompose, packed_words, popcount_reduce
 from ..core.opselect import TCOp, select_operator
 from ..core.packed import (
     _FLOAT64_EXACT,
@@ -44,7 +40,6 @@ from ..core.types import Precision
 
 __all__ = [
     "PACKED_CONV_PQ_THRESHOLD",
-    "packed_conv_available",
     "packed_conv_preferred",
     "packed_conv_matmul",
 ]
@@ -59,17 +54,6 @@ __all__ = [
 PACKED_CONV_PQ_THRESHOLD = 4
 
 
-def packed_conv_available(
-    backend: "backends.Backend | str | None" = None,
-) -> bool:
-    """Whether the resolved backend can run the gather-based conv path
-    (needs both ``conv_gather`` and ``packed_gemm``)."""
-    return (
-        backends.kernel("conv_gather", backend) is not None
-        and backends.kernel("packed_gemm", backend) is not None
-    )
-
-
 def packed_conv_preferred(
     weight: Precision,
     feature: Precision,
@@ -78,13 +62,14 @@ def packed_conv_preferred(
 ) -> bool:
     """Whether the gather path should replace im2col for this problem.
 
-    True when the backend can run it *and* it is expected to win: either
-    the plane-pair count is at most :data:`PACKED_CONV_PQ_THRESHOLD`, or
-    the fold engine's exactness bound fails for this ``K`` (the im2col
-    alternative would then be the far slower plane-pair bmma path, which
-    the fused gather GEMM always beats).
+    True when the backend is compiled *and* the gather is expected to
+    win: either the plane-pair count is at most
+    :data:`PACKED_CONV_PQ_THRESHOLD`, or the fold engine's exactness
+    bound fails for this ``K`` (the im2col alternative would then be the
+    far slower plane-pair bmma path, which the fused gather GEMM always
+    beats).
     """
-    if not packed_conv_available(backend):
+    if not backends.resolve_backend(backend).compiled:
         return False
     if weight.bits * feature.bits <= PACKED_CONV_PQ_THRESHOLD:
         return True
@@ -92,15 +77,6 @@ def packed_conv_preferred(
         fold_exactness_bound(k_logical, weight.bits, feature.bits)
         >= _FLOAT64_EXACT
     )
-
-
-def _pack_rows(flat: np.ndarray, pack, counters) -> np.ndarray:
-    """Pack ``(rows, C_in)`` 0/1 planes via the backend kernel or numpy."""
-    if pack is None:
-        return pack_bits(flat)
-    if counters is not None:
-        counters.compiled_kernels += 1
-    return pack(flat)
 
 
 def packed_conv_matmul(
@@ -131,8 +107,8 @@ def packed_conv_matmul(
         tallies the equivalent 1-bit BMMA work of this layout plus one
         ``compiled_kernels`` tick per compiled kernel invocation.
     backend:
-        Kernel backend; must provide ``conv_gather`` + ``packed_gemm``
-        (check with :func:`packed_conv_available` first).
+        Kernel backend; must be compiled (check with
+        :func:`packed_conv_preferred` first).
 
     Returns
     -------
@@ -141,14 +117,14 @@ def packed_conv_matmul(
         result shape the im2col path produces, ready for the caller's
         reshape / padding correction / re-quantization.
     """
+    pack = backends.kernel("pack_bits", backend)
     gather = backends.kernel("conv_gather", backend)
     gemm = backends.kernel("packed_gemm", backend)
-    if gather is None or gemm is None:
+    if pack is None or gather is None or gemm is None:
         raise RuntimeError(
-            "packed_conv_matmul requires a backend providing conv_gather "
-            "and packed_gemm; check packed_conv_available() first"
+            "packed_conv_matmul needs a compiled backend; check "
+            "packed_conv_preferred() first"
         )
-    pack = backends.kernel("pack_bits", backend)
 
     cout, cin, kh, kw = w_digits.shape
     batch, cin_x, hp, wp = padded.shape
@@ -171,24 +147,20 @@ def packed_conv_matmul(
     # out plane-major -- exactly the virtual batched operand layout.
     x_planes = bit_decompose(padded, q)  # (q, batch, C_in, HP, WP)
     x_cl = np.ascontiguousarray(x_planes.transpose(0, 1, 3, 4, 2))
-    x_words = _pack_rows(
-        x_cl.reshape(q * batch * hp * wp, cin), pack, counters
-    ).reshape(q * batch, hp, wp, cwords)
+    x_words = pack(x_cl.reshape(q * batch * hp * wp, cin)).reshape(
+        q * batch, hp, wp, cwords
+    )
     gathered = gather(x_words, kh, kw, stride)  # (q*n_gemm, kwords)
-    if counters is not None:
-        counters.compiled_kernels += 1
 
     # Weights: same K order as the gathered windows -- (KH, KW, C_in
     # packed), one row per (plane, output channel).
     w_planes = bit_decompose(w_digits, p)  # (p, C_out, C_in, KH, KW)
     w_cl = np.ascontiguousarray(w_planes.transpose(0, 1, 3, 4, 2))
-    w_words = _pack_rows(
-        w_cl.reshape(p * cout * kh * kw, cin), pack, counters
-    ).reshape(p * cout, kwords)
+    w_words = pack(w_cl.reshape(p * cout * kh * kw, cin)).reshape(
+        p * cout, kwords
+    )
 
     fold = gemm(w_words, gathered, p, cout, q, n_gemm, plan.op is TCOp.AND)
-    if counters is not None:
-        counters.compiled_kernels += 1
 
     k_logical = cin * kh * kw
     sp = np.int64((1 << p) - 1)
@@ -207,6 +179,7 @@ def packed_conv_matmul(
     if counters is not None:
         from ..tensorcore.bmma import BMMA_K, BMMA_M, BMMA_N
 
+        counters.compiled_kernels += 4  # pack x2, gather, gemm
         # 1-bit BMMA work of *this* layout (K padded to kh*kw word runs)
         k_padded = kwords * WORD_BITS
         calls = (

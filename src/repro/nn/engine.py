@@ -36,7 +36,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..core import backends
 from ..core.types import Encoding, Precision, PrecisionPair
 from ..kernels.autotune import autotune
 from ..kernels.tiling import TileConfig
@@ -334,10 +333,6 @@ class CompiledPlan:
     input_shape: tuple[int, ...]
     groups: tuple[PlannedGroup, ...]
     dataflow: DataflowPlan | None
-    #: Kernel backend active when the plan was compiled
-    #: (:mod:`repro.core.backends`) -- part of plan identity so cached
-    #: plans never mix backends; "numpy" for plans from before the field.
-    kernel_backend: str = "numpy"
 
     @property
     def kernel_launches(self) -> int:
@@ -359,7 +354,6 @@ class CompiledPlan:
             "model_name": self.model_name,
             "backend_name": self.backend_name,
             "device_name": self.device_name,
-            "kernel_backend": self.kernel_backend,
             "batch": self.batch,
             "input_shape": list(self.input_shape),
             "groups": [
@@ -384,9 +378,6 @@ class CompiledPlan:
             model_name=data["model_name"],
             backend_name=data["backend_name"],
             device_name=data["device_name"],
-            # plans persisted before the kernel-backend API default to
-            # the backend every prior version actually ran on
-            kernel_backend=data.get("kernel_backend", "numpy"),
             batch=data["batch"],
             input_shape=tuple(data["input_shape"]),
             groups=tuple(
@@ -748,7 +739,6 @@ class InferenceEngine:
             model_name=self.model.name,
             backend_name=self.backend.name,
             device_name=self.device.name,
-            kernel_backend=backends.get_backend().name,
             batch=batch,
             input_shape=tuple(input_shape),
             groups=tuple(planned),

@@ -44,7 +44,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core import backends
 from ..kernels.autotune import AutotuneCacheStats
 from ..kernels.autotune import cache_stats as autotune_cache_stats
 from .plan_cache import PlanCache
@@ -66,11 +65,12 @@ __all__ = [
 #: store lines); version 4 added the HTTP/WebSocket gateway counters
 #: (connections, requests, bad requests, 503s, WS connections/messages,
 #: backpressure waits, send-queue high water); version 5 added the
-#: active kernel-backend identity (``kernel_backend``, its
-#: ``kernel_backend_compiled`` flag, and the ``kernel_backend_
-#: capabilities`` list) from :mod:`repro.core.backends`.  Bump on any
-#: key addition, removal, or meaning change.
-METRICS_SCHEMA_VERSION = 5
+#: active kernel-backend identity (``kernel_backend``,
+#: ``kernel_backend_compiled``, ``kernel_backend_capabilities``);
+#: version 6 removed those three again, because serving prices plans
+#: and never runs a kernel.  Bump on any key addition, removal, or
+#: meaning change.
+METRICS_SCHEMA_VERSION = 6
 
 #: Sliding-window length for per-request latency percentiles.
 DEFAULT_LATENCY_WINDOW = 10_000
@@ -457,25 +457,15 @@ class ServerMetrics:
                 out[stage] = out.get(stage, 0.0) + s.service_us_sum
         return dict(sorted(out.items()))
 
-    def snapshot(self) -> dict[str, "float | str"]:
+    def snapshot(self) -> dict[str, float]:
         """Scalar lifetime counters, for delta assertions across restarts.
 
         Includes the admission policy's rejection/deferral totals and a
         ``schema`` stamp (:data:`METRICS_SCHEMA_VERSION`) so downstream
         report tooling can detect shape drift before keying into it.
-        Since v5 the (string-valued) kernel-backend identity rides
-        along: which :mod:`repro.core.backends` tier executes the packed
-        hot loops in this process, whether it is compiled, and the
-        capability flags it advertises (``/``-joined, stable order).
         """
-        active = backends.get_backend()
         return {
             "schema": METRICS_SCHEMA_VERSION,
-            "kernel_backend": active.name,
-            "kernel_backend_compiled": float(active.compiled),
-            "kernel_backend_capabilities": "/".join(
-                c for c in backends.CAPABILITIES if c in active.capabilities
-            ),
             "requests": self.total_requests,
             "batches": self.total_batches,
             "rejected": self.total_rejected,

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..core import backends
 from ..nn.engine import APNNBackend, BNNBackend, CompiledPlan, InferenceEngine
 from ..obs import NULL_TRACER
 from ..perf.calibration import Calibration
@@ -66,10 +65,9 @@ _MEMO_CAPACITY = 1024
 #: serialized layout of :class:`~repro.nn.engine.CompiledPlan` or
 #: :class:`PlanKey` changes; loads skip records from any other version.
 #:
-#: v2: plan identity includes the kernel backend
-#: (:mod:`repro.core.backends`), so plans compiled under one backend are
-#: never served to a process running another.
-STORE_SCHEMA_VERSION = 2
+#: v2 added the kernel backend to plan identity; v3 removed it again,
+#: because pricing never runs a kernel, so a plan does not depend on it.
+STORE_SCHEMA_VERSION = 3
 
 
 def backend_key(backend) -> str:
@@ -118,10 +116,6 @@ class PlanKey:
     batch: int
     input_shape: tuple[int, ...]
     calibration: tuple
-    #: Active kernel backend (:mod:`repro.core.backends`) -- plan cost
-    #: facts like ``compiled_kernels`` are backend-dependent, so a cache
-    #: must never return a plan compiled under a different backend.
-    kernel_backend: str = "numpy"
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (tuples flatten to arrays)."""
@@ -132,7 +126,6 @@ class PlanKey:
             "batch": self.batch,
             "input_shape": list(self.input_shape),
             "calibration": self.calibration,
-            "kernel_backend": self.kernel_backend,
         }
 
     @classmethod
@@ -144,7 +137,6 @@ class PlanKey:
             batch=data["batch"],
             input_shape=tuple(data["input_shape"]),
             calibration=_freeze(data["calibration"]),
-            kernel_backend=data.get("kernel_backend", "numpy"),
         )
 
 
@@ -359,7 +351,6 @@ class PlanCache:
             calibration=self._memo_key(
                 engine.latency_model.calibration, calibration_key
             ),
-            kernel_backend=backends.get_backend().name,
         )
 
     def _memo_key(self, obj, compute):

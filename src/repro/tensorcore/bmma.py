@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import backends
 from ..core.bitops import WORD_BITS, popcount, unpack_bits
 from ..core.opselect import TCOp
 
@@ -202,7 +201,6 @@ def bmma_batched(
     *,
     engine: str = "auto",
     counters=None,
-    backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
     """Whole-matrix binary MMA: ``out[i, j] = sum_w popc(A[i, w] op B[j, w])``.
 
@@ -233,13 +231,6 @@ def bmma_batched(
         when given, the hardware-equivalent work is tallied: the number of
         ``8 x 8 x 128`` primitive invocations this call replaces and their
         1-bit MACs.
-    backend:
-        Kernel backend (:mod:`repro.core.backends`; ``None`` = active).
-        With ``engine="auto"`` and a backend that provides the
-        ``packed_gemm`` capability, the popcount-reduce GEMM runs on the
-        compiled kernel (the fused weighted GEMM with a single unit
-        weight, ``p = q = 1``) -- byte-identical to both numpy engines.
-        An *explicit* ``engine`` string always gets that numpy engine.
 
     Returns
     -------
@@ -272,9 +263,6 @@ def bmma_batched(
 
     rows_a, nwords = a_words.shape
     rows_b = b_words.shape[0]
-    fn = (
-        backends.kernel("packed_gemm", backend) if engine == "auto" else None
-    )
     if engine == "auto":
         engine = (
             "fma" if rows_a * rows_b * nwords >= BMMA_FMA_THRESHOLD
@@ -282,10 +270,6 @@ def bmma_batched(
         )
     if rows_a == 0 or rows_b == 0 or nwords == 0:
         out = np.zeros((rows_a, rows_b), dtype=np.int64)
-    elif fn is not None:
-        out = fn(a_words, b_words, 1, rows_a, 1, rows_b, op is TCOp.AND)
-        if counters is not None:
-            counters.compiled_kernels += 1
     elif engine == "word":
         out = _bmma_batched_word(a_words, b_words, op)
     else:

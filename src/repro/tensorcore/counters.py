@@ -40,10 +40,10 @@ class ExecutionCounters:
     kernel_launches:
         Number of distinct kernel launches (fusion reduces this).
     compiled_kernels:
-        Hot-loop invocations that executed on a compiled kernel backend
-        (:mod:`repro.core.backends`) instead of the numpy path -- zero
-        on the numpy backend by construction, so tests can assert which
-        backend actually ran.
+        Hot-loop invocations that executed on a compiled kernel (the
+        packed conv gather, :mod:`repro.kernels.packed_conv`) instead of
+        the numpy path -- zero on the numpy backend by construction, so
+        tests can assert which path actually ran.
     """
 
     bmma_calls: int = 0

@@ -1,14 +1,12 @@
-"""Byte-identity oracle: compiled backends vs the numpy reference.
+"""Byte-identity oracle: the cffi kernels vs the numpy reference.
 
 Hypothesis drives seeded-random operands through every ``wXaY`` pair
 (both encodings, ragged K including sub-word and non-multiple-of-64
-sizes) and asserts the compiled kernels produce **byte-identical**
-results to the numpy paths for all three accelerated hot loops --
-``pack_bits``, the fused popcount-reduce GEMM, and the full conv entry
-point (which exercises the packed window gather where the dispatch
-heuristic prefers it).  Also covers forced fallback: ``REPRO_BACKEND=
-numpy`` and a loader import failure must both run the numpy path
-cleanly, with zero compiled-kernel counter ticks.
+sizes) and asserts the cffi kernels produce **byte-identical** results
+to the numpy paths: ``pack_bits`` directly, and the full conv entry
+point, which takes the packed window gather exactly when the dispatch
+prefers it.  Also covers forced fallback: a loader import failure must
+run the numpy path cleanly, with zero compiled-kernel counter ticks.
 """
 
 import numpy as np
@@ -16,24 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PrecisionPair, backends
+from repro.core import PrecisionPair, _backend_cffi, backends
 from repro.core.bitops import bit_decompose, pack_bits
-from repro.core.packed import packed_matmul
+from repro.kernels.packed_conv import PACKED_CONV_PQ_THRESHOLD
 
 # hypothesis-heavy: the CI unit job deselects these and the serving job
 # (and tier-1) runs them
 pytestmark = pytest.mark.slow
 
-#: Compiled backends this interpreter can actually run (may be empty on
-#: the numpy-only CI leg; the identity tests then skip, and the forced-
-#: fallback tests below still run).
-COMPILED = [
-    b.name for b in backends.available_backends()
-    if b.compiled and backends.kernel("packed_gemm", b) is not None
-]
+#: Whether the cffi kernels load here (they may not on an interpreter
+#: without cffi; the identity tests then skip, and the forced-fallback
+#: test below still runs).
+HAS_CFFI = backends.get_backend().compiled
 
-needs_compiled = pytest.mark.skipif(
-    not COMPILED, reason="no compiled kernel backend usable here"
+needs_cffi = pytest.mark.skipif(
+    not HAS_CFFI, reason="cffi kernels do not load here"
 )
 
 PAIR_NAMES = ["w1a1", "w1a2", "w1a4", "w2a2", "w2a4", "w4a4", "w2a8"]
@@ -45,66 +40,47 @@ ks = st.sampled_from([1, 3, 17, 64, 65, 128, 200])
 rows = st.integers(min_value=1, max_value=24)
 
 
-@needs_compiled
+@needs_cffi
 class TestPackBitsIdentity:
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, k=ks, m=rows, pair=st.sampled_from(PAIRS),
-           backend=st.sampled_from(COMPILED or ["numpy"]))
-    def test_compiled_pack_matches_numpy(self, seed, k, m, pair, backend):
+    @given(seed=seeds, k=ks, m=rows, pair=st.sampled_from(PAIRS))
+    def test_compiled_pack_matches_numpy(self, seed, k, m, pair):
         rng = np.random.default_rng(seed)
+        fn = backends.kernel("pack_bits", "cffi")
         for prec in (pair.weight, pair.activation):
             digits = prec.random_digits(rng, (m, k))
             planes = bit_decompose(digits, prec.bits)
-            fn = backends.kernel("pack_bits", backend)
             got = fn(planes.reshape(prec.bits * m, k))
             want = pack_bits(planes).reshape(prec.bits * m, -1)
             assert got.dtype == np.uint64
             assert np.array_equal(got, want)
 
 
-@needs_compiled
+@needs_cffi
 class TestGemmIdentity:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, k=ks, m=rows, n=rows, pair=st.sampled_from(PAIRS),
-           backend=st.sampled_from(COMPILED or ["numpy"]))
-    def test_bmma_engine_identical_across_backends(
-        self, seed, k, m, n, pair, backend
-    ):
-        rng = np.random.default_rng(seed)
-        w = pair.weight.random_digits(rng, (m, k))
-        x = pair.activation.random_digits(rng, (n, k))
-        ref = packed_matmul(w, x, pair.weight, pair.activation,
-                            engine="bmma", backend="numpy")
-        got = packed_matmul(w, x, pair.weight, pair.activation,
-                            engine="bmma", backend=backend)
-        assert got.dtype == ref.dtype
-        assert np.array_equal(got, ref)
-
     @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, k=ks, pair=st.sampled_from(PAIRS),
-           backend=st.sampled_from(COMPILED or ["numpy"]))
-    def test_apmm_identical_across_backends(self, seed, k, pair, backend):
+    @given(seed=seeds, k=ks, pair=st.sampled_from(PAIRS))
+    def test_apmm_identical_across_backends(self, seed, k, pair):
         from repro.kernels.apmm import apmm
 
         rng = np.random.default_rng(seed)
         w = pair.weight.random_digits(rng, (8, k))
         x = pair.activation.random_digits(rng, (6, k))
         ref = apmm(w, x, pair.weight, pair.activation, backend="numpy")
-        got = apmm(w, x, pair.weight, pair.activation, backend=backend)
+        got = apmm(w, x, pair.weight, pair.activation, backend="cffi")
         assert np.array_equal(got.output, ref.output)
 
 
-@needs_compiled
+@needs_cffi
 class TestConvIdentity:
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, pair=st.sampled_from(PAIRS),
            stride=st.sampled_from([1, 2]),
            padding=st.sampled_from([0, 1]),
            cin=st.sampled_from([1, 3, 8]),
-           hw=st.sampled_from([4, 7]),
-           backend=st.sampled_from(COMPILED or ["numpy"]))
+           hw=st.sampled_from([4, 7]))
     def test_apconv_identical_across_backends(
-        self, seed, pair, stride, padding, cin, hw, backend
+        self, seed, pair, stride, padding, cin, hw
     ):
         from repro.kernels.apconv import apconv
 
@@ -114,64 +90,37 @@ class TestConvIdentity:
         ref = apconv(w, x, pair.weight, pair.activation,
                      stride=stride, padding=padding, backend="numpy")
         got = apconv(w, x, pair.weight, pair.activation,
-                     stride=stride, padding=padding, backend=backend)
+                     stride=stride, padding=padding, backend="cffi")
         assert np.array_equal(got.output, ref.output)
+        # the dispatch, not only its output: the gather runs exactly at
+        # low plane-pair counts, and never on numpy
+        pq = pair.weight.bits * pair.activation.bits
+        gathered = got.cost.counters.compiled_kernels > 0
+        assert gathered == (pq <= PACKED_CONV_PQ_THRESHOLD)
+        assert ref.cost.counters.compiled_kernels == 0
 
 
 class TestForcedFallback:
     """The numpy path must stay reachable no matter what is installed."""
 
-    @pytest.fixture(autouse=True)
-    def _restore_selection(self):
-        saved = backends._ACTIVE[0]
-        yield
-        backends._ACTIVE[0] = saved
-
-    def test_env_numpy_forces_the_numpy_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        backends._ACTIVE[0] = None
-        assert backends.get_backend().name == "numpy"
-
-        from repro.kernels.apmm import apmm
-
-        pair = PrecisionPair.parse("w2a2")
-        rng = np.random.default_rng(0)
-        w = pair.weight.random_digits(rng, (8, 96))
-        x = pair.activation.random_digits(rng, (6, 96))
-        result = apmm(w, x, pair.weight, pair.activation)
-        assert result.cost.counters.compiled_kernels == 0
-
     def test_loader_import_failure_degrades_to_numpy(self, monkeypatch):
-        """A compiled backend whose module import dies must cost one
-        warning and fall back, never crash the kernel call."""
-        compiled = [b for b in backends.available_backends() if b.compiled]
-        if not compiled:
-            pytest.skip("no compiled backend registered to break")
+        """A cffi module whose load dies must cost one warning and fall
+        back, never crash the kernel call."""
+        from repro.kernels.apconv import apconv
 
-        def exploding_loader():
+        def exploding_kernels():
             raise ImportError("simulated backend import failure")
 
-        monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
-        monkeypatch.setattr(backends, "_KERNELS", {})
-        monkeypatch.setattr(backends, "_WARNED", set())
-        for broken in compiled:
-            backends._REGISTRY[broken.name] = backends.Backend(
-                name=broken.name, kind=broken.kind, compiled=True,
-                priority=broken.priority, capabilities=broken.capabilities,
-                loader=exploding_loader,
-            )
-        backends._ACTIVE[0] = None
-        with pytest.warns(RuntimeWarning, match="failed to load"):
-            active = backends.get_backend()
-        assert active.name == "numpy"
-        assert backends.kernel("packed_gemm") is None
-
+        monkeypatch.setattr(_backend_cffi, "kernels", exploding_kernels)
+        monkeypatch.setattr(backends, "_cffi_table", None)
         pair = PrecisionPair.parse("w1a2")
         rng = np.random.default_rng(1)
-        w = pair.weight.random_digits(rng, (4, 40))
-        x = pair.activation.random_digits(rng, (4, 40))
-        got = packed_matmul(w, x, pair.weight, pair.activation,
-                            engine="bmma")
-        want = packed_matmul(w, x, pair.weight, pair.activation,
-                             engine="bmma", backend="numpy")
-        assert np.array_equal(got, want)
+        w = pair.weight.random_digits(rng, (4, 3, 3, 3))
+        x = pair.activation.random_digits(rng, (2, 3, 6, 6))
+        with pytest.warns(RuntimeWarning, match="failed to load"):
+            got = apconv(w, x, pair.weight, pair.activation, padding=1)
+        assert backends.get_backend().name == "numpy"
+        assert got.cost.counters.compiled_kernels == 0
+        want = apconv(w, x, pair.weight, pair.activation, padding=1,
+                      strategy="integer")
+        assert np.array_equal(got.output, want.output)

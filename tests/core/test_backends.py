@@ -1,204 +1,148 @@
-"""The kernel-backend registry: selection precedence, degradation, dispatch.
+"""The two kernel tiers: selection, degradation, dispatch validation.
 
-These tests exercise :mod:`repro.core.backends` semantics with throwaway
-fake backends so they pass identically whether or not numba/cffi are
-importable in this interpreter: precedence (call kwarg > ``set_backend``
-> ``REPRO_BACKEND`` > auto-detection), warn-once degradation for broken
-environments and loaders, hard errors for *explicit* requests of broken
-backends, and the registry-driven ``(strategy, backend)`` validation that
-``apmm``/``apconv`` share -- including the legacy backend-name-as-strategy
-deprecation shim.
+:mod:`repro.core.backends` has two fixed tiers -- ``numpy`` and ``cffi``
+when its shared object loads.  Degradation is tested against the real
+cffi loader: with no ``cffi`` package and a cold build cache it must
+fall back to numpy with exactly one ``RuntimeWarning``, after which an
+explicit ``backend="cffi"`` raises.  Also covers the ``(strategy,
+backend)`` validation that ``apmm``/``apconv`` share.
 """
 
-from contextlib import contextmanager
+import ast
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core import backends
+from repro.core import PrecisionPair, _backend_cffi, backends
 from repro.core.backends import (
     CAPABILITIES,
+    CFFI,
+    NUMPY,
     STRATEGIES,
-    Backend,
-    available_backends,
-    backend_names,
     get_backend,
-    register_backend,
     resolve_backend,
     resolve_dispatch,
-    set_backend,
-    use_backend,
-    valid_combinations,
+)
+
+needs_cffi = pytest.mark.skipif(
+    not get_backend().compiled, reason="cffi kernels do not load here"
 )
 
 
-def _dummy_table():
-    return {cap: (lambda *a, **k: None) for cap in CAPABILITIES}
-
-
-@contextmanager
-def temp_backend(name, *, priority=99, loader=_dummy_table,
-                 capabilities=CAPABILITIES, compiled=True):
-    """Register a throwaway backend; always deregistered on exit."""
-    register_backend(Backend(
-        name=name, kind="test", compiled=compiled, priority=priority,
-        capabilities=frozenset(capabilities), loader=loader,
-    ))
-    try:
-        yield backends._REGISTRY[name]
-    finally:
-        backends._REGISTRY.pop(name, None)
-        backends._KERNELS.pop(name, None)
-
-
-@pytest.fixture(autouse=True)
-def _restore_selection_state(monkeypatch):
-    """Isolate process-wide selection + warn-once state per test."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    saved_active = backends._ACTIVE[0]
-    saved_warned = set(backends._WARNED)
-    yield
-    backends._ACTIVE[0] = saved_active
-    backends._WARNED.clear()
-    backends._WARNED.update(saved_warned)
+@pytest.fixture
+def broken_cffi(monkeypatch, tmp_path):
+    """The real loader with no cffi package and a cold build cache."""
+    monkeypatch.setenv("REPRO_CFFI_CACHE", str(tmp_path))
+    monkeypatch.setitem(sys.modules, "cffi", None)
+    monkeypatch.setattr(_backend_cffi, "_loaded", None)
+    monkeypatch.setattr(backends, "_cffi_table", None)
 
 
 class TestRegistry:
-    def test_numpy_is_always_registered_and_usable(self):
-        assert "numpy" in backend_names()
-        numpy = resolve_backend("numpy")
-        assert not numpy.compiled
-        assert numpy.capabilities == frozenset()
-
-    def test_names_sorted_by_detection_priority(self):
-        with temp_backend("zz-high", priority=99):
-            assert backend_names()[0] == "zz-high"
-            prios = [b.priority for b in available_backends()]
-            assert prios == sorted(prios, reverse=True)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(Backend(
-                name="numpy", kind="python", compiled=False, priority=1,
-                capabilities=frozenset(),
-            ))
-
-    def test_unknown_capability_rejected(self):
-        with pytest.raises(ValueError, match="unknown capabilities"):
-            register_backend(Backend(
-                name="zz-bogus-caps", kind="test", compiled=True,
-                priority=1, capabilities=frozenset({"warp_shuffle"}),
-            ))
-        assert "zz-bogus-caps" not in backend_names()
+    def test_numpy_is_always_registered_and_usable(self, broken_cffi):
+        # naming numpy never touches the cffi loader, broken or not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend("numpy") is NUMPY
+            assert resolve_dispatch("packed", "numpy") == ("packed", NUMPY)
+        assert backends._cffi_table is None
 
 
 class TestPrecedence:
+    @needs_cffi
     def test_auto_detection_picks_highest_priority_usable(self):
-        with temp_backend("zz-high", priority=99):
-            assert get_backend().name == "zz-high"
+        # cffi outranks numpy whenever its shared object loads
+        assert get_backend() is CFFI
+        assert resolve_backend(None) is CFFI
+        assert CFFI.capabilities == frozenset(CAPABILITIES)
 
-    def test_env_override_beats_auto_detection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        with temp_backend("zz-high", priority=99):
-            assert get_backend().name == "numpy"
-
-    def test_set_backend_beats_env(self, monkeypatch):
-        with temp_backend("zz-high", priority=99):
-            monkeypatch.setenv("REPRO_BACKEND", "numpy")
-            set_backend("zz-high")
-            assert get_backend().name == "zz-high"
-            set_backend(None)
-            assert get_backend().name == "numpy"
-
+    @needs_cffi
     def test_call_kwarg_beats_everything(self):
-        with temp_backend("zz-high", priority=99):
-            set_backend("zz-high")
-            assert resolve_backend("numpy").name == "numpy"
-
-    def test_use_backend_restores_previous_selection(self):
-        set_backend("numpy")
-        with temp_backend("zz-high", priority=99):
-            with use_backend("zz-high") as b:
-                assert b.name == "zz-high"
-                assert get_backend().name == "zz-high"
-            assert get_backend().name == "numpy"
-
-    def test_use_backend_restores_on_exception(self):
-        set_backend("numpy")
-        with temp_backend("zz-high", priority=99):
-            with pytest.raises(RuntimeError, match="boom"):
-                with use_backend("zz-high"):
-                    raise RuntimeError("boom")
-            assert get_backend().name == "numpy"
+        assert resolve_backend("numpy") is NUMPY
+        assert resolve_backend("cffi") is CFFI
 
 
 class TestDegradation:
-    """The environment and auto-detection degrade; explicit requests raise."""
+    def test_auto_detection_skips_backend_whose_loader_raises(
+        self, broken_cffi
+    ):
+        with pytest.warns(RuntimeWarning, match="failed to load") as record:
+            assert get_backend() is NUMPY
+        assert len(record) == 1
+        # warn once: later lookups stay on numpy silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert get_backend() is NUMPY
+            assert backends.kernel("conv_gather") is None
 
-    def _broken_loader(self):
-        raise OSError("no C compiler")
+    def test_explicit_request_of_broken_backend_raises(self, broken_cffi):
+        with pytest.warns(RuntimeWarning):
+            get_backend()
+        with pytest.raises(RuntimeError, match="failed to load"):
+            resolve_backend("cffi")
+        with pytest.raises(RuntimeError, match="failed to load"):
+            resolve_dispatch("packed", "cffi")
 
-    def test_unknown_env_backend_warns_once_and_degrades(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "zz-nonexistent")
-        with pytest.warns(RuntimeWarning, match="names no registered"):
-            first = get_backend()
-        assert first.name in backend_names()
-        # warn-once: the second resolution is silent
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            assert get_backend().name == first.name
+    @pytest.mark.parametrize("kernel", ["apmm", "apconv"])
+    def test_explicit_cffi_raises_in_kernels_after_load_failure(
+        self, broken_cffi, kernel
+    ):
+        from repro.kernels.apconv import apconv
+        from repro.kernels.apmm import apmm
 
-    def test_unusable_env_backend_warns_and_degrades(self, monkeypatch):
-        with temp_backend("zz-broken", loader=self._broken_loader):
-            monkeypatch.setenv("REPRO_BACKEND", "zz-broken")
-            with pytest.warns(RuntimeWarning):
-                assert get_backend().name != "zz-broken"
-
-    def test_auto_detection_skips_backend_whose_loader_raises(self):
-        with temp_backend("zz-broken", priority=99,
-                          loader=self._broken_loader):
-            with pytest.warns(RuntimeWarning, match="failed to load"):
-                assert get_backend().name != "zz-broken"
-
-    def test_explicit_request_of_broken_backend_raises(self):
-        with temp_backend("zz-broken", loader=self._broken_loader):
-            with pytest.warns(RuntimeWarning):
-                backends._kernels_for(backends._REGISTRY["zz-broken"])
-            with pytest.raises(RuntimeError, match="failed to load"):
-                resolve_backend("zz-broken")
-            with pytest.raises(RuntimeError, match="failed to load"):
-                set_backend("zz-broken")
+        pair = PrecisionPair.parse("w1a2")
+        rng = np.random.default_rng(0)
+        if kernel == "apmm":
+            fn, shapes = apmm, ((4, 16), (3, 16))
+        else:
+            fn, shapes = apconv, ((4, 2, 3, 3), (1, 2, 5, 5))
+        w = pair.weight.random_digits(rng, shapes[0])
+        x = pair.activation.random_digits(rng, shapes[1])
+        with pytest.warns(RuntimeWarning, match="failed to load"):
+            fallback = fn(w, x, pair.weight, pair.activation)
+        assert fallback.cost.counters.compiled_kernels == 0
+        with pytest.raises(RuntimeError, match="failed to load"):
+            fn(w, x, pair.weight, pair.activation, backend="cffi")
 
     def test_unknown_backend_name_enumerates_registry(self):
-        with pytest.raises(ValueError, match="registered backends"):
-            resolve_backend("zz-nonexistent")
+        with pytest.raises(ValueError, match="numpy/cffi"):
+            resolve_backend("numba")
 
-    def test_loader_missing_advertised_kernel_degrades(self):
-        with temp_backend("zz-partial", priority=99,
-                          loader=lambda: {"pack_bits": lambda *a: None}):
-            with pytest.warns(RuntimeWarning, match="without advertised"):
-                assert get_backend().name != "zz-partial"
+    def test_loader_missing_advertised_kernel_degrades(self, monkeypatch):
+        monkeypatch.setattr(backends, "_cffi_table", None)
+        monkeypatch.setattr(
+            _backend_cffi, "kernels", lambda: {"pack_bits": lambda *a: None}
+        )
+        with pytest.warns(RuntimeWarning, match="no kernels for"):
+            assert get_backend() is NUMPY
 
 
 class TestKernelLookup:
     def test_numpy_backend_has_no_compiled_kernels(self):
+        assert not NUMPY.compiled
+        assert NUMPY.capabilities == frozenset()
         for cap in CAPABILITIES:
             assert backends.kernel(cap, "numpy") is None
+
+    def test_capability_not_advertised_returns_none(self):
+        active = get_backend()
+        for cap in CAPABILITIES:
+            assert (backends.kernel(cap) is None) == (
+                cap not in active.capabilities
+            )
 
     def test_unknown_capability_raises(self):
         with pytest.raises(ValueError, match="unknown capability"):
             backends.kernel("warp_shuffle")
 
-    def test_usable_fake_backend_serves_its_table(self):
-        table = _dummy_table()
-        with temp_backend("zz-high", priority=99, loader=lambda: table):
-            for cap in CAPABILITIES:
-                assert backends.kernel(cap, "zz-high") is table[cap]
-
-    def test_capability_not_advertised_returns_none(self):
-        with temp_backend("zz-packonly", capabilities=("pack_bits",),
-                          loader=lambda: {"pack_bits": lambda *a: None}):
-            assert backends.kernel("conv_gather", "zz-packonly") is None
+    @needs_cffi
+    def test_cffi_serves_its_kernel_table(self):
+        table = _backend_cffi.kernels()
+        for cap in CAPABILITIES:
+            assert backends.kernel(cap, "cffi") is table[cap]
 
 
 class TestResolveDispatch:
@@ -206,42 +150,61 @@ class TestResolveDispatch:
         for strategy in ("integer", "bitserial"):
             resolved_strategy, b = resolve_dispatch(strategy)
             assert resolved_strategy == strategy
-            assert b.name == "numpy"
+            assert b is NUMPY
 
     def test_reference_strategy_rejects_compiled_backend(self):
-        with temp_backend("zz-high", priority=99):
-            with pytest.raises(ValueError, match="valid combinations"):
-                resolve_dispatch("bitserial", "zz-high", kernel_name="apmm")
+        with pytest.raises(ValueError, match="valid combinations"):
+            resolve_dispatch("bitserial", "cffi", kernel_name="apmm")
 
     def test_unknown_strategy_enumerates_combinations(self):
         with pytest.raises(ValueError) as exc:
             resolve_dispatch("bogus", kernel_name="apconv")
         msg = str(exc.value)
         assert msg.startswith("apconv: unknown strategy")
-        assert valid_combinations() in msg
+        assert "packed x (numpy/cffi)" in msg
 
-    def test_legacy_backend_name_as_strategy_warns_and_maps(self):
-        with temp_backend("zz-high", priority=99):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                strategy, b = resolve_dispatch("zz-high")
-            assert (strategy, b.name) == ("packed", "zz-high")
-            # once per process: the second use is silent
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("error")
-                assert resolve_dispatch("zz-high")[1].name == "zz-high"
+    def test_backend_name_is_not_a_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            resolve_dispatch("cffi")
 
-    def test_legacy_shim_conflicting_backend_kwarg_raises(self):
-        with temp_backend("zz-high", priority=99):
-            backends._WARNED.add("strategy-shim:zz-high")  # silence the shim
-            with pytest.raises(ValueError, match="conflicts with backend"):
-                resolve_dispatch("zz-high", "numpy")
-
+    @needs_cffi
     def test_packed_resolves_through_backend_precedence(self):
-        with temp_backend("zz-high", priority=99):
-            strategy, b = resolve_dispatch("packed")
-            assert (strategy, b.name) == ("packed", "zz-high")
-            assert resolve_dispatch("packed", "numpy")[1].name == "numpy"
+        strategy, b = resolve_dispatch("packed")
+        assert (strategy, b) == ("packed", CFFI)
+        assert resolve_dispatch("packed", "numpy")[1] is NUMPY
 
     def test_strategies_tuple_is_the_public_contract(self):
         assert STRATEGIES == ("packed", "integer", "bitserial")
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _imports_backends(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {a.name for a in node.names}
+            if module.endswith("backends") or (
+                "backends" in names and module in ("", "core", "repro.core")
+            ):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name.endswith("core.backends") for a in node.names):
+                return True
+    return False
+
+
+class TestLayering:
+    """Pricing never runs a kernel, so it must not reach the kernel tier."""
+
+    @pytest.mark.parametrize(
+        "part", ["nn", "serve", "tensorcore", "core/packed.py"]
+    )
+    def test_pricing_layers_do_not_import_backends(self, part):
+        root = SRC / part
+        files = [root] if root.is_file() else sorted(root.rglob("*.py"))
+        offenders = [
+            str(f.relative_to(SRC)) for f in files if _imports_backends(f)
+        ]
+        assert offenders == []

@@ -10,10 +10,16 @@ The stall fix's acceptance criteria, asserted through the harness's
 * a cold start over a persisted store performs **zero**
   ``engine.compile()`` calls;
 * warm-up must not change scheduling: cold, warm, and prewarmed runs of
-  the same trace produce byte-identical results.
+  the same trace produce byte-identical results;
+* pricing never loads the compiled kernels, so a serving process with a
+  cold C build cache never runs the C compiler.
 """
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +215,41 @@ class TestWarmupEquivalence:
         result = asyncio.run(run())
         assert result.model == "ok"
         assert not cache.in_loop_calls
+
+
+class TestPricingNeverLoadsKernels:
+    #: Compile and look up a plan, then snapshot the metrics.
+    SCRIPT = """
+import sys
+from repro.core import PrecisionPair
+from repro.nn import APNNBackend, InferenceEngine, alexnet
+from repro.serve import PlanCache, ServerMetrics
+from repro.tensorcore import RTX3090
+
+engine = InferenceEngine(
+    alexnet(num_classes=10, input_size=64),
+    APNNBackend(PrecisionPair.parse("w1a2")), RTX3090,
+)
+cache = PlanCache()
+cache.get(engine, 4, (3, 64, 64))
+cache.total_us(engine, 4, (3, 64, 64))
+assert cache.stats().hits >= 1
+ServerMetrics().snapshot()
+print("repro.core._backend_cffi" in sys.modules)
+"""
+
+    def test_plan_lookup_and_snapshot_leave_the_cffi_cache_cold(
+        self, tmp_path
+    ):
+        cffi_cache = tmp_path / "cffi"
+        cffi_cache.mkdir()
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(
+            os.environ, PYTHONPATH=str(src), REPRO_CFFI_CACHE=str(cffi_cache)
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "False"
+        assert list(cffi_cache.iterdir()) == []

@@ -20,6 +20,7 @@ from repro.bench import (
     serving_suite,
 )
 from repro.bench.__main__ import main as bench_main
+from repro.core import backends
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,18 @@ class TestReport:
                     "packed_us", "speedup", "identical"} <= set(entry)
         assert "geomean_speedup" in data["summary"]
 
+    def test_compiled_columns_only_on_conv_rows(self, smoke_report):
+        conv = [r for r in smoke_report.kernels if r.suite == "conv"]
+        assert conv
+        for r in smoke_report.kernels:
+            if r.suite != "conv":
+                assert r.compiled_speedup is None
+        if backends.get_backend().compiled:
+            assert all(
+                r.compiled_backend == "cffi" and r.compiled_identical
+                for r in conv
+            )
+
     def test_schema_mismatch_refused(self, smoke_report, tmp_path):
         path = tmp_path / "old.json"
         data = smoke_report.to_dict()
@@ -98,12 +111,10 @@ class TestRegressionGate:
 
     def test_passes_against_own_baseline(self, smoke_report):
         baseline = self._baseline_from(smoke_report)
-        assert check_report(smoke_report, baseline, min_gemm_speedup=0,
-                            min_compiled_gemm_speedup=0) == []
+        assert check_report(smoke_report, baseline, min_gemm_speedup=0) == []
 
     def test_passes_without_baseline(self, smoke_report):
-        assert check_report(smoke_report, None, min_gemm_speedup=0,
-                            min_compiled_gemm_speedup=0) == []
+        assert check_report(smoke_report, None, min_gemm_speedup=0) == []
 
     def test_fails_on_speedup_regression(self, smoke_report):
         baseline = self._baseline_from(smoke_report)
@@ -112,7 +123,7 @@ class TestRegressionGate:
             entry["speedup"] *= 2.0
         failures = check_report(
             smoke_report, baseline, tolerance=0.25,
-            min_gemm_speedup=0, min_compiled_gemm_speedup=0,
+            min_gemm_speedup=0,
         )
         assert failures
         assert all("regressed" in f for f in failures)
@@ -123,7 +134,7 @@ class TestRegressionGate:
             entry["speedup"] *= 1.10  # 10% worse than committed: inside 25%
         assert check_report(
             smoke_report, baseline, tolerance=0.25,
-            min_gemm_speedup=0, min_compiled_gemm_speedup=0,
+            min_gemm_speedup=0,
         ) == []
 
     def test_fails_on_missing_tracked_kernel(self, smoke_report):
@@ -131,20 +142,33 @@ class TestRegressionGate:
         baseline["kernels"].append(
             dict(baseline["kernels"][0], id="gemm-w9a9-1x1x1")
         )
-        failures = check_report(smoke_report, baseline, min_gemm_speedup=0,
-                                min_compiled_gemm_speedup=0)
+        failures = check_report(smoke_report, baseline, min_gemm_speedup=0)
         assert any("missing from this run" in f for f in failures)
 
     def test_fails_on_identity_violation(self, smoke_report):
         broken = copy.deepcopy(smoke_report)
         broken.kernels[0].identical = False
-        failures = check_report(broken, None, min_gemm_speedup=0,
-                                min_compiled_gemm_speedup=0)
+        failures = check_report(broken, None, min_gemm_speedup=0)
         assert any("byte-identical" in f for f in failures)
 
     def test_fails_below_gemm_speedup_floor(self, smoke_report):
         failures = check_report(smoke_report, None, min_gemm_speedup=1e9)
         assert any("floor" in f for f in failures)
+
+    def test_compiled_slower_than_numpy_fails_above_smoke_tier(
+        self, smoke_report
+    ):
+        slow = copy.deepcopy(smoke_report)
+        for r in slow.kernels:
+            if r.suite == "conv":
+                r.compiled_backend = "cffi"
+                r.compiled_speedup = 0.5
+                r.compiled_identical = True
+        # smoke shapes are too tiny for the ratio: only identity gates
+        assert check_report(slow, None, min_gemm_speedup=0) == []
+        slow.suite = "fast"
+        failures = check_report(slow, None, min_gemm_speedup=0)
+        assert any("must not be slower" in f for f in failures)
 
     def test_merge_best_takes_better_ratio_but_keeps_identity_bugs(
         self, smoke_report

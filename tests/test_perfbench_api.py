@@ -1,0 +1,84 @@
+"""Smoke test of the library API the repo benchmark calls.
+
+``perfbench/qnet.py`` composes a quantized forward from public calls.
+This imports it unedited and runs a small AlexNet through it, pinning
+what the benchmark relies on: ``backends.get_backend()`` with its
+``.name``/``.capabilities``, the per-call ``backend=`` of
+``apmm``/``apconv``, and ``cost.counters.compiled_kernels``, which
+splits gather from im2col + fold time.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import PrecisionPair, backends
+from repro.nn import APNNBackend, alexnet
+from repro.obs import Tracer
+from repro.serve import PlanCache
+from repro.tensorcore import RTX3090
+
+QNET = Path(__file__).resolve().parents[1] / "perfbench" / "qnet.py"
+SIZE = 67
+BATCH = 2
+
+
+@pytest.fixture(scope="module")
+def qnet():
+    spec = importlib.util.spec_from_file_location("perfbench_qnet", QNET)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve it by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def prepared(qnet):
+    model = alexnet(activation_bits=2, input_size=SIZE)
+    net, _ = qnet.prepare(
+        model, APNNBackend(PrecisionPair.parse("w1a2")), RTX3090,
+        BATCH, SIZE, PlanCache(),
+    )
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(BATCH, 3, SIZE, SIZE),
+                          dtype=np.uint8) / 255.0
+    qnet.forward(net, images, calibrate=True)
+    return net, images
+
+
+def test_backend_descriptor_the_benchmark_prints():
+    active = backends.get_backend()
+    assert active.name in ("numpy", "cffi")
+    assert set(active.capabilities) <= set(backends.CAPABILITIES)
+
+
+def test_default_forward_matches_the_integer_reference(qnet, prepared):
+    net, images = prepared
+    default = qnet.forward(net, images)
+    reference = qnet.forward(net, images, strategy="integer",
+                             backend="numpy")
+    assert default.dtype == reference.dtype
+    assert default.tobytes() == reference.tobytes()
+
+
+def _kernel_kinds(qnet, net, images, **kwargs) -> list[str]:
+    tracer = Tracer()
+    qnet.forward(net, images, rec=qnet.Recorder(tracer, "test"), **kwargs)
+    return [s.attributes["kind"] for s in tracer.spans_in("kernel")]
+
+
+def test_gather_runs_only_on_cffi(qnet, prepared):
+    net, images = prepared
+    kinds = _kernel_kinds(qnet, net, images)
+    # w1a2 (p*q = 2): conv2-conv5 take the gather whenever cffi loads
+    expect = "gather" if backends.get_backend().compiled else "conv_fold"
+    assert kinds.count(expect) == 4
+    numpy_kinds = _kernel_kinds(qnet, net, images, backend="numpy")
+    assert "gather" not in numpy_kinds
+    assert numpy_kinds.count("conv_fold") == 4
