@@ -32,20 +32,22 @@ latency tables (Tables 2-4) toward serving live traffic:
 ``server``
     Asyncio front end (``submit()`` / ``serve_forever()``) dispatching
     coalesced batches to worker loops across backends and devices on a
-    simulated clock.
+    simulated clock -- the one serving core.  Each loop hands its batch
+    to the worker's executor, and fails a crashed worker's batch over
+    with bounded retry and restarts.
 ``cluster`` / ``ipc``
-    Fault-tolerant multi-process scale-out: a coordinator routing over
-    N workers -- deterministic simulations driven by a ``FaultPlan``,
-    or real subprocesses speaking length-prefixed JSON frames
-    (``ipc``) over pipes -- with heartbeat crash detection, bounded
-    retry with failover, exactly-once completion, worker restarts and
-    graceful drain, all sharing one persistent ``PlanCacheStore``.
+    Fault-tolerant multi-process scale-out: a server subclass over N
+    named workers -- deterministic simulations driven by a
+    ``FaultPlan``, or real subprocesses speaking length-prefixed JSON
+    frames (``ipc``) over pipes -- with heartbeat crash detection and
+    exactly-once, byte-identical result payloads, all sharing one
+    persistent ``PlanCacheStore``.
 ``http``
     Network ingress (subpackage :mod:`repro.serve.http`, imported on
-    demand): a stdlib HTTP/1.1 + WebSocket gateway over ``submit()``
-    with streaming result delivery, per-client bounded send queues
-    (backpressure) and graceful drain behind the shared ``draining``
-    state.
+    demand): a stdlib HTTP/1.1 + WebSocket gateway over an
+    ``InferenceServer``'s ``submit()`` with streaming result delivery,
+    per-client bounded send queues (backpressure) and graceful drain
+    behind the shared ``draining`` state.
 ``metrics``
     Per-worker p50/p95 simulated latency, queue depth, batch occupancy,
     admission/autoswitch counters, and plan-/autotune-cache hit rates.
@@ -56,13 +58,9 @@ latency tables (Tables 2-4) toward serving live traffic:
 from .batcher import DEFAULT_CANDIDATE_BATCHES, BatchDecision, DynamicBatcher
 from .cluster import (
     ClusterCoordinator,
-    ClusterError,
-    ClusterPolicy,
-    ClusterResult,
     FaultEvent,
     FaultPlan,
     ModelSpec,
-    WorkerCrashed,
     result_payload,
 )
 from .ipc import (
@@ -118,10 +116,13 @@ from .scheduler import (
     make_discipline,
 )
 from .server import (
+    ClusterError,
+    ClusterPolicy,
     InferenceServer,
     RequestResult,
     ServedModel,
     ServerDraining,
+    WorkerCrashed,
 )
 from .trace import (
     RejectedRequest,
@@ -176,7 +177,6 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterError",
     "ClusterPolicy",
-    "ClusterResult",
     "FaultEvent",
     "FaultPlan",
     "ModelSpec",

@@ -1,17 +1,17 @@
 """Fault-tolerant multi-process scale-out for the serving stack.
 
-This module grows the single-process :class:`~repro.serve.server
-.InferenceServer` simulation into an actual *cluster*: a
-:class:`ClusterCoordinator` owns the request queues, runs the
-:class:`~repro.serve.placement.PlacementController` across N named
-workers, and routes batches to them -- where a worker is either a
-deterministic in-process simulation (``mode="sim"``) or a **real
-subprocess** (``mode="process"``) speaking the length-prefixed JSON
-protocol of :mod:`repro.serve.ipc` over its stdin/stdout pipes.  Both
-modes share the persistent :class:`~repro.serve.plan_cache
-.PlanCacheStore`: the coordinator prewarms every candidate plan into
-``cache_dir`` and each worker subprocess loads the same store, so no
-process ever replans what another already priced.
+A :class:`ClusterCoordinator` is an :class:`~repro.serve.server
+.InferenceServer` over N named APNN workers.  It schedules through the
+server's one worker loop -- dynamic batching under ``slo_ms``, the
+queue discipline, admission, placement -- and only swaps what executes
+a batch: a deterministic in-process simulation driven by a
+:class:`FaultPlan` (``mode="sim"``), or a **real subprocess**
+(``mode="process"``) speaking the length-prefixed JSON protocol of
+:mod:`repro.serve.ipc` over its stdin/stdout pipes.  Both modes share
+the persistent :class:`~repro.serve.plan_cache.PlanCacheStore`: the
+coordinator prewarms every candidate plan into ``cache_dir`` and each
+worker subprocess loads the same store, so no process ever replans what
+another already priced.
 
 Failure handling, the point of the module:
 
@@ -21,12 +21,12 @@ Failure handling, the point of the module:
   (``heartbeat_timeout_s`` without any frame -> declared dead and
   killed).  Simulated workers crash at the exact simulated instants a
   :class:`FaultPlan` scripts.
-* **bounded retry with failover** -- the in-flight requests of a dead
-  worker's batch are requeued at the head of their model queue (they
-  are the earliest arrivals) and re-dispatched to a surviving replica,
-  at most ``max_attempts`` dispatches per request; exhausted requests
-  fail loudly with :class:`ClusterError` and count as
-  ``dropped_requests``.
+* **bounded retry with failover** (in the server loop) -- the in-flight
+  requests of a dead worker's batch are requeued at the head of their
+  model queue (they are the earliest arrivals) and re-dispatched to a
+  surviving replica, at most ``max_attempts`` dispatches per request;
+  exhausted requests fail loudly with :class:`~repro.serve.server
+  .ClusterError` and count as ``dropped_requests``.
 * **exactly-once completion** -- a request's future resolves at most
   once; retries never re-record the dispatch-order watermark (the first
   dispatch committed the order), so failover can never masquerade as a
@@ -57,20 +57,18 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import bisect
 import itertools
 import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..core.types import PrecisionPair
 from ..nn.engine import APNNBackend, InferenceEngine
-from ..obs import NULL_TRACER, Tracer
+from ..obs import Tracer
 from ..perf.calibration import DEFAULT_CALIBRATION, Calibration
 from ..tensorcore.device import RTX3090, DeviceSpec
 from .ipc import (
@@ -82,26 +80,29 @@ from .ipc import (
     write_frame_async,
 )
 from .metrics import ServerMetrics
-from .placement import PlacementController, PlacementPolicy
+from .placement import PlacementPolicy
 from .plan_cache import PlanCache, PlanCacheStore, backend_key
-from .server import ServerDraining
+from .server import (
+    ClusterError,
+    ClusterPolicy,
+    InferenceServer,
+    ServedModel,
+    WorkerCrashed,
+    _Worker,
+)
 
 __all__ = [
     "ModelSpec",
     "FaultEvent",
     "FaultPlan",
-    "ClusterPolicy",
-    "ClusterResult",
-    "ClusterError",
-    "WorkerCrashed",
     "ClusterCoordinator",
     "result_payload",
 ]
 
 _FAULT_KINDS = ("crash", "slow", "corrupt_store")
 
-#: Batch sizes the coordinator considers (largest candidate that the
-#: visible backlog fills wins); shared default with the dynamic batcher.
+#: Candidate batch sizes of a cluster's dynamic batcher (batch 1 is
+#: always added: result payloads carry the batch-1 price).
 DEFAULT_CLUSTER_BATCHES = (1, 2, 4, 8)
 
 
@@ -310,93 +311,8 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# policy / results / errors
+# result payloads
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ClusterPolicy:
-    """Fault-tolerance knobs of one coordinator.
-
-    ``max_attempts`` bounds dispatches *per request* (first try plus
-    retries); ``max_restarts`` bounds respawns *per worker name*.  The
-    heartbeat settings only matter in process mode -- crash detection of
-    real processes is inherently wall-clock -- and are tuned so an idle
-    worker pongs many times per timeout.
-    """
-
-    max_attempts: int = 3
-    restart_crashed: bool = True
-    max_restarts: int = 1
-    restart_delay_us: float = 1_000.0
-    heartbeat_interval_s: float = 0.25
-    heartbeat_timeout_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.restart_delay_us < 0:
-            raise ValueError(
-                f"restart_delay_us must be >= 0, got {self.restart_delay_us}"
-            )
-        if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat settings must be positive")
-
-
-@dataclass(frozen=True)
-class ClusterResult:
-    """Outcome of one request served by the cluster.
-
-    ``payload`` is the canonical-JSON result body
-    (:func:`result_payload`): a pure function of what was computed, not
-    of where or when -- the byte string the exactly-once and failover
-    tests compare across replicas, retries, and whole runs.
-    """
-
-    request_id: int
-    model: str
-    worker: str
-    attempts: int        #: dispatches this request took (1 = no retry)
-    batch_size: int
-    batch_requests: int
-    arrival_us: float
-    start_us: float
-    finish_us: float
-    payload: str
-
-    @property
-    def wait_us(self) -> float:
-        return self.start_us - self.arrival_us
-
-    @property
-    def service_us(self) -> float:
-        return self.finish_us - self.start_us
-
-    @property
-    def latency_us(self) -> float:
-        return self.finish_us - self.arrival_us
-
-    @property
-    def latency_ms(self) -> float:
-        return self.latency_us / 1000.0
-
-    @property
-    def retried(self) -> bool:
-        return self.attempts > 1
-
-
-class ClusterError(RuntimeError):
-    """A request failed permanently (retry budget exhausted)."""
-
-
-class WorkerCrashed(RuntimeError):
-    """Internal: a worker died with this call in flight (retryable)."""
-
-
 def result_payload(
     model: str, backend, device: DeviceSpec, unit_us: float, request_id: int
 ) -> str:
@@ -415,37 +331,6 @@ def result_payload(
         "request_id": request_id,
         "unit_us": unit_us,
     })
-
-
-# ----------------------------------------------------------------------
-# internal request / worker state
-# ----------------------------------------------------------------------
-@dataclass
-class _ClusterRequest:
-    request_id: int
-    model: str
-    arrival_us: float
-    future: asyncio.Future = field(repr=False)
-    attempts: int = 0    #: dispatches so far (incremented at each take)
-
-
-@dataclass
-class _WorkerState:
-    """Coordinator-side bookkeeping of one named worker slot.
-
-    ``generation`` increments at every crash; a worker-loop task carries
-    the generation it was spawned for and exits when the state has moved
-    on, so a stale loop (or a stale failover) can never act on a
-    restarted worker.
-    """
-
-    name: str
-    alive: bool = True
-    generation: int = 0
-    restarts: int = 0
-    sim_free_at_us: float = 0.0
-    crashes: deque = field(default_factory=deque)  #: sim crash instants
-    transport: "_WorkerProcess | None" = None
 
 
 # ----------------------------------------------------------------------
@@ -739,27 +624,212 @@ def _worker_main() -> int:
 
 
 # ----------------------------------------------------------------------
+# cluster executors (workers of the server loop)
+# ----------------------------------------------------------------------
+class _SimWorker(_Worker):
+    """In-process pricing under the cluster's :class:`FaultPlan`.
+
+    Crashes at the plan's instants -- idle, before taking work, or
+    mid-batch (losing the batch to failover) -- stretches service by the
+    slow factor in force at dispatch, applies scheduled store damage,
+    and stamps each result with its canonical payload.
+    """
+
+    def __init__(self, server, name: str, backend, device) -> None:
+        super().__init__(server, name, backend, device)
+        self._crashes: deque[float] = deque()
+
+    async def start(self) -> None:
+        await super().start()
+        self._crashes = deque(self.server.faults.crash_times(self.name))
+
+    def crash_due(self, now_us: float) -> float | None:
+        if self._crashes and self._crashes[0] <= now_us:
+            return self._crashes.popleft()
+        return None
+
+    async def run(
+        self, model, engine, batch_size, requests, start_us, service_us
+    ):
+        cluster = self.server
+        cluster._damage_store(start_us)
+        service_us *= cluster.faults.slow_factor(self.name, start_us)
+        if self._crashes and self._crashes[0] < start_us + service_us:
+            # Mid-batch crash: the batch dies with the worker and fails
+            # over; anything the worker "computed" is lost.
+            raise WorkerCrashed(
+                f"worker {self.name} crashed mid-batch",
+                self._crashes.popleft(),
+            )
+        service_us, _ = await super().run(
+            model, engine, batch_size, requests, start_us, service_us
+        )
+        shape = cluster.models[model].input_shape
+        unit_us = cluster.plan_cache.total_us(engine, 1, shape)
+        return service_us, [
+            result_payload(
+                model, engine.backend, engine.device, unit_us, r.request_id
+            )
+            for r in requests
+        ]
+
+
+class _ProcessWorker(_Worker):
+    """A worker subprocess speaking :mod:`repro.serve.ipc` frames.
+
+    The subprocess prices each batch at the pair it was started with
+    and returns the result payloads; its transport's death (EOF, torn
+    frame, heartbeat silence) crashes the worker through the server's
+    failover path.
+    """
+
+    def __init__(self, server, name: str, backend, device) -> None:
+        super().__init__(server, name, backend, device)
+        self.transport: _WorkerProcess | None = None
+
+    async def start(self) -> None:
+        await super().start()
+        self.transport = await self._spawn()
+
+    async def _spawn(self) -> _WorkerProcess:
+        cluster = self.server
+        store = cluster.plan_cache.store
+        hello = {
+            "type": "hello",
+            "ipc": IPC_SCHEMA_VERSION,
+            "worker": self.name,
+            "pair": cluster.pair.name,
+            "device": self.device.name,
+            "cache_dir": str(store.cache_dir) if store is not None else None,
+            "models": {
+                n: spec.to_dict() for n, spec in cluster.specs.items()
+            },
+        }
+        transport = _WorkerProcess(
+            self.name, hello, cluster.policy, cluster.metrics,
+            self._transport_died,
+        )
+        await transport.start()
+        return transport
+
+    def _transport_died(self, transport: _WorkerProcess) -> None:
+        """Reader-task callback: a live process's pipe went away.
+
+        Handled in a tracked task (stop() gathers it) because the
+        callback fires inside the transport's reader task, which must
+        not block on the server lock.
+        """
+        self.server._tasks.append(asyncio.get_running_loop().create_task(
+            self._on_transport_death(transport),
+            name=f"cluster-death-{self.name}",
+        ))
+
+    async def _on_transport_death(self, transport: _WorkerProcess) -> None:
+        cluster = self.server
+        async with cluster._cond:
+            if self.transport is not transport:
+                return  # stale: a restart already replaced it
+            if self.alive:
+                cluster._crash_locked(
+                    self, cluster._sim_now_us, self.generation
+                )
+            cluster._cond.notify_all()
+
+    async def run(
+        self, model, engine, batch_size, requests, start_us, service_us
+    ):
+        if self.transport is None:
+            raise WorkerCrashed(f"worker {self.name} has no live process")
+        reply = await self.transport.call({
+            "type": "batch",
+            "model": model,
+            "batch_size": batch_size,
+            "requests": [r.request_id for r in requests],
+        })
+        if reply.get("type") == "error":
+            raise ClusterError(
+                f"worker {self.name} failed batch for {model!r}: "
+                f"{reply.get('message')}"
+            )
+        service_us = float(reply["service_us"])
+        self.server._occupy(self, start_us + service_us)
+        payloads = {
+            int(r["request_id"]): r["payload"] for r in reply["results"]
+        }
+        return service_us, [payloads[r.request_id] for r in requests]
+
+    def restart(self, at_us: float) -> None:
+        self.server._tasks.append(asyncio.create_task(
+            self.respawn(self.generation), name=f"cluster-respawn-{self.name}"
+        ))
+
+    async def respawn(self, generation: int) -> None:
+        """Replace the dead subprocess and bring the worker back alive."""
+        cluster = self.server
+        old = self.transport
+        try:
+            transport = await self._spawn()
+        except Exception as exc:
+            # The worker stays dead and survivors carry the load, but
+            # the dead transport must still be reaped (it holds the
+            # crashed subprocess plus its reader/heartbeat tasks) and
+            # the spawn failure must surface as a failover event, not
+            # vanish.
+            if cluster.tracer.enabled:
+                cluster.tracer.event(
+                    f"restart-failed:{self.name}", "failover",
+                    cluster._sim_now_us, lane=self.name, worker=self.name,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            if old is not None:
+                await old.close()
+            async with cluster._cond:
+                cluster._cond.notify_all()
+            return
+        installed = False
+        async with cluster._cond:
+            if self.generation == generation:
+                self.transport = transport
+                cluster._revive_locked(
+                    self, max(self.sim_free_at_us, cluster._sim_now_us)
+                )
+                installed = True
+            cluster._cond.notify_all()
+        if not installed:
+            await transport.close()  # lost the race to a newer crash
+        elif old is not None:
+            await old.close()  # reap the killed process
+
+    async def close(self) -> None:
+        if self.transport is not None:
+            await self.transport.close()
+            self.transport = None
+
+
+# ----------------------------------------------------------------------
 # coordinator
 # ----------------------------------------------------------------------
-class ClusterCoordinator:
-    """Routes requests over N workers with failover, retry and restart.
+class ClusterCoordinator(InferenceServer):
+    """An :class:`InferenceServer` over N APNN workers with failover.
 
-    The client surface mirrors :class:`~repro.serve.server
-    .InferenceServer` (``await submit(model, arrival_us=...)``,
-    ``start()`` / ``stop()``, a ``metrics`` registry, an optional
-    ``tracer``), so the existing trace :func:`~repro.serve.trace.replay`
-    drives a cluster unchanged.  Scheduling is FIFO per worker across
-    the model queues its placement routes to it; batches take the
-    largest ``candidate_batches`` entry the arrived-by-now backlog
-    fills.
+    Models arrive as :class:`ModelSpec` data (worker subprocesses
+    rebuild them); ``num_workers`` workers named ``worker-0`` ... all
+    serve ``pair`` on an RTX 3090.  Scheduling is the server's: batches
+    are sized by the dynamic batcher under ``slo_ms`` and picked by the
+    queue ``discipline`` behind ``admission`` -- those and the server's
+    other keyword options pass straight through -- and results are
+    :class:`~repro.serve.server.RequestResult` with ``attempts`` and the
+    canonical ``payload`` filled in.
 
-    ``mode="sim"`` executes by pricing plans in-process on the simulated
-    clock, with a :class:`FaultPlan` scripting failures
-    deterministically; ``mode="process"`` spawns one real Python
-    subprocess per worker (see :func:`_worker_main`) and prices batches
-    there, with real crash detection.  ``start()`` always prewarms every
-    (model, candidate batch) plan, so worker subprocesses find a fully
-    warm shared store and the sim path never compiles mid-dispatch.
+    ``mode="sim"`` prices batches in-process on the simulated clock,
+    with a :class:`FaultPlan` scripting failures deterministically;
+    ``mode="process"`` spawns one real Python subprocess per worker (see
+    :func:`_worker_main`) and prices batches there, with real crash
+    detection.  A subprocess prices at the pair it was started with, so
+    precision autoswitching needs ``mode="sim"``; pipeline sharding is
+    not supported on clusters.  ``start()`` prewarms every (model,
+    candidate batch) plan by default, so worker subprocesses find a
+    fully warm shared store.
     """
 
     def __init__(
@@ -776,6 +846,7 @@ class ClusterCoordinator:
         cache_dir: str | Path | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
         tracer: Tracer | None = None,
+        **options,
     ) -> None:
         if not models:
             raise ValueError("cluster needs at least one model")
@@ -783,429 +854,78 @@ class ClusterCoordinator:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if mode not in ("sim", "process"):
             raise ValueError(f"mode must be 'sim' or 'process', got {mode!r}")
-        self.mode = mode
-        self.policy = policy if policy is not None else ClusterPolicy()
-        self.faults = faults if faults is not None else FaultPlan()
-        if self.faults and mode == "process":
+        faults = faults if faults is not None else FaultPlan()
+        if faults and mode == "process":
             raise ValueError(
                 "FaultPlan schedules simulated instants; in process mode "
                 "inject real faults via kill_worker()/set_slow()"
+            )
+        if options.get("autoswitch") is not None and mode == "process":
+            raise ValueError(
+                "a worker subprocess prices at the precision pair it was "
+                "started with; precision autoswitching needs mode='sim'"
             )
         if placement is not None and placement.shard:
             raise ValueError(
                 "the cluster layer does not run pipeline-sharded models; "
                 "use InferenceServer for shard specs"
             )
-        self.specs: dict[str, ModelSpec] = dict(models)
-        for name, spec in self.specs.items():
+        for name, spec in models.items():
             if not isinstance(spec, ModelSpec):
                 raise TypeError(
                     f"model {name!r}: cluster models must be ModelSpec "
                     f"(workers rebuild them from data), got {type(spec)}"
                 )
+        self.mode = mode
+        self.faults = faults
+        self.specs: dict[str, ModelSpec] = dict(models)
         if isinstance(pair, str):
             pair = PrecisionPair.parse(pair)
         self.pair = pair
-        self.backend = APNNBackend(pair)
-        self.device = RTX3090
-        if not candidate_batches or min(candidate_batches) < 1:
-            raise ValueError(
-                f"candidate_batches must be positive, got {candidate_batches}"
-            )
-        # Batch 1 is always a candidate: result payloads carry the
-        # batch-1 unit price, so that plan must be prewarmed.
-        self.candidate_batches = tuple(
-            sorted(set(candidate_batches) | {1})
-        )
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._calibration = calibration
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = ServerMetrics()
-        if self.cache_dir is not None:
-            self.plan_cache = PlanCache(
-                store=PlanCacheStore(self.cache_dir)
-            )
-            # Damaged lines survived by the load are an event worth
-            # counting even before any traffic arrives.
-            self.metrics.record_store_recovery(
-                self.plan_cache.stats().store_recovered_lines
-            )
-        else:
-            self.plan_cache = PlanCache()
-        if self.tracer.enabled:
-            self.plan_cache.tracer = self.tracer
-
-        self._worker_names = tuple(
-            f"worker-{i}" for i in range(num_workers)
-        )
-        self._workers: dict[str, _WorkerState] = {
-            name: _WorkerState(name=name) for name in self._worker_names
-        }
-        self.placement_controller: PlacementController | None = None
-        if placement is not None:
-            self.placement_controller = PlacementController(
-                placement, self.specs, list(self._worker_names)
-            )
-            if self.tracer.enabled:
-                self.placement_controller.tracer = self.tracer
-            self.metrics.replica_counts = (
-                self.placement_controller.placement.replica_counts()
-            )
-
-        self._engines: dict[str, InferenceEngine] = {
-            name: InferenceEngine(
-                spec.build(), self.backend, self.device,
-                calibration=calibration,
-            )
-            for name, spec in self.specs.items()
-        }
-        self._queues: dict[str, deque[_ClusterRequest]] = {
-            name: deque() for name in self.specs
-        }
-        self._corruptions: deque[float] = deque(
-            self.faults.corruption_times()
-        )
+        self._corruptions: deque[float] = deque(faults.corruption_times())
         self._store_damage_seen = 0
-        self._ids = itertools.count()
-        self._cond: asyncio.Condition | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._tasks: list[asyncio.Task] = []
-        self._running = False
-        self._draining = False
-        self._inflight = 0
-        self._sim_now_us = 0.0
-        self._last_finish_us = 0.0
-        #: replay() compatibility: the cluster never sleeps service time.
-        self.time_scale = 0.0
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Prewarm plans, spawn workers (real or simulated), go live."""
-        if self._running:
-            return
-        self._running = True
-        self._draining = False
-        self._cond = asyncio.Condition()
-        self._executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="cluster-compile"
+        backend = APNNBackend(self.pair)
+        super().__init__(
+            {
+                name: ServedModel(spec.build(), spec.input_shape)
+                for name, spec in self.specs.items()
+            },
+            [(backend, RTX3090)] * num_workers,
+            candidate_batches=(*candidate_batches, 1),
+            placement=placement,
+            cache_dir=cache_dir,
+            calibration=calibration,
+            tracer=tracer,
+            **options,
         )
-        if not self.metrics.has_autotune_baseline:
-            self.metrics.mark_autotune_baseline()
-        await self._prewarm()
-        for name in self._worker_names:
-            st = self._workers[name]
-            st.crashes = deque(self.faults.crash_times(name))
-            if self.mode == "process":
-                st.transport = await self._spawn(name)
-        self._tasks = [
-            asyncio.create_task(
-                self._worker_loop(name, self._workers[name].generation),
-                name=f"cluster-{name}",
-            )
-            for name in self._worker_names
-        ]
+        if policy is not None:
+            self.policy = policy
 
-    async def stop(self) -> None:
-        """Graceful drain: serve everything queued or in flight, then
-        shut worker processes down and account for any leftovers."""
-        if not self._running:
-            return
-        self._running = False
-        async with self._cond:
-            self._cond.notify_all()
-        # Restart tasks may be spawned *while* draining (a worker dying
-        # mid-drain still fails over); gather until the list stays empty.
-        while self._tasks:
-            tasks, self._tasks = self._tasks, []
-            await asyncio.gather(*tasks)
-        for name in self._worker_names:
-            st = self._workers[name]
-            if st.transport is not None:
-                await st.transport.close()
-                st.transport = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        leftovers = [r for q in self._queues.values() for r in q]
-        if leftovers:
-            # Drain invariant violated (e.g. every replica dead with no
-            # restart budget): count it loudly and fail the futures so
-            # no client hangs.
-            self.metrics.record_dropped(len(leftovers))
-            for q in self._queues.values():
-                q.clear()
-            for r in leftovers:
-                if not r.future.done():
-                    r.future.set_exception(ClusterError(
-                        f"request {r.request_id} for {r.model!r} was "
-                        f"dropped at cluster stop (no surviving worker)"
-                    ))
+    @staticmethod
+    def _worker_names(workers) -> list[str]:
+        return [f"worker-{i}" for i in range(len(workers))]
 
-    async def submit(
-        self, model: str, arrival_us: float | None = None
-    ) -> ClusterResult:
-        """Enqueue one request and await its (exactly-once) completion."""
-        if model not in self.specs:
-            raise KeyError(
-                f"unknown model {model!r}; served: {sorted(self.specs)}"
-            )
-        if self._cond is None or not self._running:
-            raise RuntimeError(
-                "cluster not running; call await cluster.start() first"
-            )
-        if self._draining:
-            raise ServerDraining(
-                f"cluster is draining; request for {model!r} refused"
-            )
-        req = _ClusterRequest(
-            request_id=next(self._ids),
-            model=model,
-            arrival_us=(
-                arrival_us if arrival_us is not None else self._sim_now_us
-            ),
-            future=asyncio.get_running_loop().create_future(),
-        )
-        async with self._cond:
-            if not self._running:
-                raise RuntimeError(
-                    "cluster is stopped; no worker will serve"
-                )
-            if self._draining:
-                raise ServerDraining(
-                    f"cluster is draining; request for {model!r} refused"
-                )
-            self.metrics.record_arrival(model, req.arrival_us)
-            self.metrics.note_out_of_order_submit(model, req.arrival_us)
-            queue = self._queues[model]
-            if not queue or req.arrival_us >= queue[-1].arrival_us:
-                queue.append(req)
-            else:
-                stamps = [r.arrival_us for r in queue]
-                queue.insert(
-                    bisect.bisect_right(stamps, req.arrival_us), req
-                )
-            self.metrics.record_queue_depth(self.queue_depth)
-            self._sim_now_us = max(self._sim_now_us, req.arrival_us)
-            self._cond.notify_all()
-        return await req.future
+    def _make_worker(self, name: str, backend, device) -> _Worker:
+        worker = _ProcessWorker if self.mode == "process" else _SimWorker
+        return worker(self, name, backend, device)
 
-    def begin_drain(self) -> None:
-        """Refuse new submissions while in-flight requests complete.
-
-        Same contract as :meth:`InferenceServer.begin_drain`: after
-        this, :meth:`submit` raises :class:`~repro.serve.server
-        .ServerDraining` while everything queued or dispatched runs to
-        completion; call :meth:`stop` afterwards to wait for the drain.
-        A later :meth:`start` clears the state.
-        """
-        self._draining = True
+    async def start(self, *, prewarm: bool = True) -> None:
+        """Start as the server does, prewarmed by default so worker
+        subprocesses load every candidate plan from the shared store."""
+        await super().start(prewarm=prewarm)
 
     @property
-    def draining(self) -> bool:
-        """True once drain has begun (or the cluster is stopped)."""
-        return self._draining or not self._running
-
-    async def unit_price_us(self, model: str) -> float:
-        """Modeled batch-1 service microseconds of ``model``.
-
-        Mirrors :meth:`InferenceServer.unit_price_us` -- the pricing
-        quantity the HTTP gateway folds into result digests.  Batch-1
-        plans are prewarmed at :meth:`start`, so this normally prices
-        from the warm cache.
-        """
-        if model not in self.specs:
-            raise KeyError(
-                f"unknown model {model!r}; served: {sorted(self.specs)}"
-            )
-        engine = self._engines[model]
-        shape = self.specs[model].input_shape
-        await self.plan_cache.ensure_async(
-            engine, 1, shape, executor=self._executor
-        )
-        return self.plan_cache.total_us(engine, 1, shape)
-
-    @property
-    def queue_depth(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    @property
-    def sim_duration_us(self) -> float:
-        return self._last_finish_us
+    def candidate_batches(self) -> tuple[int, ...]:
+        return self.batcher.candidate_batches
 
     def alive_workers(self) -> tuple[str, ...]:
         return tuple(
-            name for name in self._worker_names
-            if self._workers[name].alive
+            name for name, worker in self._workers.items() if worker.alive
         )
 
-    # ------------------------------------------------------------------
-    # test hooks (process mode)
-    # ------------------------------------------------------------------
-    def worker_pids(self) -> dict[str, int]:
-        return {
-            name: st.transport.ready["pid"]
-            for name, st in self._workers.items()
-            if st.transport is not None and st.transport.ready
-        }
-
-    def kill_worker(self, name: str) -> None:
-        """SIGKILL a real worker subprocess (mid-batch murder hook)."""
-        if self.mode != "process":
-            raise RuntimeError(
-                "kill_worker needs mode='process'; script a FaultPlan "
-                "crash for simulated clusters"
-            )
-        st = self._workers[name]
-        if st.transport is not None:
-            st.transport.kill()
-
-    async def set_slow(self, name: str, seconds: float) -> None:
-        """Make a real worker sleep before every reply (wedge hook)."""
-        if self.mode != "process":
-            raise RuntimeError("set_slow needs mode='process'")
-        st = self._workers[name]
-        if st.transport is None:
-            raise RuntimeError(f"worker {name} has no live process")
-        await st.transport.call(
-            {"type": "set_slow", "seconds": seconds}
-        )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    async def _prewarm(self) -> None:
-        t0 = time.perf_counter()
-        jobs = []
-        for name, spec in self.specs.items():
-            engine = self._engines[name]
-            for batch in self.candidate_batches:
-                jobs.append(self.plan_cache.ensure_async(
-                    engine, batch, spec.input_shape,
-                    executor=self._executor,
-                ))
-        compiled = await asyncio.gather(*jobs)
-        self.metrics.record_prewarm(
-            sum(compiled), (time.perf_counter() - t0) * 1e6
-        )
-
-    async def _spawn(self, name: str) -> _WorkerProcess:
-        hello = {
-            "type": "hello",
-            "ipc": IPC_SCHEMA_VERSION,
-            "worker": name,
-            "pair": self.pair.name,
-            "device": self.device.name,
-            "cache_dir": (
-                str(self.cache_dir) if self.cache_dir is not None else None
-            ),
-            "models": {
-                n: spec.to_dict() for n, spec in self.specs.items()
-            },
-        }
-        transport = _WorkerProcess(
-            name, hello, self.policy, self.metrics, self._transport_died
-        )
-        await transport.start()
-        return transport
-
-    def _transport_died(self, transport: _WorkerProcess) -> None:
-        """Reader-task callback: a live process's pipe went away.
-
-        Handled in a tracked task (stop() gathers it) because the
-        callback fires inside the transport's reader task, which must
-        not block on the coordinator lock.
-        """
-        self._tasks.append(asyncio.get_running_loop().create_task(
-            self._on_transport_death(transport),
-            name=f"cluster-death-{transport.name}",
-        ))
-
-    async def _on_transport_death(self, transport: _WorkerProcess) -> None:
-        async with self._cond:
-            st = self._workers[transport.name]
-            if st.transport is not transport:
-                return  # stale: a restart already replaced it
-            if st.alive:
-                self._crash_locked(
-                    st, self._sim_now_us, [], None, st.generation
-                )
-            self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    def _routes(self, worker: str, model: str) -> bool:
-        """May ``worker`` serve ``model``'s queue right now?
-
-        Placement decides normally; a model whose entire replica set is
-        dead is adopted by the first alive worker, because a placed
-        request must never be stranded behind a placement that no
-        longer names any survivor.
-        """
-        if not self._workers[worker].alive:
-            return False
-        ctl = self.placement_controller
-        if ctl is None:
-            return True
-        placement = ctl.placement
-        if placement.serves(worker, model):
-            return True
-        if any(
-            self._workers[w].alive
-            for w in placement.replicas_of(model)
-            if w in self._workers
-        ):
-            return False
-        return worker == self._first_alive()
-
-    def _first_alive(self) -> str | None:
-        for name in self._worker_names:
-            if self._workers[name].alive:
-                return name
-        return None
-
-    def _routable_models(self, worker: str) -> list[str]:
-        return [
-            model for model, q in self._queues.items()
-            if q and self._routes(worker, model)
-        ]
-
-    def _maybe_rebalance(self) -> None:
-        """Placement epoch evaluation (under the lock), as in the server."""
-        ctl = self.placement_controller
-        if ctl is None or not ctl.due(self._sim_now_us):
-            return
-        now = self._sim_now_us
-        rates: dict[str, float] = {}
-        service: dict[str, float | None] = {}
-        for model, spec in self.specs.items():
-            count, rate = self.metrics.arrival_stats(
-                model, now, ctl.policy.window_us
-            )
-            if count < ctl.policy.min_requests:
-                continue
-            rates[model] = rate
-            total = self.plan_cache.peek_total_us(
-                self._engines[model], ctl.policy.service_batch,
-                spec.input_shape,
-            )
-            service[model] = (
-                None if total is None
-                else ctl.policy.service_batch / (total * 1e-6)
-            )
-        swap = ctl.rebalance(now, rates, service)
-        if swap is not None:
-            adds, removes = swap
-            self.metrics.record_rebalance(
-                ctl.placement.epoch, adds, removes,
-                ctl.placement.replica_counts(),
-            )
-            self._cond.notify_all()
-
-    def _apply_corruptions_locked(self, now_us: float) -> None:
+    def _damage_store(self, now_us: float) -> None:
         """Deterministic store damage: torn trailing line at scripted
         instants, then a fresh load proving recovery skips exactly it."""
-        applied = False
         while self._corruptions and self._corruptions[0] <= now_us:
             at = self._corruptions.popleft()
             if self.plan_cache.store is None:
@@ -1221,402 +941,43 @@ class ClusterCoordinator:
             recovered = fresh.recovered_lines - self._store_damage_seen
             self._store_damage_seen = fresh.recovered_lines
             self.metrics.record_store_recovery(recovered)
-            applied = True
             if self.tracer.enabled:
                 self.tracer.event(
                     "store:corrupt", "failover", at,
                     lane="store", recovered_lines=recovered,
                 )
-        if applied:
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    def _crash_locked(
-        self,
-        st: _WorkerState,
-        at_us: float,
-        lost: list[_ClusterRequest],
-        model: str | None,
-        generation: int,
-    ) -> None:
-        """Kill a worker's state and fail its batch over (under the lock).
-
-        Idempotent against racing detectors (EOF callback vs the worker
-        loop's in-flight error): only the call matching the worker's
-        live generation marks the crash and schedules the restart; the
-        ``lost`` requests are requeued regardless, because only their
-        dispatching loop holds them.
-        """
-        first = st.alive and st.generation == generation
-        if first:
-            st.alive = False
-            st.generation += 1
-            self.metrics.record_worker_crash(st.name)
-            self._sim_now_us = max(self._sim_now_us, at_us)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    f"crash:{st.name}", "failover", at_us,
-                    lane=st.name, worker=st.name,
-                    restarts_used=st.restarts,
-                )
-        if lost:
-            self._inflight -= len(lost)
-            retry: list[_ClusterRequest] = []
-            exhausted: list[_ClusterRequest] = []
-            for r in lost:
-                if r.future.done():
-                    continue
-                if r.attempts < self.policy.max_attempts:
-                    retry.append(r)
-                else:
-                    exhausted.append(r)
-            if retry:
-                self.metrics.record_failover(st.name, len(retry))
-                # Requeue at the head: these are the earliest arrivals
-                # of their queue, so head insertion keeps it sorted.
-                # Their redispatch is *not* re-recorded against the
-                # reorder watermark -- the first dispatch committed the
-                # order -- so failover can never count as a reorder.
-                self._queues[model].extendleft(reversed(retry))
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        f"failover:{model}", "failover", at_us,
-                        lane=st.name, worker=st.name, model=model,
-                        requests=len(retry),
-                        attempts=max(r.attempts for r in retry),
-                    )
-            if exhausted:
-                self.metrics.record_dropped(len(exhausted))
-                for r in exhausted:
-                    r.future.set_exception(ClusterError(
-                        f"request {r.request_id} for {r.model!r} failed "
-                        f"{r.attempts} dispatches (max_attempts="
-                        f"{self.policy.max_attempts})"
-                    ))
-        if first and (
-            self.policy.restart_crashed
-            and st.restarts < self.policy.max_restarts
-        ):
-            st.restarts += 1
-            if self.mode == "sim":
-                st.alive = True
-                st.sim_free_at_us = at_us + self.policy.restart_delay_us
-                self.metrics.record_worker_restart(st.name)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        f"restart:{st.name}", "failover",
-                        st.sim_free_at_us, lane=st.name, worker=st.name,
-                    )
-                self._tasks.append(asyncio.create_task(
-                    self._worker_loop(st.name, st.generation),
-                    name=f"cluster-{st.name}-r{st.restarts}",
-                ))
-            else:
-                self._tasks.append(asyncio.create_task(
-                    self._restart_process(st.name, st.generation),
-                    name=f"cluster-respawn-{st.name}",
-                ))
-        self._cond.notify_all()
-
-    async def _restart_process(self, name: str, generation: int) -> None:
-        """Respawn a dead subprocess worker and bring it back alive."""
-        old = self._workers[name].transport
-        try:
-            transport = await self._spawn(name)
-        except Exception as exc:
-            # The worker stays dead and survivors carry the load, but
-            # the dead transport must still be reaped (it holds the
-            # crashed subprocess plus its reader/heartbeat tasks) and
-            # the spawn failure must surface as a failover event, not
-            # vanish.
-            if self.tracer.enabled:
-                self.tracer.event(
-                    f"restart-failed:{name}", "failover", self._sim_now_us,
-                    lane=name, worker=name,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            if old is not None:
-                await old.close()
-            async with self._cond:
-                self._cond.notify_all()
-            return
-        installed = False
-        async with self._cond:
-            st = self._workers[name]
-            if st.generation == generation:
-                st.transport = transport
-                st.alive = True
-                st.sim_free_at_us = max(
-                    st.sim_free_at_us, self._sim_now_us
-                )
-                self.metrics.record_worker_restart(name)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        f"restart:{name}", "failover", self._sim_now_us,
-                        lane=name, worker=name,
-                    )
-                self._tasks.append(asyncio.create_task(
-                    self._worker_loop(name, st.generation),
-                    name=f"cluster-{name}-r{st.restarts}",
-                ))
-                installed = True
-            self._cond.notify_all()
-        if not installed:
-            await transport.close()  # lost the race to a newer crash
-        elif old is not None:
-            await old.close()  # reap the killed process
-
+    # test hooks (process mode)
     # ------------------------------------------------------------------
-    async def _worker_loop(self, name: str, generation: int) -> None:
-        cond = self._cond
-        st = self._workers[name]
-        while True:
-            async with cond:
-                while True:
-                    if not st.alive or st.generation != generation:
-                        return
-                    self._maybe_rebalance()
-                    if (
-                        self.mode == "sim" and st.crashes
-                        and st.crashes[0] <= self._sim_now_us
-                        and not self._routable_models(name)
-                    ):
-                        # Idle crash: the scripted instant passed while
-                        # this worker had nothing to do.
-                        self._crash_locked(
-                            st, st.crashes.popleft(), [], None, generation
-                        )
-                        return
-                    if self._routable_models(name):
-                        break
-                    if (
-                        not self._running
-                        and self.queue_depth == 0
-                        and self._inflight == 0
-                    ):
-                        return
-                    await cond.wait()
-                models = self._routable_models(name)
-                earliest = min(
-                    self._queues[m][0].arrival_us for m in models
-                )
-                now_us = max(st.sim_free_at_us, earliest)
-                if (
-                    self.mode == "sim" and st.crashes
-                    and st.crashes[0] <= now_us
-                ):
-                    # Dies at the scripted instant, before taking work.
-                    self._crash_locked(
-                        st, st.crashes.popleft(), [], None, generation
-                    )
-                    return
-                if self.mode == "sim":
-                    self._apply_corruptions_locked(now_us)
-                # FIFO across this worker's routed queues: serve the
-                # earliest arrived-by-now head (name breaks ties).
-                model = min(
-                    (
-                        m for m in models
-                        if self._queues[m][0].arrival_us <= now_us
-                    ),
-                    key=lambda m: (self._queues[m][0].arrival_us, m),
-                )
-                queue = self._queues[model]
-                depth = 0
-                for r in queue:
-                    if r.arrival_us > now_us:
-                        break
-                    depth += 1
-                # Largest candidate the arrived-by-now backlog fills
-                # (batch 1 is always a candidate, and depth >= 1).
-                take = max(
-                    b for b in self.candidate_batches if b <= depth
-                )
-                batch = [queue.popleft() for _ in range(take)]
-                fresh = [r for r in batch if r.attempts == 0]
-                if fresh:
-                    # Retried requests committed their dispatch order
-                    # the first time; only fresh arrivals advance the
-                    # reorder watermark.
-                    self.metrics.record_dispatch(
-                        model,
-                        fresh[0].arrival_us,
-                        fresh[-1].arrival_us,
-                    )
-                for r in batch:
-                    r.attempts += 1
-                self._inflight += len(batch)
-
-            # ----- execute outside the lock ---------------------------
-            if self.mode == "sim":
-                await self._execute_sim(
-                    st, generation, model, batch, take, depth, now_us
-                )
-            else:
-                await self._execute_process(
-                    st, generation, model, batch, take, depth, now_us
-                )
-
-    async def _execute_sim(
-        self, st, generation, model, batch, batch_size, depth, now_us
-    ) -> None:
-        engine = self._engines[model]
-        shape = self.specs[model].input_shape
-        # Warm by prewarm; total_us is a pure cache read here.
-        service_us = self.plan_cache.total_us(engine, batch_size, shape)
-        service_us *= self.faults.slow_factor(st.name, now_us)
-        unit_us = self.plan_cache.total_us(engine, 1, shape)
-        finish_us = now_us + service_us
-        if st.crashes and st.crashes[0] < finish_us:
-            # Mid-batch crash: the batch dies with the worker and fails
-            # over; anything the worker "computed" is lost.
-            at = None
-            async with self._cond:
-                if st.crashes and st.crashes[0] < finish_us:
-                    at = st.crashes.popleft()
-                    self._crash_locked(
-                        st, at, batch, model, generation
-                    )
-            if at is not None:
-                return
-        await asyncio.sleep(0)  # yield: interleave like the server does
-        payloads = {
-            r.request_id: result_payload(
-                model, self.backend, self.device, unit_us, r.request_id
-            )
-            for r in batch
+    def worker_pids(self) -> dict[str, int]:
+        if self.mode != "process":
+            return {}
+        return {
+            name: worker.transport.ready["pid"]
+            for name, worker in self._workers.items()
+            if worker.transport is not None and worker.transport.ready
         }
-        await self._complete(
-            st, model, batch, batch_size, depth,
-            now_us, finish_us, service_us, payloads,
-        )
 
-    async def _execute_process(
-        self, st, generation, model, batch, batch_size, depth, now_us
-    ) -> None:
-        transport = st.transport
+    def kill_worker(self, name: str) -> None:
+        """SIGKILL a real worker subprocess (mid-batch murder hook)."""
+        if self.mode != "process":
+            raise RuntimeError(
+                "kill_worker needs mode='process'; script a FaultPlan "
+                "crash for simulated clusters"
+            )
+        transport = self._workers[name].transport
+        if transport is not None:
+            transport.kill()
+
+    async def set_slow(self, name: str, seconds: float) -> None:
+        """Make a real worker sleep before every reply (wedge hook)."""
+        if self.mode != "process":
+            raise RuntimeError("set_slow needs mode='process'")
+        transport = self._workers[name].transport
         if transport is None:
-            async with self._cond:
-                self._crash_locked(
-                    st, now_us, batch, model, generation
-                )
-            return
-        try:
-            reply = await transport.call({
-                "type": "batch",
-                "model": model,
-                "batch_size": batch_size,
-                "requests": [r.request_id for r in batch],
-            })
-        except WorkerCrashed:
-            async with self._cond:
-                self._crash_locked(
-                    st, self._sim_now_us, batch, model, generation
-                )
-            return
-        if reply.get("type") == "error":
-            # Deterministic serving error (bad model state, pricing
-            # bug): retrying elsewhere would fail identically, so fail
-            # the futures rather than bouncing the batch around.
-            exc = ClusterError(
-                f"worker {st.name} failed batch for {model!r}: "
-                f"{reply.get('message')}"
-            )
-            async with self._cond:
-                self._inflight -= len(batch)
-                self._cond.notify_all()
-            for r in batch:
-                if not r.future.done():
-                    r.future.set_exception(exc)
-            return
-        service_us = float(reply["service_us"])
-        finish_us = now_us + service_us
-        payloads = {
-            int(r["request_id"]): r["payload"]
-            for r in reply["results"]
-        }
-        await self._complete(
-            st, model, batch, batch_size, depth,
-            now_us, finish_us, service_us, payloads,
-        )
-
-    async def _complete(
-        self, st, model, batch, batch_size, depth,
-        start_us, finish_us, service_us, payloads,
-    ) -> None:
-        """Resolve one served batch (metrics, tracing, exactly-once)."""
-        results = [
-            ClusterResult(
-                request_id=r.request_id,
-                model=model,
-                worker=st.name,
-                attempts=r.attempts,
-                batch_size=batch_size,
-                batch_requests=len(batch),
-                arrival_us=r.arrival_us,
-                start_us=start_us,
-                finish_us=finish_us,
-                payload=payloads[r.request_id],
-            )
-            for r in batch
-        ]
-        async with self._cond:
-            st.sim_free_at_us = finish_us
-            self._sim_now_us = max(self._sim_now_us, finish_us)
-            self._last_finish_us = max(self._last_finish_us, finish_us)
-            self._inflight -= len(batch)
-            self.metrics.record_batch(
-                st.name,
-                batch_size=batch_size,
-                requests=len(batch),
-                queue_depth=depth,
-                service_us=service_us,
-                request_latencies_us=[
-                    res.latency_us for res in results
-                ],
-                meets_slo=True,
-            )
-            self._cond.notify_all()
-        if self.tracer.enabled:
-            self._trace_batch(
-                st.name, model, batch_size, depth,
-                start_us, finish_us, results,
-            )
-        for r, res in zip(batch, results):
-            if not r.future.done():
-                # Exactly-once: the future is the single completion
-                # point, and only the batch that actually finished
-                # reaches here holding its requests.
-                r.future.set_result(res)
-
-    # ------------------------------------------------------------------
-    def _trace_batch(
-        self, worker, model, batch_size, depth, start_us, finish_us,
-        results,
-    ) -> None:
-        batch_id = self.tracer.span(
-            f"batch:{model}", "batch", start_us, finish_us,
-            lane=worker, model=model, worker=worker,
-            batch_size=batch_size, requests=len(results),
-            queue_depth=depth,
-            retried=any(res.attempts > 1 for res in results),
-        )
-        for res in results:
-            req_span = self.tracer.span(
-                f"request:{res.request_id}", "request",
-                res.arrival_us, res.finish_us, lane=res.model,
-                request_id=res.request_id, model=res.model,
-                worker=worker, attempts=res.attempts,
-                batch_span=batch_id,
-            )
-            self.tracer.span(
-                "queue", "queue", res.arrival_us, res.start_us,
-                parent_id=req_span, lane=res.model,
-            )
-            self.tracer.span(
-                "execute", "dispatch", res.start_us, res.finish_us,
-                parent_id=req_span, lane=res.model, batch_span=batch_id,
-            )
+            raise RuntimeError(f"worker {name} has no live process")
+        await transport.call({"type": "set_slow", "seconds": seconds})
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""HTTP/1.1 + WebSocket ingress over a serving backend.
+"""HTTP/1.1 + WebSocket ingress over an inference server.
 
 :class:`HttpGateway` is the network edge of the serving stack: a
 stdlib-asyncio front end that turns real sockets into
-:meth:`~repro.serve.server.InferenceServer.submit` calls (or
-:meth:`~repro.serve.cluster.ClusterCoordinator.submit` -- the backend
-is duck-typed on ``submit`` / ``metrics`` / ``draining`` /
-``begin_drain`` / ``unit_price_us``).
+:meth:`~repro.serve.server.InferenceServer.submit` calls.  A
+:class:`~repro.serve.cluster.ClusterCoordinator` is an
+``InferenceServer`` too, so the gateway fronts a cluster unchanged.
 
 Endpoints
 ---------
@@ -68,7 +67,7 @@ from typing import Any
 from ...obs import NULL_TRACER, Tracer
 from ..ipc import canonical_json
 from ..policies import AdmissionRejected
-from ..server import ServerDraining
+from ..server import InferenceServer, ServerDraining
 from .protocol import (
     OP_CLOSE,
     OP_PING,
@@ -192,15 +191,14 @@ class _BoundedSendQueue:
 
 
 class HttpGateway:
-    """Network-facing front end over one serving backend.
+    """Network-facing front end over one inference server.
 
     Parameters
     ----------
     backend:
-        An :class:`~repro.serve.server.InferenceServer` or
-        :class:`~repro.serve.cluster.ClusterCoordinator` (anything with
-        ``submit`` / ``metrics`` / ``draining`` / ``begin_drain`` /
-        ``unit_price_us``), already ``start()``-ed by the caller.
+        An :class:`~repro.serve.server.InferenceServer` (a
+        :class:`~repro.serve.cluster.ClusterCoordinator` is one),
+        already ``start()``-ed by the caller.
     host, port:
         Listen address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
@@ -217,7 +215,7 @@ class HttpGateway:
 
     def __init__(
         self,
-        backend,
+        backend: InferenceServer,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -263,9 +261,7 @@ class HttpGateway:
     def draining(self) -> bool:
         """True once :meth:`drain` (or :meth:`stop`) has been called --
         or the backend itself started draining underneath us."""
-        return self._draining or bool(
-            getattr(self.backend, "draining", False)
-        )
+        return self._draining or self.backend.draining
 
     def drain(self) -> None:
         """Stop admitting new work; let in-flight requests complete.
@@ -276,9 +272,7 @@ class HttpGateway:
         in-process submitters see :class:`ServerDraining` too.
         """
         self._draining = True
-        begin = getattr(self.backend, "begin_drain", None)
-        if begin is not None:
-            begin()
+        self.backend.begin_drain()
 
     async def stop(self, *, timeout: float = DEFAULT_STOP_TIMEOUT) -> None:
         """Graceful shutdown: drain, finish in-flight work, close.
@@ -495,32 +489,27 @@ class HttpGateway:
                 "tag": tag,
                 "error": {"type": "admission_rejected", "message": str(exc)},
             }
-        pair = getattr(result, "pair", "") or getattr(
-            getattr(self.backend, "pair", None), "name", ""
-        )
         payload: dict[str, Any] = {
             "tag": tag,
             "model": model,
             "request_id": result.request_id,
-            "worker": getattr(result, "worker", ""),
-            "digest": result_digest(model, pair, unit, tag),
-            "pricing": {"unit_us": unit, "pair": pair},
+            "worker": result.worker,
+            "digest": result_digest(model, result.pair, unit, tag),
+            "pricing": {"unit_us": unit, "pair": result.pair},
             "deadline": {
-                "deadline_us": _json_safe(
-                    getattr(result, "deadline_us", float("inf"))
-                ),
-                "met": bool(getattr(result, "met_deadline", True)),
+                "deadline_us": _json_safe(result.deadline_us),
+                "met": result.met_deadline,
             },
             "timing": {
                 "arrival_us": result.arrival_us,
-                "start_us": getattr(result, "start_us", None),
+                "start_us": result.start_us,
                 "finish_us": result.finish_us,
             },
             "batch": {
-                "size": getattr(result, "batch_size", 1),
-                "requests": getattr(result, "batch_requests", 1),
+                "size": result.batch_size,
+                "requests": result.batch_requests,
             },
-            "switched": bool(getattr(result, "switched", False)),
+            "switched": result.switched,
         }
         if "echo" in spec:
             payload["echo"] = spec["echo"]

@@ -54,6 +54,19 @@ the stage-0 owner dispatches from the queue, serves its stage, and
 hands the batch to the next stage's worker through per-worker stage
 queues; the last stage resolves the futures.  Every stage is priced
 through the same plan cache as whole models.
+
+Execution is the one seam between scheduling and workers.  Each worker
+loop chooses a batch, then hands it to its worker's executor, which
+returns the batch's service time (and, for cluster workers, each
+request's canonical result payload) or raises :class:`WorkerCrashed`.
+The base executor is the in-process pricing path above; the cluster
+layer (:mod:`repro.serve.cluster`) adds a :class:`FaultPlan
+<repro.serve.cluster.FaultPlan>`-driven simulation and real worker
+subprocesses.  Failover lives in the loop: a crashed worker's batch
+requeues at the head of its model queue and retries elsewhere, at most
+``ClusterPolicy.max_attempts`` dispatches per request, and crashed
+workers restart within ``ClusterPolicy.max_restarts``.  The in-process
+executor never crashes, so a plain server never takes that path.
 """
 
 from __future__ import annotations
@@ -96,20 +109,74 @@ __all__ = [
     "ServedModel",
     "RequestResult",
     "ServerDraining",
+    "ClusterPolicy",
+    "ClusterError",
+    "WorkerCrashed",
     "InferenceServer",
 ]
 
 
 class ServerDraining(RuntimeError):
-    """A submission arrived while the backend is draining.
+    """A submission arrived while the server is draining.
 
-    Raised by :meth:`InferenceServer.submit` and
-    :meth:`~repro.serve.cluster.ClusterCoordinator.submit` once
-    ``begin_drain()`` has been called: in-flight requests run to
-    completion, new ones are refused.  The HTTP gateway maps this (and
-    its own drain state) to a 503 so load balancers rotate traffic away
-    during shutdown.
+    Raised by :meth:`InferenceServer.submit` once ``begin_drain()`` has
+    been called: in-flight requests run to completion, new ones are
+    refused.  The HTTP gateway maps this (and its own drain state) to a
+    503 so load balancers rotate traffic away during shutdown.
     """
+
+
+class ClusterError(RuntimeError):
+    """A request failed permanently (retry budget exhausted, or no
+    worker left to serve it at stop)."""
+
+
+class WorkerCrashed(RuntimeError):
+    """A worker died with a batch in flight (retryable).
+
+    ``at_us`` is the simulated crash instant when one is scripted;
+    ``None`` means the crash is noticed now on the simulated clock.
+    """
+
+    def __init__(self, message: str, at_us: float | None = None) -> None:
+        super().__init__(message)
+        self.at_us = at_us
+
+
+@dataclass(frozen=True)
+class ClusterPolicy:
+    """Fault-tolerance knobs of one server.
+
+    ``max_attempts`` bounds dispatches *per request* (first try plus
+    retries); ``max_restarts`` bounds respawns *per worker name*.  The
+    heartbeat settings only matter for subprocess workers -- crash
+    detection of real processes is inherently wall-clock -- and are
+    tuned so an idle worker pongs many times per timeout.
+    """
+
+    max_attempts: int = 3
+    restart_crashed: bool = True
+    max_restarts: int = 1
+    restart_delay_us: float = 1_000.0
+    heartbeat_interval_s: float = 0.25
+    heartbeat_timeout_s: float = 5.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}"
+            )
+        if self.max_restarts < 0:
+            raise ValueError(
+                f"max_restarts must be >= 0, got {self.max_restarts}"
+            )
+        if self.restart_delay_us < 0:
+            raise ValueError(
+                f"restart_delay_us must be >= 0, got {self.restart_delay_us}"
+            )
+        if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
+            raise ValueError("heartbeat settings must be positive")
+
 
 DEFAULT_INPUT_SHAPE = (3, 224, 224)
 
@@ -153,6 +220,11 @@ class RequestResult:
     #: Per-stage worker names for pipeline-sharded models (empty when
     #: the model ran whole on ``worker``).
     stages: tuple[str, ...] = ()
+    attempts: int = 1     #: dispatches this request took (1 = no retry)
+    #: Canonical result body (cluster workers only; see
+    #: :func:`~repro.serve.cluster.result_payload`): a pure function of
+    #: what was computed, byte-identical across replicas and retries.
+    payload: str = ""
 
     @property
     def wait_us(self) -> float:
@@ -181,6 +253,69 @@ class _PendingRequest:
     model: str
     arrival_us: float
     future: asyncio.Future = field(repr=False)
+    attempts: int = 0    #: dispatches so far (incremented at each take)
+
+
+class _Worker:
+    """One worker slot: its simulated clock, liveness and executor.
+
+    This base class is the in-process executor: a batch occupies the
+    worker for its modeled price on the simulated clock (sleeping
+    ``time_scale`` real seconds per microsecond) and never crashes.
+    :mod:`repro.serve.cluster` subclasses it with a ``FaultPlan``-driven
+    simulation and with a subprocess over :mod:`repro.serve.ipc`.
+
+    ``generation`` increments at every crash; a worker loop carries the
+    generation it was spawned for and exits once it has moved on, so a
+    stale loop can never act on a restarted worker.
+    """
+
+    def __init__(self, server, name: str, backend, device) -> None:
+        self.server = server
+        self.name = name
+        self.backend = backend
+        self.device = device
+        self.alive = True
+        self.generation = 0
+        self.restarts = 0
+        self.sim_free_at_us = 0.0
+
+    async def start(self) -> None:
+        """Go live at simulated time zero (every server start)."""
+        self.alive = True
+        self.sim_free_at_us = 0.0
+
+    def crash_due(self, now_us: float) -> float | None:
+        """Pop a scripted crash instant at or before ``now_us``."""
+        return None
+
+    async def run(
+        self, model: str, engine: InferenceEngine, batch_size: int,
+        requests: list[_PendingRequest], start_us: float, service_us: float,
+    ) -> tuple[float, list[str] | None]:
+        """Execute one batch priced at ``service_us`` from ``start_us``.
+
+        Occupies the worker (:meth:`InferenceServer._occupy`) for the
+        actual service time and returns it, with per-request result
+        payloads or ``None``.  Raises :class:`WorkerCrashed` if the
+        worker dies with the batch in flight.  The clock advances
+        *before* the yield, so concurrent loops see this worker busy.
+        """
+        self.server._occupy(self, start_us + service_us)
+        # Occupy the (scaled) event loop for the modeled service time so
+        # concurrent workers interleave like real executors.
+        await asyncio.sleep(service_us * self.server.time_scale)
+        return service_us, None
+
+    def restart(self, at_us: float) -> None:
+        """Bring the crashed worker back (under the lock), one restart
+        delay after the crash on the simulated clock."""
+        self.server._revive_locked(
+            self, at_us + self.server.policy.restart_delay_us
+        )
+
+    async def close(self) -> None:
+        """Release whatever backs this worker (at stop)."""
 
 
 @dataclass
@@ -339,15 +474,15 @@ class InferenceServer:
         self.time_scale = time_scale
         self._calibration = calibration
 
-        self._worker_specs: list[tuple[str, object, DeviceSpec]] = []
-        seen: dict[str, int] = {}
-        for backend, device in workers:
-            base = f"{backend.name}@{device.name}"
-            seen[base] = seen.get(base, 0) + 1
-            name = base if seen[base] == 1 else f"{base}#{seen[base]}"
-            self._worker_specs.append((name, backend, device))
-        self._workers_by_name = {
-            name: (backend, device)
+        self.policy = ClusterPolicy()
+        self._worker_specs: list[tuple[str, object, DeviceSpec]] = [
+            (name, backend, device)
+            for name, (backend, device) in zip(
+                self._worker_names(workers), workers
+            )
+        ]
+        self._workers: dict[str, _Worker] = {
+            name: self._make_worker(name, backend, device)
             for name, backend, device in self._worker_specs
         }
 
@@ -396,9 +531,27 @@ class InferenceServer:
         self._tasks: list[asyncio.Task] = []
         self._running = False
         self._draining = False
+        #: Requests dispatched to a worker and not yet resolved or
+        #: requeued (a crash may hand them back to the queues).
+        self._inflight = 0
         self._ids = itertools.count()
         self._sim_now_us = 0.0
         self._last_finish_us = 0.0
+
+    @staticmethod
+    def _worker_names(workers) -> list[str]:
+        """``backend@device`` per worker, ``#k``-suffixed on repeats."""
+        names: list[str] = []
+        seen: dict[str, int] = {}
+        for backend, device in workers:
+            base = f"{backend.name}@{device.name}"
+            seen[base] = seen.get(base, 0) + 1
+            names.append(base if seen[base] == 1 else f"{base}#{seen[base]}")
+        return names
+
+    def _make_worker(self, name: str, backend, device) -> _Worker:
+        """The executor behind one worker loop (in-process pricing)."""
+        return _Worker(self, name, backend, device)
 
     # ------------------------------------------------------------------
     # client API
@@ -492,12 +645,14 @@ class InferenceServer:
             await self._install_pipelines()
         if prewarm:
             await self._prewarm()
+        for worker in self._workers.values():
+            await worker.start()
         self._tasks = [
             asyncio.create_task(
-                self._worker_loop(name, backend, device),
-                name=f"serve-{name}",
+                self._worker_loop(worker, worker.generation),
+                name=f"serve-{worker.name}",
             )
-            for name, backend, device in self._worker_specs
+            for worker in self._workers.values()
         ]
 
     async def stop(self) -> None:
@@ -507,15 +662,20 @@ class InferenceServer:
         self._running = False
         async with self._cond:
             self._cond.notify_all()
-        await asyncio.gather(*self._tasks)
-        self._tasks = []
+        # A worker crashing mid-drain still fails over and restarts, so
+        # loops can be spawned while we wait: gather until none are left.
+        while self._tasks:
+            tasks, self._tasks = self._tasks, []
+            await asyncio.gather(*tasks)
+        for worker in self._workers.values():
+            await worker.close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
         # Drain accounting: workers exit only once every queue, stage
-        # queue and pipeline is empty, so leftovers here are a bug.  The
-        # counter makes it loud and the failed futures keep clients from
-        # hanging on it.
+        # queue and pipeline is empty, so leftovers here mean no worker
+        # was left to serve them (or a bug).  The counter makes it loud
+        # and the failed futures keep clients from hanging on it.
         leftovers = [r for q in self._queues.values() for r in q]
         leftovers += list(self._deferred)
         leftovers += [
@@ -533,21 +693,17 @@ class InferenceServer:
                 jobs.clear()
             for r in leftovers:
                 if not r.future.done():
-                    r.future.set_exception(
-                        RuntimeError(
-                            f"request {r.request_id} for {r.model!r} was "
-                            f"dropped at server stop (drain invariant "
-                            f"violated)"
-                        )
-                    )
+                    r.future.set_exception(ClusterError(
+                        f"request {r.request_id} for {r.model!r} was "
+                        f"dropped at stop (no worker left to serve it)"
+                    ))
         self._stopped.set()
 
     def begin_drain(self) -> None:
         """Refuse new submissions while in-flight requests complete.
 
-        The one external-facing drain hook (shared with
-        :class:`~repro.serve.cluster.ClusterCoordinator`): after this,
-        :meth:`submit` raises :class:`ServerDraining`, while everything
+        The one external-facing drain hook: after this, :meth:`submit`
+        raises :class:`ServerDraining`, while everything
         already queued or dispatched runs to completion -- call
         :meth:`stop` afterwards to actually wait for the drain.  A later
         :meth:`start` clears the state.
@@ -710,10 +866,10 @@ class InferenceServer:
             )
             pinned = ctl.install_stages(model_name, stages, self._sim_now_us)
             for stage in pinned:
-                w_backend, w_device = self._workers_by_name[stage.worker]
+                worker = self._workers[stage.worker]
                 self._stage_engines[(model_name, stage.index, stage.worker)] = (
                     InferenceEngine(
-                        stage.submodel, w_backend, w_device,
+                        stage.submodel, worker.backend, worker.device,
                         calibration=self._calibration,
                     )
                 )
@@ -795,10 +951,30 @@ class InferenceServer:
     # placement routing
     # ------------------------------------------------------------------
     def _serves(self, worker: str, model: str) -> bool:
-        """May ``worker`` dispatch ``model`` from its queue?"""
-        if self.placement_controller is None:
+        """May ``worker`` dispatch ``model`` from its queue?
+
+        Placement decides while the worker is alive; a model whose whole
+        replica set is dead is adopted by the first alive worker, so a
+        placed request is never stranded behind a placement that names
+        no survivor.
+        """
+        if not self._workers[worker].alive:
+            return False
+        ctl = self.placement_controller
+        if ctl is None:
             return True
-        return self.placement_controller.placement.serves(worker, model)
+        placement = ctl.placement
+        if placement.serves(worker, model):
+            return True
+        return worker == self._first_alive() and not any(
+            self._workers[w].alive for w in placement.replicas_of(model)
+        )
+
+    def _first_alive(self) -> str | None:
+        for name, worker in self._workers.items():
+            if worker.alive:
+                return name
+        return None
 
     def _stages_of(self, model: str) -> tuple[StagePlan, ...] | None:
         if self.placement_controller is None:
@@ -902,24 +1078,33 @@ class InferenceServer:
             )
         return snapshots, depths
 
-    async def _worker_loop(self, name: str, backend, device) -> None:
+    async def _worker_loop(self, worker: _Worker, generation: int) -> None:
         cond = self._cond
-        sim_free_at_us = 0.0
+        name, backend, device = worker.name, worker.backend, worker.device
         while True:
             job: _StageJob | None = None
             cold_specs: tuple = ()
             async with cond:
                 self._promote_deferred()
                 while True:
+                    if worker.generation != generation:
+                        return  # crashed; a restart runs a fresh loop
                     self._maybe_rebalance()
                     if self._stage_queues[name] or (
                         self._routable_depth(name) > 0
                     ):
                         break
+                    crash_us = worker.crash_due(self._sim_now_us)
+                    if crash_us is not None:
+                        # Idle crash: the scripted instant passed while
+                        # this worker had nothing to do.
+                        self._crash_locked(worker, crash_us, generation)
+                        return
                     if (
                         not self._running
                         and self.queue_depth == 0
                         and self._pipeline_inflight == 0
+                        and self._inflight == 0
                     ):
                         return
                     await cond.wait()
@@ -929,14 +1114,12 @@ class InferenceServer:
                     # bounds the pipeline and keeps stage order FIFO.
                     job = self._stage_queues[name].popleft()
             if job is not None:
-                sim_free_at_us = await self._run_stage(
-                    name, job, sim_free_at_us
-                )
+                await self._run_stage(worker, job)
                 continue
 
             async with cond:
                 if self._routable_depth(name) == 0:
-                    continue  # another worker drained it as we re-locked
+                    continue  # drained (or this worker died) as we re-locked
                 # Non-clairvoyant dispatch: when the worker frees up (or
                 # the earliest queued request arrives, if later) it can
                 # only see requests that have arrived by that simulated
@@ -947,7 +1130,12 @@ class InferenceServer:
                     for model, q in self._queues.items()
                     if q and self._serves(name, model)
                 )
-                now_us = max(sim_free_at_us, earliest)
+                now_us = max(worker.sim_free_at_us, earliest)
+                crash_us = worker.crash_due(now_us)
+                if crash_us is not None:
+                    # Dies at the scripted instant, before taking work.
+                    self._crash_locked(worker, crash_us, generation)
+                    return
                 snapshots, depths = self._visible_snapshots(now_us, name)
                 model = self.discipline.select(tuple(snapshots))
                 # Captured at selection time (the snapshots die with the
@@ -1022,11 +1210,7 @@ class InferenceServer:
                     # so the reorder watermark advances here -- a
                     # co-replica warm-dispatching later arrivals during
                     # this worker's off-loop compile is not a reorder.
-                    self.metrics.record_dispatch(
-                        model,
-                        reserved[0].arrival_us,
-                        reserved[-1].arrival_us,
-                    )
+                    self._record_dispatch(model, reserved)
                 else:
                     try:
                         decision = self.batcher.choose(
@@ -1046,14 +1230,8 @@ class InferenceServer:
                         continue
                     take = min(decision.batch_size, depth)
                     batch = [queue.popleft() for _ in range(take)]
-                    self.metrics.record_dispatch(
-                        model, batch[0].arrival_us, batch[-1].arrival_us
-                    )
-                    self._served_counts[model] += take
-                    self._slo_infeasible[model] = not decision.meets_slo
-                    if stages is not None:
-                        self._pipeline_inflight += 1
-                    self._promote_deferred()
+                    self._record_dispatch(model, batch)
+                    self._commit_locked(model, batch, decision, stages)
 
             if cold_specs:
                 # Compile off-loop; single-flight dedupes racing workers
@@ -1145,11 +1323,7 @@ class InferenceServer:
                             queue.clear()
                             queue.extend(ordered)
                         cond.notify_all()
-                    self._served_counts[model] += take
-                    self._slo_infeasible[model] = not decision.meets_slo
-                    if stages is not None:
-                        self._pipeline_inflight += 1
-                    self._promote_deferred()
+                    self._commit_locked(model, batch, decision, stages)
 
             if stages is not None:
                 # Pipeline dispatch: this worker owns stage 0; serve it
@@ -1170,24 +1344,38 @@ class InferenceServer:
                     sched_attrs=sched_attrs,
                     cold=bool(cold_specs),
                 )
-                sim_free_at_us = await self._run_stage(
-                    name, job, sim_free_at_us
-                )
+                await self._run_stage(worker, job)
                 continue
 
+            try:
+                service_us, payloads = await worker.run(
+                    model, engine, decision.batch_size, batch, now_us,
+                    decision.expected_latency_us,
+                )
+            except WorkerCrashed as exc:
+                async with cond:
+                    self._crash_locked(
+                        worker,
+                        self._sim_now_us if exc.at_us is None else exc.at_us,
+                        generation, batch, model,
+                    )
+                return
+            except Exception as exc:
+                # The worker answered with a deterministic serving error:
+                # retrying elsewhere would fail identically, so fail the
+                # batch's futures and keep the worker alive.
+                for r in batch:
+                    if not r.future.done():
+                        r.future.set_exception(exc)
+                async with cond:
+                    self._inflight -= len(batch)
+                    cond.notify_all()
+                continue
+            self._inflight -= len(batch)
             start_us = now_us
-            finish_us = start_us + decision.expected_latency_us
-            sim_free_at_us = finish_us
-            self._sim_now_us = max(self._sim_now_us, finish_us)
-            self._last_finish_us = max(self._last_finish_us, finish_us)
-
-            # Occupy the (scaled) event loop for the modeled service time
-            # so concurrent workers interleave like real executors.
-            await asyncio.sleep(
-                decision.expected_latency_us * self.time_scale
-            )
-
+            finish_us = start_us + service_us
             slo_us = slo_ms * 1000.0
+            pair_name = pair.name if pair is not None else ""
             results = [
                 RequestResult(
                     request_id=r.request_id,
@@ -1199,17 +1387,19 @@ class InferenceServer:
                     start_us=start_us,
                     finish_us=finish_us,
                     deadline_us=r.arrival_us + slo_us,
-                    pair=pair.name if pair is not None else "",
+                    pair=pair_name,
                     switched=switched,
+                    attempts=r.attempts,
+                    payload=payload,
                 )
-                for r in batch
+                for r, payload in zip(batch, payloads or itertools.repeat(""))
             ]
             self.metrics.record_batch(
                 name,
                 batch_size=decision.batch_size,
                 requests=len(batch),
                 queue_depth=depth,
-                service_us=decision.expected_latency_us,
+                service_us=service_us,
                 request_latencies_us=[res.latency_us for res in results],
                 meets_slo=decision.meets_slo,
                 deadline_misses=sum(
@@ -1224,20 +1414,140 @@ class InferenceServer:
                     decision.batch_size, decision.expected_latency_us,
                     decision.meets_slo, results, depth,
                     start_us, finish_us,
-                    pair_name=pair.name if pair is not None else "",
+                    pair_name=pair_name,
                     switched=switched,
                     plan_cache_hit=not cold_specs,
                     sched_attrs=sched_attrs,
                 )
             for r, res in zip(batch, results):
                 if not r.future.done():
+                    # Exactly-once: the future is the single completion
+                    # point, and only the dispatch that finished holds it.
                     r.future.set_result(res)
-            if self.placement_controller is not None:
-                # Placement routing can leave non-owner workers parked
-                # on the condition during a stop()-drain; wake them so
-                # they re-check the exit condition once work resolves.
+            if self.placement_controller is not None or not self._running:
+                # Placement routing, and waiting out in-flight batches
+                # (a crash may requeue them), can leave workers parked on
+                # the condition during a stop()-drain; wake them so they
+                # re-check the exit condition once work resolves.
                 async with cond:
                     cond.notify_all()
+
+    def _record_dispatch(
+        self, model: str, batch: list[_PendingRequest]
+    ) -> None:
+        """Advance the reorder watermark over first dispatches only.
+
+        A retried request committed its dispatch order the first time
+        it ran, so failover can never masquerade as a reorder.
+        """
+        fresh = [r for r in batch if not r.attempts]
+        if fresh:
+            self.metrics.record_dispatch(
+                model, fresh[0].arrival_us, fresh[-1].arrival_us
+            )
+
+    def _commit_locked(
+        self, model: str, batch: list[_PendingRequest], decision, stages
+    ) -> None:
+        """Book one batch leaving ``model``'s queue (under the lock)."""
+        for r in batch:
+            r.attempts += 1
+        self._served_counts[model] += len(batch)
+        self._slo_infeasible[model] = not decision.meets_slo
+        if stages is not None:
+            self._pipeline_inflight += 1
+        else:
+            self._inflight += len(batch)
+        self._promote_deferred()
+
+    def _occupy(self, worker: _Worker, finish_us: float) -> None:
+        """Mark ``worker`` busy until ``finish_us`` on the simulated clock."""
+        worker.sim_free_at_us = finish_us
+        self._sim_now_us = max(self._sim_now_us, finish_us)
+        self._last_finish_us = max(self._last_finish_us, finish_us)
+
+    # ------------------------------------------------------------------
+    # failover (only executors that can crash ever reach it)
+    # ------------------------------------------------------------------
+    def _crash_locked(
+        self,
+        worker: _Worker,
+        at_us: float,
+        generation: int,
+        lost: Sequence[_PendingRequest] = (),
+        model: str = "",
+    ) -> None:
+        """Mark ``worker`` dead and fail its lost batch over (under the lock).
+
+        Idempotent against racing detectors (a subprocess's EOF callback
+        vs the loop's in-flight error): only the call matching the
+        worker's live generation marks the crash and schedules the
+        restart; ``lost`` requests are requeued regardless, because only
+        their dispatching loop holds them.
+        """
+        first = worker.alive and worker.generation == generation
+        if first:
+            worker.alive = False
+            worker.generation += 1
+            self.metrics.record_worker_crash(worker.name)
+            self._sim_now_us = max(self._sim_now_us, at_us)
+            if self.tracer.enabled:
+                self.tracer.event(
+                    f"crash:{worker.name}", "failover", at_us,
+                    lane=worker.name, worker=worker.name,
+                    restarts_used=worker.restarts,
+                )
+        if lost:
+            self._inflight -= len(lost)
+            retry: list[_PendingRequest] = []
+            exhausted: list[_PendingRequest] = []
+            for r in lost:
+                if not r.future.done():
+                    budget_left = r.attempts < self.policy.max_attempts
+                    (retry if budget_left else exhausted).append(r)
+            if retry:
+                self.metrics.record_failover(worker.name, len(retry))
+                # Requeue at the head: these are the earliest arrivals of
+                # their queue, so head insertion keeps it sorted.
+                self._queues[model].extendleft(reversed(retry))
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        f"failover:{model}", "failover", at_us,
+                        lane=worker.name, worker=worker.name, model=model,
+                        requests=len(retry),
+                        attempts=max(r.attempts for r in retry),
+                    )
+            if exhausted:
+                self.metrics.record_dropped(len(exhausted))
+                for r in exhausted:
+                    r.future.set_exception(ClusterError(
+                        f"request {r.request_id} for {r.model!r} failed "
+                        f"{r.attempts} dispatches (max_attempts="
+                        f"{self.policy.max_attempts})"
+                    ))
+        if first and (
+            self.policy.restart_crashed
+            and worker.restarts < self.policy.max_restarts
+        ):
+            worker.restarts += 1
+            worker.restart(at_us)
+        self._cond.notify_all()
+
+    def _revive_locked(self, worker: _Worker, free_at_us: float) -> None:
+        """Bring a crashed worker back, free from ``free_at_us``, with a
+        fresh loop for its new generation (under the lock)."""
+        worker.alive = True
+        worker.sim_free_at_us = free_at_us
+        self.metrics.record_worker_restart(worker.name)
+        if self.tracer.enabled:
+            self.tracer.event(
+                f"restart:{worker.name}", "failover", free_at_us,
+                lane=worker.name, worker=worker.name,
+            )
+        self._tasks.append(asyncio.create_task(
+            self._worker_loop(worker, worker.generation),
+            name=f"serve-{worker.name}-r{worker.restarts}",
+        ))
 
     def _pipeline_price_fn(self, pricing):
         """Whole-request price: the sum of every (stage) engine's total."""
@@ -1353,7 +1663,7 @@ class InferenceServer:
                 f"request:{res.request_id}", "request",
                 res.arrival_us, res.finish_us, lane=res.model,
                 request_id=res.request_id, model=res.model,
-                worker=worker, batch_span=batch_id,
+                worker=worker, attempts=res.attempts, batch_span=batch_id,
             )
             self.tracer.span(
                 "queue", "queue", res.arrival_us, res.start_us,
@@ -1411,16 +1721,15 @@ class InferenceServer:
             )
         self._trace_requests(batch_id, worker, results)
 
-    async def _run_stage(
-        self, name: str, job: _StageJob, sim_free_at_us: float
-    ) -> float:
+    async def _run_stage(self, worker: _Worker, job: _StageJob) -> None:
         """Serve one pipeline stage on this worker; forward or resolve.
 
         The stage plan is warm by construction -- the stage-0 dispatch
         cold-compiled every stage's eligible batches through
         ``ensure_async`` before deciding -- so pricing here never stalls
-        the loop.  Returns the worker's new free watermark.
+        the loop.
         """
+        name = worker.name
         stage = job.stages[job.stage_idx]
         engine = self._stage_engines[(job.model, job.stage_idx, name)]
         try:
@@ -1449,13 +1758,12 @@ class InferenceServer:
             async with self._cond:
                 self._pipeline_inflight -= 1
                 self._cond.notify_all()
-            return sim_free_at_us
-        start_us = max(sim_free_at_us, job.ready_us)
+            return
+        start_us = max(worker.sim_free_at_us, job.ready_us)
         finish_us = start_us + service_us
         if job.stage_idx == 0:
             job.start_us = start_us
-        self._sim_now_us = max(self._sim_now_us, finish_us)
-        self._last_finish_us = max(self._last_finish_us, finish_us)
+        self._occupy(worker, finish_us)
 
         await asyncio.sleep(service_us * self.time_scale)
         self.metrics.record_stage(
@@ -1471,7 +1779,7 @@ class InferenceServer:
             async with self._cond:
                 self._stage_queues[next_worker].append(job)
                 self._cond.notify_all()
-            return finish_us
+            return
 
         stage_workers = tuple(s.worker for s in job.stages)
         results = [
@@ -1512,4 +1820,3 @@ class InferenceServer:
         for r, res in zip(job.requests, results):
             if not r.future.done():
                 r.future.set_result(res)
-        return finish_us

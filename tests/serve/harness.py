@@ -55,7 +55,6 @@ from repro.obs import Span, Tracer
 from repro.serve import (
     ClusterCoordinator,
     ClusterPolicy,
-    ClusterResult,
     FaultPlan,
     InferenceServer,
     ModelSpec,
@@ -443,16 +442,16 @@ class ClusterRun:
     """One cluster run plus the fault-tolerance assertion helpers."""
 
     cluster: ClusterCoordinator
-    results: list[ClusterResult]
+    results: list[RequestResult]
 
     def payloads(self) -> list[str]:
         """Result bodies, sorted -- the byte-identity comparison key."""
         return sorted(r.payload for r in self.results)
 
-    def results_for(self, model: str) -> list[ClusterResult]:
+    def results_for(self, model: str) -> list[RequestResult]:
         return [r for r in self.results if r.model == model]
 
-    def retried(self) -> list[ClusterResult]:
+    def retried(self) -> list[RequestResult]:
         return [r for r in self.results if r.attempts > 1]
 
     def latencies_us(self) -> list[float]:
@@ -483,8 +482,8 @@ def run_cluster_trace(
     cluster: ClusterCoordinator,
     trace: tuple[TraceEvent, ...] | list[TraceEvent],
 ) -> ClusterRun:
-    """Start, replay, stop a cluster (replay() is duck-typed over
-    ``submit``/``time_scale``, so the server's replayer drives it)."""
+    """Start, replay, stop a cluster (a cluster is an InferenceServer,
+    so the server's replayer drives it)."""
 
     async def _run():
         await cluster.start()

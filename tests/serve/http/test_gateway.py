@@ -11,15 +11,17 @@ inflight slows the sim with ``time_scale``; the soak test runs
 The cross-transport invariant: a gateway response's ``digest`` is
 byte-identical to :func:`repro.serve.http.result_digest` over a direct
 in-process ``submit`` of the same logical request, because the digest
-covers only deterministic coordinates.
+covers only deterministic coordinates.  The digest tests run over a
+plain server and over a simulated cluster (an ``InferenceServer`` too).
 """
 
 import asyncio
 import json
+import math
 
 import pytest
 
-from harness import make_server
+from harness import make_fault_cluster, make_server
 from repro.serve.http import result_digest
 from repro.serve.http.protocol import OP_PING, OP_PONG, encode_ws_frame
 from wsutil import WSClient, gateway_over, http_request, request_on
@@ -35,9 +37,23 @@ def infer_body(model: str, tag: str = "", **extra) -> bytes:
     return json.dumps({"model": model, "tag": tag, **extra}).encode()
 
 
-async def direct_digests(tags_by_model: dict[str, list[str]]) -> dict:
+#: Backends the digest tests run over: (factory, served model name).
+BACKENDS = {
+    "server": (make_server, "alexnet-tight"),
+    "cluster": (lambda: make_fault_cluster(num_workers=2), "hot-0"),
+}
+
+
+@pytest.fixture(params=sorted(BACKENDS))
+def backend(request):
+    return BACKENDS[request.param]
+
+
+async def direct_digests(
+    tags_by_model: dict[str, list[str]], make_backend=make_server
+) -> dict:
     """Digests for the same logical requests via in-process submit."""
-    server = make_server()
+    server = make_backend()
     await server.start()
     try:
         digests = {}
@@ -61,22 +77,24 @@ class TestHttpEndpoints:
 
         run(_t())
 
-    def test_infer_roundtrip_digest_matches_direct_submit(self):
+    def test_infer_roundtrip_digest_matches_direct_submit(self, backend):
+        make_backend, model = backend
+
         async def _t():
-            async with gateway_over(make_server()) as gw:
+            async with gateway_over(make_backend()) as gw:
                 status, _, body = await http_request(
                     gw.port, "POST", "/v1/infer",
-                    infer_body("alexnet-tight", "t-0", echo={"k": 1}),
+                    infer_body(model, "t-0", echo={"k": 1}),
                 )
             assert status == 200
             payload = json.loads(body)
             assert payload["tag"] == "t-0"
-            assert payload["model"] == "alexnet-tight"
+            assert payload["model"] == model
             assert payload["echo"] == {"k": 1}
             assert payload["pricing"]["pair"] == "w1a2"
             assert payload["pricing"]["unit_us"] > 0
             assert payload["timing"]["finish_us"] >= payload["timing"]["start_us"]
-            expected = await direct_digests({"alexnet-tight": ["t-0"]})
+            expected = await direct_digests({model: ["t-0"]}, make_backend)
             assert payload["digest"] == expected["t-0"]
 
         run(_t())
@@ -200,24 +218,48 @@ class TestHttpEndpoints:
         run(_t())
 
 
+class TestClusterDeadlines:
+    def test_cluster_slo_below_batch1_price_misses_deadlines(self):
+        """A cluster batches under its ``slo_ms``: with the objective
+        below even the batch-1 price, batches miss their deadlines -- in
+        the metrics and in the gateway's result, which carries the real
+        finite deadline."""
+        cluster = make_fault_cluster(num_workers=2, slo_ms=0.01)
+
+        async def _t():
+            async with gateway_over(cluster) as gw:
+                assert await cluster.unit_price_us("hot-0") > 10.0
+                status, _, body = await http_request(
+                    gw.port, "POST", "/v1/infer", infer_body("hot-0", "late")
+                )
+            return status, json.loads(body)
+
+        status, payload = run(_t())
+        assert status == 200
+        deadline = payload["deadline"]
+        assert isinstance(deadline["deadline_us"], float)
+        assert math.isfinite(deadline["deadline_us"])
+        assert deadline["met"] is False
+        assert cluster.metrics.snapshot()["deadline_misses"] > 0
+
+
 class TestWebSocketStreaming:
-    def test_streamed_digests_match_direct_submit(self):
+    def test_streamed_digests_match_direct_submit(self, backend):
+        make_backend, model = backend
         tags = [f"s-{i}" for i in range(6)]
 
         async def _t():
-            async with gateway_over(make_server()) as gw:
+            async with gateway_over(make_backend()) as gw:
                 client = WSClient(seed=11)
                 await client.connect(gw.port)
                 for tag in tags:
-                    await client.send_json(
-                        {"model": "alexnet-tight", "tag": tag}
-                    )
+                    await client.send_json({"model": model, "tag": tag})
                 results = [await client.recv_json() for _ in tags]
                 await client.send_close()
                 await client.shutdown()
             by_tag = {r["tag"]: r for r in results}
             assert sorted(by_tag) == sorted(tags)  # zero drops, no dupes
-            expected = await direct_digests({"alexnet-tight": tags})
+            expected = await direct_digests({model: tags}, make_backend)
             for tag in tags:
                 assert by_tag[tag]["digest"] == expected[tag]
             return results

@@ -23,18 +23,22 @@ import asyncio
 import pytest
 
 from repro.serve import (
+    AdmissionPolicy,
     ClusterError,
     ClusterPolicy,
     FaultEvent,
     FaultPlan,
+    PrecisionAutoswitcher,
     poisson_trace,
 )
 
 from harness import (
+    ClusterRun,
     RecordingTracer,
     cluster_specs,
     make_fault_cluster,
     run_cluster_trace,
+    run_trace,
 )
 
 pytestmark = pytest.mark.serving
@@ -362,6 +366,24 @@ class TestGracefulDrain:
         assert per_worker_batches == counts["batch"]
 
 
+class TestSchedulingPolicies:
+    """The server's policies hold on a cluster: it schedules through the
+    same loop, so EDF and shed admission apply to its queues too."""
+
+    def test_edf_with_shed_admission(self):
+        cluster = make_fault_cluster(
+            MODELS, num_workers=2, discipline="edf",
+            admission=AdmissionPolicy(max_queue_depth=8, mode="shed"),
+        )
+        run = run_trace(cluster, TRACE)
+        shed = len(run.rejections)
+        assert shed > 0
+        assert cluster.metrics.total_rejected == shed
+        # every admitted request completes exactly once, nothing is
+        # dropped or reordered
+        ClusterRun(cluster, run.results).assert_invariants(N - shed)
+
+
 class TestValidation:
     def test_fault_plan_rejected_in_process_mode(self):
         with pytest.raises(ValueError, match="simulated"):
@@ -377,3 +399,10 @@ class TestValidation:
     def test_crash_needs_a_worker(self):
         with pytest.raises(ValueError):
             FaultEvent(kind="crash", at_us=0.0, worker=None)
+
+    def test_autoswitch_rejected_in_process_mode(self):
+        with pytest.raises(ValueError, match="autoswitch"):
+            make_fault_cluster(
+                MODELS, mode="process",
+                autoswitch=PrecisionAutoswitcher.from_spec({8: "w1a1"}),
+            )

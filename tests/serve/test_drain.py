@@ -3,9 +3,9 @@
 Regression for the asymmetry the HTTP gateway exposed: the server had
 internal stop logic but no *external* drain hook, and the coordinator
 had none at all -- so a front end could not refuse new work while
-letting in-flight requests finish.  Both backends now implement one
-contract, which the gateway (and anything else fronting them) queries
-duck-typed:
+letting in-flight requests finish.  A cluster is an ``InferenceServer``,
+so one contract holds on both deployments, and every test here runs on
+each:
 
 * ``begin_drain()`` flips ``draining`` and makes every subsequent
   ``submit`` raise :class:`~repro.serve.ServerDraining` -- loudly, not
@@ -38,32 +38,48 @@ async def yield_loop(times: int = 10) -> None:
         await asyncio.sleep(0)
 
 
-class TestServerDrain:
-    def test_submit_after_drain_raises_inflight_completes(self):
+#: Both deployments honour one contract: (factory, model to submit).
+BACKENDS = {
+    "server": (make_server, "resnet-loose"),
+    "cluster": (lambda: make_fault_cluster(num_workers=2), "hot-0"),
+}
+
+
+@pytest.fixture(params=sorted(BACKENDS))
+def backend(request):
+    make, model = BACKENDS[request.param]
+    return make(), model
+
+
+class TestDrain:
+    def test_submit_after_drain_raises_inflight_completes(self, backend):
+        server, model = backend
+
         async def _t():
-            server = make_server()
             await server.start()
             assert not server.draining
             inflight = [
-                asyncio.ensure_future(server.submit("resnet-loose"))
+                asyncio.ensure_future(server.submit(model))
                 for _ in range(4)
             ]
             await yield_loop()  # all four admitted onto the queue
             server.begin_drain()
             assert server.draining
             with pytest.raises(ServerDraining, match="draining"):
-                await server.submit("resnet-loose")
+                await server.submit(model)
             results = await asyncio.gather(*inflight)
-            assert len(results) == 4
+            assert all(r.model == model for r in results)
+            assert len({r.request_id for r in results}) == 4  # exactly-once
             assert all(r.finish_us >= r.arrival_us for r in results)
             await server.stop()
 
         asyncio.run(_t())
 
-    def test_unknown_model_still_beats_draining(self):
+    def test_unknown_model_still_beats_draining(self, backend):
         # The 404-shaped error must not be masked by the 503-shaped one.
+        server, _ = backend
+
         async def _t():
-            server = make_server()
             await server.start()
             server.begin_drain()
             with pytest.raises(KeyError, match="unknown model"):
@@ -72,9 +88,10 @@ class TestServerDrain:
 
         asyncio.run(_t())
 
-    def test_stopped_server_reports_draining(self):
+    def test_stopped_server_reports_draining(self, backend):
+        server, _ = backend
+
         async def _t():
-            server = make_server()
             assert server.draining  # never started = not accepting
             await server.start()
             assert not server.draining
@@ -83,56 +100,17 @@ class TestServerDrain:
 
         asyncio.run(_t())
 
-    def test_restart_clears_drain(self):
+    def test_restart_clears_drain(self, backend):
+        server, model = backend
+
         async def _t():
-            server = make_server()
             await server.start()
             server.begin_drain()
             await server.stop()
             await server.start()
             assert not server.draining
-            result = await server.submit("alexnet-tight")
-            assert result.model == "alexnet-tight"
-            await server.stop()
-
-        asyncio.run(_t())
-
-
-class TestClusterDrain:
-    def test_coordinator_honours_the_same_contract(self):
-        async def _t():
-            cluster = make_fault_cluster(num_workers=2)
-            await cluster.start()
-            assert not cluster.draining
-            model = sorted(cluster.specs)[0]
-            inflight = [
-                asyncio.ensure_future(cluster.submit(model))
-                for _ in range(3)
-            ]
-            await yield_loop()
-            cluster.begin_drain()
-            assert cluster.draining
-            with pytest.raises(ServerDraining, match="draining"):
-                await cluster.submit(model)
-            results = await asyncio.gather(*inflight)
-            assert all(r.model == model for r in results)
-            assert len({r.request_id for r in results}) == 3  # exactly-once
-            await cluster.stop()
-            assert cluster.draining  # stopped still reads as draining
-
-        asyncio.run(_t())
-
-    def test_cluster_restart_clears_drain(self):
-        async def _t():
-            cluster = make_fault_cluster(num_workers=2)
-            await cluster.start()
-            cluster.begin_drain()
-            await cluster.stop()
-            await cluster.start()
-            assert not cluster.draining
-            model = sorted(cluster.specs)[0]
-            result = await cluster.submit(model)
+            result = await server.submit(model)
             assert result.model == model
-            await cluster.stop()
+            await server.stop()
 
         asyncio.run(_t())

@@ -1,10 +1,12 @@
 """Regressions around the process-mode respawn path.
 
-Found by ``repro.analysis``: when ``_restart_process`` failed to spawn
-a replacement worker, the dead worker's old transport was never closed
+Found by ``repro.analysis``: when respawning a crashed subprocess
+worker failed, the dead worker's old transport was never closed
 (leaking the crashed subprocess and its reader/heartbeat tasks) and
 the spawn error itself vanished.  These tests drive the failure path
-directly with a monkeypatched ``_spawn`` -- no real subprocess needed.
+directly on the worker executor -- ``respawn`` of a process-mode
+cluster's worker with a monkeypatched ``_spawn`` -- on a cluster that
+is never started, so no real subprocess is needed.
 """
 
 import asyncio
@@ -27,37 +29,43 @@ class FakeTransport:
 
 
 def _failing_spawn(exc):
-    async def spawn(name):
+    async def spawn():
         raise exc
 
     return spawn
 
 
+def _worker(cluster, spawn_error):
+    """worker-0 of an unstarted cluster, its respawn doomed to fail."""
+    cluster._cond = asyncio.Condition()
+    worker = cluster._workers["worker-0"]
+    worker._spawn = _failing_spawn(spawn_error)
+    return worker
+
+
 class TestFailedRespawn:
     def test_old_transport_closed_when_spawn_fails(self):
-        cluster = make_fault_cluster(num_workers=2)
+        cluster = make_fault_cluster(num_workers=2, mode="process")
         old = FakeTransport()
 
         async def run():
-            cluster._cond = asyncio.Condition()
-            st = cluster._workers["worker-0"]
-            st.transport = old
-            cluster._spawn = _failing_spawn(OSError("spawn refused"))
-            await cluster._restart_process("worker-0", st.generation)
+            worker = _worker(cluster, OSError("spawn refused"))
+            worker.transport = old
+            await worker.respawn(worker.generation)
 
         asyncio.run(run())
         assert old.closed == 1
 
     def test_spawn_failure_surfaces_as_failover_event(self):
         tracer = RecordingTracer()
-        cluster = make_fault_cluster(num_workers=2, tracer=tracer)
+        cluster = make_fault_cluster(
+            num_workers=2, mode="process", tracer=tracer
+        )
 
         async def run():
-            cluster._cond = asyncio.Condition()
-            st = cluster._workers["worker-0"]
-            st.transport = FakeTransport()
-            cluster._spawn = _failing_spawn(OSError("spawn refused"))
-            await cluster._restart_process("worker-0", st.generation)
+            worker = _worker(cluster, OSError("spawn refused"))
+            worker.transport = FakeTransport()
+            await worker.respawn(worker.generation)
 
         asyncio.run(run())
         events = [
@@ -69,28 +77,24 @@ class TestFailedRespawn:
         assert "spawn refused" in events[0].attributes["error"]
 
     def test_spawn_failure_with_no_old_transport_is_quiet(self):
-        # Sim-mode workers have no transport; the failure path must not
-        # trip over the None.
-        cluster = make_fault_cluster(num_workers=2)
+        # A worker that never spawned has no transport; the failure path
+        # must not trip over the None.
+        cluster = make_fault_cluster(num_workers=2, mode="process")
 
         async def run():
-            cluster._cond = asyncio.Condition()
-            st = cluster._workers["worker-0"]
-            assert st.transport is None
-            cluster._spawn = _failing_spawn(RuntimeError("boom"))
-            await cluster._restart_process("worker-0", st.generation)
+            worker = _worker(cluster, RuntimeError("boom"))
+            assert worker.transport is None
+            await worker.respawn(worker.generation)
 
         asyncio.run(run())
 
     def test_worker_stays_dead_but_waiters_are_notified(self):
-        cluster = make_fault_cluster(num_workers=2)
+        cluster = make_fault_cluster(num_workers=2, mode="process")
 
         async def run():
-            cluster._cond = asyncio.Condition()
-            st = cluster._workers["worker-0"]
-            st.alive = False
-            st.transport = FakeTransport()
-            cluster._spawn = _failing_spawn(OSError("spawn refused"))
+            worker = _worker(cluster, OSError("spawn refused"))
+            worker.alive = False
+            worker.transport = FakeTransport()
 
             notified = asyncio.Event()
 
@@ -101,9 +105,9 @@ class TestFailedRespawn:
 
             task = asyncio.create_task(waiter())
             await asyncio.sleep(0)  # let the waiter take the condition
-            await cluster._restart_process("worker-0", st.generation)
+            await worker.respawn(worker.generation)
             await asyncio.wait_for(notified.wait(), timeout=1)
             await task
-            return st.alive
+            return worker.alive
 
         assert asyncio.run(run()) is False

@@ -4,7 +4,7 @@ The acceptance bars this file holds:
 
 * tracing **off** (the default null tracer) changes nothing -- results
   and metrics snapshots are byte-identical with tracing on, off, and
-  absent;
+  absent, on a plain server and on a simulated cluster alike;
 * every request span's queue/execute children cover >= 95% of its
   end-to-end simulated latency (the partition is exact, so it's 100%);
 * kernel spans tile their batch/stage parent exactly and carry nonzero
@@ -31,7 +31,9 @@ from repro.tensorcore.counters import ExecutionCounters
 from harness import (
     RecordingTracer,
     cluster_policy,
+    cluster_specs,
     make_cluster,
+    make_fault_cluster,
     make_server,
     run_trace,
     skew_trace,
@@ -61,24 +63,39 @@ def _result_key(r):
     return (
         r.request_id, r.model, r.worker, r.batch_size, r.batch_requests,
         r.arrival_us, r.start_us, r.finish_us, r.pair, r.switched, r.stages,
+        r.attempts, r.payload,
     )
+
+
+#: Deployments the no-op contract must hold on: (factory, trace).
+_CLUSTER_MODELS = dict(list(cluster_specs().items())[:3])
+DEPLOYMENTS = {
+    "server": (make_server, _trace),
+    "cluster": (
+        lambda **kw: make_fault_cluster(_CLUSTER_MODELS, num_workers=2, **kw),
+        lambda: poisson_trace(200_000, 60, list(_CLUSTER_MODELS), seed=3),
+    ),
+}
 
 
 # ----------------------------------------------------------------------
 # the no-op contract: tracing must observe, never perturb
 # ----------------------------------------------------------------------
-def test_tracing_on_off_byte_identical_results_and_metrics():
+@pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+def test_tracing_on_off_byte_identical_results_and_metrics(deployment):
     from repro.kernels.autotune import clear_cache
 
+    make, trace = DEPLOYMENTS[deployment]
     # the autotune memo is process-global, so its hit counters depend on
     # every run before this one; level the field so the snapshots below
     # compare tracing on/off rather than cache history
     clear_cache()
-    baseline = run_trace(make_server(), _trace(), prewarm=True)
+    baseline = run_trace(make(), trace(), prewarm=True)
     clear_cache()
-    explicit_off = run_trace(make_server(tracer=None), _trace(), prewarm=True)
+    explicit_off = run_trace(make(tracer=None), trace(), prewarm=True)
     clear_cache()
-    tracer, traced = _traced_run()
+    tracer = RecordingTracer()
+    traced = run_trace(make(tracer=tracer), trace(), prewarm=True)
 
     assert len(tracer) > 0  # the traced run really recorded spans
     base_keys = [_result_key(r) for r in baseline.results]
