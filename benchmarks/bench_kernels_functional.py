@@ -71,14 +71,3 @@ def test_apmm_strategies_wall_time(benchmark, rng, strategy):
         lambda: apmm(w, x, pair.weight, pair.activation, strategy=strategy)
     )
     assert res.output.shape == (512, 64)
-
-
-@pytest.mark.parametrize("engine", ["word", "fma"])
-def test_bmma_batched_engines(benchmark, rng, engine):
-    """Word-domain vs FMA-routed whole-matrix popcount GEMM."""
-    from repro.tensorcore import bmma_batched
-
-    a = rng.integers(0, 2**63, size=(256, 16), dtype=np.uint64)
-    b = rng.integers(0, 2**63, size=(256, 16), dtype=np.uint64)
-    out = benchmark(lambda: bmma_batched(a, b, TCOp.XOR, engine=engine))
-    assert out.shape == (256, 256)

@@ -7,8 +7,7 @@ Public surface:
 * bit primitives: :func:`~repro.core.bitops.bit_decompose`,
   :func:`~repro.core.bitops.bit_combine`, :func:`~repro.core.bitops.pack_bits`
 * the AP-Bit template: :func:`~repro.core.emulate.apbit_matmul`
-* the vectorized packed-word fast path:
-  :func:`~repro.core.packed.packed_matmul`
+* the plane-folding fast path: :func:`~repro.core.packed.packed_matmul`
 * operator selection: :func:`~repro.core.opselect.select_operator`
 * quantizers: :class:`~repro.core.quantize.AffineQuantizer`,
   :class:`~repro.core.quantize.QEMQuantizer`
@@ -28,19 +27,11 @@ from .emulate import (
     EmulationCounts,
     apbit_matmul,
     apbit_matmul_planes,
-    combine_plane_popcounts,
     emulation_op_counts,
     reference_matmul,
 )
 from .opselect import EmulationCase, OperatorPlan, TCOp, classify, select_operator
-from .packed import (
-    PACKED_ENGINES,
-    PackedOperand,
-    fold_exactness_bound,
-    pack_operand,
-    packed_matmul,
-    packed_matmul_planes,
-)
+from .packed import fold_exactness_bound, packed_matmul
 from .quantize import (
     AffineQuantizer,
     QEMQuantizer,
@@ -66,13 +57,8 @@ __all__ = [
     "popcount_reduce",
     "apbit_matmul",
     "apbit_matmul_planes",
-    "combine_plane_popcounts",
     "reference_matmul",
-    "PACKED_ENGINES",
-    "PackedOperand",
-    "pack_operand",
     "packed_matmul",
-    "packed_matmul_planes",
     "fold_exactness_bound",
     "EmulationCounts",
     "emulation_op_counts",

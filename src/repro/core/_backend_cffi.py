@@ -10,7 +10,7 @@ caller:
   ``out[i, j] = sum_{s,t} 2**(s+t) * popc(a[s*m+i] op b[t*n+j])``, i.e.
   every bit-plane pair plus the shifted-add bit combination in one
   pass, exact in int64, feeding the same fold epilogue as the BLAS
-  ``fold`` engine;
+  fold (:func:`repro.core.packed.packed_matmul`);
 * ``repro_conv_gather`` -- per-window gather of channel-packed words
   from a padded feature map (``memcpy`` of ``kw * cwords`` word runs),
   replacing the im2col digit-matrix materialization.

@@ -14,7 +14,7 @@ otherwise; ``apmm``/``apconv`` also take a per-call ``backend=``
 (``"numpy"`` or ``"cffi"``).  The only caller of compiled kernels is
 :mod:`repro.kernels.packed_conv`, because the conv window gather is the
 one place a compiled kernel beats the default numpy path (im2col + the
-BLAS ``fold`` engine).
+BLAS fold, :func:`repro.core.packed.packed_matmul`).
 
 Compiled kernels are byte-identical to the numpy path (enforced by the
 hypothesis suite and the ``repro.bench`` byte-identity oracle).  A cffi

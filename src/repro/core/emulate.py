@@ -40,7 +40,7 @@ from .types import Precision
 __all__ = [
     "apbit_matmul",
     "apbit_matmul_planes",
-    "combine_plane_popcounts",
+    "check_int32_accumulator",
     "reference_matmul",
     "EmulationCounts",
     "emulation_op_counts",
@@ -50,6 +50,20 @@ __all__ = [
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+
+
+def check_int32_accumulator(acc: np.ndarray) -> None:
+    """Raise :class:`OverflowError` if ``acc`` leaves the int32 accumulator.
+
+    Real Tensor Cores silently wrap their int32 accumulators; every
+    emulated product and integer MMA primitive checks its exact int64
+    result here instead.
+    """
+    if acc.size and (acc.min() < INT32_MIN or acc.max() > INT32_MAX):
+        raise OverflowError(
+            "result exceeds the int32 Tensor-Core accumulator: "
+            f"range [{acc.min()}, {acc.max()}]"
+        )
 
 
 def reference_matmul(
@@ -111,9 +125,6 @@ def combine_plane_popcounts(
     ``popc`` holds the raw ``(p, q, M, N)`` plane-pair popcounts; ``wsum``
     (``(p, M)``) and ``xsum`` (``(q, N)``) are the per-plane row bit
     counts, required exactly when the plan's correction references them.
-    The single implementation both the plane-wise reference and the
-    packed backend's ``bmma`` engine run, so their byte-identity holds by
-    construction.
     """
     plane_vals = plan.popc_scale * popc
     if plan.k_scale:
@@ -177,13 +188,8 @@ def apbit_matmul_planes(
         xsum=popcount_reduce(xp, axis=-1) if plan.needs_col_sums else None,
     )
 
-    if check_overflow and out.size and (
-        out.min() < INT32_MIN or out.max() > INT32_MAX
-    ):
-        raise OverflowError(
-            "emulated product exceeds the int32 Tensor-Core accumulator: "
-            f"range [{out.min()}, {out.max()}]"
-        )
+    if check_overflow:
+        check_int32_accumulator(out)
     return out
 
 

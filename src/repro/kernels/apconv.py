@@ -16,11 +16,13 @@ of the GEMM machinery:
 * the same **batch-based double caching** and autotuned tiling as APMM
   (the workload is ``p*q`` binary convolutions batched into one kernel).
 
-All three execution strategies (``"packed"`` vectorized packed-word fast
-path -- the default, one whole-matrix popcount-reduce GEMM over the
-im2col'd features instead of the per-plane broadcast -- / ``"integer"``
-reference / ``"bitserial"`` plane-wise Tensor-Core emulation) return
-identical outputs.
+All three execution strategies (``"packed"`` fast path -- the default:
+the compiled window gather of :mod:`repro.kernels.packed_conv` at low
+plane-pair counts, else one plane-folded digit GEMM
+(:func:`~repro.core.packed.packed_matmul`) over the im2col'd features
+instead of the per-plane broadcast -- / ``"integer"`` reference /
+``"bitserial"`` plane-wise Tensor-Core emulation) return identical
+outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
 from ..perf.cost import KernelCost, conv_cost
-from ..tensorcore.counters import ExecutionCounters
 from ..tensorcore.device import DeviceSpec, RTX3090
 from .autotune import TuneResult, autotune
 from .layout import conv_output_shape, im2col
@@ -118,14 +119,14 @@ def apconv(
         config = tune.config
     config.validate_for_device(device)
 
-    run_counters = ExecutionCounters()
-    if strategy == "packed" and packed_conv_preferred(
-        weight, feature, cin * kh * kw, run_backend
-    ):
+    gathered = strategy == "packed" and packed_conv_preferred(
+        weight, feature, run_backend
+    )
+    if gathered:
         # compiled window gather: the im2col digit matrix never exists
         acc = packed_conv_matmul(
             w_digits, padded, weight, feature,
-            stride=stride, counters=run_counters, backend=run_backend,
+            stride=stride, backend=run_backend,
         )
     else:
         cols = im2col(padded, kh, stride)  # (batch*OH*OW, C_in*kh*kw)
@@ -162,8 +163,10 @@ def apconv(
         decompose_input=decompose_input,
         name=f"apconv-w{weight.bits}a{feature.bits}-{cin}->{cout}@{h}x{w}k{kh}s{stride}",
     )
-    # Observed execution fact on top of the analytic charge (cf. apmm).
-    cost.counters.compiled_kernels = run_counters.compiled_kernels
+    if gathered:
+        # Observed execution fact on top of the analytic charge: the
+        # gather launched two packs, the window gather and the GEMM.
+        cost.counters.compiled_kernels = 4
     if tracer.enabled:
         tracer.span(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,

@@ -9,11 +9,11 @@ layer (the memory-efficient bit combination of section 4.1b).
 
 Three execution strategies produce bit-identical results:
 
-* ``"packed"`` (default) -- the vectorized packed-word backend
-  (:mod:`repro.core.packed`): bit-planes packed into ``uint64`` words,
-  one whole-matrix popcount-reduce GEMM
-  (:func:`~repro.tensorcore.bmma.bmma_batched`) with plane-folding when
-  exact -- the fast path every caller takes automatically;
+* ``"packed"`` (default) -- the plane-folding fast path
+  (:func:`~repro.core.packed.packed_matmul`): one popcount-reduce GEMM
+  on the digit matrices in place of the ``p*q`` plane-pair products, its
+  accumulator chosen from the shape and precisions so it stays exact --
+  the path every caller takes automatically;
 * ``"bitserial"`` -- the plane-wise reference: decompose -> per-plane-pair
   packed-word Boolean GEMM -> shifted-add combination;
 * ``"integer"`` -- reference integer GEMM on the decoded operands.
@@ -102,7 +102,7 @@ def apmm(
     backend:
         Kernel backend (:mod:`repro.core.backends`): ``None``,
         ``"numpy"`` or ``"cffi"``.  GEMMs never run compiled kernels
-        (the BLAS ``fold`` engine wins), so the choice only validates;
+        (the BLAS fold wins), so the choice only validates;
         it matters for :func:`~repro.kernels.apconv.apconv`.  The
         reference strategies only combine with ``"numpy"``.
     out_quantizer:

@@ -27,15 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import backends
-from ..core.bitops import WORD_BITS, bit_decompose, packed_words, popcount_reduce
+from ..core.bitops import bit_decompose, packed_words, popcount_reduce
+from ..core.emulate import check_int32_accumulator
 from ..core.opselect import TCOp, select_operator
-from ..core.packed import (
-    _FLOAT64_EXACT,
-    _check_digits,
-    _check_overflow,
-    _fold_epilogue,
-    fold_exactness_bound,
-)
+from ..core.packed import _check_digits, _fold_epilogue
 from ..core.types import Precision
 
 __all__ = [
@@ -57,25 +52,17 @@ PACKED_CONV_PQ_THRESHOLD = 4
 def packed_conv_preferred(
     weight: Precision,
     feature: Precision,
-    k_logical: int,
     backend: "backends.Backend | str | None" = None,
 ) -> bool:
     """Whether the gather path should replace im2col for this problem.
 
-    True when the backend is compiled *and* the gather is expected to
-    win: either the plane-pair count is at most
-    :data:`PACKED_CONV_PQ_THRESHOLD`, or the fold engine's exactness
-    bound fails for this ``K`` (the im2col alternative would then be the
-    far slower plane-pair bmma path, which the fused gather GEMM always
-    beats).
+    True when the backend is compiled *and* the plane-pair count is at
+    most :data:`PACKED_CONV_PQ_THRESHOLD`, where the gather is expected
+    to win.
     """
-    if not backends.resolve_backend(backend).compiled:
-        return False
-    if weight.bits * feature.bits <= PACKED_CONV_PQ_THRESHOLD:
-        return True
     return (
-        fold_exactness_bound(k_logical, weight.bits, feature.bits)
-        >= _FLOAT64_EXACT
+        backends.resolve_backend(backend).compiled
+        and weight.bits * feature.bits <= PACKED_CONV_PQ_THRESHOLD
     )
 
 
@@ -86,8 +73,6 @@ def packed_conv_matmul(
     feature: Precision,
     *,
     stride: int = 1,
-    check_overflow: bool = True,
-    counters=None,
     backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
     """Implicit-GEMM conv on word-packed windows; no im2col digit matrix.
@@ -102,10 +87,6 @@ def packed_conv_matmul(
         framed map, exactly like :func:`~repro.kernels.layout.im2col`).
     stride:
         Window stride (square kernels, like the rest of APConv).
-    counters:
-        Optional :class:`~repro.tensorcore.counters.ExecutionCounters`;
-        tallies the equivalent 1-bit BMMA work of this layout plus one
-        ``compiled_kernels`` tick per compiled kernel invocation.
     backend:
         Kernel backend; must be compiled (check with
         :func:`packed_conv_preferred` first).
@@ -175,20 +156,5 @@ def packed_conv_matmul(
         px = popcount_reduce(gathered.reshape(q, n_gemm, kwords), axis=-1)
         row_x = (px * shifts[:, None]).sum(axis=0)
     out = _fold_epilogue(fold, plan, k_logical, sp, sq, row_w, row_x)
-
-    if counters is not None:
-        from ..tensorcore.bmma import BMMA_K, BMMA_M, BMMA_N
-
-        counters.compiled_kernels += 4  # pack x2, gather, gemm
-        # 1-bit BMMA work of *this* layout (K padded to kh*kw word runs)
-        k_padded = kwords * WORD_BITS
-        calls = (
-            -(-(p * cout) // BMMA_M)
-            * -(-(q * n_gemm) // BMMA_N)
-            * -(-k_padded // BMMA_K)
-        )
-        counters.bmma_calls += calls
-        counters.tc_macs += calls * BMMA_M * BMMA_N * BMMA_K
-    if check_overflow:
-        _check_overflow(out)
+    check_int32_accumulator(out)
     return out

@@ -1,8 +1,6 @@
 """Functional simulator of Ampere Tensor-Core primitives and memory system."""
 
 from .bmma import (
-    BMMA_BATCH_ENGINES,
-    BMMA_FMA_THRESHOLD,
     BMMA_K,
     BMMA_M,
     BMMA_N,
@@ -11,7 +9,6 @@ from .bmma import (
     IMMA4_SHAPE,
     IMMA8_SHAPE,
     bmma,
-    bmma_batched,
     hmma,
     imma4,
     imma8,
@@ -30,9 +27,6 @@ __all__ = [
     "IMMA8_SHAPE",
     "HMMA_SHAPE",
     "bmma",
-    "bmma_batched",
-    "BMMA_BATCH_ENGINES",
-    "BMMA_FMA_THRESHOLD",
     "imma4",
     "imma8",
     "hmma",

@@ -8,17 +8,6 @@ The contract mirrors the CUDA WMMA sub-byte API (paper section 2.3):
   fragment.  Exactly like hardware, the primitive accumulates the *raw
   popcount*; encoding corrections (``K - 2p`` etc.) are software's job
   (:mod:`repro.core.opselect`).
-* ``bmma_batched`` -- the whole-matrix generalization of ``bmma``: packed
-  operand matrices of shape ``(rows, nwords)`` in one call, popcount-reduce
-  GEMM into an int64 result.  This is the word-level primitive the
-  vectorized packed execution backend (:mod:`repro.core.packed`) issues
-  instead of sliding ``8x8x128`` fragments in Python loops.  Internally it
-  routes the Boolean reduction through whichever simulated unit is fastest
-  -- native word ops (``AND``/``XOR`` + ``np.bitwise_count``) for small
-  problems, or the FMA pipes via the popcount/dot-product identity for
-  large ones, the same observation Ootomo & Yokota make for emulated
-  tensor-core paths -- while producing bit-identical popcount sums either
-  way.
 * ``imma4`` / ``imma8`` -- the int4 (8x8x32) and int8 (16x16x16) integer
   primitives with int32 accumulation, used by the CUTLASS/cuBLAS baseline
   simulations.
@@ -34,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitops import WORD_BITS, popcount, unpack_bits
+from ..core.bitops import popcount
+from ..core.emulate import check_int32_accumulator
 from ..core.opselect import TCOp
 
 __all__ = [
@@ -42,13 +32,10 @@ __all__ = [
     "BMMA_N",
     "BMMA_K",
     "BMMA_WORDS",
-    "BMMA_BATCH_ENGINES",
-    "BMMA_FMA_THRESHOLD",
     "IMMA4_SHAPE",
     "IMMA8_SHAPE",
     "HMMA_SHAPE",
     "bmma",
-    "bmma_batched",
     "imma4",
     "imma8",
     "hmma",
@@ -65,17 +52,6 @@ IMMA4_SHAPE = (8, 8, 32)
 IMMA8_SHAPE = (16, 16, 16)
 #: fp16 primitive shape m16 n16 k16.
 HMMA_SHAPE = (16, 16, 16)
-
-_INT32_MIN = -(2**31)
-_INT32_MAX = 2**31 - 1
-
-
-def _check_acc_range(acc: np.ndarray) -> None:
-    if acc.size and (acc.min() < _INT32_MIN or acc.max() > _INT32_MAX):
-        raise OverflowError(
-            "int32 accumulator overflow in MMA primitive: "
-            f"range [{acc.min()}, {acc.max()}]"
-        )
 
 
 def bmma(
@@ -129,160 +105,9 @@ def bmma(
     combined = (a & b) if op is TCOp.AND else (a ^ b)
     update = popcount(combined).sum(axis=-1)
     acc = frag_c.astype(np.int64) + update
-    _check_acc_range(acc)
+    check_int32_accumulator(acc)
     frag_c[...] = acc.astype(np.int32)
     return frag_c
-
-
-#: Execution engines of :func:`bmma_batched`.
-BMMA_BATCH_ENGINES = ("auto", "word", "fma")
-
-#: ``rows_a * rows_b * nwords`` above which ``engine="auto"`` routes the
-#: popcount reduction through the FMA pipes (dot-product identity) instead
-#: of native word ops.  Below it, the unpack + matmul setup dominates.
-BMMA_FMA_THRESHOLD = 1 << 16
-
-#: Word-engine blocking: cap the broadcast scratch (rows_a-block x rows_b x
-#: nwords uint64) so it stays cache-resident instead of round-tripping a
-#: whole (rows_a, rows_b, nwords) intermediate through DRAM.
-_WORD_BLOCK_ELEMS = 1 << 21
-
-
-def _bmma_batched_word(
-    a_words: np.ndarray, b_words: np.ndarray, op: TCOp
-) -> np.ndarray:
-    """Popcount-reduce GEMM in the word domain, blocked over A rows."""
-    rows_a, nwords = a_words.shape
-    rows_b = b_words.shape[0]
-    out = np.empty((rows_a, rows_b), dtype=np.int64)
-    block = max(1, _WORD_BLOCK_ELEMS // max(1, rows_b * nwords))
-    bool_op = np.bitwise_and if op is TCOp.AND else np.bitwise_xor
-    for r0 in range(0, rows_a, block):
-        a_blk = a_words[r0: r0 + block, None, :]
-        combined = bool_op(a_blk, b_words[None, :, :])
-        # popcounts (<= 64) overwrite the scratch in place: one allocation
-        # per block instead of two.
-        np.bitwise_count(combined, out=combined)
-        out[r0: r0 + block] = combined.sum(axis=-1, dtype=np.int64)
-    return out
-
-
-def _bmma_batched_fma(
-    a_words: np.ndarray, b_words: np.ndarray, op: TCOp
-) -> np.ndarray:
-    """Popcount-reduce GEMM routed through FMA units.
-
-    Uses the identity ``popc(a AND b) == <a_bits, b_bits>`` (and, for XOR,
-    ``popc(a XOR b) == popc(a) + popc(b) - 2 * <a_bits, b_bits>``): the
-    Boolean reduction becomes one dense matmul over the unpacked bit
-    planes, which BLAS executes far faster than element-wise word ops --
-    the emulated path outrunning the "native" one, exactly as in the
-    Ootomo & Yokota emulation result.  Exact, because every partial sum is
-    an integer bounded by K, far inside the float mantissa.
-    """
-    k_padded = a_words.shape[1] * WORD_BITS
-    # float32 holds integers exactly up to 2**24; fall back to float64 for
-    # (absurdly) long reductions so partial sums stay exact.
-    dtype = np.float32 if k_padded < (1 << 24) else np.float64
-    a_bits = unpack_bits(a_words, k_padded).astype(dtype)
-    b_bits = unpack_bits(b_words, k_padded).astype(dtype)
-    dots = (a_bits @ b_bits.T).astype(np.int64)
-    if op is TCOp.AND:
-        return dots
-    pop_a = popcount(a_words).sum(axis=-1, dtype=np.int64)
-    pop_b = popcount(b_words).sum(axis=-1, dtype=np.int64)
-    return pop_a[:, None] + pop_b[None, :] - 2 * dots
-
-
-def bmma_batched(
-    a_words: np.ndarray,
-    b_words: np.ndarray,
-    op: TCOp = TCOp.XOR,
-    *,
-    engine: str = "auto",
-    counters=None,
-) -> np.ndarray:
-    """Whole-matrix binary MMA: ``out[i, j] = sum_w popc(A[i, w] op B[j, w])``.
-
-    The batched counterpart of :func:`bmma`: instead of one ``8 x 128``
-    fragment pair per call, it consumes entire packed operand matrices and
-    performs the full popcount-reduce GEMM in one vectorized invocation.
-    Both operands are K-major packed rows (``uint64``, bit ``k`` of the
-    logical row at bit ``k % 64`` of word ``k // 64``); zero padding in the
-    final word is neutral for both ``AND`` and ``XOR`` provided the two
-    operands are packed to the same word count, which the shape check
-    enforces.
-
-    Parameters
-    ----------
-    a_words:
-        ``(rows_a, nwords)`` uint64 packed rows.
-    b_words:
-        ``(rows_b, nwords)`` uint64 packed rows.
-    op:
-        Boolean reduction operator (``TCOp.AND`` or ``TCOp.XOR``).
-    engine:
-        ``"word"`` (native word ops + ``np.bitwise_count``), ``"fma"``
-        (dot-product identity on the unpacked planes, BLAS-backed), or
-        ``"auto"`` (pick by problem size).  All engines return bit-identical
-        results.
-    counters:
-        Optional :class:`~repro.tensorcore.counters.ExecutionCounters`;
-        when given, the hardware-equivalent work is tallied: the number of
-        ``8 x 8 x 128`` primitive invocations this call replaces and their
-        1-bit MACs.
-
-    Returns
-    -------
-    np.ndarray
-        ``(rows_a, rows_b)`` int64 popcount sums.
-    """
-    a_words = np.asarray(a_words)
-    b_words = np.asarray(b_words)
-    if a_words.ndim != 2 or a_words.dtype != np.uint64:
-        raise ValueError(
-            f"a_words must be 2-D uint64, got {a_words.dtype} "
-            f"shape {a_words.shape}"
-        )
-    if b_words.ndim != 2 or b_words.dtype != np.uint64:
-        raise ValueError(
-            f"b_words must be 2-D uint64, got {b_words.dtype} "
-            f"shape {b_words.shape}"
-        )
-    if a_words.shape[1] != b_words.shape[1]:
-        raise ValueError(
-            f"packed word count mismatch: {a_words.shape[1]} vs "
-            f"{b_words.shape[1]}"
-        )
-    if not isinstance(op, TCOp):
-        raise TypeError(f"op must be a TCOp, got {type(op).__name__}")
-    if engine not in BMMA_BATCH_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {BMMA_BATCH_ENGINES}"
-        )
-
-    rows_a, nwords = a_words.shape
-    rows_b = b_words.shape[0]
-    if engine == "auto":
-        engine = (
-            "fma" if rows_a * rows_b * nwords >= BMMA_FMA_THRESHOLD
-            else "word"
-        )
-    if rows_a == 0 or rows_b == 0 or nwords == 0:
-        out = np.zeros((rows_a, rows_b), dtype=np.int64)
-    elif engine == "word":
-        out = _bmma_batched_word(a_words, b_words, op)
-    else:
-        out = _bmma_batched_fma(a_words, b_words, op)
-
-    if counters is not None:
-        k_padded = nwords * WORD_BITS
-        calls = (
-            -(-rows_a // BMMA_M) * -(-rows_b // BMMA_N) * -(-k_padded // BMMA_K)
-        )
-        counters.bmma_calls += calls
-        counters.tc_macs += calls * BMMA_M * BMMA_N * BMMA_K
-    return out
 
 
 def _integer_mma(
@@ -308,7 +133,7 @@ def _integer_mma(
     if frag_b.size and (frag_b.min() < lo or frag_b.max() > hi):
         raise ValueError(f"{kind} frag_b values outside [{lo}, {hi}]")
     acc = frag_c.astype(np.int64) + frag_a.astype(np.int64) @ frag_b.astype(np.int64).T
-    _check_acc_range(acc)
+    check_int32_accumulator(acc)
     frag_c[...] = acc.astype(np.int32)
     return frag_c
 

@@ -8,8 +8,8 @@ computes the AP-Bit product:
 * the tile-level oracle (:func:`repro.kernels.apmm_sim.apmm_tile_simulate`),
 
 across ``wXaY`` pairs, signed (bipolar) / unsigned quantizer encodings,
-and ragged (non-multiple-of-64) reduction lengths — for both execution
-engines (``bmma`` word-domain and ``fold`` plane-folded FMA).
+and ragged (non-multiple-of-64) reduction lengths — and exact in every
+accumulator the fold's bound selects.
 """
 
 import numpy as np
@@ -19,16 +19,13 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Encoding,
-    PackedOperand,
     Precision,
     apbit_matmul,
     fold_exactness_bound,
-    pack_operand,
     packed_matmul,
     reference_matmul,
     select_operator,
 )
-from repro.core.bitops import unpack_bits
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 
@@ -41,7 +38,7 @@ def _operands(seed, m, n, k, wp, xp):
 
 
 class TestHypothesisEquivalence:
-    """The satellite suite: engines vs plane-wise references."""
+    """The packed path vs the plane-wise references."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -55,15 +52,14 @@ class TestHypothesisEquivalence:
         xbits=st.integers(1, 4),
         wenc=ENCODINGS,
         xenc=ENCODINGS,
-        engine=st.sampled_from(["bmma", "fold", "auto"]),
     )
     def test_matches_planewise_and_integer_references(
-        self, seed, m, n, k, wbits, xbits, wenc, xenc, engine
+        self, seed, m, n, k, wbits, xbits, wenc, xenc
     ):
         wp, xp = Precision(wbits, wenc), Precision(xbits, xenc)
         W, X = _operands(seed, m, n, k, wp, xp)
         ref = apbit_matmul(W, X, wp, xp)
-        out = packed_matmul(W, X, wp, xp, engine=engine)
+        out = packed_matmul(W, X, wp, xp)
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
         assert np.array_equal(out, reference_matmul(W, X, wp, xp))
@@ -88,10 +84,7 @@ class TestHypothesisEquivalence:
         wp, xp = Precision(wbits, wenc), Precision(xbits, xenc)
         W, X = _operands(seed, m, n, k, wp, xp)
         oracle, _ = apmm_tile_simulate(W, X, wp, xp, TileConfig(16, 16))
-        for engine in ("bmma", "fold"):
-            assert np.array_equal(
-                packed_matmul(W, X, wp, xp, engine=engine), oracle
-            )
+        assert np.array_equal(packed_matmul(W, X, wp, xp), oracle)
 
 
 class TestTileOracleCases:
@@ -112,46 +105,16 @@ class TestTileOracleCases:
 
         W, X = _operands(42, m, n, k, wp, xp)
         oracle, _ = apmm_tile_simulate(W, X, wp, xp, TileConfig(16, 16))
-        for engine in ("bmma", "fold"):
-            out = packed_matmul(W, X, wp, xp, engine=engine)
-            assert out.dtype == oracle.dtype
-            assert np.array_equal(out, oracle)
-
-
-class TestPackedOperand:
-    def test_pack_roundtrip_and_batched_layout(self):
-        wp = Precision(3, U)
-        rng = np.random.default_rng(5)
-        digits = wp.random_digits(rng, (7, 100))
-        op = pack_operand(digits, wp)
-        assert isinstance(op, PackedOperand)
-        assert op.bits == 3 and op.rows == 7 and op.k_logical == 100
-        assert op.nwords == 2  # ceil(100 / 64)
-        # batched row s*rows + r is plane s of row r
-        batched = op.batched()
-        for s in range(op.bits):
-            for r in range(op.rows):
-                bits = unpack_bits(batched[s * op.rows + r], 100)
-                assert np.array_equal(bits, (digits[r] >> s) & 1)
-
-    def test_row_popcounts(self):
-        wp = Precision(2, U)
-        digits = np.array([[0, 1, 2, 3], [3, 3, 3, 3]], dtype=np.int64)
-        op = pack_operand(digits, wp)
-        # plane 0: [0,1,0,1] -> 2 ; [1,1,1,1] -> 4
-        # plane 1: [0,0,1,1] -> 2 ; [1,1,1,1] -> 4
-        assert np.array_equal(op.row_popcounts(), [[2, 4], [2, 4]])
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(ValueError, match="2-D"):
-            pack_operand(np.zeros((2, 2, 2), dtype=np.int64), Precision(1))
+        out = packed_matmul(W, X, wp, xp)
+        assert out.dtype == oracle.dtype
+        assert np.array_equal(out, oracle)
 
 
 class TestValidationAndEngines:
-    def test_unknown_engine(self):
-        W = np.zeros((4, 8), dtype=np.int64)
-        with pytest.raises(ValueError, match="engine"):
-            packed_matmul(W, W, Precision(1), Precision(1), engine="magic")
+    def test_non_2d_rejected(self):
+        W = np.zeros((2, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="2-D"):
+            packed_matmul(W, W, Precision(1), Precision(1))
 
     def test_k_mismatch(self):
         with pytest.raises(ValueError, match="reduction mismatch"):
@@ -180,16 +143,29 @@ class TestValidationAndEngines:
         out = packed_matmul(W, X, wp, xp, check_overflow=False)
         assert np.array_equal(out, reference_matmul(W, X, wp, xp))
 
-    def test_fold_bound_refused_when_inexact(self):
-        assert fold_exactness_bound(100, 8, 8) == 100 * 255 * 255
-        wp, xp = Precision(16, U), Precision(16, U)
-        k = (1 << 53) // ((1 << 16) - 1) ** 2 + 1
-        W = np.zeros((1, k), dtype=np.int64)
-        with pytest.raises(ValueError, match="exactness bound"):
-            packed_matmul(W, W, wp, xp, engine="fold")
-        # auto must fall back to the bmma engine, not fail
-        out = packed_matmul(W, W, wp, xp, engine="auto")
-        assert np.array_equal(out, np.zeros((1, 1), dtype=np.int64))
+    @pytest.mark.parametrize("bits,exponent", [(8, 24), (16, 53), (16, 63)])
+    def test_accumulator_exact_past_each_threshold(self, bits, exponent):
+        # The first K whose bound reaches 2**exponent, with every digit at
+        # its maximum: the true sum is that bound, odd and past the
+        # threshold, so an accumulator that is one step too narrow rounds
+        # it.  At 2**24 float32 would, at 2**53 float64 would (the exact
+        # 9_007_203_543_285_825 comes back as ...824); at 2**63 nothing
+        # holds it and the call must refuse.
+        prec = Precision(bits, U)
+        top = prec.num_levels - 1
+        k = (1 << exponent) // top**2 + 1
+        bound = fold_exactness_bound(k, bits, bits)
+        assert fold_exactness_bound(k - 1, bits, bits) < 1 << exponent <= bound
+        if exponent == 63:
+            # a zero-stride view: K > 2**31 columns without allocating them
+            W = np.broadcast_to(np.int64(top), (1, k))
+            with pytest.raises(ValueError, match=r"2\*\*63"):
+                packed_matmul(W, W, prec, prec, check_overflow=False)
+            return
+        W = np.full((1, k), top, dtype=np.int64)
+        out = packed_matmul(W, W, prec, prec, check_overflow=False)
+        assert out[0, 0] == bound and bound % 2 == 1
+        assert np.array_equal(out, reference_matmul(W, W, prec, prec))
 
     def test_fold_uses_float64_above_float32_bound(self):
         # K * (2^p - 1)(2^q - 1) >= 2^24 forces the float64 path; results
@@ -198,20 +174,9 @@ class TestValidationAndEngines:
         W, X = _operands(3, 4, 4, 300, wp, xp)
         assert fold_exactness_bound(300, 8, 8) >= 1 << 24
         assert np.array_equal(
-            packed_matmul(W, X, wp, xp, engine="fold"),
+            packed_matmul(W, X, wp, xp),
             apbit_matmul(W, X, wp, xp),
         )
-
-    def test_counters_tally_bmma_engine_work(self):
-        from repro.tensorcore import ExecutionCounters
-
-        wp, xp = Precision(2, B), Precision(2, U)
-        W, X = _operands(4, 16, 16, 128, wp, xp)
-        counters = ExecutionCounters()
-        packed_matmul(W, X, wp, xp, engine="bmma", counters=counters)
-        # batched operand: (2*16) x (2*16) rows over ceil(128/128) K tiles
-        assert counters.bmma_calls == 4 * 4 * 1
-        assert counters.tc_macs == counters.bmma_calls * 8 * 8 * 128
 
     def test_plan_selection_matches_opselect(self):
         # the packed path must honor the same operator plan the reference
@@ -222,6 +187,6 @@ class TestValidationAndEngines:
                 plan = select_operator(wp, xp)
                 W, X = _operands(6, 9, 11, 70, wp, xp)
                 assert np.array_equal(
-                    packed_matmul(W, X, wp, xp, engine="fold"),
+                    packed_matmul(W, X, wp, xp),
                     apbit_matmul(W, X, wp, xp),
                 ), plan.case

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from repro.core import TCOp
 from repro.core.bitops import pack_bits
 from repro.tensorcore import (
-    BMMA_FMA_THRESHOLD,
     BMMA_K,
     BMMA_M,
     BMMA_N,
     BMMA_WORDS,
-    ExecutionCounters,
     bmma,
-    bmma_batched,
     hmma,
     imma4,
     imma8,
@@ -168,104 +165,3 @@ class TestHMMA:
                 np.zeros((16, 16)),
                 np.zeros((16, 16), dtype=np.float64),
             )
-
-
-class TestBMMABatched:
-    """The whole-matrix packed popcount-reduce primitive."""
-
-    def _packed(self, seed, rows_a, rows_b, k):
-        rng = np.random.default_rng(seed)
-        a_bits = rng.integers(0, 2, size=(rows_a, k), dtype=np.uint8)
-        b_bits = rng.integers(0, 2, size=(rows_b, k), dtype=np.uint8)
-        return a_bits, b_bits, pack_bits(a_bits), pack_bits(b_bits)
-
-    @pytest.mark.parametrize("op", [TCOp.AND, TCOp.XOR])
-    @pytest.mark.parametrize("rows_a,rows_b,k", [
-        (1, 1, 1), (8, 8, 128), (17, 23, 200), (5, 64, 64), (33, 3, 129),
-    ])
-    def test_engines_match_naive_popcount(self, op, rows_a, rows_b, k):
-        a_bits, b_bits, a_words, b_words = self._packed(0, rows_a, rows_b, k)
-        a64 = a_bits.astype(np.int64)
-        b64 = b_bits.astype(np.int64)
-        if op is TCOp.AND:
-            naive = a64 @ b64.T
-        else:
-            naive = (a64[:, None, :] ^ b64[None, :, :]).sum(axis=-1)
-        for engine in ("word", "fma", "auto"):
-            out = bmma_batched(a_words, b_words, op, engine=engine)
-            assert out.dtype == np.int64
-            assert np.array_equal(out, naive), engine
-
-    def test_matches_tiled_bmma_composition(self):
-        """One batched call == many 8x8x128 fragment calls."""
-        rows_a, rows_b, k = 16, 24, 256
-        _, _, a_words, b_words = self._packed(1, rows_a, rows_b, k)
-        batched = bmma_batched(a_words, b_words, TCOp.XOR)
-        acc = np.zeros((rows_a, rows_b), dtype=np.int32)
-        for i in range(rows_a // BMMA_M):
-            for j in range(rows_b // BMMA_N):
-                for t in range(k // BMMA_K):
-                    bmma(
-                        np.ascontiguousarray(
-                            a_words[i * BMMA_M:(i + 1) * BMMA_M,
-                                    t * BMMA_WORDS:(t + 1) * BMMA_WORDS]
-                        ),
-                        np.ascontiguousarray(
-                            b_words[j * BMMA_N:(j + 1) * BMMA_N,
-                                    t * BMMA_WORDS:(t + 1) * BMMA_WORDS]
-                        ),
-                        acc[i * BMMA_M:(i + 1) * BMMA_M,
-                            j * BMMA_N:(j + 1) * BMMA_N],
-                        TCOp.XOR,
-                    )
-        assert np.array_equal(batched, acc.astype(np.int64))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        rows_a=st.integers(1, 20),
-        rows_b=st.integers(1, 20),
-        k=st.integers(1, 200),
-        op=st.sampled_from([TCOp.AND, TCOp.XOR]),
-    )
-    def test_property_word_equals_fma(self, seed, rows_a, rows_b, k, op):
-        _, _, a_words, b_words = self._packed(seed, rows_a, rows_b, k)
-        assert np.array_equal(
-            bmma_batched(a_words, b_words, op, engine="word"),
-            bmma_batched(a_words, b_words, op, engine="fma"),
-        )
-
-    def test_auto_routes_by_problem_size(self):
-        # the threshold is on rows_a * rows_b * nwords; auto must agree
-        # with both explicit engines on either side of it
-        for rows_a, rows_b, k in [(4, 4, 64), (320, 256, 128)]:
-            work = rows_a * rows_b * -(-k // 64)
-            assert (work < BMMA_FMA_THRESHOLD) == (rows_a == 4)
-            _, _, a_words, b_words = self._packed(2, rows_a, rows_b, k)
-            auto = bmma_batched(a_words, b_words, TCOp.AND, engine="auto")
-            for engine in ("word", "fma"):
-                assert np.array_equal(
-                    auto,
-                    bmma_batched(a_words, b_words, TCOp.AND, engine=engine),
-                )
-
-    def test_counters_record_equivalent_fragment_calls(self):
-        _, _, a_words, b_words = self._packed(3, 17, 9, 130)
-        counters = ExecutionCounters()
-        bmma_batched(a_words, b_words, TCOp.AND, counters=counters)
-        # ceil(17/8) * ceil(9/8) * ceil(192/128) -- K pads to 3 words = 192
-        assert counters.bmma_calls == 3 * 2 * 2
-        assert counters.tc_macs == counters.bmma_calls * BMMA_M * BMMA_N * BMMA_K
-
-    def test_validation(self):
-        good = np.zeros((4, 2), dtype=np.uint64)
-        with pytest.raises(ValueError, match="uint64"):
-            bmma_batched(good.astype(np.int64), good)
-        with pytest.raises(ValueError, match="2-D"):
-            bmma_batched(good[0], good)
-        with pytest.raises(ValueError, match="word count mismatch"):
-            bmma_batched(good, np.zeros((4, 3), dtype=np.uint64))
-        with pytest.raises(TypeError, match="TCOp"):
-            bmma_batched(good, good, "xor")
-        with pytest.raises(ValueError, match="engine"):
-            bmma_batched(good, good, TCOp.AND, engine="cuda")
