@@ -27,7 +27,7 @@ from ..kernels.fusion import AvgPoolOp, QuantizeOp, fused_cost, unfused_costs
 from ..kernels.tiling import TileConfig
 from ..core.quantize import AffineQuantizer
 from ..nn.engine import APNNBackend, BNNBackend, InferenceEngine, LibraryBackend
-from ..nn.models import MODEL_BUILDERS
+from ..nn.models import MODEL_BUILDERS, micro_cnn
 from ..perf.cost import baseline_conv_cost, baseline_gemm_cost, conv_cost, gemm_cost
 from ..perf.model import LatencyModel
 from ..tensorcore.device import A100, RTX3090, DeviceSpec
@@ -748,43 +748,9 @@ PLACEMENT_BATCHES = (1, 2, 4, 8)
 PLACEMENT_INPUT_SHAPE = (3, 16, 16)
 PLACEMENT_SHARD_STAGES = 2
 
-_placement_net_cache: dict = {}
-
-
 def placement_micro_net(name: str, seed: int = 0):
-    """A distinctly named micro-CNN (conv-conv-pool-fc at 16x16).
-
-    Small enough that a ten-model cluster plans in milliseconds, real
-    enough that the cost model yields a meaningful latency ladder.
-    Memoized per (name, seed): model objects are read-only planning
-    inputs, so the study, the harness, and repeated runs can share them.
-    """
-    import numpy as _np
-
-    from ..nn.layers import (
-        Conv2d, Flatten, Linear, MaxPool2d, Quantize, ReLU,
-    )
-    from ..nn.module import Sequential
-
-    key = (name, seed)
-    if key not in _placement_net_cache:
-        r = _np.random.default_rng(seed)
-        c, h = 16, PLACEMENT_INPUT_SHAPE[1]
-        _placement_net_cache[key] = Sequential(
-            [
-                Conv2d(3, c, 3, 1, 1, rng=r, name="c1"),
-                ReLU(),
-                Quantize(2),
-                Conv2d(c, c, 3, 1, 1, rng=r, name="c2"),
-                ReLU(),
-                MaxPool2d(2, 2, name="p1"),
-                Quantize(2),
-                Flatten(),
-                Linear(c * (h // 2) * (h // 2), 10, rng=r, name="fc"),
-            ],
-            name=name,
-        )
-    return _placement_net_cache[key]
+    """The placement workload's micro-CNN at its 16x16 input geometry."""
+    return micro_cnn(name, seed, PLACEMENT_INPUT_SHAPE)
 
 
 def placement_models():

@@ -3,8 +3,8 @@
 The search space is the cross product of ``bm, bn in {16, 32, 64, 128}``
 (bk fixed at 128).  The paper's two-step heuristic:
 
-1. score every candidate by TLP (eq. 3) and order them in a priority queue,
-   higher TLP first;
+1. score every candidate by TLP (eq. 3) and order them, higher TLP first
+   (the paper's priority queue);
 2. if even the highest TLP is below the threshold ``T`` (= 64), keep that
    candidate -- the problem is too small to fill the GPU, so parallelism is
    everything; otherwise keep popping and choose, among candidates whose
@@ -22,7 +22,6 @@ one data layout, so switching tile sizes between layers has no cost.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,36 +68,39 @@ def _candidates(device: DeviceSpec) -> list[TileConfig]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _autotune_cached(
-    m: int, n: int, p_bits: int, q_bits: int, device_name: str,
+def _tune(
+    m: int, n: int, p_bits: int, q_bits: int, device: DeviceSpec,
     threshold: float,
 ) -> TuneResult:
-    device = get_device(device_name)
-    scored = []
-    for cfg in _candidates(device):
-        t = tlp(m, n, p_bits, q_bits, cfg)
-        c = compute_intensity(cfg)
-        scored.append((cfg, t, c))
-
-    # Priority queue ordered by TLP (higher first); deterministic tie-break.
-    heap = [(-t, cfg.bm, cfg.bn, cfg, t, c) for cfg, t, c in scored]
-    heapq.heapify(heap)
-    ordered = [heapq.heappop(heap)[3:] for _ in range(len(heap))]
-
-    best_cfg, best_tlp, best_ci = ordered[0]
-    if best_tlp < threshold:
+    # Step 1: order candidates by TLP (higher first); deterministic
+    # tie-break on the smaller tile.
+    ordered = sorted(
+        (
+            (cfg, tlp(m, n, p_bits, q_bits, cfg), compute_intensity(cfg))
+            for cfg in _candidates(device)
+        ),
+        key=lambda item: (-item[1], item[0].bm, item[0].bn),
+    )
+    if ordered[0][1] < threshold:
         # Step 2a: even the most parallel tiling cannot fill the GPU;
         # stick with maximum TLP.
-        choice = (best_cfg, best_tlp, best_ci)
+        choice = ordered[0]
     else:
         # Step 2b: among TLP >= T, improve CI.
-        feasible = [(cfg, t, c) for cfg, t, c in ordered if t >= threshold]
+        feasible = [item for item in ordered if item[1] >= threshold]
         choice = max(feasible, key=lambda item: (item[2], item[1],
                                                  -item[0].bm, -item[0].bn))
     return TuneResult(
         config=choice[0], tlp=choice[1], ci=choice[2], ranking=tuple(ordered)
     )
+
+
+@lru_cache(maxsize=4096)
+def _autotune_cached(
+    m: int, n: int, p_bits: int, q_bits: int, device_name: str,
+    threshold: float,
+) -> TuneResult:
+    return _tune(m, n, p_bits, q_bits, get_device(device_name), threshold)
 
 
 def autotune(
@@ -137,7 +139,7 @@ def autotune(
         except KeyError:
             registered = False
         if not registered:
-            return _autotune_uncached(m, n, p_bits, q_bits, device, threshold)
+            return _tune(m, n, p_bits, q_bits, device, threshold)
     return _autotune_cached(m, n, p_bits, q_bits, name, threshold)
 
 
@@ -173,18 +175,3 @@ def cache_stats() -> AutotuneCacheStats:
 def clear_cache() -> None:
     """Drop all memoized tuning results (and their counters)."""
     _autotune_cached.cache_clear()
-
-
-def _autotune_uncached(m, n, p_bits, q_bits, device, threshold):
-    scored = [
-        (cfg, tlp(m, n, p_bits, q_bits, cfg), compute_intensity(cfg))
-        for cfg in _candidates(device)
-    ]
-    ordered = sorted(scored, key=lambda it: (-it[1], it[0].bm, it[0].bn))
-    best_cfg, best_tlp, best_ci = ordered[0]
-    if best_tlp < threshold:
-        choice = ordered[0]
-    else:
-        feasible = [it for it in ordered if it[1] >= threshold]
-        choice = max(feasible, key=lambda it: (it[2], it[1], -it[0].bm, -it[0].bn))
-    return TuneResult(choice[0], choice[1], choice[2], tuple(ordered))

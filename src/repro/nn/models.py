@@ -13,7 +13,8 @@ Each builder inserts the quantization markers of the APNN dataflow
 layer consumes ``q``-bit inputs; the marker layers are what the engine
 fuses into producing kernels.  ``num_classes`` and input resolution are
 configurable so the unit tests and the synthetic-accuracy study can run
-scaled-down instances.
+scaled-down instances.  :func:`micro_cnn` is no paper network: it is the
+cheap model population of the serving placement and cluster studies.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ from .layers import (
 )
 from .module import Module, Sequential
 
-__all__ = ["BasicBlock", "alexnet", "vgg_variant", "resnet18", "MODEL_BUILDERS"]
+__all__ = [
+    "BasicBlock", "alexnet", "vgg_variant", "resnet18", "micro_cnn",
+    "MODEL_BUILDERS",
+]
 
 
 class BasicBlock(Module):
@@ -206,6 +210,45 @@ def resnet18(
         Linear(512, num_classes, rng=r, name="fc"),
     ]
     return Sequential(layers, name="resnet18")
+
+
+_micro_cache: dict[tuple, Sequential] = {}
+
+
+def micro_cnn(
+    name: str,
+    seed: int,
+    input_shape: tuple[int, int, int],
+    num_classes: int = 10,
+) -> Sequential:
+    """A distinctly named micro-CNN (conv-conv-pool-fc) for serving studies.
+
+    Small enough that a ten-model cluster plans in milliseconds, real
+    enough that the cost model yields a meaningful latency ladder.  Not
+    a paper network, so it stays out of :data:`MODEL_BUILDERS`.
+    Memoized per (name, seed, input shape, class count): model objects
+    are read-only planning inputs, so every caller can share them.
+    """
+    key = (name, seed, tuple(input_shape), num_classes)
+    if key not in _micro_cache:
+        r = _rng(seed)
+        c, h = 16, input_shape[1]
+        _micro_cache[key] = Sequential(
+            [
+                Conv2d(input_shape[0], c, 3, 1, 1, rng=r, name="c1"),
+                ReLU(),
+                Quantize(2),
+                Conv2d(c, c, 3, 1, 1, rng=r, name="c2"),
+                ReLU(),
+                MaxPool2d(2, 2, name="p1"),
+                Quantize(2),
+                Flatten(),
+                Linear(c * (h // 2) * (h // 2), num_classes,
+                       rng=r, name="fc"),
+            ],
+            name=name,
+        )
+    return _micro_cache[key]
 
 
 #: Registry used by the experiment harness (Table 2 iterates these).

@@ -68,6 +68,7 @@ from typing import Mapping, Sequence
 
 from ..core.types import PrecisionPair
 from ..nn.engine import APNNBackend, InferenceEngine
+from ..nn.models import alexnet, micro_cnn, resnet18
 from ..obs import Tracer
 from ..perf.calibration import DEFAULT_CALIBRATION, Calibration
 from ..tensorcore.device import RTX3090, DeviceSpec
@@ -164,42 +165,17 @@ _model_cache: dict[ModelSpec, object] = {}
 
 
 def _build_model(spec: ModelSpec):
+    if spec.kind == "micro":
+        return micro_cnn(
+            spec.name, spec.seed, spec.input_shape, spec.num_classes
+        )
     if spec in _model_cache:
         return _model_cache[spec]
-    if spec.kind == "micro":
-        import numpy as _np
-
-        from ..nn.layers import (
-            Conv2d, Flatten, Linear, MaxPool2d, Quantize, ReLU,
-        )
-        from ..nn.module import Sequential
-
-        r = _np.random.default_rng(spec.seed)
-        c, h = 16, spec.input_shape[1]
-        model = Sequential(
-            [
-                Conv2d(spec.input_shape[0], c, 3, 1, 1, rng=r, name="c1"),
-                ReLU(),
-                Quantize(2),
-                Conv2d(c, c, 3, 1, 1, rng=r, name="c2"),
-                ReLU(),
-                MaxPool2d(2, 2, name="p1"),
-                Quantize(2),
-                Flatten(),
-                Linear(c * (h // 2) * (h // 2), spec.num_classes,
-                       rng=r, name="fc"),
-            ],
-            name=spec.name,
-        )
-    elif spec.kind == "alexnet":
-        from ..nn import alexnet
-
+    if spec.kind == "alexnet":
         model = alexnet(
             num_classes=spec.num_classes, input_size=spec.input_shape[1]
         )
     else:
-        from ..nn import resnet18
-
         model = resnet18(
             num_classes=spec.num_classes, input_size=spec.input_shape[1]
         )

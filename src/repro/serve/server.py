@@ -50,16 +50,19 @@ replica sets, swapping the immutable placement snapshot atomically
 under the condition lock -- strictly between batches, so queued
 requests simply re-route and nothing is dropped or reordered (both
 guarded by metrics counters).  Sharded models run pipeline-parallel:
-the stage-0 owner dispatches from the queue, serves its stage, and
-hands the batch to the next stage's worker through per-worker stage
-queues; the last stage resolves the futures.  Every stage is priced
-through the same plan cache as whole models.
+the stage-0 owner dispatches from the queue and runs the first stage,
+and each later stage reaches its worker through per-worker stage
+queues.  Every stage is priced through the same plan cache as whole
+models.
 
 Execution is the one seam between scheduling and workers.  Each worker
-loop chooses a batch, then hands it to its worker's executor, which
-returns the batch's service time (and, for cluster workers, each
-request's canonical result payload) or raises :class:`WorkerCrashed`.
-The base executor is the in-process pricing path above; the cluster
+loop chooses a batch and records its hops: one for a whole model, one
+per stage for a sharded model.  Every hop goes to its worker's
+executor, which returns the hop's service time (and, for cluster
+workers, each request's canonical result payload) or raises
+:class:`WorkerCrashed`; the last hop completes the batch through one
+completion path, whatever its hop count.  The base executor is the
+in-process pricing path above; the cluster
 layer (:mod:`repro.serve.cluster`) adds a :class:`FaultPlan
 <repro.serve.cluster.FaultPlan>`-driven simulation and real worker
 subprocesses.  Failover lives in the loop: a crashed worker's batch
@@ -180,6 +183,10 @@ class ClusterPolicy:
 
 DEFAULT_INPUT_SHAPE = (3, 224, 224)
 
+#: Threads of the executor cold plan compilations run in (the worker
+#: loops' off-loop compiles and ``prewarm``).
+COMPILE_WORKERS = 2
+
 
 @dataclass(frozen=True)
 class ServedModel:
@@ -259,11 +266,14 @@ class _PendingRequest:
 class _Worker:
     """One worker slot: its simulated clock, liveness and executor.
 
-    This base class is the in-process executor: a batch occupies the
-    worker for its modeled price on the simulated clock (sleeping
+    This base class is the in-process executor: each hop -- a whole
+    model's batch, or one pipeline stage of it -- occupies the worker
+    for its modeled price on the simulated clock (sleeping
     ``time_scale`` real seconds per microsecond) and never crashes.
     :mod:`repro.serve.cluster` subclasses it with a ``FaultPlan``-driven
-    simulation and with a subprocess over :mod:`repro.serve.ipc`.
+    simulation and with a subprocess over :mod:`repro.serve.ipc`; a
+    cluster rejects shard specs, so those executors only see whole
+    models.
 
     ``generation`` increments at every crash; a worker loop carries the
     generation it was spawned for and exits once it has moved on, so a
@@ -293,7 +303,7 @@ class _Worker:
         self, model: str, engine: InferenceEngine, batch_size: int,
         requests: list[_PendingRequest], start_us: float, service_us: float,
     ) -> tuple[float, list[str] | None]:
-        """Execute one batch priced at ``service_us`` from ``start_us``.
+        """Execute one hop priced at ``service_us`` from ``start_us``.
 
         Occupies the worker (:meth:`InferenceServer._occupy`) for the
         actual service time and returns it, with per-request result
@@ -319,35 +329,47 @@ class _Worker:
 
 
 @dataclass
-class _StageJob:
-    """One batch travelling a sharded model's pipeline.
+class _Batch:
+    """One dispatched batch and the hops it runs through.
 
-    Created by the stage-0 owner at dispatch and handed worker-to-worker
-    through the per-worker stage queues; the final stage resolves the
-    requests' futures.  The job carries the stage assignment it was
+    A whole model is one hop on the dispatching worker; a sharded model
+    has one hop per pipeline stage, handed worker to worker through the
+    per-worker stage queues.  The batch carries the hops it was
     dispatched with, so a rebalance can never strand it mid-pipeline.
+    Its last hop completes it.
     """
 
     model: str
-    stages: tuple[StagePlan, ...]
-    stage_idx: int
+    #: (worker, engine, per-sample input shape) of every hop, in order.
+    hops: tuple[tuple[str, InferenceEngine, tuple[int, ...]], ...]
     requests: list[_PendingRequest]
     batch_size: int
-    expected_latency_us: float  #: full-pipeline modeled latency
+    expected_latency_us: float  #: modeled latency over every hop
     meets_slo: bool
     depth: int       #: queue depth at dispatch
     slo_us: float
     pair_name: str
-    ready_us: float  #: simulated instant the previous stage finished
-    start_us: float  #: stage-0 service start (the requests' start)
+    switched: bool
+    accuracy_delta: float
+    ready_us: float  #: simulated instant the next hop's input is ready
     #: Tracing context (populated only when the server's tracer is
-    #: enabled): the scheduling decision captured at dispatch, whether
-    #: the dispatch went through the cold-compile path, and each served
-    #: stage's (start_us, finish_us) -- the final stage emits the whole
-    #: batch/stage/kernel hierarchy retroactively from these.
+    #: enabled): the scheduling decision captured at dispatch.
     sched_attrs: dict | None = None
-    cold: bool = False
-    stage_bounds: list[tuple[float, float]] = field(default_factory=list)
+    cold: bool = False  #: dispatched through the cold-compile path
+    #: (start_us, service_us) of every hop run so far; the next hop is
+    #: ``hops[len(ran)]``.
+    ran: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def start_us(self) -> float:
+        """First hop's service start (the requests' start)."""
+        return self.ran[0][0]
+
+    @property
+    def finish_us(self) -> float:
+        """Latest hop's service finish."""
+        start_us, service_us = self.ran[-1]
+        return start_us + service_us
 
 
 class InferenceServer:
@@ -392,9 +414,6 @@ class InferenceServer:
         :class:`~repro.serve.plan_cache.PlanCacheStore` there, loading
         every previously compiled plan on construction and appending
         each new one.  Mutually exclusive with ``plan_cache``.
-    compile_workers:
-        Size of the thread executor cold plan compilations run in
-        (both the worker loops' off-loop compiles and ``prewarm``).
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given, the server
         records hierarchical spans on the simulated clock -- admission
@@ -424,7 +443,6 @@ class InferenceServer:
         time_scale: float = 0.0,
         calibration: Calibration = DEFAULT_CALIBRATION,
         cache_dir: str | Path | None = None,
-        compile_workers: int = 2,
         tracer: Tracer | None = None,
     ) -> None:
         if not models:
@@ -433,10 +451,6 @@ class InferenceServer:
             raise ValueError("server needs at least one (backend, device)")
         if time_scale < 0:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-        if compile_workers < 1:
-            raise ValueError(
-                f"compile_workers must be >= 1, got {compile_workers}"
-            )
         if plan_cache is not None and cache_dir is not None:
             raise ValueError(
                 "pass plan_cache or cache_dir, not both (a supplied cache "
@@ -453,7 +467,6 @@ class InferenceServer:
             self.plan_cache = PlanCache(store=PlanCacheStore(cache_dir))
         else:
             self.plan_cache = PlanCache()
-        self.compile_workers = compile_workers
         self._executor: ThreadPoolExecutor | None = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
@@ -497,13 +510,11 @@ class InferenceServer:
                 self.placement_controller.placement.replica_counts()
             )
         #: Per-worker queues of in-flight pipeline handoffs.
-        self._stage_queues: dict[str, deque[_StageJob]] = {
+        self._stage_queues: dict[str, deque[_Batch]] = {
             name: deque() for name, _, _ in self._worker_specs
         }
         #: Engines of pipeline stages, keyed (model, stage index, worker).
         self._stage_engines: dict[tuple[str, int, str], InferenceEngine] = {}
-        #: Pipeline batches dispatched but not yet fully resolved.
-        self._pipeline_inflight = 0
 
         # One engine per (model, worker, precision): planning state (fused
         # groups, latency model) is reusable across requests.  Key "" is
@@ -633,7 +644,7 @@ class InferenceServer:
         self._cond = asyncio.Condition()
         self._stopped = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.compile_workers,
+            max_workers=COMPILE_WORKERS,
             thread_name_prefix="plan-compile",
         )
         # Mark once per server lifetime: re-marking on a restart would
@@ -914,10 +925,6 @@ class InferenceServer:
             self._engines[key] = engine
         return engine
 
-    def _price_fn(self, engine: InferenceEngine, model: str):
-        shape = self.models[model].input_shape
-        return lambda batch: self.plan_cache.total_us(engine, batch, shape)
-
     def _promote_deferred(self) -> None:
         """Admit deferred requests (oldest first) as capacity frees.
 
@@ -1082,7 +1089,7 @@ class InferenceServer:
         cond = self._cond
         name, backend, device = worker.name, worker.backend, worker.device
         while True:
-            job: _StageJob | None = None
+            job: _Batch | None = None
             cold_specs: tuple = ()
             async with cond:
                 self._promote_deferred()
@@ -1103,7 +1110,6 @@ class InferenceServer:
                     if (
                         not self._running
                         and self.queue_depth == 0
-                        and self._pipeline_inflight == 0
                         and self._inflight == 0
                     ):
                         return
@@ -1114,7 +1120,8 @@ class InferenceServer:
                     # bounds the pipeline and keeps stage order FIFO.
                     job = self._stage_queues[name].popleft()
             if job is not None:
-                await self._run_stage(worker, job)
+                if not await self._run_hop(worker, generation, job):
+                    return
                 continue
 
             async with cond:
@@ -1176,8 +1183,9 @@ class InferenceServer:
                         )
                         pair = degraded
                 if stages is not None:
-                    pricing = tuple(
+                    hops = tuple(
                         (
+                            s.worker,
                             self._stage_engines[(model, s.index, s.worker)],
                             s.input_shape,
                         )
@@ -1188,13 +1196,13 @@ class InferenceServer:
                         model, name, backend, device,
                         pair if switched else None,
                     )
-                    pricing = ((engine, self.models[model].input_shape),)
+                    hops = ((name, engine, self.models[model].input_shape),)
                 slo_ms = self.slo_ms_for(model)
-                price = self._pipeline_price_fn(pricing)
+                price = self._price_fn(hops)
                 eligible = self.batcher.eligible_batches(depth, replicas)
                 cold_specs = tuple(
                     (e, b, s)
-                    for e, s in pricing
+                    for _, e, s in hops
                     for b in self.plan_cache.missing_batches(e, eligible, s)
                 )
                 if cold_specs:
@@ -1231,7 +1239,7 @@ class InferenceServer:
                     take = min(decision.batch_size, depth)
                     batch = [queue.popleft() for _ in range(take)]
                     self._record_dispatch(model, batch)
-                    self._commit_locked(model, batch, decision, stages)
+                    self._commit_locked(model, batch, decision)
 
             if cold_specs:
                 # Compile off-loop; single-flight dedupes racing workers
@@ -1323,114 +1331,26 @@ class InferenceServer:
                             queue.clear()
                             queue.extend(ordered)
                         cond.notify_all()
-                    self._commit_locked(model, batch, decision, stages)
+                    self._commit_locked(model, batch, decision)
 
-            if stages is not None:
-                # Pipeline dispatch: this worker owns stage 0; serve it
-                # and hand the batch down the stage chain.
-                job = _StageJob(
-                    model=model,
-                    stages=stages,
-                    stage_idx=0,
-                    requests=batch,
-                    batch_size=decision.batch_size,
-                    expected_latency_us=decision.expected_latency_us,
-                    meets_slo=decision.meets_slo,
-                    depth=depth,
-                    slo_us=slo_ms * 1000.0,
-                    pair_name=pair.name if pair is not None else "",
-                    ready_us=now_us,
-                    start_us=now_us,
-                    sched_attrs=sched_attrs,
-                    cold=bool(cold_specs),
-                )
-                await self._run_stage(worker, job)
-                continue
-
-            try:
-                service_us, payloads = await worker.run(
-                    model, engine, decision.batch_size, batch, now_us,
-                    decision.expected_latency_us,
-                )
-            except WorkerCrashed as exc:
-                async with cond:
-                    self._crash_locked(
-                        worker,
-                        self._sim_now_us if exc.at_us is None else exc.at_us,
-                        generation, batch, model,
-                    )
-                return
-            except Exception as exc:
-                # The worker answered with a deterministic serving error:
-                # retrying elsewhere would fail identically, so fail the
-                # batch's futures and keep the worker alive.
-                for r in batch:
-                    if not r.future.done():
-                        r.future.set_exception(exc)
-                async with cond:
-                    self._inflight -= len(batch)
-                    cond.notify_all()
-                continue
-            self._inflight -= len(batch)
-            start_us = now_us
-            finish_us = start_us + service_us
-            slo_us = slo_ms * 1000.0
-            pair_name = pair.name if pair is not None else ""
-            results = [
-                RequestResult(
-                    request_id=r.request_id,
-                    model=r.model,
-                    worker=name,
-                    batch_size=decision.batch_size,
-                    batch_requests=len(batch),
-                    arrival_us=r.arrival_us,
-                    start_us=start_us,
-                    finish_us=finish_us,
-                    deadline_us=r.arrival_us + slo_us,
-                    pair=pair_name,
-                    switched=switched,
-                    attempts=r.attempts,
-                    payload=payload,
-                )
-                for r, payload in zip(batch, payloads or itertools.repeat(""))
-            ]
-            self.metrics.record_batch(
-                name,
+            job = _Batch(
+                model=model,
+                hops=hops,
+                requests=batch,
                 batch_size=decision.batch_size,
-                requests=len(batch),
-                queue_depth=depth,
-                service_us=service_us,
-                request_latencies_us=[res.latency_us for res in results],
+                expected_latency_us=decision.expected_latency_us,
                 meets_slo=decision.meets_slo,
-                deadline_misses=sum(
-                    not res.met_deadline for res in results
-                ),
+                depth=depth,
+                slo_us=slo_ms * 1000.0,
+                pair_name=pair.name if pair is not None else "",
                 switched=switched,
                 accuracy_delta=batch_accuracy_delta,
+                ready_us=now_us,
+                sched_attrs=sched_attrs,
+                cold=bool(cold_specs),
             )
-            if self.tracer.enabled:
-                self._trace_batch(
-                    name, model, engine, self.models[model].input_shape,
-                    decision.batch_size, decision.expected_latency_us,
-                    decision.meets_slo, results, depth,
-                    start_us, finish_us,
-                    pair_name=pair_name,
-                    switched=switched,
-                    plan_cache_hit=not cold_specs,
-                    sched_attrs=sched_attrs,
-                )
-            for r, res in zip(batch, results):
-                if not r.future.done():
-                    # Exactly-once: the future is the single completion
-                    # point, and only the dispatch that finished holds it.
-                    r.future.set_result(res)
-            if self.placement_controller is not None or not self._running:
-                # Placement routing, and waiting out in-flight batches
-                # (a crash may requeue them), can leave workers parked on
-                # the condition during a stop()-drain; wake them so they
-                # re-check the exit condition once work resolves.
-                async with cond:
-                    cond.notify_all()
+            if not await self._run_hop(worker, generation, job):
+                return
 
     def _record_dispatch(
         self, model: str, batch: list[_PendingRequest]
@@ -1447,17 +1367,14 @@ class InferenceServer:
             )
 
     def _commit_locked(
-        self, model: str, batch: list[_PendingRequest], decision, stages
+        self, model: str, batch: list[_PendingRequest], decision
     ) -> None:
         """Book one batch leaving ``model``'s queue (under the lock)."""
         for r in batch:
             r.attempts += 1
         self._served_counts[model] += len(batch)
         self._slo_infeasible[model] = not decision.meets_slo
-        if stages is not None:
-            self._pipeline_inflight += 1
-        else:
-            self._inflight += len(batch)
+        self._inflight += len(batch)
         self._promote_deferred()
 
     def _occupy(self, worker: _Worker, finish_us: float) -> None:
@@ -1465,6 +1382,135 @@ class InferenceServer:
         worker.sim_free_at_us = finish_us
         self._sim_now_us = max(self._sim_now_us, finish_us)
         self._last_finish_us = max(self._last_finish_us, finish_us)
+
+    async def _run_hop(
+        self, worker: _Worker, generation: int, job: _Batch
+    ) -> bool:
+        """Run ``job``'s next hop on ``worker``, then forward or complete it.
+
+        Returns False once the worker crashed (its loop must exit).  A
+        whole model runs at its dispatch price.  A pipeline stage is
+        looked up at its hop: the stage-0 dispatch compiled every
+        stage's eligible batches, but a capacity-squeezed cache may
+        have evicted this one since, so it recompiles off-loop
+        (single-flight) rather than stalling the event loop.
+        """
+        _, engine, shape = job.hops[len(job.ran)]
+        pipeline = len(job.hops) > 1
+        try:
+            price_us = job.expected_latency_us
+            if pipeline:
+                if self.plan_cache.peek_total_us(
+                    engine, job.batch_size, shape
+                ) is None:
+                    await self.plan_cache.ensure_async(
+                        engine, job.batch_size, shape,
+                        executor=self._executor,
+                    )
+                # no awaits since the ensure: the plan is still cached
+                price_us = self.plan_cache.total_us(
+                    engine, job.batch_size, shape
+                )
+            start_us = max(worker.sim_free_at_us, job.ready_us)
+            service_us, payloads = await worker.run(
+                job.model, engine, job.batch_size, job.requests,
+                start_us, price_us,
+            )
+        except WorkerCrashed as exc:
+            async with self._cond:
+                self._crash_locked(
+                    worker,
+                    self._sim_now_us if exc.at_us is None else exc.at_us,
+                    generation, job.requests, job.model,
+                )
+            return False
+        except Exception as exc:
+            # A deterministic serving error (the worker's answer, or a
+            # failed stage recompile): retrying elsewhere would fail
+            # identically, so fail the batch's futures and keep the
+            # worker alive -- a dead loop would strand _inflight and
+            # hang stop() and every client.
+            for r in job.requests:
+                if not r.future.done():
+                    r.future.set_exception(exc)
+            async with self._cond:
+                self._inflight -= len(job.requests)
+                self._cond.notify_all()
+            return True
+        job.ran.append((start_us, service_us))
+        if pipeline:
+            self.metrics.record_stage(
+                job.model, len(job.ran) - 1, worker.name, service_us,
+                len(job.requests),
+            )
+        if len(job.ran) < len(job.hops):
+            job.ready_us = job.finish_us
+            async with self._cond:
+                self._stage_queues[job.hops[len(job.ran)][0]].append(job)
+                self._cond.notify_all()
+            return True
+        await self._complete(worker.name, job, payloads)
+        return True
+
+    async def _complete(
+        self, worker: str, job: _Batch, payloads: list[str] | None
+    ) -> None:
+        """Resolve a batch whose last hop ran on ``worker``."""
+        self._inflight -= len(job.requests)
+        start_us, finish_us = job.start_us, job.finish_us
+        stages = (
+            tuple(w for w, _, _ in job.hops) if len(job.hops) > 1 else ()
+        )
+        results = [
+            RequestResult(
+                request_id=r.request_id,
+                model=r.model,
+                worker=worker,
+                batch_size=job.batch_size,
+                batch_requests=len(job.requests),
+                arrival_us=r.arrival_us,
+                start_us=start_us,
+                finish_us=finish_us,
+                deadline_us=r.arrival_us + job.slo_us,
+                pair=job.pair_name,
+                switched=job.switched,
+                stages=stages,
+                attempts=r.attempts,
+                payload=payload,
+            )
+            for r, payload in zip(
+                job.requests, payloads or itertools.repeat("")
+            )
+        ]
+        self.metrics.record_batch(
+            worker,
+            batch_size=job.batch_size,
+            requests=len(job.requests),
+            queue_depth=job.depth,
+            # executed service over every hop; a pipeline's inter-stage
+            # queueing shows up in the request latencies, and its
+            # per-stage service is billed to StageMetrics
+            service_us=sum(service_us for _, service_us in job.ran),
+            request_latencies_us=[res.latency_us for res in results],
+            meets_slo=job.meets_slo,
+            deadline_misses=sum(not res.met_deadline for res in results),
+            switched=job.switched,
+            accuracy_delta=job.accuracy_delta,
+        )
+        if self.tracer.enabled:
+            self._trace_batch(worker, job, results)
+        for r, res in zip(job.requests, results):
+            if not r.future.done():
+                # Exactly-once: the future is the single completion
+                # point, and only the dispatch that finished holds it.
+                r.future.set_result(res)
+        if self.placement_controller is not None or not self._running:
+            # Placement routing, and waiting out in-flight batches
+            # (a crash may requeue them), can leave workers parked on
+            # the condition during a stop()-drain; wake them so they
+            # re-check the exit condition once work resolves.
+            async with self._cond:
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # failover (only executors that can crash ever reach it)
@@ -1549,10 +1595,10 @@ class InferenceServer:
             name=f"serve-{worker.name}-r{worker.restarts}",
         ))
 
-    def _pipeline_price_fn(self, pricing):
-        """Whole-request price: the sum of every (stage) engine's total."""
+    def _price_fn(self, hops):
+        """Whole-request price: the sum of every hop's plan total."""
         return lambda batch: sum(
-            self.plan_cache.total_us(e, batch, s) for e, s in pricing
+            self.plan_cache.total_us(e, batch, s) for _, e, s in hops
         )
 
     # ------------------------------------------------------------------
@@ -1568,45 +1614,50 @@ class InferenceServer:
         )
 
     def _trace_batch(
-        self,
-        worker: str,
-        model: str,
-        engine: InferenceEngine,
-        input_shape: tuple[int, ...],
-        batch_size: int,
-        expected_latency_us: float,
-        meets_slo: bool,
-        results: list[RequestResult],
-        depth: int,
-        start_us: float,
-        finish_us: float,
-        *,
-        pair_name: str,
-        switched: bool,
-        plan_cache_hit: bool,
-        sched_attrs: dict | None,
-    ) -> int:
-        """One dispatched batch: batch span + kernel children + requests."""
+        self, worker: str, job: _Batch, results: list[RequestResult]
+    ) -> None:
+        """One completed batch: batch span + kernels + requests.
+
+        A pipeline's batch span (stage-0 start to last-stage finish)
+        gets one stage child per hop on its own worker lane, each with
+        its kernel children; any other batch gets its kernel children
+        directly.
+        """
+        pipeline = len(job.hops) > 1
         attrs = {
-            "model": model, "worker": worker,
-            "batch_size": batch_size, "requests": len(results),
-            "queue_depth": depth,
-            "expected_latency_us": expected_latency_us,
-            "meets_slo": meets_slo,
-            "pair": pair_name, "switched": switched,
-            "plan_cache_hit": plan_cache_hit,
+            "model": job.model, "worker": worker,
+            "batch_size": job.batch_size, "requests": len(results),
+            "queue_depth": job.depth,
+            "expected_latency_us": job.expected_latency_us,
+            "meets_slo": job.meets_slo,
+            "pair": job.pair_name, "switched": job.switched,
+            "plan_cache_hit": not job.cold,
         }
-        if sched_attrs:
-            attrs.update(sched_attrs)
+        if pipeline:
+            attrs["pipeline"] = True
+            attrs["stages"] = [w for w, _, _ in job.hops]
+        if job.sched_attrs:
+            attrs.update(job.sched_attrs)
         batch_id = self.tracer.span(
-            f"batch:{model}", "batch", start_us, finish_us,
+            f"batch:{job.model}", "batch", job.start_us, job.finish_us,
             lane=worker, **attrs,
         )
-        self._trace_kernels(
-            batch_id, worker, engine, batch_size, input_shape, start_us
-        )
+        for index, ((lane, engine, shape), (start_us, service_us)) in (
+            enumerate(zip(job.hops, job.ran))
+        ):
+            parent_id = batch_id
+            if pipeline:
+                parent_id = self.tracer.span(
+                    f"stage:{job.model}[{index}]", "stage",
+                    start_us, start_us + service_us,
+                    parent_id=batch_id, lane=lane,
+                    model=job.model, stage=index,
+                    batch_size=job.batch_size, requests=len(results),
+                )
+            self._trace_kernels(
+                parent_id, lane, engine, job.batch_size, shape, start_us
+            )
         self._trace_requests(batch_id, worker, results)
-        return batch_id
 
     def _trace_kernels(
         self,
@@ -1673,150 +1724,3 @@ class InferenceServer:
                 "execute", "dispatch", res.start_us, res.finish_us,
                 parent_id=req_span, lane=res.model, batch_span=batch_id,
             )
-
-    def _trace_pipeline(
-        self,
-        worker: str,
-        job: _StageJob,
-        results: list[RequestResult],
-        finish_us: float,
-    ) -> None:
-        """Retroactive span hierarchy for one fully resolved pipeline batch.
-
-        Emitted by the final stage from the bounds each stage recorded
-        as it ran: batch span (stage-0 start to last-stage finish) ->
-        per-stage children on their own worker lanes -> per-stage kernel
-        grandchildren, plus the request spans.
-        """
-        attrs = {
-            "model": job.model, "worker": worker,
-            "batch_size": job.batch_size, "requests": len(results),
-            "queue_depth": job.depth,
-            "expected_latency_us": job.expected_latency_us,
-            "meets_slo": job.meets_slo,
-            "pair": job.pair_name, "switched": False,
-            "plan_cache_hit": not job.cold,
-            "pipeline": True,
-            "stages": [s.worker for s in job.stages],
-        }
-        if job.sched_attrs:
-            attrs.update(job.sched_attrs)
-        batch_id = self.tracer.span(
-            f"batch:{job.model}", "batch", job.start_us, finish_us,
-            lane=worker, **attrs,
-        )
-        for stage, (s0, s1) in zip(job.stages, job.stage_bounds):
-            engine = self._stage_engines[
-                (job.model, stage.index, stage.worker)
-            ]
-            stage_span = self.tracer.span(
-                f"stage:{job.model}[{stage.index}]", "stage", s0, s1,
-                parent_id=batch_id, lane=stage.worker,
-                model=job.model, stage=stage.index,
-                batch_size=job.batch_size, requests=len(results),
-            )
-            self._trace_kernels(
-                stage_span, stage.worker, engine,
-                job.batch_size, stage.input_shape, s0,
-            )
-        self._trace_requests(batch_id, worker, results)
-
-    async def _run_stage(self, worker: _Worker, job: _StageJob) -> None:
-        """Serve one pipeline stage on this worker; forward or resolve.
-
-        The stage plan is warm by construction -- the stage-0 dispatch
-        cold-compiled every stage's eligible batches through
-        ``ensure_async`` before deciding -- so pricing here never stalls
-        the loop.
-        """
-        name = worker.name
-        stage = job.stages[job.stage_idx]
-        engine = self._stage_engines[(job.model, job.stage_idx, name)]
-        try:
-            if self.plan_cache.peek_total_us(
-                engine, job.batch_size, stage.input_shape
-            ) is None:
-                # A capacity-squeezed cache evicted the stage plan
-                # between dispatch and this handoff: recompile off-loop
-                # (single-flight) rather than stalling the event loop.
-                await self.plan_cache.ensure_async(
-                    engine, job.batch_size, stage.input_shape,
-                    executor=self._executor,
-                )
-            # warm by now; no awaits since the ensure, so it cannot
-            # have been evicted again before this lookup
-            service_us = self.plan_cache.total_us(
-                engine, job.batch_size, stage.input_shape
-            )
-        except Exception as exc:
-            # Recompilation failed: fail the batch's futures and keep
-            # the worker alive -- a dead worker task would strand
-            # _pipeline_inflight and hang stop() and every client.
-            for r in job.requests:
-                if not r.future.done():
-                    r.future.set_exception(exc)
-            async with self._cond:
-                self._pipeline_inflight -= 1
-                self._cond.notify_all()
-            return
-        start_us = max(worker.sim_free_at_us, job.ready_us)
-        finish_us = start_us + service_us
-        if job.stage_idx == 0:
-            job.start_us = start_us
-        self._occupy(worker, finish_us)
-
-        await asyncio.sleep(service_us * self.time_scale)
-        self.metrics.record_stage(
-            job.model, job.stage_idx, name, service_us, len(job.requests)
-        )
-        if self.tracer.enabled:
-            job.stage_bounds.append((start_us, finish_us))
-
-        if job.stage_idx + 1 < len(job.stages):
-            next_worker = job.stages[job.stage_idx + 1].worker
-            job.stage_idx += 1
-            job.ready_us = finish_us
-            async with self._cond:
-                self._stage_queues[next_worker].append(job)
-                self._cond.notify_all()
-            return
-
-        stage_workers = tuple(s.worker for s in job.stages)
-        results = [
-            RequestResult(
-                request_id=r.request_id,
-                model=r.model,
-                worker=name,
-                batch_size=job.batch_size,
-                batch_requests=len(job.requests),
-                arrival_us=r.arrival_us,
-                start_us=job.start_us,
-                finish_us=finish_us,
-                deadline_us=r.arrival_us + job.slo_us,
-                pair=job.pair_name,
-                stages=stage_workers,
-            )
-            for r in job.requests
-        ]
-        self.metrics.record_batch(
-            name,
-            batch_size=job.batch_size,
-            requests=len(job.requests),
-            queue_depth=job.depth,
-            # modeled pure service of the whole pipeline -- the same
-            # definition the non-pipeline path records (inter-stage
-            # queueing still shows up in the request latencies, and
-            # per-stage service is billed to StageMetrics)
-            service_us=job.expected_latency_us,
-            request_latencies_us=[res.latency_us for res in results],
-            meets_slo=job.meets_slo,
-            deadline_misses=sum(not res.met_deadline for res in results),
-        )
-        if self.tracer.enabled:
-            self._trace_pipeline(name, job, results, finish_us)
-        async with self._cond:
-            self._pipeline_inflight -= 1
-            self._cond.notify_all()
-        for r, res in zip(job.requests, results):
-            if not r.future.done():
-                r.future.set_result(res)

@@ -1,5 +1,8 @@
 """Tests for TileConfig, TLP/CI metrics and the autotuner (paper 4.3)."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -182,6 +185,17 @@ class TestAutotune:
         res = autotune(256, 256, 1, 1, tiny)
         # 128x128 double-buffered tiles exceed 16 KB block smem -> excluded
         assert res.config.smem_bytes() <= 16 * 1024
+
+    @pytest.mark.parametrize("device", [RTX3090, A100], ids=lambda d: d.name)
+    def test_unregistered_clone_tunes_like_registered_device(self, device):
+        """The cache bypass runs the memoized path's heuristic."""
+        clone = replace(device, name=f"{device.name}-clone")
+        for m, n, p_bits, q_bits in itertools.product(
+            (16, 128, 1024, 4096), (8, 64, 512, 4096), (1, 2, 4), (1, 2, 8)
+        ):
+            assert autotune(m, n, p_bits, q_bits, clone) == autotune(
+                m, n, p_bits, q_bits, device
+            )
 
 
 class TestAutotuneCacheStats:

@@ -141,7 +141,7 @@ from repro.experiments.figures import (  # noqa: E402
 
 
 def micro_net(name: str, seed: int = 0) -> Sequential:
-    """The placement workload's micro-CNN (memoized in figures)."""
+    """The placement workload's micro-CNN (memoized by ``micro_cnn``)."""
     return placement_micro_net(name, seed)
 
 

@@ -277,6 +277,15 @@ class TestDeterminism:
 
         assert once() == once()
 
+    def test_micro_spec_builds_the_placement_study_model(self):
+        """Cluster specs and the placement study share one micro-CNN."""
+        from repro.experiments.figures import placement_micro_net
+
+        for name, spec in MODELS.items():
+            net = spec.build()
+            assert net is placement_micro_net(name, spec.seed)
+            assert net.name == name
+
 
 class TestFailoverTracing:
     """Crash / failover / restart instants land on the failover lane."""

@@ -191,6 +191,40 @@ class TestSharding:
         assert m.dropped_requests == 0
         assert m.reordered_dispatches == 0
 
+    def test_every_stage_hop_runs_through_the_worker_executor(
+        self, monkeypatch
+    ):
+        """Each stage is one executor call on its pinned worker."""
+        from repro.serve import poisson_trace
+        from repro.serve.server import _Worker
+
+        calls = []
+        run = _Worker.run
+
+        async def recording_run(self, model, engine, *args):
+            calls.append((self.name, engine.model.name))
+            return await run(self, model, engine, *args)
+
+        monkeypatch.setattr(_Worker, "run", recording_run)
+        server = self._sharded_server()
+        run_trace(
+            server, poisson_trace(100_000, 40, ["alex"], seed=3),
+            prewarm=True,
+        )
+        first, second = server.placement_controller.placement.stages_of(
+            "alex"
+        )
+        assert first.worker != second.worker
+        base = server.models["alex"].model.name
+        workers_by_stage: dict[str, set[str]] = {}
+        for worker, stage_model in calls:
+            workers_by_stage.setdefault(stage_model, set()).add(worker)
+        assert workers_by_stage == {
+            f"{base}#stage1of2": {first.worker},
+            f"{base}#stage2of2": {second.worker},
+        }
+        assert len(calls) == server.metrics.snapshot()["stage_batches"]
+
     def test_evicted_stage_plan_recompiles_off_loop_mid_pipeline(self):
         """An evicted stage plan never stalls (or kills) the handoff.
 
@@ -244,7 +278,7 @@ class TestSharding:
         ]
         assert len(stage_compiles) >= 8 + cache.forced_evictions
         assert server.metrics.dropped_requests == 0
-        assert server._pipeline_inflight == 0
+        assert server._inflight == 0
 
     def test_request_latency_covers_both_stages(self):
         """finish - start spans the whole pipeline, not just stage 0."""
@@ -303,7 +337,7 @@ class TestRebalanceSafety:
         run_trace(server, skew_trace(800, seed=17), prewarm=True)
         assert server.queue_depth == 0
         assert server.deferred_depth == 0
-        assert server._pipeline_inflight == 0
+        assert server._inflight == 0
 
 
 # ----------------------------------------------------------------------
