@@ -4,6 +4,7 @@ Public surface:
 
 * value types: :class:`~repro.core.types.Precision`,
   :class:`~repro.core.types.Encoding`, :class:`~repro.core.types.PrecisionPair`
+  and the digit storage dtype :func:`~repro.core.types.digit_dtype`
 * bit primitives: :func:`~repro.core.bitops.bit_decompose`,
   :func:`~repro.core.bitops.bit_combine`, :func:`~repro.core.bitops.pack_bits`
 * the AP-Bit template: :func:`~repro.core.emulate.apbit_matmul`
@@ -40,7 +41,7 @@ from .quantize import (
     dorefa_quantize_activations,
     dorefa_quantize_weights,
 )
-from .types import MAX_BITS, Encoding, Precision, PrecisionPair
+from .types import MAX_BITS, Encoding, Precision, PrecisionPair, digit_dtype
 
 __all__ = [
     "WORD_BITS",
@@ -48,6 +49,7 @@ __all__ = [
     "Encoding",
     "Precision",
     "PrecisionPair",
+    "digit_dtype",
     "bit_decompose",
     "bit_combine",
     "pack_bits",

@@ -21,6 +21,15 @@ This module implements:
 All quantizers return *digits* (raw codes) plus the float parameters needed
 to decode, so the integer kernels can run on digits while accuracy
 evaluation can reconstruct real values.
+
+Digits are stored in :func:`~repro.core.types.digit_dtype` of their bit
+width -- ``uint8`` up to 8 bits, ``uint16`` up to 16, ``int64`` above --
+so a q-bit operand moves no more than the bytes it needs (the paper's
+minimal-traffic dataflow, section 5.1).  The kernels keep that dtype
+through padding, im2col and packing; decoding
+(:meth:`~repro.core.types.Precision.decode`) and every accumulator are
+int64.  Arithmetic on digits must widen first: unsigned differences
+wrap.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import Encoding, Precision
+from .types import Encoding, Precision, digit_dtype
 
 __all__ = [
     "AffineQuantizer",
@@ -85,7 +94,7 @@ class AffineQuantizer:
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """Real values -> unsigned digits in ``[0, 2**bits - 1]``."""
         digits = np.floor((np.asarray(x, dtype=np.float64) - self.zero_point) / self.scale)
-        return np.clip(digits, 0, (1 << self.bits) - 1).astype(np.int64)
+        return np.clip(digits, 0, (1 << self.bits) - 1).astype(digit_dtype(self.bits))
 
     def dequantize(self, digits: np.ndarray) -> np.ndarray:
         """Unsigned digits -> approximate real values."""
@@ -120,7 +129,7 @@ def binarize(x: np.ndarray) -> QuantizedTensor:
     alpha = float(np.mean(np.abs(x))) if x.size else 1.0
     if alpha == 0.0:
         alpha = 1.0
-    digits = (x >= 0).astype(np.int64)
+    digits = (x >= 0).astype(digit_dtype(1))
     return QuantizedTensor(
         digits=digits,
         precision=Precision(1, Encoding.BIPOLAR),
@@ -159,14 +168,14 @@ class QEMQuantizer:
         else:
             # bipolar levels are 2*d - (2**b - 1): odd-spaced grid, step 2
             digits = np.rint((y + prec.num_levels - 1) / 2.0)
-        return np.clip(digits, 0, prec.num_levels - 1).astype(np.int64)
+        return np.clip(digits, 0, prec.num_levels - 1).astype(digit_dtype(prec.bits))
 
     def fit(self, x: np.ndarray) -> QuantizedTensor:
         """Quantize ``x`` with an error-minimizing scale."""
         x = np.asarray(x, dtype=np.float64)
         if x.size == 0:
             return QuantizedTensor(
-                digits=np.zeros_like(x, dtype=np.int64),
+                digits=np.zeros_like(x, dtype=digit_dtype(self.precision.bits)),
                 precision=self.precision,
                 scale=1.0,
             )
@@ -215,7 +224,7 @@ def dorefa_quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
         denom = 1.0
     unit = t / (2.0 * denom) + 0.5  # in [0, 1]
     levels = (1 << bits) - 1
-    digits = np.rint(unit * levels).astype(np.int64)
+    digits = np.rint(unit * levels).astype(digit_dtype(bits))
     # decoded value = 2*(digits/levels) - 1 in [-1, 1]
     scale = 2.0 / levels
     return QuantizedTensor(
@@ -233,7 +242,7 @@ def dorefa_quantize_activations(x: np.ndarray, bits: int) -> QuantizedTensor:
         raise ValueError(f"bits must be >= 1, got {bits}")
     levels = (1 << bits) - 1
     clipped = np.clip(x, 0.0, 1.0)
-    digits = np.rint(clipped * levels).astype(np.int64)
+    digits = np.rint(clipped * levels).astype(digit_dtype(bits))
     return QuantizedTensor(
         digits=digits,
         precision=Precision(bits, Encoding.UNSIGNED),

@@ -29,12 +29,28 @@ __all__ = [
     "Precision",
     "PrecisionPair",
     "MAX_BITS",
+    "digit_dtype",
 ]
 
 #: Largest bit-width the emulation templates accept.  The paper evaluates up
 #: to 8 bits; the algebra works for more, but the int32 accumulator of the
 #: Tensor-Core primitive bounds safe combinations (see ``emulate.py``).
 MAX_BITS = 16
+
+
+def digit_dtype(bits: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds ``2**bits`` digit levels.
+
+    ``uint8`` up to 8 bits and ``uint16`` up to 16, so a q-bit operand
+    moves at most ``max(8, q)`` bits per digit; wider grids (which
+    :class:`~repro.core.quantize.AffineQuantizer` accepts) stay
+    ``int64``.
+    """
+    if bits <= 8:
+        return np.dtype(np.uint8)
+    if bits <= 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int64)
 
 
 class Encoding(enum.Enum):

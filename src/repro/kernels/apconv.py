@@ -80,7 +80,9 @@ def apconv(
     """Run (and cost) one arbitrary-precision convolution.
 
     Parameters mirror :func:`repro.kernels.apmm.apmm` (including the
-    ``backend`` kernel-backend selector); geometry is NCHW digits in,
+    ``backend`` kernel-backend selector); geometry is NCHW digits in, in
+    any unsigned dtype (the quantizers' narrow
+    :func:`~repro.core.types.digit_dtype`) or int64, and
     ``(N, C_out, OH, OW)`` out (int64 accumulators, or digits when
     ``out_quantizer`` re-quantizes for the next layer).  On the compiled
     ``cffi`` backend the packed strategy skips the im2col digit-matrix

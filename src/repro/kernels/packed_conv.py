@@ -1,7 +1,7 @@
 """Packed-word convolution without im2col materialization.
 
 The default packed conv lowers onto APMM by materializing the im2col
-digit matrix -- ``(batch * OH * OW, C_in * KH * KW)`` int64 digits, every
+digit matrix -- ``(batch * OH * OW, C_in * KH * KW)`` digits, every
 input pixel duplicated ``KH * KW`` times *before* bit packing.  This
 module is the compiled alternative, and the only caller of the cffi
 kernels (:mod:`repro.core.backends`): pack the padded feature map

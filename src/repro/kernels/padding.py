@@ -73,6 +73,9 @@ def pad_digits(x: np.ndarray, padding: int, pad_digit: int) -> np.ndarray:
         raise ValueError(f"padding must be >= 0, got {padding}")
     if padding == 0:
         return x
+    # np.pad casts the constant into x's dtype without a warning: widen
+    # narrow digits first so a bipolar max digit (2**bits - 1) cannot wrap
+    x = x.astype(np.promote_types(x.dtype, np.min_scalar_type(pad_digit)), copy=False)
     return np.pad(
         x,
         ((0, 0), (0, 0), (padding, padding), (padding, padding)),

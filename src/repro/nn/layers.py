@@ -187,9 +187,12 @@ class _Pool2d(Module):
             raise ValueError("stride must be >= 1")
         self.name = name or f"{type(self).__name__.lower()}{kernel}s{self.stride}"
 
-    def _windows(self, x: np.ndarray) -> np.ndarray:
+    def _check_nchw(self, x: np.ndarray) -> None:
         if x.ndim != 4:
             raise ValueError(f"{self.name}: pooling expects NCHW, got {x.shape}")
+
+    def _windows(self, x: np.ndarray) -> np.ndarray:
+        self._check_nchw(x)
         win = np.lib.stride_tricks.sliding_window_view(
             x, (self.kernel, self.kernel), axis=(2, 3)
         )
@@ -205,10 +208,25 @@ class _Pool2d(Module):
 
 
 class MaxPool2d(_Pool2d):
-    """Max pooling with independent kernel/stride (AlexNet uses k3 s2)."""
+    """Max pooling with independent kernel/stride (AlexNet uses k3 s2).
+
+    The output is the elementwise maximum of the ``k*k`` strided slices
+    ``x[..., i::s, j::s]`` (one per window offset): a selection, so exact
+    and dtype-preserving for floats and narrow digits alike, and far
+    cheaper than reducing a ``sliding_window_view``.
+    """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._windows(x).max(axis=(-2, -1))
+        self._check_nchw(x)
+        _, _, oh, ow = self.output_shape(x.shape)
+        k, s = self.kernel, self.stride
+        rows, cols = (oh - 1) * s + 1, (ow - 1) * s + 1
+        out = x[:, :, :rows:s, :cols:s].copy()
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    np.maximum(out, x[:, :, i:i + rows:s, j:j + cols:s], out=out)
+        return out
 
 
 class AvgPool2d(_Pool2d):

@@ -5,8 +5,10 @@ Hypothesis drives seeded-random operands through every ``wXaY`` pair
 sizes) and asserts the cffi kernels produce **byte-identical** results
 to the numpy paths: ``pack_bits`` directly, and the full conv entry
 point, which takes the packed window gather exactly when the dispatch
-prefers it.  Also covers forced fallback: a loader import failure must
-run the numpy path cleanly, with zero compiled-kernel counter ticks.
+prefers it.  Narrow digits (the quantizers' ``uint8``/``uint16``) must
+give every strategy and backend the result of the same digits held as
+int64.  Also covers forced fallback: a loader import failure must run
+the numpy path cleanly, with zero compiled-kernel counter ticks.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PrecisionPair, _backend_cffi, backends
+from repro.core import Encoding, Precision, PrecisionPair, _backend_cffi, backends
 from repro.core.bitops import bit_decompose, pack_bits
 from repro.kernels.packed_conv import PACKED_CONV_PQ_THRESHOLD
 
@@ -98,6 +100,67 @@ class TestConvIdentity:
         gathered = got.cost.counters.compiled_kernels > 0
         assert gathered == (pq <= PACKED_CONV_PQ_THRESHOLD)
         assert ref.cost.counters.compiled_kernels == 0
+
+
+#: Every (strategy, backend) a kernel call accepts here.
+STRATEGY_BACKENDS = [("packed", "numpy"), ("integer", "numpy"), ("bitserial", "numpy")]
+if HAS_CFFI:
+    STRATEGY_BACKENDS.append(("packed", "cffi"))
+
+narrow_dtypes = st.sampled_from([np.uint8, np.uint16])
+encodings = st.sampled_from([Encoding.UNSIGNED, Encoding.BIPOLAR])
+
+
+def _narrow_operands(rng, pair, feature_encoding, w_shape, x_shape):
+    """int64 digits with the max digit forced into each operand."""
+    feature = Precision(pair.activation.bits, feature_encoding)
+    w = pair.weight.random_digits(rng, w_shape)
+    x = feature.random_digits(rng, x_shape)
+    w.flat[rng.integers(w.size)] = pair.weight.num_levels - 1
+    x.flat[rng.integers(x.size)] = feature.num_levels - 1
+    return feature, w, x
+
+
+class TestNarrowDigitIdentity:
+    """uint8/uint16 digits equal the same digits held as int64."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, k=ks, m=rows, n=rows, pair=st.sampled_from(PAIRS),
+           encoding=encodings, dtype=narrow_dtypes)
+    def test_apmm(self, seed, k, m, n, pair, encoding, dtype):
+        from repro.kernels.apmm import apmm
+
+        rng = np.random.default_rng(seed)
+        feature, w, x = _narrow_operands(rng, pair, encoding, (m, k), (n, k))
+        want = apmm(w, x, pair.weight, feature, strategy="integer").output
+        for strategy, backend in STRATEGY_BACKENDS:
+            got = apmm(w.astype(dtype), x.astype(dtype), pair.weight, feature,
+                       strategy=strategy, backend=backend).output
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (strategy, backend)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, pair=st.sampled_from(PAIRS), encoding=encodings,
+           dtype=narrow_dtypes,
+           stride=st.sampled_from([1, 2]),
+           padding=st.sampled_from([0, 1, 2]),
+           cin=st.sampled_from([1, 3, 8, 65]),
+           hw=st.sampled_from([4, 7]))
+    def test_apconv(self, seed, pair, encoding, dtype, stride, padding, cin, hw):
+        from repro.kernels.apconv import apconv
+
+        rng = np.random.default_rng(seed)
+        feature, w, x = _narrow_operands(
+            rng, pair, encoding, (5, cin, 3, 3), (2, cin, hw, hw)
+        )
+        want = apconv(w, x, pair.weight, feature, stride=stride,
+                      padding=padding, strategy="integer").output
+        for strategy, backend in STRATEGY_BACKENDS:
+            got = apconv(w.astype(dtype), x.astype(dtype), pair.weight, feature,
+                         stride=stride, padding=padding,
+                         strategy=strategy, backend=backend).output
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (strategy, backend)
 
 
 class TestForcedFallback:

@@ -11,6 +11,7 @@ from repro.core import (
     Precision,
     QEMQuantizer,
     binarize,
+    digit_dtype,
     dorefa_quantize_activations,
     dorefa_quantize_weights,
 )
@@ -193,3 +194,66 @@ class TestDoReFa:
         got = apbit_matmul(wq.digits, xq.digits, wq.precision, xq.precision)
         ref = reference_matmul(wq.digits, xq.digits, wq.precision, xq.precision)
         assert np.array_equal(got, ref)
+
+
+#: Bit widths straddling each digit dtype boundary.
+DTYPE_BITS = [1, 2, 8, 9, 16]
+
+
+class TestDigitDtype:
+    """Every quantizer returns digits in the narrowest dtype for its bits."""
+
+    @pytest.mark.parametrize("bits,dtype", [
+        (1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.int64),
+    ])
+    def test_digit_dtype_boundaries(self, bits, dtype):
+        assert digit_dtype(bits) == dtype
+        assert np.iinfo(dtype).max >= (1 << bits) - 1
+
+    @pytest.mark.parametrize("bits", DTYPE_BITS + [17])
+    def test_affine(self, bits):
+        q = AffineQuantizer(bits=bits, scale=1.0)
+        digits = q.quantize(np.array([-1.0, 0.0, 3.5, 1e12]))
+        assert digits.dtype == digit_dtype(bits)
+        # the max digit survives the narrow dtype exactly
+        assert digits.tolist() == [0, 0, 3 if bits > 1 else 1, (1 << bits) - 1]
+
+    def test_binarize(self):
+        assert binarize(np.array([-1.0, 2.0])).digits.dtype == digit_dtype(1)
+
+    @pytest.mark.parametrize("bits", DTYPE_BITS)
+    @pytest.mark.parametrize("encoding", [Encoding.UNSIGNED, Encoding.BIPOLAR])
+    def test_qem(self, bits, encoding):
+        prec = Precision(bits, encoding)
+        x = np.random.default_rng(bits).normal(size=64)
+        qt = QEMQuantizer(prec, iters=3).fit(x)
+        assert qt.digits.dtype == digit_dtype(bits)
+        assert qt.digits.max() < prec.num_levels
+
+    @pytest.mark.parametrize("bits", DTYPE_BITS)
+    def test_qem_empty_input(self, bits):
+        qt = QEMQuantizer(Precision(bits)).fit(np.array([]))
+        assert qt.digits.dtype == digit_dtype(bits)
+
+    @pytest.mark.parametrize("bits", DTYPE_BITS)
+    def test_dorefa_weights(self, bits):
+        """Bits 1 takes the binarize route; the dtype is the same contract."""
+        w = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+        qt = dorefa_quantize_weights(w, bits)
+        assert qt.digits.dtype == digit_dtype(bits)
+        assert qt.digits.max() == (1 << bits) - 1
+
+    @pytest.mark.parametrize("bits", DTYPE_BITS)
+    def test_dorefa_activations(self, bits):
+        qt = dorefa_quantize_activations(np.array([-1.0, 0.5, 2.0]), bits)
+        assert qt.digits.dtype == digit_dtype(bits)
+        assert qt.digits.max() == (1 << bits) - 1
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("encoding", [Encoding.UNSIGNED, Encoding.BIPOLAR])
+    def test_decode_widens_to_int64(self, dtype, encoding):
+        prec = Precision(8, encoding)
+        digits = np.array([0, 1, 255], dtype=dtype)
+        got = prec.decode(digits)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, prec.decode(digits.astype(np.int64)))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Encoding, Precision
+from repro.core import Encoding, Precision, backends
 from repro.core.opselect import EmulationCase
-from repro.kernels import pad_digits, padding_correction, plan_padding
+from repro.kernels import apconv, pad_digits, padding_correction, plan_padding
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 
@@ -66,6 +66,52 @@ class TestPadDigits:
     def test_rank_validated(self):
         with pytest.raises(ValueError):
             pad_digits(np.zeros((2, 2)), 1, 0)
+
+
+#: (feature bits, digit dtype): a bipolar feature pads with its max digit
+#: 2**bits - 1, which a narrow dtype cannot always hold.
+NARROW_BIPOLAR = [(9, np.uint8), (16, np.uint8), (16, np.uint16)]
+
+#: Every kernel strategy, plus the compiled tier when it loads here.
+STRATEGY_BACKENDS = [("packed", "numpy"), ("integer", "numpy"), ("bitserial", "numpy")]
+if backends.get_backend().compiled:
+    STRATEGY_BACKENDS.append(("packed", "cffi"))
+
+
+class TestNarrowDigitPadding:
+    """np.pad casts the pad digit into the input dtype; it must not wrap."""
+
+    @pytest.mark.parametrize("bits,dtype", NARROW_BIPOLAR)
+    def test_pad_digit_not_wrapped(self, bits, dtype):
+        pad_digit = (1 << bits) - 1
+        x = np.zeros((1, 1, 2, 2), dtype=dtype)
+        out = pad_digits(x, 1, pad_digit)
+        assert out[0, 0, 0, 0] == pad_digit
+        assert out[0, 0, 1, 1] == 0
+
+    def test_narrow_dtype_kept_when_pad_digit_fits(self):
+        x = np.ones((1, 2, 3, 3), dtype=np.uint8)
+        assert pad_digits(x, 1, 0).dtype == np.uint8
+        assert pad_digits(x, 1, 255).dtype == np.uint8
+
+    @pytest.mark.parametrize("bits,dtype", NARROW_BIPOLAR)
+    @pytest.mark.parametrize("strategy,backend", STRATEGY_BACKENDS)
+    @pytest.mark.parametrize("weight", [Precision(1, B), Precision(2, U)],
+                             ids=["w1b", "w2u"])
+    def test_apconv_bipolar_features_match_int64(
+        self, bits, dtype, strategy, backend, weight
+    ):
+        rng = np.random.default_rng(bits)
+        feature = Precision(bits, B)
+        w = weight.random_digits(rng, (4, 3, 3, 3))
+        top = min(feature.num_levels, np.iinfo(dtype).max + 1)
+        x = rng.integers(0, top, size=(2, 3, 5, 5))
+        x[0, 0, 0, 0] = top - 1
+        want = apconv(w, x, weight, feature, padding=1, strategy="integer")
+        got = apconv(w, x.astype(dtype), weight, feature, padding=1,
+                     strategy=strategy, backend=backend)
+        assert got.output.dtype == np.int64
+        assert np.array_equal(got.output, want.output)
 
 
 def _direct_conv(wv, xv, stride, padding):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     AdaptiveAvgPool2d,
@@ -130,6 +132,33 @@ class TestPooling:
     def test_window_too_large(self):
         with pytest.raises(ValueError):
             MaxPool2d(5).output_shape((1, 1, 4, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2), c=st.integers(1, 3),
+           k=st.integers(1, 4), s=st.integers(1, 4),
+           dh=st.integers(0, 9), dw=st.integers(0, 9),
+           dtype=st.sampled_from([np.float64, np.uint8]),
+           levels=st.sampled_from([2, 4, 256]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_equals_window_max(self, n, c, k, s, dh, dw, dtype, levels, seed):
+        """Strided maxima == the sliding-window reduction, any k, s (s > k too)."""
+        rng = np.random.default_rng(seed)
+        # few levels force ties inside windows; floats go negative too
+        x = rng.integers(0, levels, size=(n, c, k + dh, k + dw)).astype(dtype)
+        if dtype is np.float64:
+            x = (x - levels / 2) * 0.37
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+        want = windows[:, :, ::s, ::s].max(axis=(-2, -1))
+        got = MaxPool2d(k, s).forward(x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, x)
+
+    def test_maxpool_forward_errors(self):
+        with pytest.raises(ValueError, match="pooling expects NCHW"):
+            MaxPool2d(2).forward(np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError, match="window larger than input"):
+            MaxPool2d(5).forward(np.zeros((1, 1, 8, 4), dtype=np.uint8))
 
     def test_adaptive_global(self):
         gap = AdaptiveAvgPool2d()
