@@ -23,14 +23,17 @@ changing under it; a tracked kernel whose speedup drops more than the
 tolerance (default 25%) below its committed baseline fails the run, as
 does a gemm-suite geometric-mean speedup below the floor (default 10x).
 
-When the compiled ``cffi`` kernel backend (:mod:`repro.core.backends`)
-loads, every conv kernel additionally times the full conv entry point
-on ``backend="numpy"`` (im2col + fold) against ``backend="cffi"`` (the
-packed window gather where the dispatch prefers it) -- the one place a
-compiled kernel runs on the default path.  The gate then also requires
-byte-identity between the two and, above the smoke tier, a compiled
-geometric mean no slower than numpy.  Runs without cffi simply omit the
-comparison; the gate skips those checks.
+The packed side of every row is the default path of the running
+interpreter: where the compiled ``cffi`` kernel backend
+(:mod:`repro.core.backends`) loads, gemm and serving rows that
+:func:`repro.core.packed.popcount_preferred` accepts time the compiled
+popcount GEMM, and the others the BLAS fold.  With cffi, every conv
+kernel additionally times the full conv entry point on
+``backend="numpy"`` (im2col + fold) against ``backend="cffi"`` (the
+packed window gather where the rule prefers it).  The gate then also
+requires byte-identity between the two and, above the smoke tier, a
+compiled geometric mean no slower than numpy.  Runs without cffi simply
+omit the comparison; the gate skips those checks.
 
 CLI (see ``python -m repro.bench --help``)::
 

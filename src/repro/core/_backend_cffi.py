@@ -1,11 +1,12 @@
-"""cffi kernel backend: the packed conv gather's hot loops as C.
+"""cffi kernel backend: the packed hot loops as C.
 
-Three functions mirror the numpy packed path exactly (bit for bit); the
-packed conv gather (:mod:`repro.kernels.packed_conv`) is their only
-caller:
+Two functions mirror the numpy packed path exactly (bit for bit); their
+callers are the popcount GEMM of :mod:`repro.core.packed` (``apmm`` and
+the im2col conv, where :func:`repro.core.packed.popcount_preferred`
+picks it over the fold) and the packed conv gather
+(:mod:`repro.kernels.packed_conv`).  Operands arrive already packed, by
+``np.packbits`` in :mod:`repro.core.packed`:
 
-* ``repro_pack_bits`` -- rows of 0/1 bytes packed little-endian into
-  ``uint64`` words (:func:`repro.core.bitops.pack_bits` layout);
 * ``repro_packed_gemm`` -- the *fused weighted* popcount-reduce GEMM
   ``out[i, j] = sum_{s,t} 2**(s+t) * popc(a[s*m+i] op b[t*n+j])``, i.e.
   every bit-plane pair plus the shifted-add bit combination in one
@@ -37,8 +38,6 @@ import numpy as np
 __all__ = ["kernels", "cache_dir", "CFFI_SOURCE"]
 
 CFFI_CDEF = """
-void repro_pack_bits(const uint8_t *bits, int64_t rows, int64_t k,
-                     uint64_t *out);
 void repro_packed_gemm(const uint64_t *a, const uint64_t *b,
                        int64_t p, int64_t m, int64_t q, int64_t n,
                        int64_t nwords, int32_t op_and, int64_t *out);
@@ -50,21 +49,6 @@ void repro_conv_gather(const uint64_t *src, int64_t images, int64_t h,
 CFFI_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
-
-/* pack_bits layout contract (repro.core.bitops): bit i of a logical row
-   lands at bit (i % 64) of word (i / 64), final word zero-padded. */
-void repro_pack_bits(const uint8_t *bits, int64_t rows, int64_t k,
-                     uint64_t *out) {
-    int64_t nwords = (k + 63) / 64;
-    for (int64_t r = 0; r < rows; r++) {
-        const uint8_t *row = bits + r * k;
-        uint64_t *orow = out + r * nwords;
-        memset(orow, 0, (size_t)nwords * sizeof(uint64_t));
-        for (int64_t i = 0; i < k; i++) {
-            orow[i >> 6] |= ((uint64_t)(row[i] & 1)) << (i & 63);
-        }
-    }
-}
 
 /* Fused weighted popcount-reduce GEMM over plane-major packed operands:
    a is (p*m, nwords) -- plane s of row i at a[s*m + i]; b is
@@ -208,25 +192,6 @@ def _build() -> Any:
     return _loaded
 
 
-def _pack_bits(bits01: np.ndarray) -> np.ndarray:
-    """(rows, k) uint8 0/1 -> (rows, ceil(k/64)) uint64, bitops layout."""
-    module = _build()
-    ffi, lib = module.ffi, module.lib
-    bits01 = np.ascontiguousarray(bits01, dtype=np.uint8)
-    rows, k = bits01.shape
-    nwords = -(-k // 64) if k else 0
-    out = np.empty((rows, nwords), dtype=np.uint64)
-    if rows and k:
-        lib.repro_pack_bits(
-            ffi.from_buffer("uint8_t *", bits01),
-            rows, k,
-            ffi.from_buffer("uint64_t *", out),
-        )
-    else:
-        out[...] = 0
-    return out
-
-
 def _packed_gemm(
     a_words: np.ndarray,
     b_words: np.ndarray,
@@ -236,12 +201,22 @@ def _packed_gemm(
     n: int,
     op_and: bool,
 ) -> np.ndarray:
-    """Fused weighted popcount GEMM; returns (m, n) int64 fold sums."""
+    """Fused weighted popcount GEMM; returns (m, n) int64 fold sums.
+
+    ``a_words`` must be ``(p*m, nwords)`` and ``b_words`` ``(q*n,
+    nwords)``: the C loop trusts both extents.
+    """
     module = _build()
     ffi, lib = module.ffi, module.lib
     a_words = np.ascontiguousarray(a_words, dtype=np.uint64)
     b_words = np.ascontiguousarray(b_words, dtype=np.uint64)
     nwords = a_words.shape[1] if a_words.ndim == 2 else 0
+    if a_words.shape != (p * m, nwords) or b_words.shape != (q * n, nwords):
+        raise ValueError(
+            f"packed_gemm operands {a_words.shape} x {b_words.shape} do "
+            f"not match ({p * m}, {nwords}) x ({q * n}, {nwords}) for "
+            f"p={p}, m={m}, q={q}, n={n}"
+        )
     out = np.zeros((m, n), dtype=np.int64)
     if m and n and nwords and p and q:
         lib.repro_packed_gemm(
@@ -277,7 +252,6 @@ def kernels() -> dict[str, Callable[..., Any]]:
     """Capability -> kernel table (builds/loads the shared object)."""
     _build()
     return {
-        "pack_bits": _pack_bits,
         "packed_gemm": _packed_gemm,
         "conv_gather": _conv_gather,
     }

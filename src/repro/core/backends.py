@@ -1,20 +1,21 @@
-"""Kernel backends: who executes the packed conv gather's hot loops.
+"""Kernel backends: who executes the packed popcount hot loops.
 
 Two fixed tiers:
 
 * ``numpy`` -- always usable and always correct.  It has no compiled
-  kernels, so every caller keeps its vectorized numpy path.
+  kernels, so every caller keeps the BLAS fold
+  (:func:`repro.core.packed.packed_matmul`), after im2col for a conv.
 * ``cffi`` -- the ahead-of-time C kernels of
-  :mod:`repro.core._backend_cffi`: ``pack_bits``, the fused weighted
-  popcount GEMM and the conv window gather.  Usable when its shared
-  object builds or loads.
+  :mod:`repro.core._backend_cffi`: the fused weighted popcount GEMM and
+  the conv window gather.  Usable when its shared object builds or
+  loads.
 
 :func:`get_backend` picks ``cffi`` when it loads and ``numpy``
 otherwise; ``apmm``/``apconv`` also take a per-call ``backend=``
-(``"numpy"`` or ``"cffi"``).  The only caller of compiled kernels is
-:mod:`repro.kernels.packed_conv`, because the conv window gather is the
-one place a compiled kernel beats the default numpy path (im2col + the
-BLAS fold, :func:`repro.core.packed.packed_matmul`).
+(``"numpy"`` or ``"cffi"``).  Compiled kernels run where
+:func:`repro.core.packed.popcount_preferred` says the popcount product
+beats the fold: the GEMM of :func:`~repro.core.packed.packed_matmul` and
+the conv window gather of :mod:`repro.kernels.packed_conv`.
 
 Compiled kernels are byte-identical to the numpy path (enforced by the
 hypothesis suite and the ``repro.bench`` byte-identity oracle).  A cffi
@@ -45,12 +46,11 @@ __all__ = [
 
 #: The packed hot loops the cffi tier compiles:
 #:
-#: * ``pack_bits`` -- bit-plane rows packed into ``uint64`` words;
 #: * ``packed_gemm`` -- the fused weighted popcount-reduce GEMM
 #:   (``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` in one pass);
 #: * ``conv_gather`` -- packed conv window gather over a word-packed
 #:   feature map (no im2col digit matrix).
-CAPABILITIES = ("pack_bits", "packed_gemm", "conv_gather")
+CAPABILITIES = ("packed_gemm", "conv_gather")
 
 #: Kernel execution strategies of `apmm`/`apconv`.  ``"packed"`` is the
 #: only backend-sensitive one; ``"integer"`` and ``"bitserial"`` are

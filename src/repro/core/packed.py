@@ -23,17 +23,31 @@ oracle (:func:`repro.kernels.apmm_sim.apmm_tile_simulate`) bit for bit;
 the hypothesis suite in ``tests/core/test_packed.py`` enforces this
 across precision pairs, encodings, and ragged (non-multiple-of-64)
 reduction lengths.
+
+The fold is not always the faster product.  Its GEMM costs the same at
+every precision, while the paper's own formulation -- ``p*q`` popcount
+products over bit-packed words (§3.1) -- sweeps ``p*q*64*words`` bits,
+where ``words`` is the packed width of one operand row.  On the compiled
+``cffi`` tier (:mod:`repro.core.backends`) :func:`popcount_preferred`
+picks the cheaper one from those counts, and the popcount path runs the
+fused weighted popcount GEMM on operands packed with ``np.packbits``
+(:func:`_pack_planes`), ending in the same fold epilogue, so the two
+paths are byte-identical.  The packed conv gather
+(:mod:`repro.kernels.packed_conv`) shares the packer, the rule and that
+tail.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import backends
+from .bitops import WORD_BITS, packed_words, popcount_reduce
 from .emulate import check_int32_accumulator
 from .opselect import OperatorPlan, TCOp, select_operator
 from .types import Precision
 
-__all__ = ["packed_matmul", "fold_exactness_bound"]
+__all__ = ["packed_matmul", "fold_exactness_bound", "popcount_preferred"]
 
 #: Fold GEMM accumulators, narrowest first, each with the bound its
 #: partial sums must stay strictly below to be exact: float mantissas
@@ -54,14 +68,86 @@ def fold_exactness_bound(k: int, p_bits: int, q_bits: int) -> int:
     return k * ((1 << p_bits) - 1) * ((1 << q_bits) - 1)
 
 
+#: Swept bits per reduced digit up to which the popcount kernel beats the
+#: fold: it wins when ``p*q*64*words <= crossover * K``.  A conv's fold
+#: also pays im2col, so the gather crosses higher than the GEMM.  Both
+#: come from the crossover table in the README (Backends).
+_GEMM_CROSSOVER = 2
+_GATHER_CROSSOVER = 4
+
+
+def popcount_preferred(
+    p_bits: int,
+    q_bits: int,
+    k: int,
+    words: int,
+    backend: "backends.Backend | str | None" = None,
+    *,
+    gather: bool = False,
+) -> bool:
+    """Whether the compiled popcount kernel should replace the fold.
+
+    ``words`` is the packed width of one operand row: ``ceil(K/64)`` for
+    a GEMM, ``KH*KW*ceil(C_in/64)`` for the conv gather (``gather=True``),
+    whose zero-filled channel words are swept too.  The popcount kernel
+    sweeps ``p*q*64*words`` bits per output where the fold's BLAS GEMM
+    reduces ``K`` digits at any precision.  Always False on numpy, which
+    has no popcount kernel.
+    """
+    if not backends.resolve_backend(backend).compiled:
+        return False
+    crossover = _GATHER_CROSSOVER if gather else _GEMM_CROSSOVER
+    return 0 < p_bits * q_bits * WORD_BITS * words <= crossover * k
+
+
 def _check_digits(digits: np.ndarray, precision: Precision, name: str) -> None:
+    # an unsigned dtype cannot hold a negative digit: skip that scan
     if digits.size and (
-        digits.min() < 0 or digits.max() >= precision.num_levels
+        (digits.dtype.kind != "u" and digits.min() < 0)
+        or digits.max() >= precision.num_levels
     ):
         raise ValueError(
             f"{name} digits out of range for {precision.bits}-bit precision: "
             f"[{digits.min()}, {digits.max()}]"
         )
+
+
+#: Digits narrowed, masked and packed per block, so the temporaries stay
+#: in a core's L2: operand-sized ones are fresh pages on every call.
+#: fc6's 4096x9216 uint8 weight packs in 30 ms whole and 6.4 ms in
+#: blocks on a 2-vCPU x86-64 Xeon VM.
+_PACK_BLOCK = 1 << 19
+
+
+def _pack_planes(digits: np.ndarray, bits: int) -> np.ndarray:
+    """``(rows, K)`` digits as plane-major ``(bits*rows, ceil(K/64))`` words.
+
+    Row ``s*rows + i`` holds bit ``s`` of row ``i`` in the
+    :func:`~repro.core.bitops.pack_bits` layout (bit ``k`` at bit
+    ``k % 64`` of word ``k // 64``, zero-filled tail).  Run it only on
+    digits :func:`_check_digits` accepted: the ``uint8`` narrowing would
+    wrap an out-of-range digit silently.
+    """
+    if bits > 8:
+        raise ValueError(f"packs at most 8-bit digits, got {bits} bits")
+    rows, k = digits.shape
+    words, nbytes = packed_words(k), -(-k // 8)
+    out = np.zeros((bits, rows, words * 8), dtype=np.uint8)
+    step = max(1, _PACK_BLOCK // max(k, 1))
+    for r0 in range(0, rows, step):
+        block = digits[r0:r0 + step].astype(np.uint8, copy=False)
+        for s in range(bits):
+            out[s, r0:r0 + step, :nbytes] = np.packbits(
+                block & (1 << s), axis=-1, bitorder="little"
+            )
+    return out.view("<u8").reshape(bits * rows, words)
+
+
+def _plane_sums(words: np.ndarray, bits: int, rows: int) -> np.ndarray:
+    """``sum_s 2**s * rowsum(plane s)``, from plane-major packed words."""
+    counts = popcount_reduce(words.reshape(bits, rows, words.shape[1]))
+    shifts = np.int64(1) << np.arange(bits, dtype=np.int64)
+    return (counts * shifts[:, None]).sum(axis=0)
 
 
 def _fold_epilogue(
@@ -77,7 +163,7 @@ def _fold_epilogue(
 
     ``popc_fold`` is ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` -- however
     it was produced (digit-GEMM fold, or the compiled fused popcount
-    GEMM of :mod:`repro.kernels.packed_conv`); the epilogue algebra is
+    GEMM of :func:`_popcount_matmul`); the epilogue algebra is
     identical, which is what keeps both paths byte-identical.
     """
     out = plan.popc_scale * popc_fold
@@ -90,6 +176,41 @@ def _fold_epilogue(
     return out
 
 
+def _popcount_matmul(
+    w_words: np.ndarray,
+    x_words: np.ndarray,
+    weight: Precision,
+    feature: Precision,
+    k: int,
+    *,
+    backend: "backends.Backend | str | None" = None,
+    check_overflow: bool = True,
+) -> np.ndarray:
+    """``decode(W) @ decode(X).T`` from plane-major packed operands.
+
+    ``w_words`` is ``(p*M, words)`` and ``x_words`` ``(q*N, words)``, as
+    :func:`_pack_planes` lays them out; ``k`` is the logical reduction
+    length the epilogue corrects for.  The compiled kernel returns the
+    folded popcount sums, the row sums come from popcounts of the same
+    words, and :func:`_fold_epilogue` finishes exactly as the fold does.
+    """
+    gemm = backends.kernel("packed_gemm", backend)
+    if gemm is None:
+        raise RuntimeError("the popcount GEMM needs a compiled backend")
+    p, q = weight.bits, feature.bits
+    m, n = w_words.shape[0] // p, x_words.shape[0] // q
+    plan = select_operator(weight, feature)
+    fold = gemm(w_words, x_words, p, m, q, n, plan.op is TCOp.AND)
+    sp = np.int64((1 << p) - 1)
+    sq = np.int64((1 << q) - 1)
+    row_w = _plane_sums(w_words, p, m) if plan.needs_row_sums else None
+    row_x = _plane_sums(x_words, q, n) if plan.needs_col_sums else None
+    out = _fold_epilogue(fold, plan, k, sp, sq, row_w, row_x)
+    if check_overflow:
+        check_int32_accumulator(out)
+    return out
+
+
 def packed_matmul(
     w_digits: np.ndarray,
     x_digits: np.ndarray,
@@ -97,6 +218,7 @@ def packed_matmul(
     feature: Precision,
     *,
     check_overflow: bool = True,
+    backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
     """Arbitrary-precision matmul as one plane-folded digit GEMM.
 
@@ -121,6 +243,11 @@ def packed_matmul(
     narrowest accumulator that keeps :func:`fold_exactness_bound` exact,
     and a bound no accumulator holds raises :class:`ValueError` before
     any operand is read.
+
+    Where :func:`popcount_preferred` holds for ``backend`` (``None``
+    means :func:`repro.core.backends.get_backend`), the ``p*q`` products
+    run instead as one compiled popcount GEMM over operands packed with
+    ``np.packbits``; the result is the same.
     """
     w_digits = np.asarray(w_digits)
     x_digits = np.asarray(x_digits)
@@ -142,6 +269,13 @@ def packed_matmul(
         )
     _check_digits(w_digits, weight, "weight")
     _check_digits(x_digits, feature, "feature")
+    if popcount_preferred(p_bits, q_bits, k, packed_words(k), backend):
+        return _popcount_matmul(
+            _pack_planes(w_digits, p_bits),
+            _pack_planes(x_digits, q_bits),
+            weight, feature, k,
+            backend=backend, check_overflow=check_overflow,
+        )
 
     plan = select_operator(weight, feature)
     # sum_{s,t} 2**(s+t) <W_s, X_t>

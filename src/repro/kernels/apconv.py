@@ -17,9 +17,9 @@ of the GEMM machinery:
   (the workload is ``p*q`` binary convolutions batched into one kernel).
 
 All three execution strategies (``"packed"`` fast path -- the default:
-the compiled window gather of :mod:`repro.kernels.packed_conv` at low
-plane-pair counts, else one plane-folded digit GEMM
-(:func:`~repro.core.packed.packed_matmul`) over the im2col'd features
+the compiled window gather of :mod:`repro.kernels.packed_conv` where
+:func:`~repro.core.packed.popcount_preferred` says it wins, else
+:func:`~repro.core.packed.packed_matmul` over the im2col'd features
 instead of the per-plane broadcast -- / ``"integer"`` reference /
 ``"bitserial"`` plane-wise Tensor-Core emulation) return identical
 outputs.
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import backends
+from ..core.bitops import packed_words
 from ..core.emulate import apbit_matmul, reference_matmul
-from ..core.packed import packed_matmul
+from ..core.packed import packed_matmul, popcount_preferred
 from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
@@ -42,7 +43,7 @@ from ..perf.cost import KernelCost, conv_cost
 from ..tensorcore.device import DeviceSpec, RTX3090
 from .autotune import TuneResult, autotune
 from .layout import conv_output_shape, im2col
-from .packed_conv import packed_conv_matmul, packed_conv_preferred
+from .packed_conv import packed_conv_matmul
 from .padding import PaddingPlan, pad_digits, padding_correction, plan_padding
 from .tiling import TileConfig
 
@@ -86,9 +87,12 @@ def apconv(
     ``(N, C_out, OH, OW)`` out (int64 accumulators, or digits when
     ``out_quantizer`` re-quantizes for the next layer).  On the compiled
     ``cffi`` backend the packed strategy skips the im2col digit-matrix
-    materialization for low plane-pair counts
-    (:func:`~repro.kernels.packed_conv.packed_conv_preferred`); outputs
-    are byte-identical either way.
+    materialization where the gather sweeps few enough packed bits
+    (:func:`~repro.core.packed.popcount_preferred` with ``words =
+    KH*KW*ceil(C_in/64)``); the im2col GEMM then applies the same rule
+    on its own.  Outputs are byte-identical either way, and
+    ``cost.counters.compiled_kernels`` counts the compiled kernels that
+    ran: 2 for the gather, 1 for an im2col popcount GEMM.
     """
     # Kernel-boundary tracing (wall clock; same hook as apmm).
     tracer = kernel_tracer()
@@ -121,20 +125,26 @@ def apconv(
         config = tune.config
     config.validate_for_device(device)
 
-    gathered = strategy == "packed" and packed_conv_preferred(
-        weight, feature, run_backend
-    )
-    if gathered:
+    p, q, k = weight.bits, feature.bits, cin * kh * kw
+    compiled = 0
+    if strategy == "packed" and popcount_preferred(
+        p, q, k, kh * kw * packed_words(cin), run_backend, gather=True
+    ):
         # compiled window gather: the im2col digit matrix never exists
         acc = packed_conv_matmul(
             w_digits, padded, weight, feature,
             stride=stride, backend=run_backend,
         )
+        compiled = 2  # the window gather and the popcount GEMM
     else:
         cols = im2col(padded, kh, stride)  # (batch*OH*OW, C_in*kh*kw)
-        w_flat = w_digits.reshape(cout, cin * kh * kw)
+        w_flat = w_digits.reshape(cout, k)
         if strategy == "packed":
-            acc = packed_matmul(w_flat, cols, weight, feature)
+            acc = packed_matmul(w_flat, cols, weight, feature,
+                                backend=run_backend)
+            compiled = int(
+                popcount_preferred(p, q, k, packed_words(k), run_backend)
+            )
         elif strategy == "bitserial":
             acc = apbit_matmul(w_flat, cols, weight, feature)
         else:
@@ -165,10 +175,8 @@ def apconv(
         decompose_input=decompose_input,
         name=f"apconv-w{weight.bits}a{feature.bits}-{cin}->{cout}@{h}x{w}k{kh}s{stride}",
     )
-    if gathered:
-        # Observed execution fact on top of the analytic charge: the
-        # gather launched two packs, the window gather and the GEMM.
-        cost.counters.compiled_kernels = 4
+    # Observed execution fact on top of the analytic charge.
+    cost.counters.compiled_kernels = compiled
     if tracer.enabled:
         tracer.span(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,

@@ -9,11 +9,13 @@ layer (the memory-efficient bit combination of section 4.1b).
 
 Three execution strategies produce bit-identical results:
 
-* ``"packed"`` (default) -- the plane-folding fast path
+* ``"packed"`` (default) -- the fast path
   (:func:`~repro.core.packed.packed_matmul`): one popcount-reduce GEMM
   on the digit matrices in place of the ``p*q`` plane-pair products, its
-  accumulator chosen from the shape and precisions so it stays exact --
-  the path every caller takes automatically;
+  accumulator chosen from the shape and precisions so it stays exact,
+  or, on the compiled tier where few enough packed bits are swept, the
+  ``p*q`` popcount products themselves on ``np.packbits`` words -- the
+  path every caller takes automatically;
 * ``"bitserial"`` -- the plane-wise reference: decompose -> per-plane-pair
   packed-word Boolean GEMM -> shifted-add combination;
 * ``"integer"`` -- reference integer GEMM on the decoded operands.
@@ -38,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import backends
+from ..core.bitops import packed_words
 from ..core.emulate import apbit_matmul, reference_matmul
-from ..core.packed import packed_matmul
+from ..core.packed import packed_matmul, popcount_preferred
 from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
@@ -101,10 +104,12 @@ def apmm(
         (plane-wise Tensor-Core reference); identical outputs.
     backend:
         Kernel backend (:mod:`repro.core.backends`): ``None``,
-        ``"numpy"`` or ``"cffi"``.  GEMMs never run compiled kernels
-        (the BLAS fold wins), so the choice only validates;
-        it matters for :func:`~repro.kernels.apconv.apconv`.  The
-        reference strategies only combine with ``"numpy"``.
+        ``"numpy"`` or ``"cffi"``.  On ``cffi`` the packed strategy runs
+        the compiled popcount GEMM where
+        :func:`~repro.core.packed.popcount_preferred` says it beats the
+        BLAS fold (then ``cost.counters.compiled_kernels`` is 1); numpy
+        always folds.  The reference strategies only combine with
+        ``"numpy"``.
     out_quantizer:
         Optional fused re-quantization to an arbitrary-precision output
         (section 4.1b); the cost then writes ``q_out``-bit packed data.
@@ -138,8 +143,13 @@ def apmm(
         config = tune.config
     config.validate_for_device(device)
 
+    compiled = 0
     if strategy == "packed":
-        acc = packed_matmul(w_digits, x_digits, weight, feature)
+        acc = packed_matmul(w_digits, x_digits, weight, feature,
+                            backend=run_backend)
+        compiled = int(popcount_preferred(
+            weight.bits, feature.bits, k, packed_words(k), run_backend
+        ))
     elif strategy == "bitserial":
         acc = apbit_matmul(w_digits, x_digits, weight, feature)
     else:
@@ -161,6 +171,8 @@ def apmm(
         decompose_input=decompose_input,
         name=f"apmm-w{weight.bits}a{feature.bits}-{m}x{n}x{k}",
     )
+    # Observed execution fact on top of the analytic charge.
+    cost.counters.compiled_kernels = compiled
     if tracer.enabled:
         tracer.span(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,

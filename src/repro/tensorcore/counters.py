@@ -41,9 +41,10 @@ class ExecutionCounters:
         Number of distinct kernel launches (fusion reduces this).
     compiled_kernels:
         Hot-loop invocations that executed on a compiled kernel (the
-        packed conv gather, :mod:`repro.kernels.packed_conv`) instead of
-        the numpy path -- zero on the numpy backend by construction, so
-        tests can assert which path actually ran.
+        popcount GEMM of :mod:`repro.core.packed` and the packed conv
+        gather of :mod:`repro.kernels.packed_conv`) instead of the numpy
+        path -- zero on the numpy backend by construction, so tests can
+        assert which path actually ran.
     """
 
     bmma_calls: int = 0

@@ -2,31 +2,50 @@
 
 Hypothesis drives seeded-random operands through every ``wXaY`` pair
 (both encodings, ragged K including sub-word and non-multiple-of-64
-sizes) and asserts the cffi kernels produce **byte-identical** results
-to the numpy paths: ``pack_bits`` directly, and the full conv entry
-point, which takes the packed window gather exactly when the dispatch
-prefers it.  Narrow digits (the quantizers' ``uint8``/``uint16``) must
-give every strategy and backend the result of the same digits held as
-int64.  Also covers forced fallback: a loader import failure must run
-the numpy path cleanly, with zero compiled-kernel counter ticks.
+sizes) and asserts the compiled paths produce **byte-identical**
+results to the numpy paths: the ``np.packbits`` packer against
+``pack_bits``, the popcount GEMM and the packed conv gather through
+their entry points -- which take them exactly when
+:func:`repro.core.packed.popcount_preferred` holds -- and directly at
+shapes the rule sends to the fold.  Narrow digits (the quantizers'
+``uint8``/``uint16``) must give every strategy and backend the result
+of the same digits held as int64.  Also covers forced fallback: a
+loader import failure must run the numpy path cleanly, with zero
+compiled-kernel counter ticks.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Encoding, Precision, PrecisionPair, _backend_cffi, backends
-from repro.core.bitops import bit_decompose, pack_bits
-from repro.kernels.packed_conv import PACKED_CONV_PQ_THRESHOLD
+from repro.core import (
+    Encoding,
+    Precision,
+    PrecisionPair,
+    _backend_cffi,
+    backends,
+    packed,
+)
+from repro.core.bitops import bit_decompose, pack_bits, packed_words
+from repro.core.packed import (
+    _pack_planes,
+    _popcount_matmul,
+    packed_matmul,
+    popcount_preferred,
+)
+from repro.kernels.layout import im2col
+from repro.kernels.packed_conv import packed_conv_matmul
 
 # hypothesis-heavy: the CI unit job deselects these and the serving job
 # (and tier-1) runs them
 pytestmark = pytest.mark.slow
 
 #: Whether the cffi kernels load here (they may not on an interpreter
-#: without cffi; the identity tests then skip, and the forced-fallback
-#: test below still runs).
+#: without cffi; the identity tests then skip, and the packer and
+#: forced-fallback tests below still run).
 HAS_CFFI = backends.get_backend().compiled
 
 needs_cffi = pytest.mark.skipif(
@@ -42,20 +61,37 @@ ks = st.sampled_from([1, 3, 17, 64, 65, 128, 200])
 rows = st.integers(min_value=1, max_value=24)
 
 
-@needs_cffi
-class TestPackBitsIdentity:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, k=ks, m=rows, pair=st.sampled_from(PAIRS))
-    def test_compiled_pack_matches_numpy(self, seed, k, m, pair):
+class TestPackPlanesIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, k=st.integers(1, 200), m=rows,
+           pair=st.sampled_from(PAIRS),
+           dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+           block=st.sampled_from([None, 1, 150]))
+    def test_matches_pack_bits_of_bit_decompose(
+        self, seed, k, m, pair, dtype, block
+    ):
+        # block: the default (one block here), one row per block, and
+        # blocks that end mid-operand
         rng = np.random.default_rng(seed)
-        fn = backends.kernel("pack_bits", "cffi")
-        for prec in (pair.weight, pair.activation):
-            digits = prec.random_digits(rng, (m, k))
-            planes = bit_decompose(digits, prec.bits)
-            got = fn(planes.reshape(prec.bits * m, k))
-            want = pack_bits(planes).reshape(prec.bits * m, -1)
-            assert got.dtype == np.uint64
-            assert np.array_equal(got, want)
+        size = packed._PACK_BLOCK if block is None else block
+        with mock.patch.object(packed, "_PACK_BLOCK", size):
+            for prec in (pair.weight, pair.activation):
+                digits = prec.random_digits(rng, (m, k))
+                got = _pack_planes(digits.astype(dtype), prec.bits)
+                want = pack_bits(bit_decompose(digits, prec.bits))
+                assert got.dtype == np.uint64
+                assert np.array_equal(
+                    got, want.reshape(prec.bits * m, packed_words(k))
+                )
+
+
+def _expected_compiled(p, q, k, words_gather=None):
+    """Compiled kernels the rule runs: 2 for the gather, 1 for a GEMM."""
+    if words_gather is not None and popcount_preferred(
+        p, q, k, words_gather, "cffi", gather=True
+    ):
+        return 2
+    return int(popcount_preferred(p, q, k, packed_words(k), "cffi"))
 
 
 @needs_cffi
@@ -71,15 +107,40 @@ class TestGemmIdentity:
         ref = apmm(w, x, pair.weight, pair.activation, backend="numpy")
         got = apmm(w, x, pair.weight, pair.activation, backend="cffi")
         assert np.array_equal(got.output, ref.output)
+        # the dispatch, not only its output: the popcount GEMM runs
+        # exactly where the rule holds, and never on numpy
+        p, q = pair.weight.bits, pair.activation.bits
+        assert got.cost.counters.compiled_kernels == _expected_compiled(p, q, k)
+        assert ref.cost.counters.compiled_kernels == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, k=st.sampled_from([1, 17]),
+           pair=st.sampled_from(PAIRS), encoding=st.sampled_from(
+               [Encoding.UNSIGNED, Encoding.BIPOLAR]))
+    def test_popcount_tail_where_the_rule_folds(self, seed, k, pair, encoding):
+        # K below a word: the rule never sends these to the popcount GEMM
+        feature = Precision(pair.activation.bits, encoding)
+        assert not popcount_preferred(pair.weight.bits, feature.bits, k,
+                                      packed_words(k), "cffi")
+        rng = np.random.default_rng(seed)
+        w = pair.weight.random_digits(rng, (7, k))
+        x = feature.random_digits(rng, (5, k))
+        got = _popcount_matmul(
+            _pack_planes(w, pair.weight.bits), _pack_planes(x, feature.bits),
+            pair.weight, feature, k, backend="cffi",
+        )
+        want = packed_matmul(w, x, pair.weight, feature, backend="numpy")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @needs_cffi
 class TestConvIdentity:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(seed=seeds, pair=st.sampled_from(PAIRS),
            stride=st.sampled_from([1, 2]),
            padding=st.sampled_from([0, 1]),
-           cin=st.sampled_from([1, 3, 8]),
+           cin=st.sampled_from([1, 3, 8, 16, 64, 65]),
            hw=st.sampled_from([4, 7]))
     def test_apconv_identical_across_backends(
         self, seed, pair, stride, padding, cin, hw
@@ -94,12 +155,37 @@ class TestConvIdentity:
         got = apconv(w, x, pair.weight, pair.activation,
                      stride=stride, padding=padding, backend="cffi")
         assert np.array_equal(got.output, ref.output)
-        # the dispatch, not only its output: the gather runs exactly at
-        # low plane-pair counts, and never on numpy
-        pq = pair.weight.bits * pair.activation.bits
-        gathered = got.cost.counters.compiled_kernels > 0
-        assert gathered == (pq <= PACKED_CONV_PQ_THRESHOLD)
+        # the dispatch, not only its output: the gather runs exactly
+        # where the rule holds, an im2col popcount GEMM where only the
+        # GEMM's rule does, and neither on numpy
+        p, q = pair.weight.bits, pair.activation.bits
+        want = _expected_compiled(p, q, cin * 9, 9 * packed_words(cin))
+        assert got.cost.counters.compiled_kernels == want
         assert ref.cost.counters.compiled_kernels == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, pair=st.sampled_from(PAIRS),
+           encoding=st.sampled_from([Encoding.UNSIGNED, Encoding.BIPOLAR]),
+           stride=st.sampled_from([1, 2]),
+           cin=st.sampled_from([1, 3, 8]),
+           hw=st.sampled_from([4, 7]))
+    def test_gather_where_the_rule_folds(
+        self, seed, pair, encoding, stride, cin, hw
+    ):
+        # few channels: the rule keeps these convs on im2col + fold
+        feature = Precision(pair.activation.bits, encoding)
+        assert not popcount_preferred(pair.weight.bits, feature.bits,
+                                      cin * 9, 9 * packed_words(cin),
+                                      "cffi", gather=True)
+        rng = np.random.default_rng(seed)
+        w = pair.weight.random_digits(rng, (5, cin, 3, 3))
+        x = feature.random_digits(rng, (2, cin, hw, hw))
+        got = packed_conv_matmul(w, x, pair.weight, feature,
+                                 stride=stride, backend="cffi")
+        want = packed_matmul(w.reshape(5, cin * 9), im2col(x, 3, stride),
+                             pair.weight, feature, backend="numpy")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 #: Every (strategy, backend) a kernel call accepts here.

@@ -114,7 +114,7 @@ class TestDegradation:
     def test_loader_missing_advertised_kernel_degrades(self, monkeypatch):
         monkeypatch.setattr(backends, "_cffi_table", None)
         monkeypatch.setattr(
-            _backend_cffi, "kernels", lambda: {"pack_bits": lambda *a: None}
+            _backend_cffi, "kernels", lambda: {"packed_gemm": lambda *a: None}
         )
         with pytest.warns(RuntimeWarning, match="no kernels for"):
             assert get_backend() is NUMPY
@@ -143,6 +143,34 @@ class TestKernelLookup:
         table = _backend_cffi.kernels()
         for cap in CAPABILITIES:
             assert backends.kernel(cap, "cffi") is table[cap]
+
+
+@needs_cffi
+class TestPackedGemmShapes:
+    """The C loop trusts its extents, so the wrapper must check them."""
+
+    ONES = 2**64 - 1
+
+    def test_b_narrower_than_a_raises(self):
+        a = np.full((1, 4), self.ONES, dtype=np.uint64)
+        b = np.full((1, 1), self.ONES, dtype=np.uint64)
+        with pytest.raises(ValueError, match="do not match"):
+            backends.kernel("packed_gemm", "cffi")(a, b, 1, 1, 1, 1, True)
+
+    def test_missing_plane_raises(self):
+        a = np.full((1, 2), self.ONES, dtype=np.uint64)
+        b = np.full((1, 2), self.ONES, dtype=np.uint64)
+        with pytest.raises(ValueError, match="do not match"):
+            backends.kernel("packed_gemm", "cffi")(a, b, 2, 1, 1, 1, True)
+        with pytest.raises(ValueError, match="do not match"):
+            backends.kernel("packed_gemm", "cffi")(a, b, 1, 1, 2, 1, True)
+
+    def test_matching_shapes_run(self):
+        a = np.full((2, 2), self.ONES, dtype=np.uint64)
+        b = np.full((3, 2), self.ONES, dtype=np.uint64)
+        out = backends.kernel("packed_gemm", "cffi")(a, b, 2, 1, 1, 3, True)
+        # 128 set bits per row pair, planes weighted 1 and 2
+        assert out.tolist() == [[384, 384, 384]]
 
 
 class TestResolveDispatch:
@@ -198,9 +226,7 @@ def _imports_backends(path: Path) -> bool:
 class TestLayering:
     """Pricing never runs a kernel, so it must not reach the kernel tier."""
 
-    @pytest.mark.parametrize(
-        "part", ["nn", "serve", "tensorcore", "core/packed.py"]
-    )
+    @pytest.mark.parametrize("part", ["nn", "serve", "tensorcore"])
     def test_pricing_layers_do_not_import_backends(self, part):
         root = SRC / part
         files = [root] if root.is_file() else sorted(root.rglob("*.py"))

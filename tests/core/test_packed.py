@@ -21,11 +21,14 @@ from repro.core import (
     Encoding,
     Precision,
     apbit_matmul,
+    backends,
     fold_exactness_bound,
     packed_matmul,
+    packed_words,
     reference_matmul,
     select_operator,
 )
+from repro.core.packed import popcount_preferred
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 
@@ -190,3 +193,43 @@ class TestValidationAndEngines:
                     packed_matmul(W, X, wp, xp),
                     apbit_matmul(W, X, wp, xp),
                 ), plan.case
+
+
+class TestDigitRangeEveryPath:
+    """Out-of-range digits raise on the fold, the popcount GEMM and the
+    gather alike: the packer's uint8 narrowing must never see them."""
+
+    WP, XP = Precision(1, B), Precision(2, U)
+
+    @staticmethod
+    def _run(path, w, x, wp, xp):
+        from repro.kernels.apconv import apconv
+
+        if path != "fold" and not backends.get_backend().compiled:
+            pytest.skip("cffi kernels do not load here")
+        if path == "gather":
+            # C_in 64, 3x3: the rule takes the gather
+            assert popcount_preferred(1, 2, 576, 9, "cffi", gather=True)
+            return apconv(w.reshape(4, 64, 3, 3), x.reshape(1, 64, 3, 3),
+                          wp, xp, backend="cffi")
+        # K 576: the rule takes the popcount GEMM on cffi
+        assert popcount_preferred(1, 2, 576, packed_words(576), "cffi")
+        backend = "numpy" if path == "fold" else "cffi"
+        return packed_matmul(w, x, wp, xp, backend=backend)
+
+    @pytest.mark.parametrize("path", ["fold", "popcount", "gather"])
+    @pytest.mark.parametrize("side", ["weight", "feature"])
+    @pytest.mark.parametrize(
+        "dtype,bad",
+        [(np.int64, "negative"), (np.uint8, "2**bits"),
+         (np.uint16, "2**bits"), (np.uint16, "256")],
+    )
+    def test_out_of_range_raises(self, path, side, dtype, bad):
+        w = np.ones((4, 576), dtype=dtype)
+        x = np.ones((1, 576), dtype=dtype)
+        operand, prec = (w, self.WP) if side == "weight" else (x, self.XP)
+        # 256 narrows to the in-range digit 0
+        operand[0, 5] = {"negative": -1, "2**bits": prec.num_levels,
+                         "256": 256}[bad]
+        with pytest.raises(ValueError, match="out of range"):
+            self._run(path, w, x, self.WP, self.XP)

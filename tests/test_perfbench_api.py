@@ -5,7 +5,8 @@ This imports it unedited and runs a small AlexNet through it, pinning
 what the benchmark relies on: ``backends.get_backend()`` with its
 ``.name``/``.capabilities``, the per-call ``backend=`` of
 ``apmm``/``apconv``, and ``cost.counters.compiled_kernels``, which
-splits gather from im2col + fold time.
+splits gather from im2col + fold time and marks the fully-connected
+layers that ran the popcount GEMM.
 """
 
 import importlib.util
@@ -67,10 +68,14 @@ def test_default_forward_matches_the_integer_reference(qnet, prepared):
     assert default.tobytes() == reference.tobytes()
 
 
-def _kernel_kinds(qnet, net, images, **kwargs) -> list[str]:
+def _kernel_spans(qnet, net, images, **kwargs) -> list[dict]:
     tracer = Tracer()
     qnet.forward(net, images, rec=qnet.Recorder(tracer, "test"), **kwargs)
-    return [s.attributes["kind"] for s in tracer.spans_in("kernel")]
+    return [s.attributes for s in tracer.spans_in("kernel")]
+
+
+def _kernel_kinds(qnet, net, images, **kwargs) -> list[str]:
+    return [a["kind"] for a in _kernel_spans(qnet, net, images, **kwargs)]
 
 
 def test_gather_runs_only_on_cffi(qnet, prepared):
@@ -82,3 +87,20 @@ def test_gather_runs_only_on_cffi(qnet, prepared):
     numpy_kinds = _kernel_kinds(qnet, net, images, backend="numpy")
     assert "gather" not in numpy_kinds
     assert numpy_kinds.count("conv_fold") == 4
+
+
+def test_popcount_gemm_runs_only_on_cffi(qnet, prepared):
+    net, images = prepared
+    spans = _kernel_spans(qnet, net, images)
+    fc = [a["compiled_kernels"] for a in spans if a["kind"] == "apmm"]
+    first = [a["compiled_kernels"] for a in spans if a["kind"] == "first_layer"]
+    assert len(fc) == 3
+    # w1a2 (p*q = 2) at K a multiple of 64: fc6-fc8 take the popcount
+    # GEMM whenever cffi loads; conv1 (w1a8, C_in 3) stays on the fold
+    if backends.get_backend().compiled:
+        assert all(c > 0 for c in fc)
+    else:
+        assert fc == [0, 0, 0]
+    assert first == [0]
+    numpy_spans = _kernel_spans(qnet, net, images, backend="numpy")
+    assert [a["compiled_kernels"] for a in numpy_spans] == [0] * len(spans)
