@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.emulate import apbit_matmul, reference_matmul
 from ..core.types import Encoding, Precision
-from ..kernels.layout import im2col
+from ..kernels.layout import conv_weight_matrix, im2col
 from ..kernels.padding import pad_digits, padding_correction, plan_padding
 from ..kernels.tiling import TileConfig
 from ..perf.cost import conv_cost, gemm_cost
@@ -88,7 +88,7 @@ def bnn_conv(
     pplan = plan_padding(BIPOLAR1, BIPOLAR1)
     padded = pad_digits(x_digits, padding, pplan.pad_digit)
     cols = im2col(padded, kh, stride)
-    w_flat = w_digits.reshape(cout, -1)
+    w_flat = conv_weight_matrix(w_digits)
     if strategy == "bitserial":
         acc = apbit_matmul(w_flat, cols, BIPOLAR1, BIPOLAR1)
     elif strategy == "integer":

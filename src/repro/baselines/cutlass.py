@@ -152,11 +152,11 @@ def cutlass_conv(
         raise ValueError(f"only square kernels supported, got {kh}x{kw}")
     batch, _, h, ww = x.shape
 
-    from ..kernels.layout import im2col  # local import avoids cycles
+    from ..kernels.layout import conv_weight_matrix, im2col  # local import avoids cycles
 
     xpad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = im2col(xpad, kh, stride)
-    out_flat = _gemm_compute(w.reshape(cout, -1), cols, precision)
+    out_flat = _gemm_compute(conv_weight_matrix(w), cols, precision)
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (ww + 2 * padding - kw) // stride + 1
     out = out_flat.reshape(cout, batch, oh, ow).transpose(1, 0, 2, 3)

@@ -30,10 +30,10 @@ interpreter: where the compiled ``cffi`` kernel backend
 popcount GEMM, and the others the BLAS fold.  With cffi, every conv
 kernel additionally times the full conv entry point on
 ``backend="numpy"`` (im2col + fold) against ``backend="cffi"`` (the
-packed window gather where the rule prefers it).  The gate then also
-requires byte-identity between the two and, above the smoke tier, a
-compiled geometric mean no slower than numpy.  Runs without cffi simply
-omit the comparison; the gate skips those checks.
+packed window gather where the rule prefers it, else the same fold).
+The gate then also requires byte-identity between the two and, above
+the smoke tier, a compiled geometric mean no slower than numpy.  Runs
+without cffi simply omit the comparison; the gate skips those checks.
 
 CLI (see ``python -m repro.bench --help``)::
 

@@ -8,7 +8,7 @@ Public surface:
 * bit primitives: :func:`~repro.core.bitops.bit_decompose`,
   :func:`~repro.core.bitops.bit_combine`, :func:`~repro.core.bitops.pack_bits`
 * the AP-Bit template: :func:`~repro.core.emulate.apbit_matmul`
-* the plane-folding fast path: :func:`~repro.core.packed.packed_matmul`
+* the fold, the decoded-digit fast path: :func:`~repro.core.packed.packed_matmul`
 * operator selection: :func:`~repro.core.opselect.select_operator`
 * quantizers: :class:`~repro.core.quantize.AffineQuantizer`,
   :class:`~repro.core.quantize.QEMQuantizer`

@@ -1,19 +1,23 @@
-"""The plane-folding GEMM behind the ``packed`` kernel strategy.
+"""The fold: the packed GEMM behind the ``packed`` kernel strategy.
 
 :func:`repro.core.emulate.apbit_matmul` is the semantic reference for the
 AP-Bit template: it evaluates every ``(s, t)`` bit-plane pair through one
 big broadcast over packed words, materializing a ``(p, q, M, N, nwords)``
 intermediate -- faithful, but memory-bound and allocation-bound.  This
-module is the fast path the kernels dispatch by default.  Every :class:`~repro.core.opselect.OperatorPlan`
-correction is *affine in the per-plane popcounts with (s, t)-independent
-coefficients*, so the double shifted sum ``Y = sum_{s,t} 2**(s+t) *
-plane(s, t)`` distributes onto the operands: ``sum_{s,t} 2**(s+t) *
-popc(W_s op X_t)`` collapses to a single popcount-reduce GEMM between the
-*digit* matrices (for ``AND``, ``sum_s 2**s W_s`` is just the digits
-themselves).  That replaces the ``p*q`` plane-pair products of the
-paper's batched BMMA with one GEMM, and the dot-product identity
-``popc(a AND b) == <a, b>`` routes it through FMA units -- the Ootomo &
-Yokota observation that an emulated path can outrun the "native" one.
+module is the fast path the kernels dispatch by default.  The paper's
+double shifted sum ``Y = sum_{s,t} 2**(s+t) * plane(s, t)`` is, by
+construction, the integer product ``decode(W) @ decode(X).T``, and every
+encoding decodes affinely (``decode(d) = a*d + b``,
+:attr:`~repro.core.types.Precision.decode_affine`).  So the fold computes
+that product directly as one GEMM on the digit matrices, with no
+bit-plane split and no plane-folded row sums: a bipolar operand is
+decoded inside its cast into the accumulator when that is cheaper than
+correcting the output, and otherwise its ``a`` and ``b`` are applied to
+the int64 output, the ``b`` term through the other operand's row sums.
+That replaces the ``p*q`` plane-pair products of the paper's batched
+BMMA with one GEMM, and routes the Boolean reductions through FMA units
+-- the Ootomo & Yokota observation that an emulated path can outrun the
+"native" one.
 
 The GEMM's accumulator is decided from the shape and precisions alone
 (:func:`fold_exactness_bound`): the narrowest of float32, float64 and
@@ -22,7 +26,9 @@ plane-wise reference, the decoded-integer reference and the tile-level
 oracle (:func:`repro.kernels.apmm_sim.apmm_tile_simulate`) bit for bit;
 the hypothesis suite in ``tests/core/test_packed.py`` enforces this
 across precision pairs, encodings, and ragged (non-multiple-of-64)
-reduction lengths.
+reduction lengths.  The same bound decides the int32-accumulator check:
+``|Y|`` never exceeds it, so outputs are scanned only when it passes
+``2**31 - 1``.
 
 The fold is not always the faster product.  Its GEMM costs the same at
 every precision, while the paper's own formulation -- ``p*q`` popcount
@@ -31,11 +37,12 @@ where ``words`` is the packed width of one operand row.  On the compiled
 ``cffi`` tier (:mod:`repro.core.backends`) :func:`popcount_preferred`
 picks the cheaper one from those counts, and the popcount path runs the
 fused weighted popcount GEMM on operands packed with ``np.packbits``
-(:func:`_pack_planes`), ending in the same fold epilogue, so the two
-paths are byte-identical.  The packed conv gather
-(:mod:`repro.kernels.packed_conv`) shares the packer, the rule and that
-tail.
+(:func:`_pack_planes`), ending in the operator plan's affine correction
+(:func:`_fold_epilogue`), so the two paths are byte-identical.  The
+packed conv gather (:mod:`repro.kernels.packed_conv`) shares the packer,
+the rule and that tail.
 """
+
 
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ import numpy as np
 
 from . import backends
 from .bitops import WORD_BITS, packed_words, popcount_reduce
-from .emulate import check_int32_accumulator
+from .emulate import INT32_MAX, check_int32_accumulator
 from .opselect import OperatorPlan, TCOp, select_operator
 from .types import Precision
 
@@ -69,11 +76,11 @@ def fold_exactness_bound(k: int, p_bits: int, q_bits: int) -> int:
 
 
 #: Swept bits per reduced digit up to which the popcount kernel beats the
-#: fold: it wins when ``p*q*64*words <= crossover * K``.  A conv's fold
-#: also pays im2col, so the gather crosses higher than the GEMM.  Both
-#: come from the crossover table in the README (Backends).
+#: fold: it wins when ``p*q*64*words <= crossover * K``.  Both come from
+#: the crossover tables in the README (Backends); with im2col a
+#: channel-last copy, the conv table crosses where the GEMM table does.
 _GEMM_CROSSOVER = 2
-_GATHER_CROSSOVER = 4
+_GATHER_CROSSOVER = 2
 
 
 def popcount_preferred(
@@ -161,10 +168,11 @@ def _fold_epilogue(
 ) -> np.ndarray:
     """The plan's affine correction applied to folded popcount sums.
 
-    ``popc_fold`` is ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` -- however
-    it was produced (digit-GEMM fold, or the compiled fused popcount
-    GEMM of :func:`_popcount_matmul`); the epilogue algebra is
-    identical, which is what keeps both paths byte-identical.
+    ``popc_fold`` is ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)``, as the
+    compiled fused popcount GEMM of :func:`_popcount_matmul` returns it.
+    Every coefficient is ``(s, t)``-independent, so with ``Sp = 2**p - 1``
+    and ``Sq = 2**q - 1`` the plane row sums fold to ``Sq * rowsum(W
+    digits)`` and ``Sp * rowsum(X digits)``, and ``K`` to ``Sp * Sq * K``.
     """
     out = plan.popc_scale * popc_fold
     if plan.k_scale:
@@ -192,7 +200,8 @@ def _popcount_matmul(
     :func:`_pack_planes` lays them out; ``k`` is the logical reduction
     length the epilogue corrects for.  The compiled kernel returns the
     folded popcount sums, the row sums come from popcounts of the same
-    words, and :func:`_fold_epilogue` finishes exactly as the fold does.
+    words, and :func:`_fold_epilogue` applies the operator plan, so the
+    result is the fold's, byte for byte.
     """
     gemm = backends.kernel("packed_gemm", backend)
     if gemm is None:
@@ -206,9 +215,29 @@ def _popcount_matmul(
     row_w = _plane_sums(w_words, p, m) if plan.needs_row_sums else None
     row_x = _plane_sums(x_words, q, n) if plan.needs_col_sums else None
     out = _fold_epilogue(fold, plan, k, sp, sq, row_w, row_x)
-    if check_overflow:
+    if check_overflow and fold_exactness_bound(k, p, q) > INT32_MAX:
         check_int32_accumulator(out)
     return out
+
+
+def _fold_operand(
+    digits: np.ndarray, dtype: type, precision: Precision, decode: bool
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """``digits`` cast into the fold's accumulator ``dtype``, and the
+    ``(a, b)`` map still to apply for :meth:`Precision.decode`.
+
+    With ``decode`` the cast holds decoded values and the map left is the
+    identity; otherwise it holds the digits and the map is the
+    precision's :attr:`~Precision.decode_affine`.
+    """
+    a, b = precision.decode_affine
+    if not decode or (a, b) == (1, 0):
+        return digits.astype(dtype, copy=False), (a, b)
+    # a fresh copy: int64 digits with copy=False would alias the caller's
+    values = digits.astype(dtype)
+    values *= a
+    values += b
+    return values, (1, 0)
 
 
 def packed_matmul(
@@ -220,34 +249,31 @@ def packed_matmul(
     check_overflow: bool = True,
     backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
-    """Arbitrary-precision matmul as one plane-folded digit GEMM.
+    """Arbitrary-precision matmul as one digit GEMM, the fold.
 
     Drop-in equivalent of :func:`repro.core.emulate.apbit_matmul` --
     ``(M, K)`` x ``(N, K)`` digit matrices in, ``decode(W) @ decode(X).T``
-    as int64 out, int32-accumulator overflow checked.  With
-    ``D(s, t) = popc(W_s op X_t)`` and the plan's affine correction,
+    as int64 out, int32-accumulator overflow checked where
+    :func:`fold_exactness_bound` exceeds ``2**31 - 1``.  With each
+    operand's :attr:`~repro.core.types.Precision.decode_affine` map
+    ``(a, b)``,
 
-        Y = sum_{s,t} 2**(s+t) * (a*D + b_w*rowsum(W_s) + b_x*rowsum(X_t)
-                                  + c*K)
+        Y = (aw*W + bw)(ax*X + bx).T
+          = aw*ax * W @ X.T + aw*bx * rowsum(W) + bw*ax * rowsum(X)
+            + bw*bx * K
 
-    every coefficient is (s, t)-independent, so with ``Sp = 2**p - 1``
-    and ``Sq = 2**q - 1`` (the fold of the shift weights):
-
-        sum_{s,t} 2**(s+t) * rowsum(W_s) = Sq * rowsum(W digits)
-        sum_{s,t} 2**(s+t) * K           = Sp * Sq * K
-        sum_{s,t} 2**(s+t) * <W_s, X_t>  = <W digits, X digits>
-
-    and for XOR, ``popc(W_s ^ X_t) = rowsum(W_s) + rowsum(X_t) -
-    2 * <W_s, X_t>`` folds the same way.  One GEMM on the raw digit
-    matrices replaces all ``p*q`` plane-pair products; it runs in the
-    narrowest accumulator that keeps :func:`fold_exactness_bound` exact,
-    and a bound no accumulator holds raises :class:`ValueError` before
-    any operand is read.
+    The GEMM runs in the narrowest accumulator that keeps
+    :func:`fold_exactness_bound` exact, and a bound no accumulator holds
+    raises :class:`ValueError` before any operand is read.  A bipolar
+    operand is decoded inside its cast into that accumulator when ``K``
+    is at most the other operand's row count (its ``rows*K`` updates
+    then cost less than the ``M*N`` of correcting the output); otherwise
+    it keeps its digits and its ``a`` and ``b`` apply to the int64 output.
 
     Where :func:`popcount_preferred` holds for ``backend`` (``None``
-    means :func:`repro.core.backends.get_backend`), the ``p*q`` products
-    run instead as one compiled popcount GEMM over operands packed with
-    ``np.packbits``; the result is the same.
+    means :func:`repro.core.backends.get_backend`), the ``p*q`` bit-plane
+    products run instead as one compiled popcount GEMM over operands
+    packed with ``np.packbits``; the result is the same.
     """
     w_digits = np.asarray(w_digits)
     x_digits = np.asarray(x_digits)
@@ -277,27 +303,25 @@ def packed_matmul(
             backend=backend, check_overflow=check_overflow,
         )
 
-    plan = select_operator(weight, feature)
-    # sum_{s,t} 2**(s+t) <W_s, X_t>
-    dots = (w_digits.astype(dtype) @ x_digits.astype(dtype).T).astype(np.int64)
-
-    sp = np.int64((1 << p_bits) - 1)
-    sq = np.int64((1 << q_bits) - 1)
-    row_w = None
-    row_x = None
-    if plan.op is TCOp.XOR or plan.needs_row_sums:
-        row_w = w_digits.sum(axis=1, dtype=np.int64)  # sum_s 2**s rowsum(W_s)
-    if plan.op is TCOp.XOR or plan.needs_col_sums:
-        row_x = x_digits.sum(axis=1, dtype=np.int64)
-
-    if plan.op is TCOp.AND:
-        popc_fold = dots
-    else:
-        popc_fold = sq * row_w[:, None] + sp * row_x[None, :] - 2 * dots
-
-    # int64 arithmetic wraps modulo 2**64 and |Y| <= bound < 2**63, so an
-    # epilogue intermediate that wraps near the int64 limit leaves Y exact.
-    out = _fold_epilogue(popc_fold, plan, k, sp, sq, row_w, row_x)
-    if check_overflow:
+    # A bipolar operand decodes in its cast when that costs fewer element
+    # updates (its rows * K) than applying its map to the (M, N) output.
+    m, n = w_digits.shape[0], x_digits.shape[0]
+    w_acc, (aw, bw) = _fold_operand(w_digits, dtype, weight, k <= n)
+    x_acc, (ax, bx) = _fold_operand(x_digits, dtype, feature, k <= m)
+    out = (w_acc @ x_acc.T).astype(np.int64)
+    # (aw*W + bw)(ax*X + bx).T over the cast operands.  Their row sums
+    # are bounded like the GEMM's partial sums, so the accumulator holds
+    # them exactly; int64 arithmetic wraps modulo 2**64 and |Y| <= bound
+    # < 2**63, so a correction that wraps near the int64 limit leaves Y
+    # exact.
+    if aw * ax != 1:
+        out *= aw * ax
+    if bx:
+        out += aw * bx * w_acc.sum(axis=1).astype(np.int64)[:, None]
+    if bw:
+        out += bw * ax * x_acc.sum(axis=1).astype(np.int64)[None, :]
+    if bw and bx:
+        out += bw * bx * k
+    if check_overflow and bound > INT32_MAX:
         check_int32_accumulator(out)
     return out

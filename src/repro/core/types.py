@@ -107,23 +107,32 @@ class Precision:
         """Largest representable arithmetic value."""
         return self.num_levels - 1
 
-    def decode(self, digits: np.ndarray) -> np.ndarray:
-        """Map raw digit words (``[0, 2**bits)``) to arithmetic values.
+    @property
+    def decode_affine(self) -> tuple[int, int]:
+        """``(a, b)`` with ``decode(d) == a*d + b`` for every digit ``d``.
 
-        For :attr:`Encoding.UNSIGNED` this is the identity.  For
+        ``(1, 0)`` for :attr:`Encoding.UNSIGNED`.  For
         :attr:`Encoding.BIPOLAR` each bit-plane digit ``d_s`` contributes
-        ``2**s * (2*d_s - 1)``, which collapses to ``2*v - (2**bits - 1)``
-        where ``v`` is the unsigned integer formed by the digits.
+        ``2**s * (2*d_s - 1)``, which collapses to ``(2, -(2**bits - 1))``.
         """
+        if self.encoding is Encoding.UNSIGNED:
+            return 1, 0
+        return 2, -(self.num_levels - 1)
+
+    def decode(self, digits: np.ndarray) -> np.ndarray:
+        """Map raw digit words (``[0, 2**bits)``) to int64 arithmetic
+        values through :attr:`decode_affine`."""
         digits = np.asarray(digits)
         if digits.size and (digits.min() < 0 or digits.max() >= self.num_levels):
             raise ValueError(
                 f"digits out of range for {self.bits}-bit precision: "
                 f"[{digits.min()}, {digits.max()}]"
             )
-        if self.encoding is Encoding.UNSIGNED:
-            return digits.astype(np.int64)
-        return 2 * digits.astype(np.int64) - (self.num_levels - 1)
+        a, b = self.decode_affine
+        values = digits.astype(np.int64)
+        if (a, b) != (1, 0):
+            values = a * values + b
+        return values
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`decode`; validates representability."""

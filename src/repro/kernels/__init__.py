@@ -24,6 +24,7 @@ from .fusion import (
 from .layout import (
     PackedFeatureMap,
     conv_output_shape,
+    conv_weight_matrix,
     from_nphwc,
     im2col,
     nchw_to_nhwc,
@@ -67,6 +68,7 @@ __all__ = [
     "nchw_to_nhwc",
     "nhwc_to_nchw",
     "im2col",
+    "conv_weight_matrix",
     "conv_output_shape",
     "WARP_SIZE",
     "ballot_pack",

@@ -42,7 +42,7 @@ from ..obs import kernel_tracer
 from ..perf.cost import KernelCost, conv_cost
 from ..tensorcore.device import DeviceSpec, RTX3090
 from .autotune import TuneResult, autotune
-from .layout import conv_output_shape, im2col
+from .layout import conv_output_shape, conv_weight_matrix, im2col
 from .packed_conv import packed_conv_matmul
 from .padding import PaddingPlan, pad_digits, padding_correction, plan_padding
 from .tiling import TileConfig
@@ -85,7 +85,10 @@ def apconv(
     any unsigned dtype (the quantizers' narrow
     :func:`~repro.core.types.digit_dtype`) or int64, and
     ``(N, C_out, OH, OW)`` out (int64 accumulators, or digits when
-    ``out_quantizer`` re-quantizes for the next layer).  On the compiled
+    ``out_quantizer`` re-quantizes for the next layer).  Every strategy
+    lowers K in the channel-major ``(KH, KW, C_in)`` order: features
+    through :func:`~repro.kernels.layout.im2col`, weights through
+    :func:`~repro.kernels.layout.conv_weight_matrix`.  On the compiled
     ``cffi`` backend the packed strategy skips the im2col digit-matrix
     materialization where the gather sweeps few enough packed bits
     (:func:`~repro.core.packed.popcount_preferred` with ``words =
@@ -137,8 +140,8 @@ def apconv(
         )
         compiled = 2  # the window gather and the popcount GEMM
     else:
-        cols = im2col(padded, kh, stride)  # (batch*OH*OW, C_in*kh*kw)
-        w_flat = w_digits.reshape(cout, k)
+        cols = im2col(padded, kh, stride)  # (batch*OH*OW, kh*kw*C_in)
+        w_flat = conv_weight_matrix(w_digits)
         if strategy == "packed":
             acc = packed_matmul(w_flat, cols, weight, feature,
                                 backend=run_backend)

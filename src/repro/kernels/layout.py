@@ -15,7 +15,9 @@ convolution the paper replaces the traditional NCHW layout with the
 :class:`PackedFeatureMap` is the NPHWC container used between APNN layers
 (the minimal-traffic dataflow of section 5.1 keeps activations in this
 packed form end to end).  :func:`im2col` lowers convolution windows to the
-GEMM operand layout both execution strategies consume.
+GEMM operand layout every execution strategy consumes, in the same
+channel-major ``(KH, KW, C)`` K order as the packed window gather, and
+:func:`conv_weight_matrix` flattens weights to match.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "to_nphwc",
     "from_nphwc",
     "im2col",
+    "conv_weight_matrix",
     "conv_output_shape",
 ]
 
@@ -133,20 +136,31 @@ def conv_output_shape(
 def im2col(
     x: np.ndarray, kernel: int, stride: int = 1
 ) -> np.ndarray:
-    """Lower (N, C, H, W) windows to GEMM rows: (N*OH*OW, C*kernel*kernel).
+    """Lower (N, C, H, W) windows to GEMM rows: (N*OH*OW, kernel*kernel*C).
 
     The input must already be padded (padding strategy is encoding-aware
-    and handled by :mod:`repro.kernels.padding`).  Column order is
-    ``(C, kh, kw)``, matching the flattened weight layout
-    ``W.reshape(C_out, C*kernel*kernel)``.
+    and handled by :mod:`repro.kernels.padding`).  Columns are
+    channel-major, ``(kh, kw, C)`` with channels innermost (section
+    4.2a), matching :func:`conv_weight_matrix`: one channel-last copy of
+    ``x``, then one copy of its windows that moves ``C``-long runs.  The
+    dtype of ``x`` is kept.
     """
     if x.ndim != 4:
         raise ValueError(f"expected 4-D NCHW tensor, got shape {x.shape}")
     n, c, h, w = x.shape
     oh, ow = conv_output_shape(h, w, kernel, stride, padding=0)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    # windows: (N, C, OH', OW', kh, kw) where OH' = H - kernel + 1
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # -> (N, OH, OW, C, kh, kw)
-    windows = np.transpose(windows, (0, 2, 3, 1, 4, 5))
-    return np.ascontiguousarray(windows.reshape(n * oh * ow, c * kernel * kernel))
+    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x_cl, (kernel, kernel), axis=(1, 2)
+    )[:, ::stride, ::stride]
+    # (N, OH, OW, C, kh, kw) -> (N, OH, OW, kh, kw, C)
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
+    return np.ascontiguousarray(windows).reshape(n * oh * ow, kernel * kernel * c)
+
+
+def conv_weight_matrix(w: np.ndarray) -> np.ndarray:
+    """Flatten ``(C_out, C_in, KH, KW)`` weights to the GEMM rows
+    ``(C_out, KH*KW*C_in)`` in :func:`im2col`'s column order."""
+    if w.ndim != 4:
+        raise ValueError(f"expected 4-D weights, got shape {w.shape}")
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)

@@ -11,11 +11,12 @@ per pixel packed into ``ceil(C_in / 64)`` words) and let the
 ``KH * KW`` word-runs straight into the GEMM operand -- the duplication
 happens on 64x-compressed words, and the digit matrix never exists.
 
-K-order differs from the im2col path (``(KH, KW, C_in)`` vs ``(C_in, KH,
-KW)``), but popcount reductions are permutation-invariant over K, and the
-zero filler bits in each ``C_in`` word group are neutral for both ``AND``
-and ``XOR`` because both operands are zero there; outputs are therefore
-byte-identical to the im2col path (the hypothesis suite enforces it).
+The K order is the im2col path's, ``(KH, KW, C_in)`` (the weight side
+flattens through :func:`~repro.kernels.layout.conv_weight_matrix`), and
+the zero filler bits in each ``C_in`` word group are neutral for both
+``AND`` and ``XOR`` because both operands are zero there; outputs are
+therefore byte-identical to the im2col path (the hypothesis suite
+enforces it).
 
 Packing, the fused weighted popcount GEMM and the fold epilogue are the
 ones :func:`repro.core.packed.packed_matmul` runs on its popcount path
@@ -30,6 +31,7 @@ from ..core import backends
 from ..core.bitops import packed_words
 from ..core.packed import _check_digits, _pack_planes, _popcount_matmul
 from ..core.types import Precision
+from .layout import conv_weight_matrix
 
 __all__ = ["packed_conv_matmul"]
 
@@ -91,10 +93,10 @@ def packed_conv_matmul(
     x_words = _pack_planes(x_cl.reshape(batch * hp * wp, cin), q)
     gathered = gather(x_words.reshape(q * batch, hp, wp, cwords), kh, kw, stride)
 
-    # Weights: same K order as the gathered windows -- (KH, KW, C_in
-    # packed), one row per (plane, output channel).
-    w_cl = np.ascontiguousarray(w_digits.transpose(0, 2, 3, 1))
-    w_words = _pack_planes(w_cl.reshape(cout * kh * kw, cin), p)
+    # Weights: the gathered windows' K order, (KH, KW, C_in packed), one
+    # row per (plane, output channel).
+    w_flat = conv_weight_matrix(w_digits)
+    w_words = _pack_planes(w_flat.reshape(cout * kh * kw, cin), p)
 
     return _popcount_matmul(
         w_words.reshape(p * cout, kh * kw * cwords), gathered,

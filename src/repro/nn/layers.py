@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.layout import conv_output_shape, im2col
+from ..kernels.layout import conv_output_shape, conv_weight_matrix, im2col
 from .module import Module, Parameter
 
 __all__ = [
@@ -72,7 +72,7 @@ class Conv2d(Module):
             ((0, 0), (0, 0), (self.padding,) * 2, (self.padding,) * 2),
         )
         cols = im2col(xpad, self.kernel, self.stride)
-        out = cols @ self.weight.data.reshape(self.out_channels, -1).T
+        out = cols @ conv_weight_matrix(self.weight.data).T
         oh, ow = conv_output_shape(h, w, self.kernel, self.stride, self.padding)
         out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         if self.bias is not None:

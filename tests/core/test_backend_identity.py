@@ -36,7 +36,7 @@ from repro.core.packed import (
     packed_matmul,
     popcount_preferred,
 )
-from repro.kernels.layout import im2col
+from repro.kernels.layout import conv_weight_matrix, im2col
 from repro.kernels.packed_conv import packed_conv_matmul
 
 # hypothesis-heavy: the CI unit job deselects these and the serving job
@@ -182,7 +182,7 @@ class TestConvIdentity:
         x = feature.random_digits(rng, (2, cin, hw, hw))
         got = packed_conv_matmul(w, x, pair.weight, feature,
                                  stride=stride, backend="cffi")
-        want = packed_matmul(w.reshape(5, cin * 9), im2col(x, 3, stride),
+        want = packed_matmul(conv_weight_matrix(w), im2col(x, 3, stride),
                              pair.weight, feature, backend="numpy")
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -246,6 +246,42 @@ class TestNarrowDigitIdentity:
                          stride=stride, padding=padding,
                          strategy=strategy, backend=backend).output
             assert got.dtype == np.int64
+            assert np.array_equal(got, want), (strategy, backend)
+
+
+class TestConvLowering:
+    """Every (strategy, backend) equals a direct correlation of the decoded
+    operands -- a weight flatten that disagrees with im2col's K order is
+    wrong the same way on every strategy, so agreeing with each other
+    cannot catch it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds, wbits=st.integers(1, 2), xbits=st.integers(1, 2),
+           wenc=encodings, xenc=encodings,
+           cin=st.integers(1, 70), kernel=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           hw=st.integers(3, 6))
+    def test_apconv_matches_direct_correlation(
+        self, seed, wbits, xbits, wenc, xenc, cin, kernel, stride, padding, hw
+    ):
+        from repro.kernels.apconv import apconv
+
+        wp, xp = Precision(wbits, wenc), Precision(xbits, xenc)
+        rng = np.random.default_rng(seed)
+        w = wp.random_digits(rng, (4, cin, kernel, kernel))
+        x = xp.random_digits(rng, (2, cin, hw, hw)).astype(np.uint8)
+        # zero-value padding of the decoded features
+        xv = np.pad(xp.decode(x), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+        wv = wp.decode(w)
+        o = (hw + 2 * padding - kernel) // stride + 1
+        want = np.zeros((2, 4, o, o), dtype=np.int64)
+        for a in range(kernel):
+            for b in range(kernel):
+                tap = xv[:, :, a: a + stride * o: stride, b: b + stride * o: stride]
+                want += np.einsum("oc,nchw->nohw", wv[:, :, a, b], tap)
+        for strategy, backend in STRATEGY_BACKENDS:
+            got = apconv(w, x, wp, xp, stride=stride, padding=padding,
+                         strategy=strategy, backend=backend).output
             assert np.array_equal(got, want), (strategy, backend)
 
 

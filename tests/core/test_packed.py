@@ -23,11 +23,13 @@ from repro.core import (
     apbit_matmul,
     backends,
     fold_exactness_bound,
+    packed,
     packed_matmul,
     packed_words,
     reference_matmul,
     select_operator,
 )
+from repro.core.emulate import INT32_MAX
 from repro.core.packed import popcount_preferred
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
@@ -193,6 +195,125 @@ class TestValidationAndEngines:
                     packed_matmul(W, X, wp, xp),
                     apbit_matmul(W, X, wp, xp),
                 ), plan.case
+
+
+def _max_row_operands(seed, m, n, k, wp, xp):
+    """Random digits with row 0 of each operand at the max digit, so
+    ``Y[0, 0]`` reaches :func:`fold_exactness_bound` in every encoding."""
+    W, X = _operands(seed, m, n, k, wp, xp)
+    W[0] = wp.num_levels - 1
+    X[0] = xp.num_levels - 1
+    return W, X
+
+
+class TestDecodeRule:
+    """Both sides of the fold's decode rule: a bipolar operand decodes in
+    its cast when K <= the other operand's row count, and otherwise its
+    map applies to the int64 output."""
+
+    CASES = [(U, U), (B, U), (U, B), (B, B)]
+
+    def _check(self, W, X, wp, xp):
+        w0, x0 = W.copy(), X.copy()
+        out = packed_matmul(W, X, wp, xp, backend="numpy")
+        # the decode runs on a fresh copy, never the caller's digits
+        assert np.array_equal(W, w0) and np.array_equal(X, x0)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, reference_matmul(W, X, wp, xp))
+        assert np.array_equal(out, apbit_matmul(W, X, wp, xp))
+        return out
+
+    @pytest.mark.parametrize("wenc,xenc", CASES)
+    @pytest.mark.parametrize("w_cast", [True, False], ids=["K<=N", "K>N"])
+    @pytest.mark.parametrize("x_cast", [True, False], ids=["K<=M", "K>M"])
+    @pytest.mark.parametrize("acc", [np.float32, np.float64, np.int64])
+    def test_each_side_in_each_accumulator(
+        self, monkeypatch, wenc, xenc, w_cast, x_cast, acc
+    ):
+        # The accumulators' own thresholds pick int64 only past K ~ 2.1M
+        # (16-bit digits), where K <= rows cannot be allocated: keep one
+        # accumulator, with its limit, so each runs at a small K.
+        limit = dict(packed._FOLD_ACCUMULATORS)[acc]
+        monkeypatch.setattr(packed, "_FOLD_ACCUMULATORS", ((acc, limit),))
+        wp, xp = Precision(4, wenc), Precision(4, xenc)
+        k = 40
+        m, n = (k if x_cast else k - 1), (k if w_cast else k - 1)
+        W, X = _max_row_operands(11, m, n, k, wp, xp)
+        out = self._check(W, X, wp, xp)
+        assert out[0, 0] == fold_exactness_bound(k, 4, 4)
+
+    @pytest.mark.parametrize("wenc,xenc", CASES)
+    @pytest.mark.parametrize("m,n", [(259, 1), (1, 259), (1, 1)])
+    def test_past_the_float32_threshold(self, wenc, xenc, m, n):
+        # test_accumulator_exact_past_each_threshold's first K past 2**24
+        # at 8 bits: the float64 accumulator, each operand's cast side
+        wp, xp = Precision(8, wenc), Precision(8, xenc)
+        k = (1 << 24) // 255**2 + 1
+        assert fold_exactness_bound(k - 1, 8, 8) < 1 << 24
+        W, X = _max_row_operands(12, m, n, k, wp, xp)
+        out = self._check(W, X, wp, xp)
+        assert out[0, 0] == fold_exactness_bound(k, 8, 8)
+
+    @pytest.mark.parametrize("wenc,xenc", CASES)
+    @pytest.mark.parametrize(
+        "m,n,k",
+        # fc-like: K > N keeps W's digits, K <= M decodes X in its cast;
+        # conv-like: the other way round
+        [(4096, 8, 576), (64, 12544, 147)],
+        ids=["fc", "conv"],
+    )
+    def test_network_shapes(self, wenc, xenc, m, n, k):
+        W, X = _operands(13, m, n, k, Precision(1, wenc), Precision(2, xenc))
+        self._check(W, X, Precision(1, wenc), Precision(2, xenc))
+
+
+class TestInt32CheckFromShapes:
+    """The int32-accumulator scan runs only where fold_exactness_bound
+    exceeds 2**31 - 1: below it no output can leave int32."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        real = packed.check_int32_accumulator
+
+        def spy(acc):
+            calls.append(acc.shape)
+            real(acc)
+
+        monkeypatch.setattr(packed, "check_int32_accumulator", spy)
+        return calls
+
+    @pytest.mark.parametrize("path", ["fold", "popcount", "gather"])
+    def test_skipped_below_the_bound(self, scans, path):
+        wp, xp = Precision(1, B), Precision(2, U)
+        W, X = _operands(5, 4, 3, 576, wp, xp)
+        if path == "fold":
+            out = packed_matmul(W, X, wp, xp, backend="numpy")
+        elif not backends.get_backend().compiled:
+            pytest.skip("cffi kernels do not load here")
+        elif path == "popcount":
+            assert popcount_preferred(1, 2, 576, packed_words(576), "cffi")
+            out = packed_matmul(W, X, wp, xp, backend="cffi")
+        else:
+            from repro.kernels.apconv import apconv
+
+            assert popcount_preferred(1, 2, 576, 9, "cffi", gather=True)
+            res = apconv(W.reshape(4, 64, 3, 3), X.reshape(3, 64, 3, 3),
+                         wp, xp, backend="cffi")
+            assert res.cost.counters.compiled_kernels == 2
+            out = res.output.reshape(3, 4).T
+        assert scans == []
+        assert np.array_equal(out, reference_matmul(W, X, wp, xp))
+
+    def test_runs_from_the_first_k_past_int32(self, scans):
+        wp = xp = Precision(8, U)
+        k = INT32_MAX // 255**2 + 1
+        assert fold_exactness_bound(k - 1, 8, 8) <= INT32_MAX
+        W, X = _operands(6, 2, 2, k, wp, xp)
+        packed_matmul(W[:, :-1], X[:, :-1], wp, xp, backend="numpy")
+        assert scans == []
+        packed_matmul(W, X, wp, xp, backend="numpy")
+        assert scans == [(2, 2)]
 
 
 class TestDigitRangeEveryPath:

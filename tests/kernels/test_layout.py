@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import Encoding, Precision
 from repro.kernels import (
     conv_output_shape,
+    conv_weight_matrix,
     from_nphwc,
     im2col,
     nchw_to_nhwc,
@@ -136,12 +137,12 @@ class TestIm2col:
         assert np.array_equal(cols[4], x[0, :, 1, 1])
 
     def test_column_order_matches_weight_flatten(self):
-        """im2col columns must align with W.reshape(C_out, C*kh*kw)."""
+        """im2col columns must align with conv_weight_matrix(W)."""
         rng = np.random.default_rng(3)
         x = rng.integers(0, 8, size=(1, 2, 4, 4))
         w = rng.integers(0, 8, size=(3, 2, 2, 2))
         cols = im2col(x, kernel=2)
-        got = (w.reshape(3, -1) @ cols.T).reshape(3, 3, 3)
+        got = (conv_weight_matrix(w) @ cols.T).reshape(3, 3, 3)
         # direct correlation reference
         ref = np.zeros((3, 3, 3), dtype=np.int64)
         for co in range(3):
@@ -149,6 +150,35 @@ class TestIm2col:
                 for j in range(3):
                     ref[co, i, j] = np.sum(w[co] * x[0, :, i: i + 2, j: j + 2])
         assert np.array_equal(got, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        cin=st.integers(1, 70),
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        extra=st.integers(0, 4),
+    )
+    def test_lowering_matches_direct_correlation(
+        self, seed, n, cin, kernel, stride, extra
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 16, size=(n, cin, kernel + extra, kernel + 2 * extra),
+                         dtype=np.uint8)
+        w = rng.integers(-8, 8, size=(3, cin, kernel, kernel))
+        cols = im2col(x, kernel, stride)
+        assert cols.dtype == x.dtype
+        oh, ow = conv_output_shape(*x.shape[2:], kernel, stride)
+        got = conv_weight_matrix(w) @ cols.T.astype(np.int64)
+        got = got.reshape(3, n, oh, ow).transpose(1, 0, 2, 3)
+        # direct correlation, one kernel tap at a time
+        want = np.zeros((n, 3, oh, ow), dtype=np.int64)
+        for a in range(kernel):
+            for b in range(kernel):
+                tap = x[:, :, a: a + stride * oh: stride, b: b + stride * ow: stride]
+                want += np.einsum("oc,nchw->nohw", w[:, :, a, b], tap.astype(np.int64))
+        assert np.array_equal(got, want)
 
     def test_stride_2(self):
         x = np.arange(1 * 1 * 6 * 6).reshape(1, 1, 6, 6)
