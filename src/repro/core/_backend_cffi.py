@@ -8,21 +8,42 @@ picks it over the fold) and the packed conv gather
 ``np.packbits`` in :mod:`repro.core.packed`:
 
 * ``repro_packed_gemm`` -- the *fused weighted* popcount-reduce GEMM
-  ``out[i, j] = sum_{s,t} 2**(s+t) * popc(a[s*m+i] op b[t*n+j])``, i.e.
-  every bit-plane pair plus the shifted-add bit combination in one
-  pass, exact in int64, feeding the same fold epilogue as the BLAS
-  fold (:func:`repro.core.packed.packed_matmul`);
+  with the operator plan's affine correction (the paper's APMM, §4.1):
+
+      out[i, j] = popc_scale * sum_{s,t} 2**(s+t) * popc(a[s*m+i] op b[t*n+j])
+                + k_scale * K * Sp * Sq
+                + wsum_scale * Sq * roww[i] + xsum_scale * Sp * rowx[j]
+
+  with ``Sp = 2**p - 1``, ``Sq = 2**q - 1`` and ``roww``/``rowx`` the
+  plane-weighted row sums ``sum_s 2**s * popc(plane s of the row)``,
+  counted from the same packed words.  The result is the fold's
+  (:func:`repro.core.packed.packed_matmul`), exact in int64.
 * ``repro_conv_gather`` -- per-window gather of channel-packed words
   from a padded feature map (``memcpy`` of ``kw * cwords`` word runs),
   replacing the im2col digit-matrix materialization.
 
-The shared object is compiled once per C-source hash and cached under
-``REPRO_CFFI_CACHE`` (default ``~/.cache/repro/cffi``), so only the
-first process on a machine pays the ~seconds of gcc; everyone after
-does a dlopen.  ``-march=native`` matters: without ``-mpopcnt`` gcc
-lowers ``__builtin_popcountll`` to a libgcc bit-twiddling routine and
-the GEMM runs ~10x slower, so the build tries native flags first and
-falls back to plain ``-O3`` on compilers that reject them.
+The GEMM has two branches, chosen when the module is compiled
+(``repro_popcount_branch()`` reports which: 1 or 0).  Where the
+compiler targets AVX-512F and AVX-512 VPOPCNTDQ, it is a register-tiled
+micro-kernel: ``b`` is copied into word-major panels of 16 columns, and
+each 4x16 output tile accumulates every ``(s, t)`` plane pair with
+``_mm512_popcnt_epi64``, shifts it by ``s+t`` in registers and is stored
+once, correction applied.  Elsewhere it is a scalar loop nest, one
+read-modify-write pass over the output per plane pair, followed by one
+correction pass; a portable 16-lane tile was slower than that loop on an
+AVX2 target.
+
+The shared object is compiled once per C-source hash and host CPU
+feature set, and cached under ``REPRO_CFFI_CACHE`` (default
+``~/.cache/repro/cffi``), so only the first process on a machine pays
+the ~seconds of gcc; everyone after does a dlopen.  The CPU features are
+part of the name because the build targets the host: a cache shared
+with another machine must not hand it an object with instructions its
+CPU lacks.  ``-march=native`` matters: it selects the AVX-512
+micro-kernel where the host has it, and without ``-mpopcnt`` gcc lowers
+``__builtin_popcountll`` to a libgcc bit-twiddling routine and the loop
+nest runs ~10x slower, so the build tries native flags first and falls
+back to plain ``-O3`` on compilers that reject them.
 """
 
 from __future__ import annotations
@@ -30,17 +51,22 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import platform
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["kernels", "cache_dir", "CFFI_SOURCE"]
+__all__ = ["kernels", "cache_dir", "popcount_branch", "CFFI_SOURCE"]
 
 CFFI_CDEF = """
-void repro_packed_gemm(const uint64_t *a, const uint64_t *b,
-                       int64_t p, int64_t m, int64_t q, int64_t n,
-                       int64_t nwords, int32_t op_and, int64_t *out);
+int repro_packed_gemm(const uint64_t *a, const uint64_t *b,
+                      int64_t p, int64_t m, int64_t q, int64_t n,
+                      int64_t nwords, int32_t op_and, int64_t k,
+                      int64_t popc_scale, int64_t k_scale,
+                      int64_t wsum_scale, int64_t xsum_scale,
+                      int64_t *out);
+int repro_popcount_branch(void);
 void repro_conv_gather(const uint64_t *src, int64_t images, int64_t h,
                        int64_t w, int64_t cwords, int64_t kh, int64_t kw,
                        int64_t stride, uint64_t *out);
@@ -48,16 +74,147 @@ void repro_conv_gather(const uint64_t *src, int64_t images, int64_t h,
 
 CFFI_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
-/* Fused weighted popcount-reduce GEMM over plane-major packed operands:
-   a is (p*m, nwords) -- plane s of row i at a[s*m + i]; b is
-   (q*n, nwords); out[i*n + j] = sum_{s,t} (1 << (s+t)) *
-   popc(a_row op b_row).  j is blocked so the b rows of one block stay
-   cache-resident across the i sweep. */
-void repro_packed_gemm(const uint64_t *a, const uint64_t *b,
-                       int64_t p, int64_t m, int64_t q, int64_t n,
-                       int64_t nwords, int32_t op_and, int64_t *out) {
+#if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
+#include <immintrin.h>
+#define REPRO_TILED 1
+#else
+#define REPRO_TILED 0
+#endif
+
+/* 1 when repro_packed_gemm is the AVX-512 micro-kernel, 0 when it is
+   the scalar loop nest. */
+int repro_popcount_branch(void) { return REPRO_TILED; }
+
+/* sum_s 2**s * popc(plane s of row r) over plane-major packed words:
+   plane s of row r at x[(s*rows + r) * nwords]. */
+static int64_t plane_sum(const uint64_t *x, int64_t bits, int64_t rows,
+                         int64_t r, int64_t nwords) {
+    int64_t total = 0;
+    for (int64_t s = 0; s < bits; s++) {
+        const uint64_t *row = x + (s * rows + r) * nwords;
+        int64_t count = 0;
+        for (int64_t w = 0; w < nwords; w++)
+            count += __builtin_popcountll(row[w]);
+        total += count << s;
+    }
+    return total;
+}
+
+#if REPRO_TILED
+#define TILE_M 4
+#define TILE_N 16
+
+/* popc(x op y) per 64-bit lane; op_and is a literal at every call */
+static inline __attribute__((always_inline)) __m512i popc_op(
+        __m512i x, __m512i y, const int op_and) {
+    return _mm512_popcnt_epi64(op_and ? _mm512_and_si512(x, y)
+                                      : _mm512_xor_si512(x, y));
+}
+
+/* One tile: rows i0 .. i0+rows-1 (rows <= TILE_M) against a panel of
+   TILE_N columns, panel[(t*nwords + w)*TILE_N + c] = word w of plane t
+   of column c.  Every (s, t) pair accumulates in registers and is
+   shifted by s+t there; the tile is stored once, as popc_scale * sum +
+   row_bias[i] + col_bias[j] (cb: the panel's col_bias), under the
+   panel's column masks. */
+static inline __attribute__((always_inline)) void gemm_tile(
+        const uint64_t *a, const uint64_t *panel, int64_t p, int64_t m,
+        int64_t q, int64_t nwords, int64_t i0, int64_t rows,
+        const int op_and, __m512i scale, const int64_t *row_bias,
+        const __m512i cb[2], const __mmask8 mask[2], int64_t *out,
+        int64_t n) {
+    __m512i acc[TILE_M][2];
+    for (int r = 0; r < TILE_M; r++)
+        acc[r][0] = acc[r][1] = _mm512_setzero_si512();
+    for (int64_t s = 0; s < p; s++) {
+        /* a partial tile repeats row i0; its extra rows are not stored */
+        const uint64_t *ar[TILE_M];
+        for (int r = 0; r < TILE_M; r++)
+            ar[r] = a + (s * m + i0 + (r < rows ? r : 0)) * nwords;
+        for (int64_t t = 0; t < q; t++) {
+            const uint64_t *bp = panel + t * nwords * TILE_N;
+            __m512i x[TILE_M][2];
+            for (int r = 0; r < TILE_M; r++)
+                x[r][0] = x[r][1] = _mm512_setzero_si512();
+            for (int64_t w = 0; w < nwords; w++) {
+                const __m512i b0 = _mm512_load_si512(bp + w * TILE_N);
+                const __m512i b1 = _mm512_load_si512(bp + w * TILE_N + 8);
+                for (int r = 0; r < TILE_M; r++) {
+                    const __m512i aw = _mm512_set1_epi64((long long)ar[r][w]);
+                    x[r][0] = _mm512_add_epi64(x[r][0], popc_op(aw, b0, op_and));
+                    x[r][1] = _mm512_add_epi64(x[r][1], popc_op(aw, b1, op_and));
+                }
+            }
+            for (int r = 0; r < TILE_M; r++)
+                for (int h = 0; h < 2; h++)
+                    acc[r][h] = _mm512_add_epi64(acc[r][h],
+                        _mm512_slli_epi64(x[r][h], (unsigned int)(s + t)));
+        }
+    }
+    for (int r = 0; r < rows; r++) {
+        const __m512i rb = _mm512_set1_epi64(row_bias[i0 + r]);
+        for (int h = 0; h < 2; h++)
+            _mm512_mask_storeu_epi64(out + (i0 + r) * n + 8 * h, mask[h],
+                _mm512_add_epi64(_mm512_add_epi64(
+                    _mm512_mullox_epi64(acc[r][h], scale), rb), cb[h]));
+    }
+}
+
+static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
+                     int64_t m, int64_t q, int64_t n, int64_t nwords,
+                     int32_t op_and, int64_t popc_scale,
+                     const int64_t *row_bias, const int64_t *col_bias,
+                     int64_t *out) {
+    size_t panel_bytes = (size_t)(q * nwords * TILE_N) * sizeof(uint64_t);
+    uint64_t *panel = aligned_alloc(64, (panel_bytes + 63) & ~(size_t)63);
+    if (panel == NULL)
+        return 1;
+    const __m512i scale = _mm512_set1_epi64(popc_scale);
+    for (int64_t j0 = 0; j0 < n; j0 += TILE_N) {
+        int64_t cols = n - j0 < TILE_N ? n - j0 : TILE_N;
+        /* word-major panel of columns j0 .. j0+cols-1, zero past n */
+        for (int64_t t = 0; t < q; t++) {
+            uint64_t *dst = panel + t * nwords * TILE_N;
+            for (int64_t c = 0; c < cols; c++) {
+                const uint64_t *src = b + (t * n + j0 + c) * nwords;
+                for (int64_t w = 0; w < nwords; w++)
+                    dst[w * TILE_N + c] = src[w];
+            }
+            for (int64_t c = cols; c < TILE_N; c++)
+                for (int64_t w = 0; w < nwords; w++)
+                    dst[w * TILE_N + c] = 0;
+        }
+        const __mmask8 mask[2] = {
+            (__mmask8)(cols >= 8 ? 0xFF : (1u << cols) - 1),
+            (__mmask8)(cols > 8 ? (1u << (cols - 8)) - 1 : 0)};
+        const __m512i cb[2] = {
+            _mm512_maskz_loadu_epi64(mask[0], col_bias + j0),
+            _mm512_maskz_loadu_epi64(mask[1], col_bias + j0 + 8)};
+        for (int64_t i0 = 0; i0 < m; i0 += TILE_M) {
+            int64_t rows = m - i0 < TILE_M ? m - i0 : TILE_M;
+            if (op_and)
+                gemm_tile(a, panel, p, m, q, nwords, i0, rows, 1, scale,
+                          row_bias, cb, mask, out + j0, n);
+            else
+                gemm_tile(a, panel, p, m, q, nwords, i0, rows, 0, scale,
+                          row_bias, cb, mask, out + j0, n);
+        }
+    }
+    free(panel);
+    return 0;
+}
+#else
+/* Loop nest: one read-modify-write pass over out per (s, t) pair, j
+   blocked so the b rows of one block stay cache-resident across the i
+   sweep; then one pass applying the correction. */
+static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
+                     int64_t m, int64_t q, int64_t n, int64_t nwords,
+                     int32_t op_and, int64_t popc_scale,
+                     const int64_t *row_bias, const int64_t *col_bias,
+                     int64_t *out) {
     const int64_t BJ = 48;
     memset(out, 0, (size_t)(m * n) * sizeof(int64_t));
     for (int64_t s = 0; s < p; s++) {
@@ -91,6 +248,49 @@ void repro_packed_gemm(const uint64_t *a, const uint64_t *b,
             }
         }
     }
+    for (int64_t i = 0; i < m; i++) {
+        int64_t *orow = out + i * n;
+        for (int64_t j = 0; j < n; j++)
+            orow[j] = (int64_t)((uint64_t)popc_scale * (uint64_t)orow[j]
+                                + (uint64_t)row_bias[i]
+                                + (uint64_t)col_bias[j]);
+    }
+    return 0;
+}
+#endif
+
+/* Fused weighted popcount GEMM over plane-major packed operands with
+   the operator plan's correction: a is (p*m, nwords), plane s of row i
+   at a[s*m + i]; b is (q*n, nwords); out is (m, n).  The correction
+   splits by axis into row_bias[i] = k_scale*K*Sp*Sq +
+   wsum_scale*Sq*roww[i] and col_bias[j] = xsum_scale*Sp*rowx[j]; it is
+   summed in uint64, so a term that wraps leaves an in-range result
+   exact.  Returns nonzero when a buffer cannot be allocated. */
+int repro_packed_gemm(const uint64_t *a, const uint64_t *b,
+                      int64_t p, int64_t m, int64_t q, int64_t n,
+                      int64_t nwords, int32_t op_and, int64_t k,
+                      int64_t popc_scale, int64_t k_scale,
+                      int64_t wsum_scale, int64_t xsum_scale,
+                      int64_t *out) {
+    int64_t *row_bias = malloc((size_t)(m + n) * sizeof(int64_t));
+    if (row_bias == NULL)
+        return 1;
+    int64_t *col_bias = row_bias + m;
+    const uint64_t sp = ((uint64_t)1 << p) - 1;
+    const uint64_t sq = ((uint64_t)1 << q) - 1;
+    const uint64_t k_term = (uint64_t)k_scale * (uint64_t)k * sp * sq;
+    for (int64_t i = 0; i < m; i++)
+        row_bias[i] = (int64_t)(k_term + (wsum_scale == 0 ? 0
+            : (uint64_t)wsum_scale * sq
+              * (uint64_t)plane_sum(a, p, m, i, nwords)));
+    for (int64_t j = 0; j < n; j++)
+        col_bias[j] = xsum_scale == 0 ? 0 : (int64_t)(
+            (uint64_t)xsum_scale * sp
+            * (uint64_t)plane_sum(b, q, n, j, nwords));
+    int status = gemm_body(a, b, p, m, q, n, nwords, op_and, popc_scale,
+                           row_bias, col_bias, out);
+    free(row_bias);
+    return status;
 }
 
 /* Window gather over a channel-packed padded feature map
@@ -119,8 +319,9 @@ void repro_conv_gather(const uint64_t *src, int64_t images, int64_t h,
 }
 """
 
-#: Native flags first (gcc without -mpopcnt emits a libgcc popcount and
-#: the GEMM loses ~10x); plain -O3 is the portable fallback.
+#: Native flags first (they select the AVX-512 micro-kernel where the
+#: host has it, and gcc without -mpopcnt emits a libgcc popcount that
+#: costs the loop nest ~10x); plain -O3 is the portable fallback.
 _FLAG_SETS = (
     ["-O3", "-march=native", "-funroll-loops"],
     ["-O3", "-funroll-loops"],
@@ -137,9 +338,26 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "cffi"
 
 
-def _module_name() -> str:
+def _cpu_features() -> str:
+    """The host CPU's feature list, which ``-march=native`` builds for.
+
+    The ``flags`` line of ``/proc/cpuinfo`` (``Features`` on ARM) where
+    it exists, else the platform's machine and processor names.
+    """
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            for line in info:
+                if line.startswith(("flags", "Features")):
+                    return line.split(":", 1)[-1].strip()
+    except OSError:  # no procfs
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
+def _module_name(features: str) -> str:
+    """The built module's name: a hash of the C source and ``features``."""
     digest = hashlib.sha256(
-        (CFFI_CDEF + CFFI_SOURCE).encode("utf-8")
+        (CFFI_CDEF + CFFI_SOURCE + features).encode("utf-8")
     ).hexdigest()[:16]
     return f"_repro_cffi_{digest}"
 
@@ -159,37 +377,51 @@ def _load_module(so_path: Path, modname: str):
     return module
 
 
+def _compile(directory: Path, modname: str, flags: list[str]) -> Path:
+    """Compile :data:`CFFI_SOURCE` with ``flags``; returns the .so path."""
+    from cffi import FFI
+
+    ffi = FFI()
+    ffi.cdef(CFFI_CDEF)
+    ffi.set_source(modname, CFFI_SOURCE, extra_compile_args=flags)
+    ffi.compile(tmpdir=str(directory), verbose=False)
+    built = _find_built(directory, modname)
+    if built is None:
+        raise FileNotFoundError(f"no {modname}*.so in {directory}")
+    return built
+
+
 def _build() -> Any:
     """Compile (or dlopen the cached) shared object; returns the module."""
     global _loaded
     if _loaded is not None:
         return _loaded
-    modname = _module_name()
+    modname = _module_name(_cpu_features())
     directory = cache_dir()
     built = _find_built(directory, modname)
     if built is None:
-        from cffi import FFI
-
         directory.mkdir(parents=True, exist_ok=True)
         errors: list[str] = []
         for flags in _FLAG_SETS:
-            ffi = FFI()
-            ffi.cdef(CFFI_CDEF)
-            ffi.set_source(modname, CFFI_SOURCE, extra_compile_args=flags)
             try:
-                ffi.compile(tmpdir=str(directory), verbose=False)
+                built = _compile(directory, modname, flags)
+                break
             except Exception as exc:  # distutils raises several types
                 errors.append(f"{flags}: {type(exc).__name__}: {exc}")
-                continue
-            built = _find_built(directory, modname)
-            if built is not None:
-                break
         if built is None:
             raise RuntimeError(
                 "cffi backend build failed: " + "; ".join(errors)
             )
     _loaded = _load_module(built, modname)
     return _loaded
+
+
+def popcount_branch() -> int:
+    """Which popcount GEMM branch the loaded build compiled.
+
+    1 for the AVX-512 micro-kernel, 0 for the scalar loop nest.
+    """
+    return int(_build().lib.repro_popcount_branch())
 
 
 def _packed_gemm(
@@ -200,11 +432,17 @@ def _packed_gemm(
     q: int,
     n: int,
     op_and: bool,
+    k: int = 0,
+    scales: tuple[int, int, int, int] = (1, 0, 0, 0),
 ) -> np.ndarray:
-    """Fused weighted popcount GEMM; returns (m, n) int64 fold sums.
+    """Fused weighted popcount GEMM with an affine correction.
 
-    ``a_words`` must be ``(p*m, nwords)`` and ``b_words`` ``(q*n,
-    nwords)``: the C loop trusts both extents.
+    Returns ``(m, n)`` int64 ``popc * fold + kk * k * Sp * Sq + ws * Sq *
+    roww[i] + xs * Sp * rowx[j]`` for ``scales = (popc, kk, ws, xs)``,
+    the :class:`~repro.core.opselect.OperatorPlan` coefficients; the
+    defaults return the folded popcount sums alone.  ``a_words`` must be
+    ``(p*m, nwords)`` and ``b_words`` ``(q*n, nwords)``: the C loop
+    trusts both extents.
     """
     module = _build()
     ffi, lib = module.ffi, module.lib
@@ -217,14 +455,17 @@ def _packed_gemm(
             f"not match ({p * m}, {nwords}) x ({q * n}, {nwords}) for "
             f"p={p}, m={m}, q={q}, n={n}"
         )
-    out = np.zeros((m, n), dtype=np.int64)
-    if m and n and nwords and p and q:
-        lib.repro_packed_gemm(
-            ffi.from_buffer("uint64_t *", a_words),
-            ffi.from_buffer("uint64_t *", b_words),
-            p, m, q, n, nwords, 1 if op_and else 0,
-            ffi.from_buffer("int64_t *", out),
-        )
+    if not (m and n and nwords and p and q):
+        return np.zeros((m, n), dtype=np.int64)
+    out = np.empty((m, n), dtype=np.int64)
+    status = lib.repro_packed_gemm(
+        ffi.from_buffer("uint64_t *", a_words),
+        ffi.from_buffer("uint64_t *", b_words),
+        p, m, q, n, nwords, 1 if op_and else 0, k, *scales,
+        ffi.from_buffer("int64_t *", out),
+    )
+    if status:
+        raise MemoryError("packed_gemm could not allocate its buffers")
     return out
 
 

@@ -47,7 +47,8 @@ __all__ = [
 #: The packed hot loops the cffi tier compiles:
 #:
 #: * ``packed_gemm`` -- the fused weighted popcount-reduce GEMM
-#:   (``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` in one pass);
+#:   (``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` in one pass, stored with
+#:   the operator plan's affine correction);
 #: * ``conv_gather`` -- packed conv window gather over a word-packed
 #:   feature map (no im2col digit matrix).
 CAPABILITIES = ("packed_gemm", "conv_gather")

@@ -37,10 +37,11 @@ where ``words`` is the packed width of one operand row.  On the compiled
 ``cffi`` tier (:mod:`repro.core.backends`) :func:`popcount_preferred`
 picks the cheaper one from those counts, and the popcount path runs the
 fused weighted popcount GEMM on operands packed with ``np.packbits``
-(:func:`_pack_planes`), ending in the operator plan's affine correction
-(:func:`_fold_epilogue`), so the two paths are byte-identical.  The
-packed conv gather (:mod:`repro.kernels.packed_conv`) shares the packer,
-the rule and that tail.
+(:func:`_pack_planes`).  That kernel applies the operator plan's affine
+correction as it stores each output tile (:func:`_popcount_matmul`), so
+the two paths are byte-identical.  The packed conv gather
+(:mod:`repro.kernels.packed_conv`) shares the packer, the rule and that
+kernel.
 """
 
 
@@ -49,9 +50,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import backends
-from .bitops import WORD_BITS, packed_words, popcount_reduce
+from .bitops import WORD_BITS, packed_words
 from .emulate import INT32_MAX, check_int32_accumulator
-from .opselect import OperatorPlan, TCOp, select_operator
+from .opselect import TCOp, select_operator
 from .types import Precision
 
 __all__ = ["packed_matmul", "fold_exactness_bound", "popcount_preferred"]
@@ -76,11 +77,11 @@ def fold_exactness_bound(k: int, p_bits: int, q_bits: int) -> int:
 
 
 #: Swept bits per reduced digit up to which the popcount kernel beats the
-#: fold: it wins when ``p*q*64*words <= crossover * K``.  Both come from
-#: the crossover tables in the README (Backends); with im2col a
-#: channel-last copy, the conv table crosses where the GEMM table does.
-_GEMM_CROSSOVER = 2
-_GATHER_CROSSOVER = 2
+#: fold: it wins when ``p*q*64*words <= _CROSSOVER * K``.  From the GEMM
+#: and conv crossover tables in the README (Backends): both cross at 2 on
+#: the scalar loop nest.  The AVX-512 micro-kernel wins out to 8, but one
+#: constant serves both branches, and the slower branch sets it.
+_CROSSOVER = 2
 
 
 def popcount_preferred(
@@ -89,22 +90,19 @@ def popcount_preferred(
     k: int,
     words: int,
     backend: "backends.Backend | str | None" = None,
-    *,
-    gather: bool = False,
 ) -> bool:
     """Whether the compiled popcount kernel should replace the fold.
 
     ``words`` is the packed width of one operand row: ``ceil(K/64)`` for
-    a GEMM, ``KH*KW*ceil(C_in/64)`` for the conv gather (``gather=True``),
-    whose zero-filled channel words are swept too.  The popcount kernel
-    sweeps ``p*q*64*words`` bits per output where the fold's BLAS GEMM
-    reduces ``K`` digits at any precision.  Always False on numpy, which
-    has no popcount kernel.
+    a GEMM, ``KH*KW*ceil(C_in/64)`` for the conv gather, whose
+    zero-filled channel words are swept too.  The popcount kernel sweeps
+    ``p*q*64*words`` bits per output where the fold's BLAS GEMM reduces
+    ``K`` digits at any precision.  Always False on numpy, which has no
+    popcount kernel.
     """
     if not backends.resolve_backend(backend).compiled:
         return False
-    crossover = _GATHER_CROSSOVER if gather else _GEMM_CROSSOVER
-    return 0 < p_bits * q_bits * WORD_BITS * words <= crossover * k
+    return 0 < p_bits * q_bits * WORD_BITS * words <= _CROSSOVER * k
 
 
 def _check_digits(digits: np.ndarray, precision: Precision, name: str) -> None:
@@ -150,40 +148,6 @@ def _pack_planes(digits: np.ndarray, bits: int) -> np.ndarray:
     return out.view("<u8").reshape(bits * rows, words)
 
 
-def _plane_sums(words: np.ndarray, bits: int, rows: int) -> np.ndarray:
-    """``sum_s 2**s * rowsum(plane s)``, from plane-major packed words."""
-    counts = popcount_reduce(words.reshape(bits, rows, words.shape[1]))
-    shifts = np.int64(1) << np.arange(bits, dtype=np.int64)
-    return (counts * shifts[:, None]).sum(axis=0)
-
-
-def _fold_epilogue(
-    popc_fold: np.ndarray,
-    plan: OperatorPlan,
-    k: int,
-    sp: np.int64,
-    sq: np.int64,
-    row_w: np.ndarray | None,
-    row_x: np.ndarray | None,
-) -> np.ndarray:
-    """The plan's affine correction applied to folded popcount sums.
-
-    ``popc_fold`` is ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)``, as the
-    compiled fused popcount GEMM of :func:`_popcount_matmul` returns it.
-    Every coefficient is ``(s, t)``-independent, so with ``Sp = 2**p - 1``
-    and ``Sq = 2**q - 1`` the plane row sums fold to ``Sq * rowsum(W
-    digits)`` and ``Sp * rowsum(X digits)``, and ``K`` to ``Sp * Sq * K``.
-    """
-    out = plan.popc_scale * popc_fold
-    if plan.k_scale:
-        out = out + plan.k_scale * np.int64(k) * sp * sq
-    if plan.needs_row_sums:
-        out = out + plan.wsum_scale * sq * row_w[:, None]
-    if plan.needs_col_sums:
-        out = out + plan.xsum_scale * sp * row_x[None, :]
-    return out
-
-
 def _popcount_matmul(
     w_words: np.ndarray,
     x_words: np.ndarray,
@@ -198,9 +162,12 @@ def _popcount_matmul(
 
     ``w_words`` is ``(p*M, words)`` and ``x_words`` ``(q*N, words)``, as
     :func:`_pack_planes` lays them out; ``k`` is the logical reduction
-    length the epilogue corrects for.  The compiled kernel returns the
-    folded popcount sums, the row sums come from popcounts of the same
-    words, and :func:`_fold_epilogue` applies the operator plan, so the
+    length the correction accounts for.  The compiled kernel folds the
+    ``p*q`` plane products and applies the operator plan's affine
+    correction in one pass: every coefficient is ``(s, t)``-independent,
+    so with ``Sp = 2**p - 1`` and ``Sq = 2**q - 1`` the plane row sums
+    fold to ``Sq * rowsum(W digits)`` and ``Sp * rowsum(X digits)``
+    (counted from the same words), and ``K`` to ``Sp * Sq * K``.  The
     result is the fold's, byte for byte.
     """
     gemm = backends.kernel("packed_gemm", backend)
@@ -209,12 +176,10 @@ def _popcount_matmul(
     p, q = weight.bits, feature.bits
     m, n = w_words.shape[0] // p, x_words.shape[0] // q
     plan = select_operator(weight, feature)
-    fold = gemm(w_words, x_words, p, m, q, n, plan.op is TCOp.AND)
-    sp = np.int64((1 << p) - 1)
-    sq = np.int64((1 << q) - 1)
-    row_w = _plane_sums(w_words, p, m) if plan.needs_row_sums else None
-    row_x = _plane_sums(x_words, q, n) if plan.needs_col_sums else None
-    out = _fold_epilogue(fold, plan, k, sp, sq, row_w, row_x)
+    out = gemm(
+        w_words, x_words, p, m, q, n, plan.op is TCOp.AND, k,
+        (plan.popc_scale, plan.k_scale, plan.wsum_scale, plan.xsum_scale),
+    )
     if check_overflow and fold_exactness_bound(k, p, q) > INT32_MAX:
         check_int32_accumulator(out)
     return out

@@ -131,7 +131,7 @@ def apconv(
     p, q, k = weight.bits, feature.bits, cin * kh * kw
     compiled = 0
     if strategy == "packed" and popcount_preferred(
-        p, q, k, kh * kw * packed_words(cin), run_backend, gather=True
+        p, q, k, kh * kw * packed_words(cin), run_backend
     ):
         # compiled window gather: the im2col digit matrix never exists
         acc = packed_conv_matmul(

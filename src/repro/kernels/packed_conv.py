@@ -4,9 +4,9 @@ The default packed conv lowers onto APMM by materializing the im2col
 digit matrix -- ``(batch * OH * OW, C_in * KH * KW)`` digits, every
 input pixel duplicated ``KH * KW`` times *before* bit packing.  This
 module is the compiled alternative, taken where
-:func:`repro.core.packed.popcount_preferred` (``gather=True``) says it
-wins: pack the padded feature map **once** (channel-last, ``C_in`` bits
-per pixel packed into ``ceil(C_in / 64)`` words) and let the
+:func:`repro.core.packed.popcount_preferred` says it wins: pack the
+padded feature map **once** (channel-last, ``C_in`` bits per pixel
+packed into ``ceil(C_in / 64)`` words) and let the
 ``conv_gather`` kernel (:mod:`repro.core.backends`) copy each window's
 ``KH * KW`` word-runs straight into the GEMM operand -- the duplication
 happens on 64x-compressed words, and the digit matrix never exists.
@@ -18,9 +18,10 @@ the zero filler bits in each ``C_in`` word group are neutral for both
 therefore byte-identical to the im2col path (the hypothesis suite
 enforces it).
 
-Packing, the fused weighted popcount GEMM and the fold epilogue are the
-ones :func:`repro.core.packed.packed_matmul` runs on its popcount path
--- same algebra, same int64 exactness.
+Packing and the fused weighted popcount GEMM, with the operator plan's
+correction applied in the kernel, are the ones
+:func:`repro.core.packed.packed_matmul` runs on its popcount path --
+same algebra, same int64 exactness.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ their entry points -- which take them exactly when
 :func:`repro.core.packed.popcount_preferred` holds -- and directly at
 shapes the rule sends to the fold.  Narrow digits (the quantizers'
 ``uint8``/``uint16``) must give every strategy and backend the result
-of the same digits held as int64.  Also covers forced fallback: a
-loader import failure must run the numpy path cleanly, with zero
+of the same digits held as int64.  Both C branches of the popcount
+GEMM are checked on any x86-64-v3 CPU: an x86-64-v3 build (the loop
+nest) against the host build and the reference.  Also covers forced fallback:
+a loader import failure must run the numpy path cleanly, with zero
 compiled-kernel counter ticks.
 """
 
@@ -30,6 +32,7 @@ from repro.core import (
     packed,
 )
 from repro.core.bitops import bit_decompose, pack_bits, packed_words
+from repro.core.emulate import reference_matmul
 from repro.core.packed import (
     _pack_planes,
     _popcount_matmul,
@@ -88,7 +91,7 @@ class TestPackPlanesIdentity:
 def _expected_compiled(p, q, k, words_gather=None):
     """Compiled kernels the rule runs: 2 for the gather, 1 for a GEMM."""
     if words_gather is not None and popcount_preferred(
-        p, q, k, words_gather, "cffi", gather=True
+        p, q, k, words_gather, "cffi"
     ):
         return 2
     return int(popcount_preferred(p, q, k, packed_words(k), "cffi"))
@@ -97,13 +100,15 @@ def _expected_compiled(p, q, k, words_gather=None):
 @needs_cffi
 class TestGemmIdentity:
     @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, k=ks, pair=st.sampled_from(PAIRS))
-    def test_apmm_identical_across_backends(self, seed, k, pair):
+    @given(seed=seeds, k=ks, pair=st.sampled_from(PAIRS),
+           m=st.integers(1, 40), n=st.integers(1, 40))
+    def test_apmm_identical_across_backends(self, seed, k, pair, m, n):
         from repro.kernels.apmm import apmm
 
+        # m and n span partial and whole 4-row tiles and 16-column panels
         rng = np.random.default_rng(seed)
-        w = pair.weight.random_digits(rng, (8, k))
-        x = pair.activation.random_digits(rng, (6, k))
+        w = pair.weight.random_digits(rng, (m, k))
+        x = pair.activation.random_digits(rng, (n, k))
         ref = apmm(w, x, pair.weight, pair.activation, backend="numpy")
         got = apmm(w, x, pair.weight, pair.activation, backend="cffi")
         assert np.array_equal(got.output, ref.output)
@@ -132,6 +137,70 @@ class TestGemmIdentity:
         want = packed_matmul(w, x, pair.weight, feature, backend="numpy")
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+#: A build target without AVX-512: ``repro_packed_gemm`` compiles to its
+#: scalar loop nest there.
+LOOP_NEST_FLAGS = ["-O3", "-march=x86-64-v3", "-funroll-loops"]
+
+#: The ``/proc/cpuinfo`` flags of the x86-64-v3 level (``abm`` is
+#: LZCNT): a CPU lacking one could die on the build's first call.
+X86_64_V3_FEATURES = frozenset(
+    {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
+)
+
+
+@pytest.fixture(scope="module")
+def loop_nest_build(tmp_path_factory):
+    """``CFFI_SOURCE`` built for x86-64-v3, loaded beside the host build."""
+    if not X86_64_V3_FEATURES <= set(_backend_cffi._cpu_features().split()):
+        pytest.skip("an x86-64-v3 build needs an x86-64 CPU at that level")
+    pytest.importorskip("cffi")
+    directory = tmp_path_factory.mktemp("loop_nest")
+    modname = "_repro_cffi_loop_nest"
+    try:
+        built = _backend_cffi._compile(directory, modname, LOOP_NEST_FLAGS)
+    except Exception as exc:  # distutils raises several types
+        pytest.skip(f"cffi or gcc rejected the x86-64-v3 build: {exc}")
+    return _backend_cffi._load_module(built, modname)
+
+
+@needs_cffi
+class TestLoopNestBranch:
+    """Both C branches of the popcount GEMM agree, on any x86-64-v3 CPU.
+
+    The host build takes the AVX-512 micro-kernel where the CPU has
+    VPOPCNTDQ; an x86-64-v3 build always takes the loop nest.  Each must
+    equal the other and the decoded-integer reference, correction
+    included.
+    """
+
+    def test_x86_64_v3_build_compiles_the_loop_nest(self, loop_nest_build):
+        assert loop_nest_build.lib.repro_popcount_branch() == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, pair=st.sampled_from(PAIRS),
+           wenc=st.sampled_from([Encoding.UNSIGNED, Encoding.BIPOLAR]),
+           xenc=st.sampled_from([Encoding.UNSIGNED, Encoding.BIPOLAR]),
+           m=st.integers(1, 40), n=st.integers(1, 40),
+           nwords=st.integers(1, 80), tail=st.integers(1, 64))
+    def test_matches_the_host_build_and_the_reference(
+        self, loop_nest_build, seed, pair, wenc, xenc, m, n, nwords, tail
+    ):
+        # the encodings pick the operator: XOR for bipolar x bipolar,
+        # AND otherwise
+        wp = Precision(pair.weight.bits, wenc)
+        xp = Precision(pair.activation.bits, xenc)
+        k = 64 * (nwords - 1) + tail
+        rng = np.random.default_rng(seed)
+        w = wp.random_digits(rng, (m, k))
+        x = xp.random_digits(rng, (n, k))
+        args = (_pack_planes(w, wp.bits), _pack_planes(x, xp.bits), wp, xp, k)
+        host = _popcount_matmul(*args, backend="cffi")
+        with mock.patch.object(_backend_cffi, "_loaded", loop_nest_build):
+            loop_nest = _popcount_matmul(*args, backend="cffi")
+        assert np.array_equal(loop_nest, host)
+        assert np.array_equal(host, reference_matmul(w, x, wp, xp))
 
 
 @needs_cffi
@@ -176,7 +245,7 @@ class TestConvIdentity:
         feature = Precision(pair.activation.bits, encoding)
         assert not popcount_preferred(pair.weight.bits, feature.bits,
                                       cin * 9, 9 * packed_words(cin),
-                                      "cffi", gather=True)
+                                      "cffi")
         rng = np.random.default_rng(seed)
         w = pair.weight.random_digits(rng, (5, cin, 3, 3))
         x = feature.random_digits(rng, (2, cin, hw, hw))

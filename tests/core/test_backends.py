@@ -120,6 +120,17 @@ class TestDegradation:
             assert get_backend() is NUMPY
 
 
+class TestBuildCache:
+    def test_module_name_keys_on_the_cpu_features(self):
+        # a cache shared between hosts must not load another CPU's build
+        name = _backend_cffi._module_name
+        assert name("fpu sse2 avx2") == name("fpu sse2 avx2")
+        assert name("fpu sse2 avx2") != name("fpu sse2 avx2 avx512f")
+
+    def test_host_features_are_read(self):
+        assert _backend_cffi._cpu_features().strip()
+
+
 class TestKernelLookup:
     def test_numpy_backend_has_no_compiled_kernels(self):
         assert not NUMPY.compiled

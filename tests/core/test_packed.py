@@ -297,7 +297,7 @@ class TestInt32CheckFromShapes:
         else:
             from repro.kernels.apconv import apconv
 
-            assert popcount_preferred(1, 2, 576, 9, "cffi", gather=True)
+            assert popcount_preferred(1, 2, 576, 9, "cffi")
             res = apconv(W.reshape(4, 64, 3, 3), X.reshape(3, 64, 3, 3),
                          wp, xp, backend="cffi")
             assert res.cost.counters.compiled_kernels == 2
@@ -330,7 +330,7 @@ class TestDigitRangeEveryPath:
             pytest.skip("cffi kernels do not load here")
         if path == "gather":
             # C_in 64, 3x3: the rule takes the gather
-            assert popcount_preferred(1, 2, 576, 9, "cffi", gather=True)
+            assert popcount_preferred(1, 2, 576, 9, "cffi")
             return apconv(w.reshape(4, 64, 3, 3), x.reshape(1, 64, 3, 3),
                           wp, xp, backend="cffi")
         # K 576: the rule takes the popcount GEMM on cffi
