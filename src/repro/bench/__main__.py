@@ -130,9 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update-baseline", action="store_true",
                         help=f"write the run to {DEFAULT_BASELINE_PATH} "
                              "(or --baseline) instead of gating against it")
-    parser.add_argument("--tolerance", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_BENCH_TOLERANCE", DEFAULT_TOLERANCE)),
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="allowed fractional speedup regression per "
                              "tracked kernel (default 0.25)")
     parser.add_argument("--min-gemm-speedup", type=float, default=None,

@@ -580,9 +580,9 @@ def scheduling_trace():
 def scheduling_models():
     """The scheduling workload's two served models (tight + loose SLO).
 
-    The single source of that workload: the study, its tests, and
-    ``benchmarks/bench_serving.py`` all build from here so retuning the
-    SLOs cannot leave a consumer comparing a different workload.
+    The single source of that workload: the study and its tests both
+    build from here so retuning the SLOs cannot leave a consumer
+    comparing a different workload.
     """
     from ..nn.models import alexnet, resnet18
     from ..serve import ServedModel

@@ -75,8 +75,6 @@ def apconv(
     strategy: str = "packed",
     backend: "backends.Backend | str | None" = None,
     out_quantizer: AffineQuantizer | None = None,
-    channel_major: bool = True,
-    decompose_input: bool = True,
 ) -> APConvResult:
     """Run (and cost) one arbitrary-precision convolution.
 
@@ -173,9 +171,7 @@ def apconv(
         stride=stride,
         padding=padding,
         out_bits=out_bits,
-        channel_major=channel_major,
         padding_correction=pplan.needs_correction and padding > 0,
-        decompose_input=decompose_input,
         name=f"apconv-w{weight.bits}a{feature.bits}-{cin}->{cout}@{h}x{w}k{kh}s{stride}",
     )
     # Observed execution fact on top of the analytic charge.

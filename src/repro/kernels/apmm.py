@@ -81,9 +81,6 @@ def apmm(
     strategy: str = "packed",
     backend: "backends.Backend | str | None" = None,
     out_quantizer: AffineQuantizer | None = None,
-    batch_planes: bool = True,
-    double_caching: bool = True,
-    decompose_input: bool = True,
 ) -> APMMResult:
     """Run (and cost) one arbitrary-precision GEMM.
 
@@ -113,8 +110,6 @@ def apmm(
     out_quantizer:
         Optional fused re-quantization to an arbitrary-precision output
         (section 4.1b); the cost then writes ``q_out``-bit packed data.
-    batch_planes / double_caching / decompose_input:
-        Ablation switches for the paper's design points (default = paper).
     """
     # Kernel-boundary tracing (wall clock: this really executes).  The
     # default tracer is the shared no-op, so untraced callers pay one
@@ -166,9 +161,6 @@ def apmm(
     cost = gemm_cost(
         m, n, k, weight.bits, feature.bits, config,
         out_bits=out_bits,
-        batch_planes=batch_planes,
-        double_caching=double_caching,
-        decompose_input=decompose_input,
         name=f"apmm-w{weight.bits}a{feature.bits}-{m}x{n}x{k}",
     )
     # Observed execution fact on top of the analytic charge.

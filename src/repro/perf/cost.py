@@ -109,7 +109,6 @@ def gemm_cost(
     out_bits: int = 32,
     batch_planes: bool = True,
     double_caching: bool = True,
-    decompose_input: bool = True,
     name: str | None = None,
     efficiency_key: str = "apmm",
 ) -> KernelCost:
@@ -177,7 +176,7 @@ def gemm_cost(
 
     counters.tc_macs = counters.bmma_calls * 8 * 8 * 128
 
-    decompose_ops = (p_bits * m * k + q_bits * n * k) if decompose_input else 0
+    decompose_ops = p_bits * m * k + q_bits * n * k
     combine_ops = p_bits * q_bits * m * n
     pack_ops = m * n if out_bits < 32 else 0  # ballot-style repacking
     counters.cuda_ops += decompose_ops + combine_ops + pack_ops
@@ -286,7 +285,6 @@ def conv_cost(
     out_bits: int = 32,
     channel_major: bool = True,
     padding_correction: bool = False,
-    decompose_input: bool = True,
     double_caching: bool = True,
     efficiency_key: str = "apconv",
     name: str | None = None,
@@ -305,7 +303,6 @@ def conv_cost(
     cost = gemm_cost(
         m, n, k, p_bits, q_bits, cfg,
         out_bits=out_bits,
-        decompose_input=decompose_input,
         double_caching=double_caching,
         name=name or f"apconv-w{p_bits}a{q_bits}-c{in_channels}x{out_channels}",
         efficiency_key=efficiency_key,

@@ -68,6 +68,7 @@ class TestFig6:
         panel4, panel8 = figures.fig6_apmm_speedups_a100()
         assert panel4.device == "A100"
         assert all(s > 0.8 for _, s in panel4.series["APMM-w1a2"])
+        assert all(s > 1.0 for _, s in panel8.series["APMM-w5a1"])
 
     def test_a100_apmm_beats_int4(self):
         panel4, _ = figures.fig6_apmm_speedups_a100()
@@ -82,7 +83,7 @@ class TestFig7:
     def test_speedup_factor_vs_int4(self, fig7):
         """Paper: up to 3.78x over cutlass-conv-int4."""
         panel4, _ = fig7
-        assert 2.0 < panel4.max_speedup("APConv-w1a2") < 5.5
+        assert 2.5 < panel4.max_speedup("APConv-w1a2") < 5.0
 
     def test_speedup_factor_vs_int8(self, fig7):
         """Paper: up to 3.08x over cutlass-conv-int8."""
@@ -105,14 +106,18 @@ class TestFig8:
         panel4, panel8 = figures.fig8_apconv_speedups_a100()
         assert panel4.device == "A100"
         assert panel4.max_speedup("APConv-w1a2") > 1.5
+        assert all(s > 0.9 for _, s in panel8.series["APConv-w1a8"])
 
 
 class TestFig9:
+    @pytest.mark.slow
     def test_first_layer_largest(self):
-        breakdown = figures.fig9_layer_breakdown(("AlexNet",))
-        fracs = breakdown["AlexNet"]
-        assert fracs[0][0] == "conv1"
-        assert fracs[0][1] == max(f for _, f in fracs)
+        """Paper: 80.4% (AlexNet) and 47.5% (VGG-Variant) in conv1."""
+        breakdown = figures.fig9_layer_breakdown(("AlexNet", "VGG-Variant"))
+        for model, fracs in breakdown.items():
+            assert fracs[0][0] == "conv1"
+            assert fracs[0][1] == max(f for _, f in fracs), model
+        assert breakdown["AlexNet"][0][1] > 0.25
 
     def test_fractions_normalized(self):
         breakdown = figures.fig9_layer_breakdown(("AlexNet",))
@@ -133,6 +138,9 @@ class TestFig10:
     def test_channel_sweep_covered(self):
         rows = figures.fig10_kernel_fusion()
         assert [r["channels"] for r in rows] == list(figures.CONV_CHANNELS)
+        # fusion saves launches and DRAM round trips, which weigh most
+        # at the smallest channel count
+        assert rows[0]["speedup"] > rows[-1]["speedup"]
 
 
 class TestFig11:
@@ -142,6 +150,8 @@ class TestFig11:
         for r in rows:
             assert 0 <= r["combine_overhead_pct"] < 5
             assert 0 <= r["decompose_overhead_pct"] < 8
+        mean = sum(r["decompose_overhead_pct"] for r in rows) / len(rows)
+        assert mean < 4
 
 
 class TestFig12:
@@ -154,7 +164,9 @@ class TestFig12:
     def test_w1a1_beats_cutlass_int1(self):
         """Paper: ~1.35x from kernel-level optimizations."""
         data = figures.fig12_same_bits()
-        assert all(s > 1.0 for _, s in data["APMM-w1a1 vs cutlass-int1"])
+        speedups = [s for _, s in data["APMM-w1a1 vs cutlass-int1"]]
+        assert all(s > 1.0 for s in speedups)
+        assert 1.0 < sum(speedups) / len(speedups) < 2.0
 
 
 class TestTable4:
@@ -173,25 +185,35 @@ class TestTable4:
 class TestTables23:
     @pytest.fixture(scope="class")
     def table2(self):
-        return figures.table2_apnn_inference(models=("AlexNet",))
+        rows = figures.table2_apnn_inference()
+        return {
+            model: {r["scheme"]: r for r in rows if r["model"] == model}
+            for model in ("AlexNet", "VGG-Variant", "ResNet-18")
+        }
 
     def test_apnn_fastest_scheme(self, table2):
-        by_scheme = {r["scheme"]: r["latency_ms"] for r in table2}
-        assert by_scheme["APNN-w1a2"] == min(by_scheme.values())
+        for model, rows in table2.items():
+            by_scheme = {s: r["latency_ms"] for s, r in rows.items()}
+            assert by_scheme["APNN-w1a2"] == min(by_scheme.values()), model
+            assert by_scheme["BNN"] > by_scheme["APNN-w1a2"], model
 
     def test_apnn_beats_single_4x(self, table2):
-        by_scheme = {r["scheme"]: r["latency_ms"] for r in table2}
-        assert by_scheme["CUTLASS-Single"] / by_scheme["APNN-w1a2"] > 4
+        for model, rows in table2.items():
+            by_scheme = {s: r["latency_ms"] for s, r in rows.items()}
+            assert by_scheme["CUTLASS-Single"] / by_scheme["APNN-w1a2"] > 4, model
 
     def test_apnn_throughput_beats_single_3x(self, table2):
         """Paper abstract: 3x higher throughput than single precision."""
-        by_scheme = {r["scheme"]: r["throughput_fps"] for r in table2}
-        assert by_scheme["APNN-w1a2"] / by_scheme["CUTLASS-Single"] > 3
+        for model, rows in table2.items():
+            by_scheme = {s: r["throughput_fps"] for s, r in rows.items()}
+            assert by_scheme["APNN-w1a2"] / by_scheme["CUTLASS-Single"] > 3, model
 
     def test_table3_precision_latency_ordering(self):
         rows = {r["scheme"]: r["latency_ms"] for r in figures.table3_vgg_case_study()}
         assert rows["APNN-w1a2"] < rows["APNN-w2a2"] < rows["APNN-w2a8"]
         assert rows["APNN-w1a2"] < rows["BNN"]
+        assert rows["APNN-w1a2"] < rows["CUTLASS-INT8-TC"]
+        assert rows["APNN-w2a2"] < rows["CUTLASS-INT8-TC"]
 
     def test_table3_w2a8_not_faster_than_int8(self):
         """Paper: 16 plane products make w2a8 lose its edge over int8."""
@@ -206,10 +228,10 @@ class TestAblations:
     def test_every_design_choice_helps(self):
         data = figures.ablation_design_choices()
         full = data["apmm-w1a2 (full design)"]
-        assert data["  - plane batching"] > full
+        assert data["  - plane batching"] > 1.5 * full
         assert data["  - double caching"] >= full
         assert data["  - autotuning (fixed 128x128)"] > full
         assert (
             data["apconv-w1a2 naive NCHW (512ch)"]
-            > data["apconv-w1a2 channel-major (512ch)"]
+            > 1.2 * data["apconv-w1a2 channel-major (512ch)"]
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import AffineQuantizer, Encoding, Precision
 from repro.kernels import TileConfig, apconv
+from repro.perf import conv_cost
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 
@@ -159,15 +160,18 @@ class TestQuantizedOutput:
 
 class TestCostShape:
     def test_channel_major_reduces_reads(self):
-        """The NPHWC layout motivation: naive NCHW reads ~4x the bytes."""
-        wp, xp = Precision(1, B), Precision(2, U)
-        W, X = _rand_conv(6, wp, xp, cout=16, cin=8, h=8, w=8)
+        """The NPHWC layout motivation: naive NCHW reads ~4x the bytes.
+
+        A cost-model input (apconv always costs the channel-major
+        layout), so this prices apconv's geometry with conv_cost.
+        """
         cfg = TileConfig(16, 16)
-        good = apconv(W, X, wp, xp, config=cfg, channel_major=True)
-        bad = apconv(W, X, wp, xp, config=cfg, channel_major=False)
+        # batch 2, C_in 8 -> C_out 16, 8x8, 3x3 kernel, w1a2
+        good = conv_cost(2, 8, 16, 8, 8, 3, 1, 2, cfg, channel_major=True)
+        bad = conv_cost(2, 8, 16, 8, 8, 3, 1, 2, cfg, channel_major=False)
         assert (
-            bad.cost.counters.global_bytes_read
-            == 4 * good.cost.counters.global_bytes_read
+            bad.counters.global_bytes_read
+            == 4 * good.counters.global_bytes_read
         )
 
     def test_padding_plan_attached(self):

@@ -85,12 +85,18 @@ class TestServing:
         assert len(busy) == 2
 
     def test_plan_cache_shared_and_hot(self, models):
-        cache = PlanCache()
-        for _ in range(3):
-            server = _server(models, plan_cache=cache)
-            _serve(server, burst_trace(60, sorted(models)))
-        assert cache.stats().hit_rate > 0.6  # only round 1 plans
-        assert cache.stats().entries > 0
+        # only round 1 plans; a Poisson trace's many more batch
+        # decisions land on those plans, so its hit rate climbs higher
+        for trace, floor in (
+            (burst_trace(60, sorted(models)), 0.6),
+            (poisson_trace(50_000, 200, sorted(models), seed=7), 0.9),
+        ):
+            cache = PlanCache()
+            for _ in range(3):
+                server = _server(models, plan_cache=cache)
+                _serve(server, trace)
+            assert cache.stats().hit_rate > floor
+            assert cache.stats().entries > 0
 
     def test_tight_slo_prefers_smaller_batches(self, models):
         loose = _server(models, slo_ms=50.0)

@@ -215,6 +215,26 @@ class TestCLI:
         ])
         assert rc == 0
 
+    def test_environment_cannot_loosen_the_gate(self, tmp_path, monkeypatch):
+        baseline = tmp_path / "baseline.json"
+        rc = bench_main([
+            "--smoke", "--repeats", "1", "--out", str(tmp_path / "a"),
+            "--baseline", str(baseline), "--update-baseline",
+        ])
+        assert rc == 0
+        tripled = json.loads(baseline.read_text())
+        for entry in tripled["kernels"]:
+            entry["speedup"] *= 3.0
+        baseline.write_text(json.dumps(tripled))
+        # only --tolerance may widen the gate: a stray variable in the
+        # environment must not let a 3x regression pass
+        monkeypatch.setenv("REPRO_BENCH_TOLERANCE", "0.99")
+        rc = bench_main([
+            "--smoke", "--repeats", "1", "--out", str(tmp_path / "b"),
+            "--baseline", str(baseline),
+        ])
+        assert rc == 1
+
     def test_gate_failure_exits_nonzero(self, tmp_path, capsys):
         rc = bench_main([
             "--smoke", "--repeats", "1", "--out", str(tmp_path),

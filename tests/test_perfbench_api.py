@@ -6,10 +6,12 @@ what the benchmark relies on: ``backends.get_backend()`` with its
 ``.name``/``.capabilities``, the per-call ``backend=`` of
 ``apmm``/``apconv``, and ``cost.counters.compiled_kernels``, which
 splits gather from im2col + fold time and marks the fully-connected
-layers that ran the popcount GEMM.
+layers that ran the popcount GEMM.  It also checks that CI runs only
+modules and benchmark files that exist.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from repro.obs import Tracer
 from repro.serve import PlanCache
 from repro.tensorcore import RTX3090
 
-QNET = Path(__file__).resolve().parents[1] / "perfbench" / "qnet.py"
+REPO = Path(__file__).resolve().parents[1]
+QNET = REPO / "perfbench" / "qnet.py"
 SIZE = 67
 BATCH = 2
 
@@ -104,3 +107,26 @@ def test_popcount_gemm_runs_only_on_cffi(qnet, prepared):
     assert first == [0]
     numpy_spans = _kernel_spans(qnet, net, images, backend="numpy")
     assert [a["compiled_kernels"] for a in numpy_spans] == [0] * len(spans)
+
+
+def test_ci_names_only_what_exists():
+    # Read as text: CI installs requirements-dev.txt, which has no YAML
+    # parser.  A third-party module counts when that file installs it.
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    installed = {"pip"} | {
+        re.split(r"[<>=]", line)[0].strip()
+        for line in (REPO / "requirements-dev.txt").read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    }
+    modules = set(re.findall(r"python3? -m ([\w.]+)", ci))
+    assert "repro.bench" in modules
+    for module in modules:
+        if module.split(".")[0] == "repro":
+            assert importlib.util.find_spec(module) is not None, module
+        else:
+            assert module in installed, module
+    paths = {p.rstrip(".") for p in
+             re.findall(r"(?:perfbench|benchmarks)/[\w./-]+", ci)}
+    assert "perfbench/run.py" in paths
+    for path in paths:
+        assert (REPO / path).exists(), path
