@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.baselines import cutlass_gemm
+from repro.baselines import cutlass_gemm_cost
 from repro.core import PrecisionPair, reference_matmul
 from repro.kernels import apmm
 from repro.perf import LatencyModel
@@ -36,11 +36,8 @@ def main() -> None:
     model = LatencyModel(RTX3090)
     ap_us = model.latency_us(result.cost)
 
-    # the same GEMM through the int4 library baseline
-    w4 = rng.integers(-8, 8, size=(1024, 1024))
-    x4 = rng.integers(-8, 8, size=(64, 1024))
-    base = cutlass_gemm(x4, w4, "int4")
-    int4_us = model.latency_us(base.cost)
+    # the same GEMM shape through the int4 library baseline
+    int4_us = model.latency_us(cutlass_gemm_cost(64, 1024, 1024, "int4"))
 
     print(f"\nmodeled RTX 3090 latency:")
     print(f"  APMM-w1a2          {ap_us:7.2f} us   (paper Table 4:  6.67 us)")

@@ -12,7 +12,7 @@ Subpackages
     AP-Layer design (paper section 4): APMM, APConv, tiling, autotuner,
     layouts, input-aware padding, fused epilogues.
 ``repro.baselines``
-    Simulated CUTLASS/cuBLAS kernels and the TCBNN-style binary baseline.
+    Modeled cost of the CUTLASS/cuBLAS kernels the paper compares against.
 ``repro.perf``
     Analytical latency model (roofline + occupancy + launch overhead) with
     per-device calibration (RTX 3090, A100).

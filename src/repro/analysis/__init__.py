@@ -19,7 +19,7 @@ from __future__ import annotations
 from .config import AnalysisConfig
 from .engine import AnalysisResult, Analyzer, analyze
 from .findings import Finding
-from .registry import registered_rules, rule_names
+from .registry import registered_rules
 
 __all__ = [
     "AnalysisConfig",
@@ -28,5 +28,4 @@ __all__ = [
     "Finding",
     "analyze",
     "registered_rules",
-    "rule_names",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     "ProjectRule",
     "register",
     "registered_rules",
-    "rule_names",
 ]
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
@@ -68,10 +67,6 @@ def registered_rules() -> dict[str, type["BaseRule"]]:
     from . import rules as _rules  # noqa: F401
 
     return dict(_RULES)
-
-
-def rule_names() -> tuple[str, ...]:
-    return tuple(registered_rules())
 
 
 def path_matches(rel: str, patterns: tuple[str, ...]) -> bool:

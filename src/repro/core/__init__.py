@@ -24,13 +24,7 @@ from .bitops import (
     popcount_reduce,
     unpack_bits,
 )
-from .emulate import (
-    EmulationCounts,
-    apbit_matmul,
-    apbit_matmul_planes,
-    emulation_op_counts,
-    reference_matmul,
-)
+from .emulate import apbit_matmul, apbit_matmul_planes, reference_matmul
 from .opselect import EmulationCase, OperatorPlan, TCOp, classify, select_operator
 from .packed import fold_exactness_bound, packed_matmul
 from .quantize import (
@@ -62,8 +56,6 @@ __all__ = [
     "reference_matmul",
     "packed_matmul",
     "fold_exactness_bound",
-    "EmulationCounts",
-    "emulation_op_counts",
     "EmulationCase",
     "OperatorPlan",
     "TCOp",

@@ -12,14 +12,12 @@ Boolean matrix products plus shifted adds:
    correction demanded by the operand encodings
    (:mod:`repro.core.opselect`).
 
-Two entry points are provided:
-
-* :func:`apbit_matmul` -- digits in, int64 out; the reference bit-serial
-  path used by kernels and validated against plain integer matmul;
-* :func:`emulation_op_counts` -- the exact operation counts (bmma calls,
-  decomposition/combination element ops) that the performance model charges,
-  matching the paper's cost analysis: decomposition ``O((p+q) n^2)``,
-  combination ``O(p q n^2)``, Tensor-Core work ``O(p q n^3)`` in 1-bit MACs.
+:func:`apbit_matmul` takes digits and returns int64: the reference
+bit-serial path used by kernels and validated against plain integer
+matmul.  The work it emulates -- decomposition ``O((p+q) n^2)``,
+combination ``O(p q n^2)``, Tensor-Core work ``O(p q n^3)`` in 1-bit MACs
+(the paper's cost analysis) -- is counted by
+:func:`repro.perf.cost.gemm_cost`.
 
 Convention: both operands are row-major along the reduction axis, i.e.
 ``W`` has shape ``(M, K)`` and ``X`` has shape ``(N, K)``, and the result is
@@ -28,8 +26,6 @@ Convention: both operands are row-major along the reduction axis, i.e.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +38,6 @@ __all__ = [
     "apbit_matmul_planes",
     "check_int32_accumulator",
     "reference_matmul",
-    "EmulationCounts",
-    "emulation_op_counts",
     "INT32_MIN",
     "INT32_MAX",
 ]
@@ -225,44 +219,4 @@ def apbit_matmul(
         k_logical=w_digits.shape[1],
         plan=plan,
         check_overflow=check_overflow,
-    )
-
-
-@dataclass(frozen=True)
-class EmulationCounts:
-    """Operation counts for the three emulation phases (paper section 3.1).
-
-    Attributes
-    ----------
-    decompose_ops:
-        Element shift/mask operations: ``p*M*K + q*N*K``.
-    bmma_macs:
-        1-bit multiply-accumulate operations executed on Tensor Cores:
-        ``p*q * M*N*K``.
-    combine_ops:
-        Shifted-add operations over partial outputs: ``p*q * M*N``.
-    bmma_calls:
-        Number of 8x8x128 primitive invocations the tiled kernel issues.
-    """
-
-    decompose_ops: int
-    bmma_macs: int
-    combine_ops: int
-    bmma_calls: int
-
-
-def emulation_op_counts(
-    m: int, n: int, k: int, p_bits: int, q_bits: int
-) -> EmulationCounts:
-    """Exact work of emulating an ``M x N x K`` GEMM at ``p x q`` bits."""
-    if min(m, n, k, p_bits, q_bits) < 1:
-        raise ValueError("all dimensions and bit-widths must be >= 1")
-    tiles_m = -(-m // 8) * p_bits
-    tiles_n = -(-n // 8) * q_bits
-    tiles_k = -(-k // 128)
-    return EmulationCounts(
-        decompose_ops=p_bits * m * k + q_bits * n * k,
-        bmma_macs=p_bits * q_bits * m * n * k,
-        combine_ops=p_bits * q_bits * m * n,
-        bmma_calls=tiles_m * tiles_n * tiles_k,
     )

@@ -63,11 +63,6 @@ class QuantizedTensor:
         """Reconstruct approximate real values."""
         return self.scale * self.precision.decode(self.digits) + self.offset
 
-    @property
-    def quantization_error(self) -> float:
-        """Placeholder for mean-squared error; filled by quantizers."""
-        raise AttributeError("quantization_error is computed by the quantizer")
-
 
 @dataclass(frozen=True)
 class AffineQuantizer:

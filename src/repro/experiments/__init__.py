@@ -2,13 +2,10 @@
 
 from . import figures
 from .report import format_rows, format_speedup_sweep, format_table
-from .runner import EXPERIMENTS, run_experiment
 
 __all__ = [
     "figures",
     "format_table",
     "format_rows",
     "format_speedup_sweep",
-    "EXPERIMENTS",
-    "run_experiment",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from ..baselines import cublas_gemm_cost, cutlass_conv_cost, cutlass_gemm_cost
 from ..core.types import PrecisionPair
 from ..kernels.autotune import autotune
 from ..kernels.fusion import AvgPoolOp, QuantizeOp, fused_cost, unfused_costs
@@ -28,7 +29,7 @@ from ..kernels.tiling import TileConfig
 from ..core.quantize import AffineQuantizer
 from ..nn.engine import APNNBackend, BNNBackend, InferenceEngine, LibraryBackend
 from ..nn.models import MODEL_BUILDERS, micro_cnn
-from ..perf.cost import baseline_conv_cost, baseline_gemm_cost, conv_cost, gemm_cost
+from ..perf.cost import conv_cost, gemm_cost
 from ..perf.model import LatencyModel
 from ..tensorcore.device import A100, RTX3090, DeviceSpec
 
@@ -111,27 +112,11 @@ def _apmm_latency_us(model: LatencyModel, device: DeviceSpec,
 
 def _cutlass_gemm_latency_us(model: LatencyModel, n: int, k: int,
                              precision: str) -> float:
-    tiles = {"int1": TileConfig(64, 64)}
-    cfg = tiles.get(precision, TileConfig(128, 128))
-    bits = {"int1": 1, "int4": 4, "int8": 8}[precision]
-    return model.latency_us(
-        baseline_gemm_cost(
-            GEMM_BATCH, n, k, bits, cfg,
-            compute_class=precision,
-            efficiency_key=f"cutlass_{precision}",
-        )
-    )
+    return model.latency_us(cutlass_gemm_cost(GEMM_BATCH, n, k, precision))
 
 
 def _cublas_int8_latency_us(model: LatencyModel, n: int, k: int) -> float:
-    from ..baselines.cublas import cublas_tile_for
-
-    return model.latency_us(
-        baseline_gemm_cost(
-            GEMM_BATCH, n, k, 8, cublas_tile_for(GEMM_BATCH, n),
-            compute_class="int8", efficiency_key="cublas_int8",
-        )
-    )
+    return model.latency_us(cublas_gemm_cost(GEMM_BATCH, n, k, "int8"))
 
 
 def _apconv_latency_us(model: LatencyModel, device: DeviceSpec,
@@ -150,15 +135,9 @@ def _apconv_latency_us(model: LatencyModel, device: DeviceSpec,
 
 def _cutlass_conv_latency_us(model: LatencyModel, channels: int,
                              precision: str) -> float:
-    from ..baselines.cutlass import CUTLASS_CONV_TILES
-
-    cfg = CUTLASS_CONV_TILES[precision]
-    bits = {"int1": 1, "int4": 4, "int8": 8}[precision]
     return model.latency_us(
-        baseline_conv_cost(
-            1, channels, channels, 16, 16, 3, bits, cfg, stride=1, padding=1,
-            compute_class=precision, efficiency_key=f"cutlass_{precision}",
-        )
+        cutlass_conv_cost(1, channels, channels, 16, 16, 3, precision,
+                          stride=1, padding=1)
     )
 
 

@@ -39,7 +39,6 @@ from .tiling import (
     WARPS_PER_BLOCK,
     TileConfig,
     compute_intensity,
-    grid_blocks,
     tlp,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "TileConfig",
     "tlp",
     "compute_intensity",
-    "grid_blocks",
     "CANDIDATE_TILES",
     "DEFAULT_BK",
     "WARPS_PER_BLOCK",

@@ -12,12 +12,13 @@ convolution the paper replaces the traditional NCHW layout with the
   ``K x K`` window then reads ``K*K`` contiguous channel runs instead of
   ``K``-strided scalars, giving coalesced access.
 
-:class:`PackedFeatureMap` is the NPHWC container used between APNN layers
-(the minimal-traffic dataflow of section 5.1 keeps activations in this
-packed form end to end).  :func:`im2col` lowers convolution windows to the
-GEMM operand layout every execution strategy consumes, in the same
-channel-major ``(KH, KW, C)`` K order as the packed window gather, and
-:func:`conv_weight_matrix` flattens weights to match.
+:class:`PackedFeatureMap` models that container (:func:`to_nphwc` /
+:func:`from_nphwc`); no execution path stores activations in it -- the
+packed conv gather packs each padded map channel-last on the fly.
+:func:`im2col` lowers convolution windows to the GEMM operand layout every
+execution strategy consumes, in the same channel-major ``(KH, KW, C)`` K
+order as the packed window gather, and :func:`conv_weight_matrix` flattens
+weights to match.
 """
 
 from __future__ import annotations

@@ -18,14 +18,12 @@ Two analytical quantities drive tile selection (paper eqs. 3 and 4):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
     "TileConfig",
     "tlp",
     "compute_intensity",
-    "grid_blocks",
     "DEFAULT_BK",
     "CANDIDATE_TILES",
     "WARPS_PER_BLOCK",
@@ -158,10 +156,3 @@ def tlp(m: int, n: int, p_bits: int, q_bits: int, cfg: TileConfig) -> float:
 def compute_intensity(cfg: TileConfig) -> float:
     """Compute intensity of one block tile (paper eq. 4): 2*bm*bn/(bm+bn)."""
     return 2.0 * cfg.bm * cfg.bn / (cfg.bm + cfg.bn)
-
-
-def grid_blocks(m: int, n: int, p_bits: int, q_bits: int, cfg: TileConfig) -> int:
-    """Actual launched blocks (ceil-divided grid of the batched problem)."""
-    grid_m = math.ceil(p_bits * m / cfg.bm)
-    grid_n = math.ceil(q_bits * n / cfg.bn)
-    return grid_m * grid_n

@@ -73,11 +73,6 @@ class FusedGroup:
                 return layer.bits
         return None
 
-    def layer_names(self) -> list[str]:
-        names = [] if self.main is None else [self.main.name]
-        names += [layer.name for layer in self.epilogue]
-        return names
-
 
 def fuse_graph(model: Sequential) -> list[FusedGroup]:
     """Group a model's layers into fused launch units."""

@@ -179,10 +179,6 @@ class _BoundedSendQueue:
             self._cond.notify_all()
             return frame
 
-    async def wait_empty(self) -> None:
-        async with self._cond:
-            await self._cond.wait_for(lambda: not self._frames)
-
     async def shutdown(self) -> None:
         """Unblock every waiter; pending frames still get sent."""
         async with self._cond:

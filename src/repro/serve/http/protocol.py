@@ -387,10 +387,6 @@ class WSDecoder:
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
 
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
     def check_eof(self) -> None:
         """Raise if the stream ended inside a frame."""
         if self._buffer:
@@ -489,10 +485,6 @@ class WSMessageAssembler:
         self._opcode: int | None = None
         self._parts: list[bytes] = []
         self._size = 0
-
-    @property
-    def mid_message(self) -> bool:
-        return self._opcode is not None
 
     def push(self, frame: WSFrame) -> tuple[int, bytes] | None:
         if frame.is_control:

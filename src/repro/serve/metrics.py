@@ -449,14 +449,6 @@ class ServerMetrics:
     def total_stage_batches(self) -> int:
         return sum(s.batches for s in self.stages.values())
 
-    def stage_service_us(self, model: str) -> dict[int, float]:
-        """Total per-stage service microseconds of one sharded model."""
-        out: dict[int, float] = {}
-        for (m, stage, _w), s in self.stages.items():
-            if m == model:
-                out[stage] = out.get(stage, 0.0) + s.service_us_sum
-        return dict(sorted(out.items()))
-
     def snapshot(self) -> dict[str, float]:
         """Scalar lifetime counters, for delta assertions across restarts.
 

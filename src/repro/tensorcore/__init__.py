@@ -16,7 +16,7 @@ from .bmma import (
 from .counters import ExecutionCounters
 from .device import A100, DEVICES, RTX3090, DeviceSpec, get_device
 from .fragment import FragmentFile
-from .smem import SharedMemory, bank_conflict_factor
+from .smem import SharedMemory
 
 __all__ = [
     "BMMA_M",
@@ -38,5 +38,4 @@ __all__ = [
     "get_device",
     "FragmentFile",
     "SharedMemory",
-    "bank_conflict_factor",
 ]

@@ -9,8 +9,8 @@ The contract mirrors the CUDA WMMA sub-byte API (paper section 2.3):
   popcount*; encoding corrections (``K - 2p`` etc.) are software's job
   (:mod:`repro.core.opselect`).
 * ``imma4`` / ``imma8`` -- the int4 (8x8x32) and int8 (16x16x16) integer
-  primitives with int32 accumulation, used by the CUTLASS/cuBLAS baseline
-  simulations.
+  primitives with int32 accumulation (no kernel or baseline runs them; the
+  library baselines are priced from their tiles, :mod:`repro.baselines`).
 * ``hmma`` -- fp16 16x16x16 with fp32 accumulation.
 
 All primitives validate shapes/dtypes the way the hardware ISA would

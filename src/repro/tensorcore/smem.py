@@ -5,39 +5,15 @@ caching (section 4.1(a)): all warps of a block collaboratively stage weight
 and feature tiles in shared memory, then each warp fetches its sub-tiles
 from there.  The model enforces the per-block capacity (a real launch
 failure mode) and tallies read/write traffic for the performance model.
-
-A simple 32-bank conflict estimator is included: given an access stride in
-4-byte words it reports the serialization factor a warp-wide access would
-suffer.  The channel-major layout work (paper section 4.2a) is what keeps
-this factor at 1 for APConv.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .counters import ExecutionCounters
 
-__all__ = ["SharedMemory", "bank_conflict_factor"]
-
-#: Number of 4-byte-wide shared-memory banks on all modeled devices.
-NUM_BANKS = 32
-
-
-def bank_conflict_factor(stride_words: int) -> int:
-    """Serialization factor of a 32-lane access with the given word stride.
-
-    A stride of ``s`` words hits ``NUM_BANKS / gcd(s, NUM_BANKS)`` distinct
-    banks, so ``gcd(s, NUM_BANKS)`` lanes collide per bank.  Stride 0
-    (broadcast) is conflict-free on modern hardware.
-    """
-    if stride_words < 0:
-        raise ValueError(f"stride must be >= 0, got {stride_words}")
-    if stride_words == 0:
-        return 1
-    return math.gcd(stride_words, NUM_BANKS)
+__all__ = ["SharedMemory"]
 
 
 class SharedMemory:

@@ -1,186 +1,123 @@
-"""Tests for simulated CUTLASS / cuBLAS / BNN baselines."""
+"""Tests for the CUTLASS / cuBLAS / BNN baselines' pricing."""
 
-import numpy as np
 import pytest
 
-from repro.baselines import (
-    BIPOLAR1,
-    bnn_conv,
-    bnn_gemm,
-    cublas_gemm,
-    cutlass_conv,
-    cutlass_gemm,
-)
-from repro.kernels import apmm
+from repro.baselines import cublas_gemm_cost, cutlass_conv_cost, cutlass_gemm_cost
+from repro.core import PrecisionPair
+from repro.nn import APNNBackend, BNNBackend, InferenceEngine, Sequential
+from repro.nn.layers import Linear
 from repro.perf import LatencyModel
 from repro.tensorcore import RTX3090
 
-
-def _rand(seed, shape, lo, hi):
-    return np.random.default_rng(seed).integers(lo, hi + 1, size=shape)
+CUTLASS_BITS = {"int1": 1, "int4": 4, "int8": 8, "fp16": 16, "fp32": 32}
 
 
 class TestCutlassGemm:
-    def test_int8_exact(self):
-        a = _rand(0, (16, 32), -128, 127)
-        b = _rand(1, (24, 32), -128, 127)
-        res = cutlass_gemm(a, b, "int8")
-        assert np.array_equal(res.output, a @ b.T)
-
-    def test_int4_exact_and_validated(self):
-        a = _rand(2, (8, 16), -8, 7)
-        b = _rand(3, (8, 16), -8, 7)
-        assert np.array_equal(cutlass_gemm(a, b, "int4").output, a @ b.T)
-        with pytest.raises(ValueError, match="int4 range"):
-            cutlass_gemm(a * 2, b, "int4")
-
     def test_int1_binary(self):
-        a = _rand(4, (8, 64), 0, 1)
-        b = _rand(5, (8, 64), 0, 1)
-        assert np.array_equal(cutlass_gemm(a, b, "int1").output, a @ b.T)
-
-    def test_fp16_rounds_operands(self):
-        a = np.full((4, 4), 1 + 2**-12)
-        b = np.eye(4)
-        res = cutlass_gemm(a, b, "fp16")
-        assert np.allclose(np.diag(res.output), 1.0)
+        """int1 runs the binary specialization's finer 64x64 tiles."""
+        cost = cutlass_gemm_cost(64, 1024, 1024, "int1")
+        assert cost.counters.blocks == 1 * 16
+        assert cost.unique_read_bytes == (64 + 1024) * 1024 // 8
 
     def test_fp32(self):
-        a = np.random.default_rng(6).normal(size=(4, 8))
-        b = np.random.default_rng(7).normal(size=(5, 8))
-        res = cutlass_gemm(a, b, "fp32")
-        np.testing.assert_allclose(res.output, a.astype(np.float32) @ b.astype(np.float32).T, rtol=1e-6)
+        """fp32 runs on CUDA cores and reads 32-bit operands."""
+        cost = cutlass_gemm_cost(4, 5, 8, "fp32")
+        assert cost.compute_class == "fp32"
+        assert cost.unique_read_bytes == (4 + 5) * 8 * 4
 
     def test_unknown_precision(self):
-        with pytest.raises(ValueError, match="precision"):
-            cutlass_gemm(np.zeros((2, 2)), np.zeros((2, 2)), "int2")
+        valid = r"\['fp16', 'fp32', 'int1', 'int4', 'int8'\]"
+        with pytest.raises(ValueError, match=f"'int2'; choose from {valid}"):
+            cutlass_gemm_cost(2, 2, 2, "int2")
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            cutlass_gemm(np.zeros((2, 3)), np.zeros((2, 4)), "int8")
+        with pytest.raises(ValueError, match="dimensions"):
+            cutlass_gemm_cost(2, 3, 0, "int8")
 
     def test_cost_families(self):
-        a = _rand(8, (64, 128), -8, 7)
-        res = cutlass_gemm(a, a, "int4")
-        assert res.cost.efficiency_key == "cutlass_int4"
-        assert res.cost.compute_class == "int4"
-        assert res.cost.counters.kernel_launches == 1
+        for precision, bits in CUTLASS_BITS.items():
+            cost = cutlass_gemm_cost(64, 128, 128, precision)
+            assert cost.efficiency_key == f"cutlass_{precision}"
+            assert cost.compute_class == precision
+            assert cost.counters.kernel_launches == 1
+            assert cost.unique_read_bytes == (64 + 128) * 128 * bits // 8
+            assert cost.name == f"cutlass-gemm-{precision}-64x128x128"
 
     def test_large_tile_grid_small_problem(self):
         """The underutilization mechanism: batch-64 GEMM -> few blocks."""
-        a = _rand(9, (64, 128), -8, 7)
-        b = _rand(10, (1024, 128), -8, 7)
-        res = cutlass_gemm(a, b, "int4")
-        assert res.cost.counters.blocks == 1 * 8  # 128x128 tiles
+        res = cutlass_gemm_cost(64, 1024, 128, "int4")
+        assert res.counters.blocks == 1 * 8  # 128x128 tiles
 
 
 class TestCutlassConv:
-    def test_conv_matches_direct(self):
-        rng = np.random.default_rng(11)
-        w = rng.integers(-8, 8, size=(4, 3, 3, 3))
-        x = rng.integers(-8, 8, size=(2, 3, 6, 6))
-        res = cutlass_conv(w, x, "int4", stride=1, padding=1)
-        from scipy.signal import correlate
+    def test_narrow_n_tile(self):
+        """Implicit-GEMM conv kernels tile N at 64, the GEMM kernels at 128."""
+        for precision in CUTLASS_BITS:
+            cost = cutlass_conv_cost(1, 128, 128, 16, 16, 3, precision,
+                                     stride=1, padding=1)
+            gemm = cutlass_gemm_cost(128, 256, 128 * 9, precision)
+            assert cost.efficiency_key == f"cutlass_{precision}"
+            assert cost.compute_class == precision
+            assert cost.unique_read_bytes == gemm.unique_read_bytes
+            assert cost.name == f"cutlass-conv-{precision}-c128x128"
+            if precision == "int1":  # the binary kernels tile 64x64 for both
+                assert cost.counters.blocks == gemm.counters.blocks == 2 * 4
+            else:
+                assert cost.counters.blocks == 1 * 4
+                assert gemm.counters.blocks == 1 * 2
 
-        ref = np.zeros((2, 4, 6, 6), dtype=np.int64)
-        xpad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        for n in range(2):
-            for co in range(4):
-                acc = np.zeros((6, 6))
-                for ci in range(3):
-                    acc += correlate(xpad[n, ci], w[co, ci], mode="valid")
-                ref[n, co] = acc
-        assert np.array_equal(res.output, ref)
+    def test_stride_and_padding_set_the_gemm_n(self):
+        cost = cutlass_conv_cost(2, 16, 32, 9, 9, 3, "int8", stride=2, padding=1)
+        assert cost.counters.global_bytes_written == 32 * (2 * 5 * 5) * 4
 
-    def test_rect_kernel_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            cutlass_conv(
-                np.zeros((2, 1, 3, 5)), np.zeros((1, 1, 8, 8)), "int8"
-            )
-
-    def test_channel_mismatch(self):
-        with pytest.raises(ValueError):
-            cutlass_conv(np.zeros((2, 2, 3, 3)), np.zeros((1, 3, 8, 8)), "int8")
+    def test_unknown_precision(self):
+        with pytest.raises(ValueError, match="choose from"):
+            cutlass_conv_cost(1, 8, 8, 8, 8, 3, "int2")
 
 
 class TestCublas:
-    def test_int8_exact(self):
-        a = _rand(12, (8, 16), -128, 127)
-        b = _rand(13, (8, 16), -128, 127)
-        assert np.array_equal(cublas_gemm(a, b, "int8").output, a @ b.T)
-
-    def test_int8_range_checked(self):
-        with pytest.raises(ValueError, match="int8"):
-            cublas_gemm(np.full((2, 2), 200), np.zeros((2, 2)), "int8")
-
     def test_fp32(self):
-        a = np.random.default_rng(14).normal(size=(3, 5))
-        res = cublas_gemm(a, a, "fp32")
-        np.testing.assert_allclose(res.output, a @ a.T, rtol=1e-5)
+        cost = cublas_gemm_cost(256, 256, 64, "fp32")
+        assert cost.efficiency_key == "cublas_fp32"
+        assert cost.compute_class == "fp32"
+        assert cost.unique_read_bytes == (256 + 256) * 64 * 4
+        assert cost.counters.blocks == 2 * 2  # square problem: 128x128
 
     def test_only_paper_precisions(self):
-        with pytest.raises(ValueError, match="supports"):
-            cublas_gemm(np.zeros((2, 2)), np.zeros((2, 2)), "int4")
+        with pytest.raises(ValueError, match=r"\['fp32', 'int8'\]"):
+            cublas_gemm_cost(2, 2, 2, "int4")
 
     def test_efficiency_family(self):
-        a = _rand(15, (16, 16), -128, 127)
-        assert cublas_gemm(a, a, "int8").cost.efficiency_key == "cublas_int8"
+        cost = cublas_gemm_cost(64, 1024, 1024, "int8")
+        assert cost.efficiency_key == "cublas_int8"
+        assert cost.compute_class == "int8"
+        # batch 64 takes the skinny 64x128 tile: 8 blocks x 8 K-steps,
+        # each reading a (64 + 128) x 128 int8 tile pair
+        assert cost.counters.blocks == 1 * 8
+        assert cost.counters.global_bytes_read == 8 * 8 * (64 + 128) * 128
 
 
 class TestBNN:
-    def test_gemm_bipolar_semantics(self):
-        rng = np.random.default_rng(16)
-        wd = rng.integers(0, 2, size=(8, 64))
-        xd = rng.integers(0, 2, size=(8, 64))
-        res = bnn_gemm(wd, xd)
-        ref = (2 * wd - 1) @ (2 * xd - 1).T
-        assert np.array_equal(res.output, ref)
+    """The TCBNN baseline is priced by ``nn.engine``'s BNN backend."""
 
-    def test_gemm_strategies_agree(self):
-        rng = np.random.default_rng(17)
-        wd = rng.integers(0, 2, size=(8, 100))
-        xd = rng.integers(0, 2, size=(12, 100))
-        a = bnn_gemm(wd, xd, strategy="integer")
-        b = bnn_gemm(wd, xd, strategy="bitserial")
-        assert np.array_equal(a.output, b.output)
-
-    def test_conv_padding_correction(self):
-        rng = np.random.default_rng(18)
-        wd = rng.integers(0, 2, size=(3, 2, 3, 3))
-        xd = rng.integers(0, 2, size=(1, 2, 5, 5))
-        res = bnn_conv(wd, xd, padding=1)
-        wv, xv = BIPOLAR1.decode(wd), BIPOLAR1.decode(xd)
-        from scipy.signal import correlate
-
-        xpad = np.pad(xv, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        ref = np.zeros((1, 3, 5, 5), dtype=np.int64)
-        for co in range(3):
-            acc = np.zeros((5, 5))
-            for ci in range(2):
-                acc += correlate(xpad[0, ci], wv[co, ci], mode="valid")
-            ref[0, co] = acc
-        assert np.array_equal(res.output, ref)
+    @staticmethod
+    def _hidden_fc_cost(backend):
+        # fc2 is a hidden layer, so both backends run it at w1a1 (the
+        # first GEMM takes the 8-bit image)
+        model = Sequential([Linear(512, 512, name="fc1"),
+                            Linear(512, 512, name="fc2")])
+        report = InferenceEngine(model, backend).estimate(64, input_shape=(512,))
+        return report.groups[1].costs[0]
 
     def test_small_tiles_and_no_double_caching(self):
-        rng = np.random.default_rng(19)
-        wd = rng.integers(0, 2, size=(64, 256))
-        xd = rng.integers(0, 2, size=(64, 256))
-        res = bnn_gemm(wd, xd)
-        assert res.cost.efficiency_key == "bnn"
-        assert res.cost.counters.smem_bytes == 0  # per-warp global loads
+        cost = self._hidden_fc_cost(BNNBackend())
+        assert cost.efficiency_key == "bnn"
+        assert cost.counters.blocks == (512 // 32) * (64 // 32)  # 32x32 tiles
+        assert cost.counters.smem_bytes == 0  # per-warp global loads
 
     def test_apmm_w1a1_beats_bnn(self):
         """Figure 12's kernel-level-optimization gain (~1.35x family)."""
-        rng = np.random.default_rng(20)
-        wd = rng.integers(0, 2, size=(512, 512))
-        xd = rng.integers(0, 2, size=(64, 512))
-        bnn_res = bnn_gemm(wd, xd)
-        ap = apmm(wd, xd, BIPOLAR1, BIPOLAR1)
-        assert np.array_equal(ap.output, bnn_res.output)
         model = LatencyModel(RTX3090)
-        assert model.latency_us(ap.cost) < model.latency_us(bnn_res.cost)
-
-    def test_strategy_validation(self):
-        with pytest.raises(ValueError):
-            bnn_gemm(np.zeros((2, 2), dtype=np.int64),
-                     np.zeros((2, 2), dtype=np.int64), strategy="magic")
+        apnn = self._hidden_fc_cost(APNNBackend(PrecisionPair.parse("w1a1")))
+        bnn = self._hidden_fc_cost(BNNBackend())
+        assert model.latency_us(apnn) < model.latency_us(bnn)

@@ -15,11 +15,12 @@ from repro.core import (
     Precision,
     apbit_matmul,
     apbit_matmul_planes,
-    emulation_op_counts,
     reference_matmul,
     select_operator,
 )
 from repro.core.bitops import bit_decompose
+from repro.kernels import TileConfig
+from repro.perf import gemm_cost
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 
@@ -148,32 +149,35 @@ class TestOverflowContract:
 
 
 class TestOpCounts:
+    """The emulation's work as the cost model counts it (``gemm_cost``)."""
+
     def test_cost_analysis_formulas(self):
         """Matches the complexity analysis in paper section 3.1."""
-        c = emulation_op_counts(m=64, n=1024, k=1024, p_bits=2, q_bits=8)
+        c = gemm_cost(64, 1024, 1024, 2, 8, TileConfig(64, 64))
         assert c.decompose_ops == 2 * 64 * 1024 + 8 * 1024 * 1024
-        assert c.bmma_macs == 16 * 64 * 1024 * 1024
+        assert c.counters.tc_macs == 16 * 64 * 1024 * 1024
         assert c.combine_ops == 16 * 64 * 1024
 
     def test_bmma_call_count_w1a2(self):
         # 8x128 W tile grid x 8x128 X tile grid x K slices, batched over planes
-        c = emulation_op_counts(m=8, n=8, k=128, p_bits=1, q_bits=2)
-        assert c.bmma_calls == 1 * 2 * 1  # p*q tile pairs
+        c = gemm_cost(8, 8, 128, 1, 2, TileConfig(8, 8))
+        assert c.counters.bmma_calls == 1 * 2 * 1  # p*q tile pairs
 
     def test_bmma_call_count_rounding(self):
-        c = emulation_op_counts(m=9, n=8, k=129, p_bits=1, q_bits=1)
-        assert c.bmma_calls == 2 * 1 * 2
+        c = gemm_cost(9, 8, 129, 1, 1, TileConfig(8, 8))
+        assert c.counters.bmma_calls == 2 * 1 * 2
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
-            emulation_op_counts(0, 1, 1, 1, 1)
+            gemm_cost(0, 1, 1, 1, 1, TileConfig(8, 8))
 
     def test_overhead_ratio_shrinks_with_k(self):
         """Decompose+combine is O(n^2) vs O(n^3) TC work (Figure 11 rationale)."""
-        small = emulation_op_counts(64, 128, 128, 1, 2)
-        big = emulation_op_counts(64, 1024, 1024, 1, 2)
-        ratio_small = (small.decompose_ops + small.combine_ops) / small.bmma_macs
-        ratio_big = (big.decompose_ops + big.combine_ops) / big.bmma_macs
+        cfg = TileConfig(64, 64)
+        small = gemm_cost(64, 128, 128, 1, 2, cfg)
+        big = gemm_cost(64, 1024, 1024, 1, 2, cfg)
+        ratio_small = (small.decompose_ops + small.combine_ops) / small.counters.tc_macs
+        ratio_big = (big.decompose_ops + big.combine_ops) / big.counters.tc_macs
         assert ratio_big < ratio_small
 
 

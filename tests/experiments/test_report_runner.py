@@ -3,15 +3,9 @@
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    format_rows,
-    format_speedup_sweep,
-    format_table,
-    run_experiment,
-)
+from repro.experiments import format_rows, format_speedup_sweep, format_table
 from repro.experiments.figures import SpeedupSweep
-from repro.experiments.runner import main
+from repro.experiments.runner import EXPERIMENTS, main, run_experiment
 
 
 class TestFormatTable:

@@ -13,9 +13,9 @@ from repro.kernels import (
     TileConfig,
     autotune,
     compute_intensity,
-    grid_blocks,
     tlp,
 )
+from repro.perf import gemm_cost
 from repro.tensorcore import A100, RTX3090, DeviceSpec
 
 
@@ -113,8 +113,11 @@ class TestMetrics:
         assert ci_bigger > ci
 
     def test_grid_blocks_ceils(self):
-        assert grid_blocks(100, 100, 1, 1, TileConfig(64, 64)) == 2 * 2
-        assert grid_blocks(1024, 64, 1, 2, TileConfig(32, 64)) == 32 * 2
+        """Launched blocks ceil-divide the batched problem's grid."""
+        cost = gemm_cost(100, 100, 128, 1, 1, TileConfig(64, 64))
+        assert cost.counters.blocks == 2 * 2
+        cost = gemm_cost(1024, 64, 128, 1, 2, TileConfig(32, 64))
+        assert cost.counters.blocks == 32 * 2
 
 
 class TestAutotune:

@@ -11,7 +11,6 @@ from repro.tensorcore import (
     ExecutionCounters,
     FragmentFile,
     SharedMemory,
-    bank_conflict_factor,
     get_device,
 )
 
@@ -184,28 +183,6 @@ class TestSharedMemory:
         sm.allocate("w1", (bm, bk // 8), np.uint8)
         sm.allocate("x1", (bn, bk // 8), np.uint8)
         assert sm.used_bytes == 4 * 128 * 16
-
-
-class TestBankConflicts:
-    def test_unit_stride_conflict_free(self):
-        assert bank_conflict_factor(1) == 1
-
-    def test_stride_32_fully_serialized(self):
-        assert bank_conflict_factor(32) == 32
-
-    def test_stride_2_two_way(self):
-        assert bank_conflict_factor(2) == 2
-
-    def test_odd_strides_conflict_free(self):
-        for s in (1, 3, 5, 7, 9, 31, 33):
-            assert bank_conflict_factor(s) == 1
-
-    def test_broadcast(self):
-        assert bank_conflict_factor(0) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bank_conflict_factor(-1)
 
 
 class TestExecutionCounters:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines import bnn_gemm, cublas_gemm, cutlass_gemm
 from repro.core import (
     AffineQuantizer,
     Encoding,
@@ -66,37 +65,6 @@ class TestQuantizeToKernelPipeline:
         a = apconv(w, x, pair.weight, pair.activation, padding=1)
         b = apconv(w, unpacked, pair.weight, pair.activation, padding=1)
         assert np.array_equal(a.output, b.output)
-
-
-class TestKernelBaselineConsistency:
-    """APNN kernels and baselines agree functionally where they overlap."""
-
-    def test_apmm_w1a1_unsigned_equals_cutlass_int1(self):
-        rng = np.random.default_rng(3)
-        w = rng.integers(0, 2, size=(16, 128))
-        x = rng.integers(0, 2, size=(16, 128))
-        u1 = Precision(1, Encoding.UNSIGNED)
-        ap = apmm(w, x, u1, u1, strategy="bitserial")
-        base = cutlass_gemm(w, x, "int1")
-        assert np.array_equal(ap.output, base.output)
-
-    def test_bnn_gemm_equals_apmm_bipolar(self):
-        rng = np.random.default_rng(4)
-        w = rng.integers(0, 2, size=(16, 96))
-        x = rng.integers(0, 2, size=(16, 96))
-        b1 = Precision(1, Encoding.BIPOLAR)
-        assert np.array_equal(
-            bnn_gemm(w, x).output,
-            apmm(w, x, b1, b1, strategy="bitserial").output,
-        )
-
-    def test_int8_baselines_agree(self):
-        rng = np.random.default_rng(5)
-        a = rng.integers(-128, 128, size=(8, 32))
-        b = rng.integers(-128, 128, size=(8, 32))
-        assert np.array_equal(
-            cutlass_gemm(a, b, "int8").output, cublas_gemm(a, b, "int8").output
-        )
 
 
 class TestEndToEndLatencyPipeline:
