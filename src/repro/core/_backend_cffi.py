@@ -2,9 +2,9 @@
 
 Two functions mirror the numpy packed path exactly (bit for bit); their
 callers are the popcount GEMM of :mod:`repro.core.packed` (``apmm`` and
-the im2col conv, where :func:`repro.core.packed.popcount_preferred`
-picks it over the fold) and the packed conv gather
-(:mod:`repro.kernels.packed_conv`).  Operands arrive already packed, by
+the im2col conv, where the host cost model,
+:class:`repro.core.packed.HostProduct`, prices it below the fold) and
+the packed conv gather (:mod:`repro.kernels.packed_conv`).  Operands arrive already packed, by
 ``np.packbits`` in :mod:`repro.core.packed`:
 
 * ``repro_packed_gemm`` -- the *fused weighted* popcount-reduce GEMM
@@ -23,7 +23,8 @@ picks it over the fold) and the packed conv gather
   replacing the im2col digit-matrix materialization.
 
 The GEMM has two branches, chosen when the module is compiled
-(``repro_popcount_branch()`` reports which: 1 or 0).  Where the
+(``repro_popcount_branch()`` reports which: 1 or 0), and the host cost
+model prices each with its own fitted rate.  Where the
 compiler targets AVX-512F and AVX-512 VPOPCNTDQ, it is a register-tiled
 micro-kernel: ``b`` is copied into word-major panels of 16 columns, and
 each 4x16 output tile accumulates every ``(s, t)`` plane pair with
@@ -57,7 +58,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["kernels", "cache_dir", "popcount_branch", "CFFI_SOURCE"]
+__all__ = [
+    "kernels", "cache_dir", "popcount_branch", "loop_nest_build", "CFFI_SOURCE",
+]
 
 CFFI_CDEF = """
 int repro_packed_gemm(const uint64_t *a, const uint64_t *b,
@@ -327,6 +330,16 @@ _FLAG_SETS = (
     ["-O3", "-funroll-loops"],
 )
 
+#: A build target without AVX-512: ``repro_packed_gemm`` compiles to its
+#: scalar loop nest there, on any x86-64 CPU at that level.
+LOOP_NEST_FLAGS = ["-O3", "-march=x86-64-v3", "-funroll-loops"]
+
+#: The ``/proc/cpuinfo`` flags of the x86-64-v3 level (``abm`` is
+#: LZCNT): a CPU lacking one could die on the build's first call.
+X86_64_V3_FEATURES = frozenset(
+    {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
+)
+
 _loaded: Any = None
 
 
@@ -416,10 +429,29 @@ def _build() -> Any:
     return _loaded
 
 
+def loop_nest_build(directory: Path):
+    """:data:`CFFI_SOURCE` built for x86-64-v3 into ``directory`` and
+    loaded beside the host build: its popcount GEMM is the loop nest.
+
+    Raises :class:`RuntimeError` on a CPU below x86-64-v3.  To run every
+    cffi kernel of the process on it, set this module's ``_loaded`` to
+    the returned module.
+    """
+    if not X86_64_V3_FEATURES <= set(_cpu_features().split()):
+        raise RuntimeError("an x86-64-v3 build needs an x86-64 CPU at that level")
+    modname = "_repro_cffi_loop_nest"
+    built = _find_built(directory, modname)
+    if built is None:
+        built = _compile(directory, modname, LOOP_NEST_FLAGS)
+    return _load_module(built, modname)
+
+
 def popcount_branch() -> int:
     """Which popcount GEMM branch the loaded build compiled.
 
-    1 for the AVX-512 micro-kernel, 0 for the scalar loop nest.
+    1 for the AVX-512 micro-kernel, 0 for the scalar loop nest.  The
+    host cost model (:func:`repro.core.packed.compiled_branch`) prices
+    the compiled paths with this branch's rates.
     """
     return int(_build().lib.repro_popcount_branch())
 

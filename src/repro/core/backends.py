@@ -12,10 +12,11 @@ Two fixed tiers:
 
 :func:`get_backend` picks ``cffi`` when it loads and ``numpy``
 otherwise; ``apmm``/``apconv`` also take a per-call ``backend=``
-(``"numpy"`` or ``"cffi"``).  Compiled kernels run where
-:func:`repro.core.packed.popcount_preferred` says the popcount product
-beats the fold: the GEMM of :func:`~repro.core.packed.packed_matmul` and
-the conv window gather of :mod:`repro.kernels.packed_conv`.
+(``"numpy"`` or ``"cffi"``).  Compiled kernels run where the host cost
+model (:class:`repro.core.packed.HostProduct`) prices the popcount
+product below the fold: the GEMM of
+:func:`~repro.core.packed.packed_matmul` and the conv window gather of
+:mod:`repro.kernels.packed_conv`.
 
 Compiled kernels are byte-identical to the numpy path (enforced by the
 hypothesis suite and the ``repro.bench`` byte-identity oracle).  A cffi

@@ -17,12 +17,12 @@ of the GEMM machinery:
   (the workload is ``p*q`` binary convolutions batched into one kernel).
 
 All three execution strategies (``"packed"`` fast path -- the default:
-the compiled window gather of :mod:`repro.kernels.packed_conv` where
-:func:`~repro.core.packed.popcount_preferred` says it wins, else
-:func:`~repro.core.packed.packed_matmul` over the im2col'd features
-instead of the per-plane broadcast -- / ``"integer"`` reference /
-``"bitserial"`` plane-wise Tensor-Core emulation) return identical
-outputs.
+whichever of the compiled window gather of
+:mod:`repro.kernels.packed_conv`, the im2col'd popcount GEMM and the
+im2col'd fold the host cost model
+(:class:`~repro.core.packed.HostProduct`) prices lowest, instead of the
+per-plane broadcast -- / ``"integer"`` reference / ``"bitserial"``
+plane-wise Tensor-Core emulation) return identical outputs.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import backends
-from ..core.bitops import packed_words
 from ..core.emulate import apbit_matmul, reference_matmul
-from ..core.packed import packed_matmul, popcount_preferred
+from ..core.packed import PATH_KERNELS, HostProduct, compiled_branch, matmul_path
 from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
@@ -86,14 +85,18 @@ def apconv(
     ``out_quantizer`` re-quantizes for the next layer).  Every strategy
     lowers K in the channel-major ``(KH, KW, C_in)`` order: features
     through :func:`~repro.kernels.layout.im2col`, weights through
-    :func:`~repro.kernels.layout.conv_weight_matrix`.  On the compiled
-    ``cffi`` backend the packed strategy skips the im2col digit-matrix
-    materialization where the gather sweeps few enough packed bits
-    (:func:`~repro.core.packed.popcount_preferred` with ``words =
-    KH*KW*ceil(C_in/64)``); the im2col GEMM then applies the same rule
-    on its own.  Outputs are byte-identical either way, and
-    ``cost.counters.compiled_kernels`` counts the compiled kernels that
-    ran: 2 for the gather, 1 for an im2col popcount GEMM.
+    :func:`~repro.kernels.layout.conv_weight_matrix`.  The packed
+    strategy decides its path once per call from the full shape -- the
+    padded map, the kernel and the stride as well as ``M``, ``N`` and
+    ``K`` -- with :meth:`~repro.core.packed.HostProduct.cheapest`: on
+    the compiled ``cffi`` backend the gather skips the im2col
+    digit-matrix materialization where the model prices it lowest, and
+    the im2col'd product runs on the popcount GEMM or the fold
+    otherwise; numpy always folds.  Outputs are byte-identical either
+    way, and ``cost.counters.compiled_kernels`` counts the compiled
+    kernels that ran: 2 for the gather, 1 for an im2col popcount GEMM.
+    A traced call's span also carries ``path`` (``fold``, ``popcount``
+    or ``gather``) and ``host_us``, the model's price of that path.
     """
     # Kernel-boundary tracing (wall clock; same hook as apmm).
     tracer = kernel_tracer()
@@ -126,26 +129,28 @@ def apconv(
         config = tune.config
     config.validate_for_device(device)
 
-    p, q, k = weight.bits, feature.bits, cin * kh * kw
-    compiled = 0
-    if strategy == "packed" and popcount_preferred(
-        p, q, k, kh * kw * packed_words(cin), run_backend
-    ):
+    path = strategy
+    if strategy == "packed":
+        # one decision per call, from the full shape: the map, the
+        # kernel and the stride as well as M, N and K
+        product = HostProduct.conv(
+            batch, cin, cout, padded.shape[2], padded.shape[3], kh, stride,
+            weight.bits, feature.bits,
+        )
+        branch = compiled_branch(run_backend)
+        path = product.cheapest(branch)
+    if path == "gather":
         # compiled window gather: the im2col digit matrix never exists
         acc = packed_conv_matmul(
             w_digits, padded, weight, feature,
             stride=stride, backend=run_backend,
         )
-        compiled = 2  # the window gather and the popcount GEMM
     else:
         cols = im2col(padded, kh, stride)  # (batch*OH*OW, kh*kw*C_in)
         w_flat = conv_weight_matrix(w_digits)
         if strategy == "packed":
-            acc = packed_matmul(w_flat, cols, weight, feature,
-                                backend=run_backend)
-            compiled = int(
-                popcount_preferred(p, q, k, packed_words(k), run_backend)
-            )
+            acc = matmul_path(path, w_flat, cols, weight, feature,
+                              backend=run_backend)
         elif strategy == "bitserial":
             acc = apbit_matmul(w_flat, cols, weight, feature)
         else:
@@ -175,8 +180,11 @@ def apconv(
         name=f"apconv-w{weight.bits}a{feature.bits}-{cin}->{cout}@{h}x{w}k{kh}s{stride}",
     )
     # Observed execution fact on top of the analytic charge.
-    cost.counters.compiled_kernels = compiled
+    cost.counters.compiled_kernels = PATH_KERNELS.get(path, 0)
     if tracer.enabled:
+        host = {}
+        if strategy == "packed":
+            host = {"path": path, "host_us": product.host_us(path, branch)}
         tracer.span(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,
             track="wall", lane="apconv",
@@ -184,7 +192,7 @@ def apconv(
             batch=batch, cin=cin, cout=cout,
             kernel=kh, stride=stride, padding=padding,
             weight_bits=weight.bits, feature_bits=feature.bits,
-            **cost.counters.as_dict(),
+            **host, **cost.counters.as_dict(),
         )
     return APConvResult(
         output=out,

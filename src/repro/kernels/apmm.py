@@ -9,13 +9,13 @@ layer (the memory-efficient bit combination of section 4.1b).
 
 Three execution strategies produce bit-identical results:
 
-* ``"packed"`` (default) -- the fast path
-  (:func:`~repro.core.packed.packed_matmul`): one popcount-reduce GEMM
-  on the digit matrices in place of the ``p*q`` plane-pair products, its
-  accumulator chosen from the shape and precisions so it stays exact,
-  or, on the compiled tier where few enough packed bits are swept, the
-  ``p*q`` popcount products themselves on ``np.packbits`` words -- the
-  path every caller takes automatically;
+* ``"packed"`` (default) -- the fast path every caller takes
+  automatically: one GEMM on the digit matrices in place of the ``p*q``
+  plane-pair products (the fold), its accumulator chosen from the shape
+  and precisions so it stays exact, or, on the compiled tier where the
+  host cost model (:class:`~repro.core.packed.HostProduct`) prices it
+  lower, the ``p*q`` popcount products themselves on ``np.packbits``
+  words (:func:`~repro.core.packed.matmul_path`);
 * ``"bitserial"`` -- the plane-wise reference: decompose -> per-plane-pair
   packed-word Boolean GEMM -> shifted-add combination;
 * ``"integer"`` -- reference integer GEMM on the decoded operands.
@@ -40,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import backends
-from ..core.bitops import packed_words
 from ..core.emulate import apbit_matmul, reference_matmul
-from ..core.packed import packed_matmul, popcount_preferred
+from ..core.packed import PATH_KERNELS, HostProduct, compiled_branch, matmul_path
 from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
@@ -102,11 +101,14 @@ def apmm(
     backend:
         Kernel backend (:mod:`repro.core.backends`): ``None``,
         ``"numpy"`` or ``"cffi"``.  On ``cffi`` the packed strategy runs
-        the compiled popcount GEMM where
-        :func:`~repro.core.packed.popcount_preferred` says it beats the
+        the compiled popcount GEMM where the host cost model
+        (:meth:`~repro.core.packed.HostProduct.cheapest`, decided once
+        from ``M``, ``N``, ``K`` and the precisions) prices it below the
         BLAS fold (then ``cost.counters.compiled_kernels`` is 1); numpy
         always folds.  The reference strategies only combine with
-        ``"numpy"``.
+        ``"numpy"``.  A traced call's span also carries ``path``
+        (``fold`` or ``popcount``) and ``host_us``, the model's price
+        of that path; untraced calls price nothing beyond the decision.
     out_quantizer:
         Optional fused re-quantization to an arbitrary-precision output
         (section 4.1b); the cost then writes ``q_out``-bit packed data.
@@ -138,13 +140,14 @@ def apmm(
         config = tune.config
     config.validate_for_device(device)
 
-    compiled = 0
+    path = strategy
     if strategy == "packed":
-        acc = packed_matmul(w_digits, x_digits, weight, feature,
-                            backend=run_backend)
-        compiled = int(popcount_preferred(
-            weight.bits, feature.bits, k, packed_words(k), run_backend
-        ))
+        # one decision per call, from the full shape
+        product = HostProduct(m, n, k, weight.bits, feature.bits)
+        branch = compiled_branch(run_backend)
+        path = product.cheapest(branch)
+        acc = matmul_path(path, w_digits, x_digits, weight, feature,
+                          backend=run_backend)
     elif strategy == "bitserial":
         acc = apbit_matmul(w_digits, x_digits, weight, feature)
     else:
@@ -164,14 +167,17 @@ def apmm(
         name=f"apmm-w{weight.bits}a{feature.bits}-{m}x{n}x{k}",
     )
     # Observed execution fact on top of the analytic charge.
-    cost.counters.compiled_kernels = compiled
+    cost.counters.compiled_kernels = PATH_KERNELS.get(path, 0)
     if tracer.enabled:
+        host = {}
+        if strategy == "packed":
+            host = {"path": path, "host_us": product.host_us(path, branch)}
         tracer.span(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,
             track="wall", lane="apmm",
             strategy=strategy, backend=run_backend.name, m=m, n=n, k=k,
             weight_bits=weight.bits, feature_bits=feature.bits,
-            **cost.counters.as_dict(),
+            **host, **cost.counters.as_dict(),
         )
     return APMMResult(
         output=output,

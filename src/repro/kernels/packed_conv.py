@@ -3,13 +3,14 @@
 The default packed conv lowers onto APMM by materializing the im2col
 digit matrix -- ``(batch * OH * OW, C_in * KH * KW)`` digits, every
 input pixel duplicated ``KH * KW`` times *before* bit packing.  This
-module is the compiled alternative, taken where
-:func:`repro.core.packed.popcount_preferred` says it wins: pack the
-padded feature map **once** (channel-last, ``C_in`` bits per pixel
-packed into ``ceil(C_in / 64)`` words) and let the
-``conv_gather`` kernel (:mod:`repro.core.backends`) copy each window's
-``KH * KW`` word-runs straight into the GEMM operand -- the duplication
-happens on 64x-compressed words, and the digit matrix never exists.
+module is the compiled alternative, the ``gather`` path of
+:class:`repro.core.packed.HostProduct`, taken where the host cost model
+prices it lowest: pack the padded feature map **once** (channel-last,
+``C_in`` bits per pixel packed into ``ceil(C_in / 64)`` words) and let
+the ``conv_gather`` kernel (:mod:`repro.core.backends`) copy each
+window's ``KH * KW`` word-runs straight into the GEMM operand -- the
+duplication happens on 64x-compressed words, and the digit matrix never
+exists.
 
 The K order is the im2col path's, ``(KH, KW, C_in)`` (the weight side
 flattens through :func:`~repro.kernels.layout.conv_weight_matrix`), and
@@ -60,7 +61,7 @@ def packed_conv_matmul(
         Window stride (square kernels, like the rest of APConv).
     backend:
         Kernel backend; must be compiled (``apconv`` asks
-        :func:`~repro.core.packed.popcount_preferred` first).
+        :meth:`~repro.core.packed.HostProduct.cheapest` first).
 
     Returns
     -------
@@ -71,10 +72,7 @@ def packed_conv_matmul(
     """
     gather = backends.kernel("conv_gather", backend)
     if gather is None:
-        raise RuntimeError(
-            "packed_conv_matmul needs a compiled backend; check "
-            "popcount_preferred() first"
-        )
+        raise RuntimeError("packed_conv_matmul needs a compiled backend")
 
     cout, cin, kh, kw = w_digits.shape
     batch, cin_x, hp, wp = padded.shape

@@ -4,16 +4,16 @@ Hypothesis drives seeded-random operands through every ``wXaY`` pair
 (both encodings, ragged K including sub-word and non-multiple-of-64
 sizes) and asserts the compiled paths produce **byte-identical**
 results to the numpy paths: the ``np.packbits`` packer against
-``pack_bits``, the popcount GEMM and the packed conv gather through
-their entry points -- which take them exactly when
-:func:`repro.core.packed.popcount_preferred` holds -- and directly at
-shapes the rule sends to the fold.  Narrow digits (the quantizers'
-``uint8``/``uint16``) must give every strategy and backend the result
-of the same digits held as int64.  Both C branches of the popcount
-GEMM are checked on any x86-64-v3 CPU: an x86-64-v3 build (the loop
-nest) against the host build and the reference.  Also covers forced fallback:
-a loader import failure must run the numpy path cleanly, with zero
-compiled-kernel counter ticks.
+``pack_bits``, and the popcount GEMM and the packed conv gather both
+through their entry points -- which take the route
+:meth:`repro.core.packed.HostProduct.cheapest` prices lowest -- and
+directly at every drawn shape, whatever the route.  Narrow digits
+(the quantizers' ``uint8``/``uint16``) must give every strategy and
+backend the result of the same digits held as int64.  Both C branches
+of the popcount GEMM are checked on any x86-64-v3 CPU: an x86-64-v3
+build (the loop nest) against the host build and the reference.  Also
+covers forced fallback: a loader import failure must run the numpy path
+cleanly, with zero compiled-kernel counter ticks.
 """
 
 from unittest import mock
@@ -34,10 +34,13 @@ from repro.core import (
 from repro.core.bitops import bit_decompose, pack_bits, packed_words
 from repro.core.emulate import reference_matmul
 from repro.core.packed import (
+    PATH_KERNELS,
+    HostProduct,
     _pack_planes,
     _popcount_matmul,
+    compiled_branch,
+    matmul_path,
     packed_matmul,
-    popcount_preferred,
 )
 from repro.kernels.layout import conv_weight_matrix, im2col
 from repro.kernels.packed_conv import packed_conv_matmul
@@ -88,13 +91,10 @@ class TestPackPlanesIdentity:
                 )
 
 
-def _expected_compiled(p, q, k, words_gather=None):
-    """Compiled kernels the rule runs: 2 for the gather, 1 for a GEMM."""
-    if words_gather is not None and popcount_preferred(
-        p, q, k, words_gather, "cffi"
-    ):
-        return 2
-    return int(popcount_preferred(p, q, k, packed_words(k), "cffi"))
+def _expected_compiled(product):
+    """Compiled kernels the cffi route of ``product`` runs: 2 for the
+    gather, 1 for a popcount GEMM, 0 for the fold."""
+    return PATH_KERNELS[product.cheapest(compiled_branch("cffi"))]
 
 
 @needs_cffi
@@ -113,10 +113,15 @@ class TestGemmIdentity:
         got = apmm(w, x, pair.weight, pair.activation, backend="cffi")
         assert np.array_equal(got.output, ref.output)
         # the dispatch, not only its output: the popcount GEMM runs
-        # exactly where the rule holds, and never on numpy
+        # exactly where the rule routes it, and never on numpy
         p, q = pair.weight.bits, pair.activation.bits
-        assert got.cost.counters.compiled_kernels == _expected_compiled(p, q, k)
+        want = _expected_compiled(HostProduct(m, n, k, p, q))
+        assert got.cost.counters.compiled_kernels == want
         assert ref.cost.counters.compiled_kernels == 0
+        # the popcount path itself, whichever route the rule took
+        popcount = matmul_path("popcount", w, x, pair.weight, pair.activation,
+                               backend="cffi")
+        assert np.array_equal(popcount, ref.output)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, k=st.sampled_from([1, 17]),
@@ -125,8 +130,8 @@ class TestGemmIdentity:
     def test_popcount_tail_where_the_rule_folds(self, seed, k, pair, encoding):
         # K below a word: the rule never sends these to the popcount GEMM
         feature = Precision(pair.activation.bits, encoding)
-        assert not popcount_preferred(pair.weight.bits, feature.bits, k,
-                                      packed_words(k), "cffi")
+        product = HostProduct(7, 5, k, pair.weight.bits, feature.bits)
+        assert product.cheapest(compiled_branch("cffi")) == "fold"
         rng = np.random.default_rng(seed)
         w = pair.weight.random_digits(rng, (7, k))
         x = feature.random_digits(rng, (5, k))
@@ -139,30 +144,17 @@ class TestGemmIdentity:
         assert np.array_equal(got, want)
 
 
-#: A build target without AVX-512: ``repro_packed_gemm`` compiles to its
-#: scalar loop nest there.
-LOOP_NEST_FLAGS = ["-O3", "-march=x86-64-v3", "-funroll-loops"]
-
-#: The ``/proc/cpuinfo`` flags of the x86-64-v3 level (``abm`` is
-#: LZCNT): a CPU lacking one could die on the build's first call.
-X86_64_V3_FEATURES = frozenset(
-    {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
-)
-
-
 @pytest.fixture(scope="module")
 def loop_nest_build(tmp_path_factory):
     """``CFFI_SOURCE`` built for x86-64-v3, loaded beside the host build."""
-    if not X86_64_V3_FEATURES <= set(_backend_cffi._cpu_features().split()):
-        pytest.skip("an x86-64-v3 build needs an x86-64 CPU at that level")
     pytest.importorskip("cffi")
     directory = tmp_path_factory.mktemp("loop_nest")
-    modname = "_repro_cffi_loop_nest"
     try:
-        built = _backend_cffi._compile(directory, modname, LOOP_NEST_FLAGS)
+        return _backend_cffi.loop_nest_build(directory)
+    except RuntimeError as exc:
+        pytest.skip(str(exc))
     except Exception as exc:  # distutils raises several types
         pytest.skip(f"cffi or gcc rejected the x86-64-v3 build: {exc}")
-    return _backend_cffi._load_module(built, modname)
 
 
 @needs_cffi
@@ -224,13 +216,22 @@ class TestConvIdentity:
         got = apconv(w, x, pair.weight, pair.activation,
                      stride=stride, padding=padding, backend="cffi")
         assert np.array_equal(got.output, ref.output)
-        # the dispatch, not only its output: the gather runs exactly
-        # where the rule holds, an im2col popcount GEMM where only the
-        # GEMM's rule does, and neither on numpy
+        # the dispatch, not only its output: the gather or an im2col
+        # popcount GEMM runs exactly where the rule routes it, and
+        # neither on numpy
         p, q = pair.weight.bits, pair.activation.bits
-        want = _expected_compiled(p, q, cin * 9, 9 * packed_words(cin))
-        assert got.cost.counters.compiled_kernels == want
+        side = hw + 2 * padding
+        product = HostProduct.conv(2, cin, 5, side, side, 3, stride, p, q)
+        assert got.cost.counters.compiled_kernels == _expected_compiled(product)
         assert ref.cost.counters.compiled_kernels == 0
+        # the gather itself, whichever route the rule took: against the
+        # fold of the same padded map
+        padded = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+        gathered = packed_conv_matmul(w, padded, pair.weight, pair.activation,
+                                      stride=stride, backend="cffi")
+        want = packed_matmul(conv_weight_matrix(w), im2col(padded, 3, stride),
+                             pair.weight, pair.activation, backend="numpy")
+        assert np.array_equal(gathered, want)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, pair=st.sampled_from(PAIRS),
@@ -243,9 +244,9 @@ class TestConvIdentity:
     ):
         # few channels: the rule keeps these convs on im2col + fold
         feature = Precision(pair.activation.bits, encoding)
-        assert not popcount_preferred(pair.weight.bits, feature.bits,
-                                      cin * 9, 9 * packed_words(cin),
-                                      "cffi")
+        product = HostProduct.conv(2, cin, 5, hw, hw, 3, stride,
+                                   pair.weight.bits, feature.bits)
+        assert product.cheapest(compiled_branch("cffi")) == "fold"
         rng = np.random.default_rng(seed)
         w = pair.weight.random_digits(rng, (5, cin, 3, 3))
         x = feature.random_digits(rng, (2, cin, hw, hw))

@@ -25,12 +25,11 @@ from repro.core import (
     fold_exactness_bound,
     packed,
     packed_matmul,
-    packed_words,
     reference_matmul,
     select_operator,
 )
 from repro.core.emulate import INT32_MAX
-from repro.core.packed import popcount_preferred
+from repro.core.packed import matmul_path
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 
@@ -292,16 +291,14 @@ class TestInt32CheckFromShapes:
         elif not backends.get_backend().compiled:
             pytest.skip("cffi kernels do not load here")
         elif path == "popcount":
-            assert popcount_preferred(1, 2, 576, packed_words(576), "cffi")
-            out = packed_matmul(W, X, wp, xp, backend="cffi")
+            out = matmul_path("popcount", W, X, wp, xp, backend="cffi")
         else:
-            from repro.kernels.apconv import apconv
+            from repro.kernels.packed_conv import packed_conv_matmul
 
-            assert popcount_preferred(1, 2, 576, 9, "cffi")
-            res = apconv(W.reshape(4, 64, 3, 3), X.reshape(3, 64, 3, 3),
-                         wp, xp, backend="cffi")
-            assert res.cost.counters.compiled_kernels == 2
-            out = res.output.reshape(3, 4).T
+            # one 3x3 window per image: the conv is the GEMM of W and X
+            out = packed_conv_matmul(W.reshape(4, 64, 3, 3),
+                                     X.reshape(3, 64, 3, 3), wp, xp,
+                                     backend="cffi")
         assert scans == []
         assert np.array_equal(out, reference_matmul(W, X, wp, xp))
 
@@ -324,19 +321,16 @@ class TestDigitRangeEveryPath:
 
     @staticmethod
     def _run(path, w, x, wp, xp):
-        from repro.kernels.apconv import apconv
+        from repro.kernels.packed_conv import packed_conv_matmul
 
         if path != "fold" and not backends.get_backend().compiled:
             pytest.skip("cffi kernels do not load here")
         if path == "gather":
-            # C_in 64, 3x3: the rule takes the gather
-            assert popcount_preferred(1, 2, 576, 9, "cffi")
-            return apconv(w.reshape(4, 64, 3, 3), x.reshape(1, 64, 3, 3),
-                          wp, xp, backend="cffi")
-        # K 576: the rule takes the popcount GEMM on cffi
-        assert popcount_preferred(1, 2, 576, packed_words(576), "cffi")
+            return packed_conv_matmul(w.reshape(4, 64, 3, 3),
+                                      x.reshape(1, 64, 3, 3), wp, xp,
+                                      backend="cffi")
         backend = "numpy" if path == "fold" else "cffi"
-        return packed_matmul(w, x, wp, xp, backend=backend)
+        return matmul_path(path, w, x, wp, xp, backend=backend)
 
     @pytest.mark.parametrize("path", ["fold", "popcount", "gather"])
     @pytest.mark.parametrize("side", ["weight", "feature"])

@@ -192,3 +192,76 @@ class TestCostShape:
         W, X = _rand_conv(9, wp, xp)
         res = apconv(W, X, wp, xp)
         assert res.tune is not None
+
+
+class TestHostSpan:
+    """A traced call's span says which path ran and what the host cost
+    model priced it at, beside the measured duration."""
+
+    # ResNet-18's 3x3 stride-1 conv at 64 channels, w2a4, one image
+    WP, XP = Precision(2, B), Precision(4, U)
+
+    def _conv(self):
+        rng = np.random.default_rng(3)
+        w = self.WP.random_digits(rng, (64, 64, 3, 3)).astype(np.uint8)
+        x = self.XP.random_digits(rng, (1, 64, 28, 28)).astype(np.uint8)
+        return w, x
+
+    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
+    def test_span_carries_the_path_and_its_host_price(self, backend):
+        from repro.core import backends
+        from repro.core.packed import PATH_KERNELS, HostProduct, compiled_branch
+        from repro.obs import trace_kernels
+
+        if backend == "cffi" and not backends.get_backend().compiled:
+            pytest.skip("cffi kernels do not load here")
+        w, x = self._conv()
+        with trace_kernels() as tracer:
+            res = apconv(w, x, self.WP, self.XP, padding=1, backend=backend)
+        (span,) = tracer.spans_in("kernel")
+        branch = compiled_branch(backend)
+        product = HostProduct.conv(1, 64, 64, 30, 30, 3, 1, 2, 4)
+        path = product.cheapest(branch)
+        assert span.attributes["path"] == path
+        assert span.attributes["host_us"] == product.host_us(path, branch)
+        assert span.attributes["host_us"] > 0
+        assert span.attributes["compiled_kernels"] == PATH_KERNELS[path]
+        assert res.cost.counters.compiled_kernels == PATH_KERNELS[path]
+        if branch is None:
+            assert path == "fold"
+        elif branch == 1:
+            assert path == "gather"
+
+    def test_untraced_calls_price_only_the_decision(self, monkeypatch):
+        from repro.core import backends
+        from repro.core.packed import HostProduct
+        from repro.obs import trace_kernels
+
+        priced = []
+        real = HostProduct.host_us
+
+        def counting(self, path, branch, *args):
+            priced.append(path)
+            return real(self, path, branch, *args)
+
+        monkeypatch.setattr(HostProduct, "host_us", counting)
+        w, x = self._conv()
+        apconv(w, x, self.WP, self.XP, padding=1, backend="numpy")
+        assert priced == []  # numpy has one path: nothing to price
+        with trace_kernels():
+            apconv(w, x, self.WP, self.XP, padding=1, backend="numpy")
+        assert priced == ["fold"]
+        if backends.get_backend().compiled:
+            priced.clear()
+            apconv(w, x, self.WP, self.XP, padding=1, backend="cffi")
+            assert sorted(priced) == ["fold", "gather", "popcount"]
+
+    def test_reference_strategies_carry_no_host_price(self):
+        from repro.obs import trace_kernels
+
+        w, x = self._conv()
+        with trace_kernels() as tracer:
+            apconv(w, x, self.WP, self.XP, padding=1, strategy="integer")
+        (span,) = tracer.spans_in("kernel")
+        assert "path" not in span.attributes
+        assert "host_us" not in span.attributes

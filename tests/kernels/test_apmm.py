@@ -182,3 +182,27 @@ class TestCostShape:
         res = apmm(W, X, pair.weight, pair.activation, strategy="bitserial")
         assert res.output.max() <= 2**31 - 1
         assert res.output.min() >= -(2**31)
+
+
+class TestHostSpan:
+    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
+    def test_span_carries_the_path_and_its_host_price(self, backend):
+        from repro.core import backends
+        from repro.core.packed import PATH_KERNELS, HostProduct, compiled_branch
+        from repro.obs import trace_kernels
+
+        if backend == "cffi" and not backends.get_backend().compiled:
+            pytest.skip("cffi kernels do not load here")
+        # ResNet-18's fc at batch 4, w2a4
+        pair = PrecisionPair.parse("w2a4")
+        w, x = _operands(5, 1000, 4, 512, pair)
+        with trace_kernels() as tracer:
+            res = apmm(w, x, pair.weight, pair.activation, backend=backend)
+        (span,) = tracer.spans_in("kernel")
+        branch = compiled_branch(backend)
+        product = HostProduct(1000, 4, 512, 2, 4)
+        path = product.cheapest(branch)
+        assert span.attributes["path"] == path
+        assert span.attributes["host_us"] == product.host_us(path, branch)
+        assert res.cost.counters.compiled_kernels == PATH_KERNELS[path]
+        assert path == ("fold" if branch is None else "popcount")

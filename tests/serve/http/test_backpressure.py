@@ -13,7 +13,10 @@ The responses are padded (via the ``echo`` passthrough) to ~256 KiB
 each so the total stream is far larger than what loopback TCP buffers
 can silently absorb: with the client not reading, ``writer.drain()``
 genuinely blocks, the queue genuinely fills, and the reader genuinely
-defers.
+defers.  The slow client's receive buffer is fixed small before it
+connects: left to autotune, it can grow past the whole stream on a host
+whose ``tcp_rmem`` maximum is large (32 MiB is common), and then the
+gateway never has to defer at all.
 """
 
 import asyncio
@@ -33,6 +36,9 @@ LIMIT = 4
 #: ~8 MiB of results -- far past loopback socket buffering.
 SLOW_SUBMITS = 32
 
+#: The slow client's fixed receive buffer (the kernel doubles it).
+SLOW_RCVBUF = 64 * 1024
+
 PADDING = "x" * (256 * 1024)
 
 
@@ -43,7 +49,7 @@ class TestSlowReader:
                 make_server(), send_queue_limit=LIMIT
             ) as gw:
                 slow = WSClient(seed=21)
-                await slow.connect(gw.port)
+                await slow.connect(gw.port, rcvbuf=SLOW_RCVBUF)
                 fast = WSClient(seed=22)
                 await fast.connect(gw.port)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import socket
 from contextlib import asynccontextmanager
 
 from repro.serve.http import HttpGateway
@@ -120,8 +121,24 @@ class WSClient:
         self._assembler = WSMessageAssembler()
         self._messages: list[tuple[int, bytes]] = []
 
-    async def connect(self, port: int, *, host: str = "127.0.0.1") -> None:
-        self.reader, self.writer = await asyncio.open_connection(host, port)
+    async def connect(
+        self, port: int, *, host: str = "127.0.0.1", rcvbuf: int | None = None
+    ) -> None:
+        """Connect and upgrade.  ``rcvbuf`` fixes the socket's receive
+        buffer (``SO_RCVBUF``, set before connecting) so the kernel
+        cannot grow it past what the caller means to buffer."""
+        if rcvbuf is None:
+            self.reader, self.writer = await asyncio.open_connection(host, port)
+        else:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(sock, (host, port))
+            except BaseException:
+                sock.close()
+                raise
+            self.reader, self.writer = await asyncio.open_connection(sock=sock)
         self.writer.write(
             (
                 f"GET /v1/stream HTTP/1.1\r\nHost: t\r\n"

@@ -6,8 +6,10 @@ what the benchmark relies on: ``backends.get_backend()`` with its
 ``.name``/``.capabilities``, the per-call ``backend=`` of
 ``apmm``/``apconv``, and ``cost.counters.compiled_kernels``, which
 splits gather from im2col + fold time and marks the fully-connected
-layers that ran the popcount GEMM.  It also checks that CI runs only
-modules and benchmark files that exist.
+layers that ran the popcount GEMM: each call's count is that of the
+route the host cost model (:class:`repro.core.packed.HostProduct`)
+prices lowest for its shape.  It also checks that CI runs only modules
+and benchmark files that exist.
 """
 
 import importlib.util
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import PrecisionPair, backends
+from repro.core.packed import PATH_KERNELS, HostProduct, compiled_branch
 from repro.nn import APNNBackend, alexnet
 from repro.obs import Tracer
 from repro.serve import PlanCache
@@ -81,29 +84,67 @@ def _kernel_kinds(qnet, net, images, **kwargs) -> list[str]:
     return [a["kind"] for a in _kernel_spans(qnet, net, images, **kwargs)]
 
 
-def test_gather_runs_only_on_cffi(qnet, prepared):
+def _routes(qnet, net, images, monkeypatch) -> list[str]:
+    """The host model's route for each kernel call of one forward."""
+    products = []
+    conv, mm = qnet.apconv, qnet.apmm
+
+    def traced_conv(w, x, wp, xp, *, stride, padding, **kwargs):
+        products.append(HostProduct.conv(
+            x.shape[0], x.shape[1], w.shape[0], x.shape[2] + 2 * padding,
+            x.shape[3] + 2 * padding, w.shape[2], stride, wp.bits, xp.bits,
+        ))
+        return conv(w, x, wp, xp, stride=stride, padding=padding, **kwargs)
+
+    def traced_mm(w, x, wp, xp, **kwargs):
+        products.append(HostProduct(w.shape[0], x.shape[0], w.shape[1],
+                                    wp.bits, xp.bits))
+        return mm(w, x, wp, xp, **kwargs)
+
+    monkeypatch.setattr(qnet, "apconv", traced_conv)
+    monkeypatch.setattr(qnet, "apmm", traced_mm)
+    qnet.forward(net, images)
+    branch = compiled_branch()
+    return [product.cheapest(branch) for product in products]
+
+
+def test_gather_runs_only_on_cffi(qnet, prepared, monkeypatch):
     net, images = prepared
-    kinds = _kernel_kinds(qnet, net, images)
-    # w1a2 (p*q = 2): conv2-conv5 take the gather whenever cffi loads
-    expect = "gather" if backends.get_backend().compiled else "conv_fold"
-    assert kinds.count(expect) == 4
+    spans = _kernel_spans(qnet, net, images)
+    routes = _routes(qnet, net, images, monkeypatch)
+    convs = [(a, r) for a, r in zip(spans, routes)
+             if a["kind"] in ("gather", "conv_fold")]
+    assert len(convs) == 4  # conv2-conv5
+    # every conv takes the model's route; qnet labels any conv that ran
+    # a compiled kernel "gather"
+    for attrs, route in convs:
+        assert attrs["compiled_kernels"] == PATH_KERNELS[route]
+        assert attrs["kind"] == ("conv_fold" if route == "fold" else "gather")
+    if compiled_branch() == 1:
+        # on the micro-kernel conv2 (C_in 64, 5x5 on a 7x7 map) takes the
+        # gather; conv3-conv5 see 3x3 maps here, whose nine windows the
+        # model may send to the im2col popcount GEMM instead
+        assert routes[1] == "gather"
     numpy_kinds = _kernel_kinds(qnet, net, images, backend="numpy")
     assert "gather" not in numpy_kinds
     assert numpy_kinds.count("conv_fold") == 4
 
 
-def test_popcount_gemm_runs_only_on_cffi(qnet, prepared):
+def test_popcount_gemm_runs_only_on_cffi(qnet, prepared, monkeypatch):
     net, images = prepared
     spans = _kernel_spans(qnet, net, images)
-    fc = [a["compiled_kernels"] for a in spans if a["kind"] == "apmm"]
+    routes = _routes(qnet, net, images, monkeypatch)
+    fc = [(a["compiled_kernels"], r) for a, r in zip(spans, routes)
+          if a["kind"] == "apmm"]
     first = [a["compiled_kernels"] for a in spans if a["kind"] == "first_layer"]
     assert len(fc) == 3
+    assert all(count == PATH_KERNELS[route] for count, route in fc)
     # w1a2 (p*q = 2) at K a multiple of 64: fc6-fc8 take the popcount
     # GEMM whenever cffi loads; conv1 (w1a8, C_in 3) stays on the fold
     if backends.get_backend().compiled:
-        assert all(c > 0 for c in fc)
+        assert [route for _, route in fc] == ["popcount"] * 3
     else:
-        assert fc == [0, 0, 0]
+        assert fc == [(0, "fold")] * 3
     assert first == [0]
     numpy_spans = _kernel_spans(qnet, net, images, backend="numpy")
     assert [a["compiled_kernels"] for a in numpy_spans] == [0] * len(spans)
