@@ -6,11 +6,11 @@ Subpackages
     Bit-level emulation algebra (paper section 3): decomposition, Boolean
     matmul templates, operator selection, quantizers.
 ``repro.tensorcore``
-    Functional simulator of Ampere Tensor-Core primitives (bmma 8x8x128
-    XOR/AND, imma int4/int8, hmma fp16) with execution counters.
+    Functional simulator of the Ampere Tensor-Core binary primitive
+    (bmma 8x8x128 XOR/AND) with execution counters.
 ``repro.kernels``
     AP-Layer design (paper section 4): APMM, APConv, tiling, autotuner,
-    layouts, input-aware padding, fused epilogues.
+    im2col lowering, input-aware padding, fused epilogues.
 ``repro.baselines``
     Modeled cost of the CUTLASS/cuBLAS kernels the paper compares against.
 ``repro.perf``

@@ -27,14 +27,7 @@ from .bitops import (
 from .emulate import apbit_matmul, apbit_matmul_planes, reference_matmul
 from .opselect import EmulationCase, OperatorPlan, TCOp, classify, select_operator
 from .packed import fold_exactness_bound, packed_matmul
-from .quantize import (
-    AffineQuantizer,
-    QEMQuantizer,
-    QuantizedTensor,
-    binarize,
-    dorefa_quantize_activations,
-    dorefa_quantize_weights,
-)
+from .quantize import AffineQuantizer, QEMQuantizer, QuantizedTensor, binarize
 from .types import MAX_BITS, Encoding, Precision, PrecisionPair, digit_dtype
 
 __all__ = [
@@ -65,6 +58,4 @@ __all__ = [
     "QEMQuantizer",
     "QuantizedTensor",
     "binarize",
-    "dorefa_quantize_weights",
-    "dorefa_quantize_activations",
 ]

@@ -13,10 +13,7 @@ This module implements:
   the mean-absolute scale of BinaryConnect/XNOR-style weights;
 * :class:`QEMQuantizer` -- LQ-Nets-flavoured quantization error minimization:
   alternates between assignment and closed-form scale updates to minimize
-  ``||x - s * Q(x/s)||^2`` for a symmetric (bipolar) or unsigned grid;
-* :func:`dorefa_quantize_weights` / :func:`dorefa_quantize_activations` --
-  the DoReFa-Net [Zhou et al. 2016] rules, the w1a2 configuration evaluated
-  throughout the paper.
+  ``||x - s * Q(x/s)||^2`` for a symmetric (bipolar) or unsigned grid.
 
 All quantizers return *digits* (raw codes) plus the float parameters needed
 to decode, so the integer kernels can run on digits while accuracy
@@ -45,23 +42,20 @@ __all__ = [
     "QEMQuantizer",
     "QuantizedTensor",
     "binarize",
-    "dorefa_quantize_weights",
-    "dorefa_quantize_activations",
 ]
 
 
 @dataclass
 class QuantizedTensor:
-    """Digits plus decode parameters: ``values ~= scale * decoded + offset``."""
+    """Digits plus decode parameters: ``values ~= scale * decoded``."""
 
     digits: np.ndarray
     precision: Precision
     scale: float
-    offset: float = 0.0
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct approximate real values."""
-        return self.scale * self.precision.decode(self.digits) + self.offset
+        return self.scale * self.precision.decode(self.digits)
 
 
 @dataclass(frozen=True)
@@ -198,48 +192,3 @@ class QEMQuantizer:
         qt = self.fit(x)
         return float(np.mean((np.asarray(x, dtype=np.float64) - qt.dequantize()) ** 2))
 
-
-def dorefa_quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
-    """DoReFa-Net weight quantization.
-
-    ``bits == 1`` reduces to sign binarization with mean-|w| scale.  For
-    ``bits > 1``: ``w' = tanh(w)/(2*max|tanh(w)|) + 1/2`` mapped to the
-    unsigned grid, then recentred to a symmetric bipolar-per-plane range.
-    We keep the digits unsigned and fold the recentring into
-    ``scale``/``offset`` so kernels see standard unsigned digits.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    if bits == 1:
-        return binarize(w)
-    t = np.tanh(w)
-    denom = float(np.max(np.abs(t))) if w.size else 1.0
-    if denom == 0.0:
-        denom = 1.0
-    unit = t / (2.0 * denom) + 0.5  # in [0, 1]
-    levels = (1 << bits) - 1
-    digits = np.rint(unit * levels).astype(digit_dtype(bits))
-    # decoded value = 2*(digits/levels) - 1 in [-1, 1]
-    scale = 2.0 / levels
-    return QuantizedTensor(
-        digits=digits,
-        precision=Precision(bits, Encoding.UNSIGNED),
-        scale=scale,
-        offset=-1.0,
-    )
-
-
-def dorefa_quantize_activations(x: np.ndarray, bits: int) -> QuantizedTensor:
-    """DoReFa-Net activation quantization: clip to [0,1], round to the grid."""
-    x = np.asarray(x, dtype=np.float64)
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    levels = (1 << bits) - 1
-    clipped = np.clip(x, 0.0, 1.0)
-    digits = np.rint(clipped * levels).astype(digit_dtype(bits))
-    return QuantizedTensor(
-        digits=digits,
-        precision=Precision(bits, Encoding.UNSIGNED),
-        scale=1.0 / levels,
-    )

@@ -1,4 +1,4 @@
-"""AP-Layer design (paper section 4): kernels, tiling, layouts, fusion."""
+"""AP-Layer design (paper section 4): kernels, tiling, im2col lowering, fusion."""
 
 from .apconv import APConvResult, apconv
 from .apmm import APMMResult, apmm
@@ -21,17 +21,7 @@ from .fusion import (
     fused_cost,
     unfused_costs,
 )
-from .layout import (
-    PackedFeatureMap,
-    conv_output_shape,
-    conv_weight_matrix,
-    from_nphwc,
-    im2col,
-    nchw_to_nhwc,
-    nhwc_to_nchw,
-    to_nphwc,
-)
-from .packout import WARP_SIZE, ballot_pack, ballot_unpack, packed_nbytes
+from .layout import conv_output_shape, conv_weight_matrix, im2col
 from .padding import PaddingPlan, pad_digits, padding_correction, plan_padding
 from .tiling import (
     CANDIDATE_TILES,
@@ -60,18 +50,9 @@ __all__ = [
     "CANDIDATE_TILES",
     "DEFAULT_BK",
     "WARPS_PER_BLOCK",
-    "PackedFeatureMap",
-    "to_nphwc",
-    "from_nphwc",
-    "nchw_to_nhwc",
-    "nhwc_to_nchw",
     "im2col",
     "conv_weight_matrix",
     "conv_output_shape",
-    "WARP_SIZE",
-    "ballot_pack",
-    "ballot_unpack",
-    "packed_nbytes",
     "PaddingPlan",
     "plan_padding",
     "pad_digits",

@@ -6,10 +6,10 @@ implicit GEMM: ``M = C_out``, ``N_gemm = N * OH * OW``,
 ``K = C_in * KH * KW``.  The three design elements the paper adds on top
 of the GEMM machinery:
 
-* **channel-major data organization** (section 4.2a) -- features travel in
-  the packed NPHWC layout so the ``K``-contiguous window reads are aligned
-  and coalesced; the cost model charges the naive NCHW layout a 4x read
-  amplification when the ablation flag is flipped;
+* **channel-major data organization** (section 4.2a) -- every path
+  orders ``K`` channel-innermost, so the ``K``-contiguous window reads are
+  aligned and coalesced; the cost model charges the naive NCHW layout a
+  4x read amplification when the ablation flag is flipped;
 * **input-aware padding** (section 4.2b) -- the padding digit and the
   counter correction come from :mod:`repro.kernels.padding`, keyed by the
   operand encodings;
@@ -35,7 +35,6 @@ import numpy as np
 from ..core import backends
 from ..core.emulate import apbit_matmul, reference_matmul
 from ..core.packed import PATH_KERNELS, HostProduct, compiled_branch, matmul_path
-from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
 from ..perf.cost import KernelCost, conv_cost
@@ -58,7 +57,6 @@ class APConvResult:
     config: TileConfig
     tune: TuneResult | None
     padding_plan: PaddingPlan
-    out_precision: Precision | None = None
 
 
 def apconv(
@@ -73,7 +71,6 @@ def apconv(
     config: TileConfig | None = None,
     strategy: str = "packed",
     backend: "backends.Backend | str | None" = None,
-    out_quantizer: AffineQuantizer | None = None,
 ) -> APConvResult:
     """Run (and cost) one arbitrary-precision convolution.
 
@@ -81,8 +78,7 @@ def apconv(
     ``backend`` kernel-backend selector); geometry is NCHW digits in, in
     any unsigned dtype (the quantizers' narrow
     :func:`~repro.core.types.digit_dtype`) or int64, and
-    ``(N, C_out, OH, OW)`` out (int64 accumulators, or digits when
-    ``out_quantizer`` re-quantizes for the next layer).  Every strategy
+    ``(N, C_out, OH, OW)`` int64 accumulators out.  Every strategy
     lowers K in the channel-major ``(KH, KW, C_in)`` order: features
     through :func:`~repro.kernels.layout.im2col`, weights through
     :func:`~repro.kernels.layout.conv_weight_matrix`.  The packed
@@ -164,18 +160,10 @@ def apconv(
         )
         out = out - corr[None, :, :, :]
 
-    out_precision = None
-    out_bits = 32
-    if out_quantizer is not None:
-        out = out_quantizer.quantize(out.astype(np.float64))
-        out_precision = out_quantizer.precision
-        out_bits = out_quantizer.bits
-
     cost = conv_cost(
         batch, cin, cout, h, w, kh, weight.bits, feature.bits, config,
         stride=stride,
         padding=padding,
-        out_bits=out_bits,
         padding_correction=pplan.needs_correction and padding > 0,
         name=f"apconv-w{weight.bits}a{feature.bits}-{cin}->{cout}@{h}x{w}k{kh}s{stride}",
     )
@@ -200,5 +188,4 @@ def apconv(
         config=config,
         tune=tune,
         padding_plan=pplan,
-        out_precision=out_precision,
     )

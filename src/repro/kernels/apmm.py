@@ -3,9 +3,9 @@
 The layer-level GEMM kernel.  Given a ``p``-bit weight matrix ``W`` of
 shape ``(M, K)`` and a ``q``-bit feature matrix ``X`` of shape ``(N, K)``
 (both K-major, matching the Tensor-Core fragment layout), APMM produces
-``Y = decode(W) @ decode(X)^T`` -- as 32-bit integers by default, or
-re-quantized to an arbitrary low-bit output when it feeds the next APNN
-layer (the memory-efficient bit combination of section 4.1b).
+``Y = decode(W) @ decode(X)^T`` as 32-bit integer accumulators.  The
+next layer's quantizer is an epilogue op (:mod:`repro.kernels.fusion`),
+not part of the kernel call.
 
 Three execution strategies produce bit-identical results:
 
@@ -42,7 +42,6 @@ import numpy as np
 from ..core import backends
 from ..core.emulate import apbit_matmul, reference_matmul
 from ..core.packed import PATH_KERNELS, HostProduct, compiled_branch, matmul_path
-from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
 from ..perf.cost import KernelCost, gemm_cost
@@ -59,14 +58,12 @@ STRATEGIES = backends.STRATEGIES
 
 @dataclass
 class APMMResult:
-    """Output digits/values plus the costed execution facts."""
+    """Integer accumulators plus the costed execution facts."""
 
     output: np.ndarray
     cost: KernelCost
     config: TileConfig
     tune: TuneResult | None
-    #: Precision of ``output``: None means raw int32 accumulators.
-    out_precision: Precision | None = None
 
 
 def apmm(
@@ -79,7 +76,6 @@ def apmm(
     config: TileConfig | None = None,
     strategy: str = "packed",
     backend: "backends.Backend | str | None" = None,
-    out_quantizer: AffineQuantizer | None = None,
 ) -> APMMResult:
     """Run (and cost) one arbitrary-precision GEMM.
 
@@ -109,9 +105,6 @@ def apmm(
         ``"numpy"``.  A traced call's span also carries ``path``
         (``fold`` or ``popcount``) and ``host_us``, the model's price
         of that path; untraced calls price nothing beyond the decision.
-    out_quantizer:
-        Optional fused re-quantization to an arbitrary-precision output
-        (section 4.1b); the cost then writes ``q_out``-bit packed data.
     """
     # Kernel-boundary tracing (wall clock: this really executes).  The
     # default tracer is the shared no-op, so untraced callers pay one
@@ -153,17 +146,8 @@ def apmm(
     else:
         acc = reference_matmul(w_digits, x_digits, weight, feature)
 
-    out_precision = None
-    output = acc
-    out_bits = 32
-    if out_quantizer is not None:
-        output = out_quantizer.quantize(acc.astype(np.float64))
-        out_precision = out_quantizer.precision
-        out_bits = out_quantizer.bits
-
     cost = gemm_cost(
         m, n, k, weight.bits, feature.bits, config,
-        out_bits=out_bits,
         name=f"apmm-w{weight.bits}a{feature.bits}-{m}x{n}x{k}",
     )
     # Observed execution fact on top of the analytic charge.
@@ -179,10 +163,4 @@ def apmm(
             weight_bits=weight.bits, feature_bits=feature.bits,
             **host, **cost.counters.as_dict(),
         )
-    return APMMResult(
-        output=output,
-        cost=cost,
-        config=config,
-        tune=tune,
-        out_precision=out_precision,
-    )
+    return APMMResult(output=acc, cost=cost, config=config, tune=tune)

@@ -12,111 +12,19 @@ convolution the paper replaces the traditional NCHW layout with the
   ``K x K`` window then reads ``K*K`` contiguous channel runs instead of
   ``K``-strided scalars, giving coalesced access.
 
-:class:`PackedFeatureMap` models that container (:func:`to_nphwc` /
-:func:`from_nphwc`); no execution path stores activations in it -- the
-packed conv gather packs each padded map channel-last on the fly.
-:func:`im2col` lowers convolution windows to the GEMM operand layout every
-execution strategy consumes, in the same channel-major ``(KH, KW, C)`` K
-order as the packed window gather, and :func:`conv_weight_matrix` flattens
-weights to match.
+The cost model prices that coalescing
+(:func:`~repro.perf.cost.conv_cost`'s ``channel_major`` flag).  On the
+host, :func:`im2col` lowers convolution windows to the GEMM operand
+layout every execution strategy consumes, in the same channel-major
+``(KH, KW, C)`` K order as the packed window gather, and
+:func:`conv_weight_matrix` flattens weights to match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core.bitops import bit_combine, bit_decompose, pack_bits, unpack_bits
-from ..core.types import Precision
-
-__all__ = [
-    "PackedFeatureMap",
-    "nchw_to_nhwc",
-    "nhwc_to_nchw",
-    "to_nphwc",
-    "from_nphwc",
-    "im2col",
-    "conv_weight_matrix",
-    "conv_output_shape",
-]
-
-
-def nchw_to_nhwc(x: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) -> (N, H, W, C)."""
-    if x.ndim != 4:
-        raise ValueError(f"expected 4-D NCHW tensor, got shape {x.shape}")
-    return np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)))
-
-
-def nhwc_to_nchw(x: np.ndarray) -> np.ndarray:
-    """(N, H, W, C) -> (N, C, H, W)."""
-    if x.ndim != 4:
-        raise ValueError(f"expected 4-D NHWC tensor, got shape {x.shape}")
-    return np.ascontiguousarray(np.transpose(x, (0, 3, 1, 2)))
-
-
-@dataclass
-class PackedFeatureMap:
-    """Bit-planed, channel-packed feature map (NPHWC, Fig. 4b).
-
-    Attributes
-    ----------
-    words:
-        ``(N, P, H, W, ceil(C/64))`` uint64; bit ``c % 64`` of word
-        ``c // 64`` at plane ``s`` holds bit ``s`` of channel ``c``.
-    channels:
-        Logical channel count ``C`` (the last word may be zero-padded).
-    precision:
-        Bit-width + encoding of the digits.
-    """
-
-    words: np.ndarray
-    channels: int
-    precision: Precision
-
-    @property
-    def batch(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.words.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.words.shape[3]
-
-    @property
-    def nbytes(self) -> int:
-        """Physical storage -- the quantity the minimal-traffic dataflow
-        minimizes (q-bit packed vs 32-bit unpacked, section 5.1)."""
-        return self.words.nbytes
-
-    @property
-    def logical_bits(self) -> int:
-        """Bits of true payload (excludes word padding)."""
-        n, p, h, w, _ = self.words.shape
-        return n * p * h * w * self.channels
-
-
-def to_nphwc(digits: np.ndarray, precision: Precision) -> PackedFeatureMap:
-    """Pack an (N, C, H, W) digit tensor into the NPHWC layout."""
-    if digits.ndim != 4:
-        raise ValueError(f"expected 4-D NCHW digits, got shape {digits.shape}")
-    n, c, h, w = digits.shape
-    planes = bit_decompose(digits, precision.bits)  # (P, N, C, H, W)
-    # channel-major: (P, N, H, W, C) then pack C into words
-    planes = np.transpose(planes, (1, 0, 3, 4, 2))  # (N, P, H, W, C)
-    words = pack_bits(planes)
-    return PackedFeatureMap(words=words, channels=c, precision=precision)
-
-
-def from_nphwc(packed: PackedFeatureMap) -> np.ndarray:
-    """Unpack NPHWC back to (N, C, H, W) digits (inverse of to_nphwc)."""
-    bits = unpack_bits(packed.words, packed.channels)  # (N, P, H, W, C)
-    planes = np.transpose(bits, (1, 0, 4, 2, 3))  # (P, N, C, H, W)
-    return bit_combine(planes)
+__all__ = ["im2col", "conv_weight_matrix", "conv_output_shape"]
 
 
 def conv_output_shape(

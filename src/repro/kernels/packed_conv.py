@@ -68,7 +68,7 @@ def packed_conv_matmul(
     np.ndarray
         ``(C_out, batch * OH * OW)`` int64 accumulators -- the same GEMM
         result shape the im2col path produces, ready for the caller's
-        reshape / padding correction / re-quantization.
+        reshape and padding correction.
     """
     gather = backends.kernel("conv_gather", backend)
     if gather is None:

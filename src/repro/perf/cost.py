@@ -106,7 +106,6 @@ def gemm_cost(
     q_bits: int,
     cfg: TileConfig,
     *,
-    out_bits: int = 32,
     batch_planes: bool = True,
     double_caching: bool = True,
     name: str | None = None,
@@ -118,12 +117,12 @@ def gemm_cost(
     count, ``k`` the reduction length.  With ``batch_planes`` (the paper's
     design) the ``p*q`` bit-plane products run as one virtual large BMMA in
     a single launch; without it (ablation) each plane pair is its own
-    kernel that reduces into the output through global memory.
+    kernel that reduces into the output through global memory.  The
+    kernel writes int32 accumulators; a quantized boundary write is the
+    epilogue's to price (:func:`repro.kernels.fusion.fused_cost`).
     """
     if min(m, n, k, p_bits, q_bits) < 1:
         raise ValueError("gemm dimensions and bit-widths must be >= 1")
-    if out_bits < 1 or out_bits > 32:
-        raise ValueError(f"out_bits must be in [1, 32], got {out_bits}")
     k_iters = _ceil_div(k, cfg.bk)
     tile_bits_per_iter = (cfg.bm + cfg.bn) * cfg.bk  # 1-bit operand tiles
 
@@ -150,7 +149,7 @@ def gemm_cost(
             # Ablation: every warp pulls its own operand tiles from DRAM.
             warp_bits = cfg.num_warps * (cfg.wm + cfg.wn) * cfg.bk
             counters.global_bytes_read = blocks * k_iters * warp_bits // 8
-        counters.global_bytes_written = m * n * out_bits // 8
+        counters.global_bytes_written = m * n * 4
     else:
         # Ablation: p*q independent BMMA kernels + global-memory reduction.
         grid_m = _ceil_div(m, cfg.bm)
@@ -171,15 +170,14 @@ def gemm_cost(
         counters.smem_bytes_read = counters.global_bytes_read
         # each partial Y^(s,t) round-trips through DRAM for the reduction
         partial_bytes = m * n * 4
-        counters.global_bytes_written = launches * partial_bytes + m * n * out_bits // 8
+        counters.global_bytes_written = launches * partial_bytes + m * n * 4
         counters.global_bytes_read += launches * partial_bytes
 
     counters.tc_macs = counters.bmma_calls * 8 * 8 * 128
 
     decompose_ops = p_bits * m * k + q_bits * n * k
     combine_ops = p_bits * q_bits * m * n
-    pack_ops = m * n if out_bits < 32 else 0  # ballot-style repacking
-    counters.cuda_ops += decompose_ops + combine_ops + pack_ops
+    counters.cuda_ops += decompose_ops + combine_ops
     counters.frag_bytes_peak = cfg.fragment_bytes()
 
     unique = (p_bits * m * k + q_bits * n * k) // 8
@@ -282,7 +280,6 @@ def conv_cost(
     *,
     stride: int = 1,
     padding: int = 0,
-    out_bits: int = 32,
     channel_major: bool = True,
     padding_correction: bool = False,
     double_caching: bool = True,
@@ -302,7 +299,6 @@ def conv_cost(
     )
     cost = gemm_cost(
         m, n, k, p_bits, q_bits, cfg,
-        out_bits=out_bits,
         double_caching=double_caching,
         name=name or f"apconv-w{p_bits}a{q_bits}-c{in_channels}x{out_channels}",
         efficiency_key=efficiency_key,

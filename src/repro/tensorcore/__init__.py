@@ -1,18 +1,6 @@
-"""Functional simulator of Ampere Tensor-Core primitives and memory system."""
+"""Functional simulator of the Ampere Tensor Core's binary MMA and memory system."""
 
-from .bmma import (
-    BMMA_K,
-    BMMA_M,
-    BMMA_N,
-    BMMA_WORDS,
-    HMMA_SHAPE,
-    IMMA4_SHAPE,
-    IMMA8_SHAPE,
-    bmma,
-    hmma,
-    imma4,
-    imma8,
-)
+from .bmma import BMMA_K, BMMA_M, BMMA_N, BMMA_WORDS, bmma
 from .counters import ExecutionCounters
 from .device import A100, DEVICES, RTX3090, DeviceSpec, get_device
 from .fragment import FragmentFile
@@ -23,13 +11,7 @@ __all__ = [
     "BMMA_N",
     "BMMA_K",
     "BMMA_WORDS",
-    "IMMA4_SHAPE",
-    "IMMA8_SHAPE",
-    "HMMA_SHAPE",
     "bmma",
-    "imma4",
-    "imma8",
-    "hmma",
     "ExecutionCounters",
     "DeviceSpec",
     "RTX3090",

@@ -1,20 +1,17 @@
-"""Warp-level MMA primitives of the simulated Ampere Tensor Core.
+"""The binary warp-level MMA primitive of the simulated Ampere Tensor Core.
 
 The contract mirrors the CUDA WMMA sub-byte API (paper section 2.3):
+``bmma`` takes two 1-bit operand fragments of shape ``8 x 128`` (stored
+as two ``uint64`` words per row), combines them with Boolean ``XOR`` or
+``AND`` and accumulates the popcount into an ``8 x 8`` int32 fragment.
+Exactly like hardware, the primitive accumulates the *raw popcount*;
+encoding corrections (``K - 2p`` etc.) are software's job
+(:mod:`repro.core.opselect`).  The tile-level oracle
+(:mod:`repro.kernels.apmm_sim`) runs it; the int4/int8/fp16 library
+baselines are priced from their tiles (:mod:`repro.baselines`).
 
-* ``bmma`` -- the binary primitive: two 1-bit operand fragments of shape
-  ``8 x 128`` (stored as two ``uint64`` words per row), Boolean ``XOR`` or
-  ``AND`` combination, popcount accumulation into an ``8 x 8`` int32
-  fragment.  Exactly like hardware, the primitive accumulates the *raw
-  popcount*; encoding corrections (``K - 2p`` etc.) are software's job
-  (:mod:`repro.core.opselect`).
-* ``imma4`` / ``imma8`` -- the int4 (8x8x32) and int8 (16x16x16) integer
-  primitives with int32 accumulation (no kernel or baseline runs them; the
-  library baselines are priced from their tiles, :mod:`repro.baselines`).
-* ``hmma`` -- fp16 16x16x16 with fp32 accumulation.
-
-All primitives validate shapes/dtypes the way the hardware ISA would
-(misaligned fragments are a compile error on a real GPU) and check the
+``bmma`` validates shapes/dtypes the way the hardware ISA would
+(misaligned fragments are a compile error on a real GPU) and checks the
 int32 accumulator for overflow, which real Tensor Cores silently wrap --
 catching it here is strictly safer.
 """
@@ -27,31 +24,12 @@ from ..core.bitops import popcount
 from ..core.emulate import check_int32_accumulator
 from ..core.opselect import TCOp
 
-__all__ = [
-    "BMMA_M",
-    "BMMA_N",
-    "BMMA_K",
-    "BMMA_WORDS",
-    "IMMA4_SHAPE",
-    "IMMA8_SHAPE",
-    "HMMA_SHAPE",
-    "bmma",
-    "imma4",
-    "imma8",
-    "hmma",
-]
+__all__ = ["BMMA_M", "BMMA_N", "BMMA_K", "BMMA_WORDS", "bmma"]
 
 #: bmma tile shape: m8 n8 k128 (CUDA ``wmma::experimental`` b1 shape).
 BMMA_M, BMMA_N, BMMA_K = 8, 8, 128
 #: 128 bits per row = 2 x uint64 words.
 BMMA_WORDS = BMMA_K // 64
-
-#: int4 primitive shape m8 n8 k32.
-IMMA4_SHAPE = (8, 8, 32)
-#: int8 primitive shape m16 n16 k16.
-IMMA8_SHAPE = (16, 16, 16)
-#: fp16 primitive shape m16 n16 k16.
-HMMA_SHAPE = (16, 16, 16)
 
 
 def bmma(
@@ -109,60 +87,3 @@ def bmma(
     frag_c[...] = acc.astype(np.int32)
     return frag_c
 
-
-def _integer_mma(
-    frag_a: np.ndarray,
-    frag_b: np.ndarray,
-    frag_c: np.ndarray,
-    shape: tuple[int, int, int],
-    lo: int,
-    hi: int,
-    kind: str,
-) -> np.ndarray:
-    m, n, k = shape
-    frag_a = np.asarray(frag_a)
-    frag_b = np.asarray(frag_b)
-    if frag_a.shape != (m, k):
-        raise ValueError(f"{kind} frag_a must be ({m}, {k}), got {frag_a.shape}")
-    if frag_b.shape != (n, k):
-        raise ValueError(f"{kind} frag_b must be ({n}, {k}), got {frag_b.shape}")
-    if frag_c.shape != (m, n) or frag_c.dtype != np.int32:
-        raise ValueError(f"{kind} frag_c must be int32 ({m}, {n})")
-    if frag_a.size and (frag_a.min() < lo or frag_a.max() > hi):
-        raise ValueError(f"{kind} frag_a values outside [{lo}, {hi}]")
-    if frag_b.size and (frag_b.min() < lo or frag_b.max() > hi):
-        raise ValueError(f"{kind} frag_b values outside [{lo}, {hi}]")
-    acc = frag_c.astype(np.int64) + frag_a.astype(np.int64) @ frag_b.astype(np.int64).T
-    check_int32_accumulator(acc)
-    frag_c[...] = acc.astype(np.int32)
-    return frag_c
-
-
-def imma4(frag_a, frag_b, frag_c) -> np.ndarray:
-    """int4 MMA (m8 n8 k32): signed operands in [-8, 7], int32 accumulate."""
-    return _integer_mma(frag_a, frag_b, frag_c, IMMA4_SHAPE, -8, 7, "imma4")
-
-
-def imma8(frag_a, frag_b, frag_c) -> np.ndarray:
-    """int8 MMA (m16 n16 k16): signed operands in [-128, 127], int32 accumulate."""
-    return _integer_mma(frag_a, frag_b, frag_c, IMMA8_SHAPE, -128, 127, "imma8")
-
-
-def hmma(frag_a, frag_b, frag_c) -> np.ndarray:
-    """fp16 MMA (m16 n16 k16) with fp32 accumulation.
-
-    Operands are rounded to fp16 on load (fragment precision), products
-    accumulate in fp32 -- the numerically relevant property of the hardware.
-    """
-    m, n, k = HMMA_SHAPE
-    frag_a = np.asarray(frag_a, dtype=np.float16)
-    frag_b = np.asarray(frag_b, dtype=np.float16)
-    if frag_a.shape != (m, k) or frag_b.shape != (n, k):
-        raise ValueError(
-            f"hmma fragments must be ({m},{k}) and ({n},{k}); got "
-            f"{frag_a.shape} and {frag_b.shape}"
-        )
-    if frag_c.shape != (m, n) or frag_c.dtype != np.float32:
-        raise ValueError(f"hmma frag_c must be float32 ({m}, {n})")
-    frag_c += (frag_a.astype(np.float32) @ frag_b.astype(np.float32).T)
-    return frag_c

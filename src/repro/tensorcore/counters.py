@@ -10,7 +10,7 @@ explicit tile-level simulation) and "how long the hardware would take"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __all__ = ["ExecutionCounters"]
 

@@ -20,12 +20,7 @@ from repro.core.bitops import (
     pack_bits,
     unpack_bits,
 )
-from repro.core.quantize import (
-    AffineQuantizer,
-    QEMQuantizer,
-    dorefa_quantize_activations,
-    dorefa_quantize_weights,
-)
+from repro.core.quantize import AffineQuantizer, QEMQuantizer
 from repro.core.types import Encoding
 
 # hypothesis-heavy: the CI unit job deselects these and the serving job
@@ -133,31 +128,3 @@ class TestQuantizerRoundtrip:
                 QEMQuantizer(prec, iters=8).error(x)
                 <= QEMQuantizer(prec, iters=1).error(x) + 1e-12
             )
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds, size=sizes, pair=st.sampled_from(PAIRS))
-    def test_dorefa_digits_in_range_all_pairs(self, seed, size, pair):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=size)
-        a = rng.uniform(-0.5, 1.5, size=size)
-        qw = dorefa_quantize_weights(w, pair.weight.bits)
-        qa = dorefa_quantize_activations(a, pair.activation.bits)
-        for qt in (qw, qa):
-            assert qt.digits.min() >= 0
-            assert qt.digits.max() < qt.precision.num_levels
-        if pair.weight.bits > 1:
-            # tanh-normalized multi-bit weights reconstruct into [-1, 1]
-            assert np.all(np.abs(qw.dequantize()) <= 1.0 + 1e-9)
-        else:
-            # w1 is sign binarization at the mean-|w| scale
-            assert np.allclose(np.abs(qw.dequantize()), np.mean(np.abs(w)))
-        assert np.all((qa.dequantize() >= 0) & (qa.dequantize() <= 1.0))
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, size=sizes)
-    def test_dorefa_w1_matches_sign_binarization(self, seed, size):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=size)
-        qt = dorefa_quantize_weights(w, 1)
-        assert qt.precision.bits == 1
-        assert np.array_equal(qt.digits, (w >= 0).astype(np.int64))

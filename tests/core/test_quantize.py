@@ -1,4 +1,4 @@
-"""Tests for quantizers (AffineQuantizer, QEM, DoReFa, binarize)."""
+"""Tests for quantizers (AffineQuantizer, QEM, binarize)."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from repro.core import (
     QEMQuantizer,
     binarize,
     digit_dtype,
-    dorefa_quantize_activations,
-    dorefa_quantize_weights,
 )
 
 
@@ -153,49 +151,6 @@ class TestQEM:
         assert qt.digits.max() < prec.num_levels
 
 
-class TestDoReFa:
-    def test_weight_1bit_is_binarize(self):
-        w = np.array([-1.0, 2.0, -3.0])
-        qt = dorefa_quantize_weights(w, 1)
-        assert qt.precision == Precision(1, Encoding.BIPOLAR)
-        assert np.array_equal(qt.digits, [0, 1, 0])
-
-    def test_weight_multibit_bounded(self):
-        rng = np.random.default_rng(0)
-        w = rng.normal(size=100)
-        qt = dorefa_quantize_weights(w, 2)
-        deq = qt.dequantize()
-        assert deq.min() >= -1.0 - 1e-9 and deq.max() <= 1.0 + 1e-9
-
-    def test_weight_bits_validated(self):
-        with pytest.raises(ValueError):
-            dorefa_quantize_weights(np.ones(2), 0)
-
-    def test_activation_clip_range(self):
-        qt = dorefa_quantize_activations(np.array([-1.0, 0.5, 2.0]), 2)
-        assert np.array_equal(qt.digits, [0, 2, 3])
-
-    def test_activation_reconstruction(self):
-        x = np.linspace(0, 1, 9)
-        qt = dorefa_quantize_activations(x, 3)
-        assert np.abs(qt.dequantize() - x).max() <= 0.5 / 7 + 1e-12
-
-    def test_activation_bits_validated(self):
-        with pytest.raises(ValueError):
-            dorefa_quantize_activations(np.ones(2), -1)
-
-    def test_w1a2_digits_feed_emulation(self):
-        """End-to-end: DoReFa w1a2 digits are valid emulation inputs."""
-        from repro.core import apbit_matmul, reference_matmul
-
-        rng = np.random.default_rng(2)
-        wq = dorefa_quantize_weights(rng.normal(size=(4, 32)), 1)
-        xq = dorefa_quantize_activations(rng.uniform(size=(6, 32)), 2)
-        got = apbit_matmul(wq.digits, xq.digits, wq.precision, xq.precision)
-        ref = reference_matmul(wq.digits, xq.digits, wq.precision, xq.precision)
-        assert np.array_equal(got, ref)
-
-
 #: Bit widths straddling each digit dtype boundary.
 DTYPE_BITS = [1, 2, 8, 9, 16]
 
@@ -234,20 +189,6 @@ class TestDigitDtype:
     def test_qem_empty_input(self, bits):
         qt = QEMQuantizer(Precision(bits)).fit(np.array([]))
         assert qt.digits.dtype == digit_dtype(bits)
-
-    @pytest.mark.parametrize("bits", DTYPE_BITS)
-    def test_dorefa_weights(self, bits):
-        """Bits 1 takes the binarize route; the dtype is the same contract."""
-        w = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
-        qt = dorefa_quantize_weights(w, bits)
-        assert qt.digits.dtype == digit_dtype(bits)
-        assert qt.digits.max() == (1 << bits) - 1
-
-    @pytest.mark.parametrize("bits", DTYPE_BITS)
-    def test_dorefa_activations(self, bits):
-        qt = dorefa_quantize_activations(np.array([-1.0, 0.5, 2.0]), bits)
-        assert qt.digits.dtype == digit_dtype(bits)
-        assert qt.digits.max() == (1 << bits) - 1
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
     @pytest.mark.parametrize("encoding", [Encoding.UNSIGNED, Encoding.BIPOLAR])

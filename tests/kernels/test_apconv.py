@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AffineQuantizer, Encoding, Precision
+from repro.core import Encoding, Precision
 from repro.kernels import TileConfig, apconv
 from repro.perf import conv_cost
 
@@ -135,27 +135,6 @@ class TestValidation:
                 np.zeros((1, 3, 6, 6), dtype=np.int64),
                 Precision(1), Precision(1),
             )
-
-
-class TestQuantizedOutput:
-    def test_digits_out(self):
-        wp, xp = Precision(1, B), Precision(2, U)
-        W, X = _rand_conv(4, wp, xp)
-        q = AffineQuantizer(bits=2, scale=8.0, zero_point=-16.0)
-        res = apconv(W, X, wp, xp, out_quantizer=q)
-        assert res.out_precision == Precision(2, U)
-        assert res.output.max() <= 3 and res.output.min() >= 0
-
-    def test_write_traffic_shrinks(self):
-        wp, xp = Precision(1, B), Precision(2, U)
-        W, X = _rand_conv(5, wp, xp, cout=8, h=8, w=8)
-        q = AffineQuantizer(bits=2, scale=8.0)
-        a = apconv(W, X, wp, xp)
-        b = apconv(W, X, wp, xp, out_quantizer=q)
-        assert (
-            b.cost.counters.global_bytes_written
-            < a.cost.counters.global_bytes_written
-        )
 
 
 class TestCostShape:

@@ -1,107 +1,11 @@
-"""Tests for data layouts: NCHW/NHWC/NPHWC and im2col."""
+"""Tests for the conv lowering: output shape, im2col and weight flattening."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Encoding, Precision
-from repro.kernels import (
-    conv_output_shape,
-    conv_weight_matrix,
-    from_nphwc,
-    im2col,
-    nchw_to_nhwc,
-    nhwc_to_nchw,
-    to_nphwc,
-)
-
-
-class TestAxisPermutations:
-    def test_nchw_nhwc_roundtrip(self):
-        rng = np.random.default_rng(0)
-        x = rng.integers(0, 4, size=(2, 3, 5, 7))
-        assert np.array_equal(nhwc_to_nchw(nchw_to_nhwc(x)), x)
-
-    def test_nchw_to_nhwc_places_channels_last(self):
-        x = np.arange(24).reshape(1, 2, 3, 4)
-        y = nchw_to_nhwc(x)
-        assert y.shape == (1, 3, 4, 2)
-        assert y[0, 1, 2, 1] == x[0, 1, 1, 2]
-
-    def test_contiguity(self):
-        x = np.zeros((1, 2, 3, 4), dtype=np.int64)
-        assert nchw_to_nhwc(x).flags["C_CONTIGUOUS"]
-
-    def test_rank_validated(self):
-        with pytest.raises(ValueError):
-            nchw_to_nhwc(np.zeros((2, 3, 4)))
-        with pytest.raises(ValueError):
-            nhwc_to_nchw(np.zeros((2, 3)))
-
-
-class TestNPHWC:
-    def test_roundtrip_small(self):
-        rng = np.random.default_rng(1)
-        prec = Precision(3)
-        x = prec.random_digits(rng, (2, 5, 4, 4))
-        packed = to_nphwc(x, prec)
-        assert np.array_equal(from_nphwc(packed), x)
-
-    def test_plane_axis_size(self):
-        prec = Precision(3)
-        x = np.zeros((1, 4, 2, 2), dtype=np.int64)
-        packed = to_nphwc(x, prec)
-        assert packed.words.shape[1] == 3  # P axis
-
-    def test_channel_packing_width(self):
-        prec = Precision(1, Encoding.BIPOLAR)
-        x = np.zeros((1, 130, 2, 2), dtype=np.int64)
-        packed = to_nphwc(x, prec)
-        assert packed.words.shape[-1] == 3  # ceil(130/64)
-        assert packed.channels == 130
-
-    def test_storage_is_bit_packed(self):
-        """The layout's point: q-bit packed, not 32-bit (section 5.1)."""
-        prec = Precision(2)
-        x = np.zeros((1, 128, 16, 16), dtype=np.int64)
-        packed = to_nphwc(x, prec)
-        assert packed.nbytes == 2 * 16 * 16 * 128 // 8
-        # 16x smaller than storing the same digits as int32
-        assert packed.nbytes * 16 == x.size * 4
-
-    def test_channel_major_within_plane(self):
-        """All channels of one pixel live in consecutive bits (Fig. 4b)."""
-        prec = Precision(1)
-        x = np.zeros((1, 64, 1, 2), dtype=np.int64)
-        x[0, 5, 0, 0] = 1
-        x[0, 63, 0, 1] = 1
-        packed = to_nphwc(x, prec)
-        assert packed.words[0, 0, 0, 0, 0] == np.uint64(1) << np.uint64(5)
-        assert packed.words[0, 0, 0, 1, 0] == np.uint64(1) << np.uint64(63)
-
-    def test_geometry_properties(self):
-        prec = Precision(2)
-        packed = to_nphwc(np.zeros((3, 6, 7, 9), dtype=np.int64), prec)
-        assert (packed.batch, packed.height, packed.width) == (3, 7, 9)
-        assert packed.logical_bits == 3 * 2 * 7 * 9 * 6
-
-    def test_rank_validated(self):
-        with pytest.raises(ValueError):
-            to_nphwc(np.zeros((2, 3, 4), dtype=np.int64), Precision(1))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(0, 10**6),
-        st.integers(1, 4),
-        st.integers(1, 70),
-        st.booleans(),
-    )
-    def test_roundtrip_property(self, seed, bits, channels, bipolar):
-        rng = np.random.default_rng(seed)
-        prec = Precision(bits, Encoding.BIPOLAR if bipolar else Encoding.UNSIGNED)
-        x = prec.random_digits(rng, (2, channels, 3, 3))
-        assert np.array_equal(from_nphwc(to_nphwc(x, prec)), x)
+from repro.kernels import conv_output_shape, conv_weight_matrix, im2col
 
 
 class TestConvOutputShape:

@@ -20,7 +20,6 @@ gateway never has to defer at all.
 """
 
 import asyncio
-import json
 
 import pytest
 

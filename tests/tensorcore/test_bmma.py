@@ -1,4 +1,4 @@
-"""Tests for the simulated warp-level MMA primitives."""
+"""Tests for the simulated binary warp-level MMA primitive."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import TCOp
 from repro.core.bitops import pack_bits
-from repro.tensorcore import (
-    BMMA_K,
-    BMMA_M,
-    BMMA_N,
-    BMMA_WORDS,
-    bmma,
-    hmma,
-    imma4,
-    imma8,
-)
+from repro.tensorcore import BMMA_K, BMMA_M, BMMA_N, BMMA_WORDS, bmma
 
 
 def _random_bmma_operands(seed):
@@ -104,64 +95,3 @@ class TestBMMA:
         tot = a_bits.sum(1)[:, None] + b_bits.sum(1)[None, :]
         assert np.array_equal(2 * c_and + c_xor, tot)
 
-
-class TestIMMA:
-    def test_imma4_matches_matmul(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(-8, 8, size=(8, 32))
-        b = rng.integers(-8, 8, size=(8, 32))
-        c = np.zeros((8, 8), dtype=np.int32)
-        imma4(a, b, c)
-        assert np.array_equal(c, a @ b.T)
-
-    def test_imma4_range_check(self):
-        a = np.full((8, 32), 8)
-        with pytest.raises(ValueError, match=r"\[-8, 7\]"):
-            imma4(a, a, np.zeros((8, 8), dtype=np.int32))
-
-    def test_imma8_matches_matmul(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(-128, 128, size=(16, 16))
-        b = rng.integers(-128, 128, size=(16, 16))
-        c = np.zeros((16, 16), dtype=np.int32)
-        imma8(a, b, c)
-        assert np.array_equal(c, a @ b.T)
-
-    def test_imma8_shape_check(self):
-        with pytest.raises(ValueError):
-            imma8(np.zeros((8, 16)), np.zeros((16, 16)), np.zeros((16, 16), np.int32))
-
-    def test_imma8_accumulates(self):
-        a = np.ones((16, 16), dtype=np.int64)
-        c = np.zeros((16, 16), dtype=np.int32)
-        imma8(a, a, c)
-        imma8(a, a, c)
-        assert np.all(c == 32)
-
-
-class TestHMMA:
-    def test_fp16_rounding_applied_to_operands(self):
-        # 1 + 2^-12 is not representable in fp16 -> rounds to 1.0
-        a = np.full((16, 16), 1 + 2**-12, dtype=np.float64)
-        b = np.eye(16, dtype=np.float64)
-        c = np.zeros((16, 16), dtype=np.float32)
-        hmma(a, b, c)
-        assert np.allclose(np.diag(c), 1.0)
-
-    def test_fp32_accumulation(self):
-        a = np.full((16, 16), 0.5)
-        c = np.zeros((16, 16), dtype=np.float32)
-        hmma(a, a, c)
-        assert np.allclose(c, 0.25 * 16)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            hmma(np.zeros((8, 16)), np.zeros((16, 16)), np.zeros((16, 16), np.float32))
-
-    def test_c_dtype_validation(self):
-        with pytest.raises(ValueError):
-            hmma(
-                np.zeros((16, 16)),
-                np.zeros((16, 16)),
-                np.zeros((16, 16), dtype=np.float64),
-            )

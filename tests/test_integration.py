@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    AffineQuantizer,
-    Encoding,
-    Precision,
-    PrecisionPair,
-    dorefa_quantize_activations,
-    dorefa_quantize_weights,
-)
-from repro.kernels import apconv, apmm, to_nphwc, from_nphwc
+from repro.core import AffineQuantizer, PrecisionPair, binarize
+from repro.kernels import apconv, apmm
 from repro.nn import APNNBackend, InferenceEngine, Sequential
 from repro.nn.layers import Conv2d, Flatten, Linear, Quantize, ReLU
 from repro.perf import LatencyModel
@@ -24,16 +17,26 @@ class TestQuantizeToKernelPipeline:
     """Float weights -> quantizer -> digits -> bit-serial kernel."""
 
     def test_dorefa_w1a2_through_apmm(self):
+        """The paper's w1a2 setting: sign-binarized weights, 2-bit
+        activations on [0, 1]."""
         rng = np.random.default_rng(0)
         w_float = rng.normal(size=(32, 64))
         x_float = rng.uniform(size=(16, 64))
-        wq = dorefa_quantize_weights(w_float, 1)
-        xq = dorefa_quantize_activations(x_float, 2)
-        res = apmm(wq.digits, xq.digits, wq.precision, xq.precision,
+        wq = binarize(w_float)
+        # sign binarization at the mean-|w| scale
+        assert np.array_equal(wq.digits, w_float >= 0)
+        np.testing.assert_allclose(np.abs(wq.dequantize()),
+                                   np.mean(np.abs(w_float)))
+        aq = AffineQuantizer.from_range(0.0, 1.0, 2)
+        x_digits = aq.quantize(x_float)
+        res = apmm(wq.digits, x_digits, wq.precision, aq.precision,
                    strategy="bitserial")
-        # integer result scaled back approximates the float product
-        approx = wq.scale * xq.scale * res.output
-        exact = (wq.dequantize() @ xq.dequantize().T)
+        ref = apmm(wq.digits, x_digits, wq.precision, aq.precision,
+                   strategy="integer")
+        assert np.array_equal(res.output, ref.output)
+        # integer result scaled back equals the product of the decodes
+        approx = wq.scale * aq.scale * res.output
+        exact = wq.dequantize() @ aq.dequantize(x_digits).T
         np.testing.assert_allclose(approx, exact, atol=1e-9)
 
     def test_quantized_conv_chain_two_layers(self):
@@ -46,25 +49,14 @@ class TestQuantizeToKernelPipeline:
 
         q = AffineQuantizer(bits=2, scale=30.0, zero_point=-40.0)
         layer1 = apconv(w1, x, pair.weight, pair.activation, padding=1,
-                        out_quantizer=q, strategy="bitserial")
-        assert layer1.out_precision == Precision(2, Encoding.UNSIGNED)
-        layer2 = apconv(w2, layer1.output, pair.weight, pair.activation,
+                        strategy="bitserial")
+        digits = q.quantize(layer1.output)
+        assert q.precision == pair.activation
+        layer2 = apconv(w2, digits, pair.weight, pair.activation,
                         padding=1, strategy="bitserial")
-        ref2 = apconv(w2, layer1.output, pair.weight, pair.activation,
+        ref2 = apconv(w2, digits, pair.weight, pair.activation,
                       padding=1, strategy="integer")
         assert np.array_equal(layer2.output, ref2.output)
-
-    def test_packed_layout_roundtrip_through_conv(self):
-        """NPHWC packing is lossless around a conv call."""
-        pair = PrecisionPair.parse("w1a2")
-        rng = np.random.default_rng(2)
-        x = pair.activation.random_digits(rng, (2, 8, 6, 6))
-        packed = to_nphwc(x, pair.activation)
-        unpacked = from_nphwc(packed)
-        w = pair.weight.random_digits(rng, (4, 8, 3, 3))
-        a = apconv(w, x, pair.weight, pair.activation, padding=1)
-        b = apconv(w, unpacked, pair.weight, pair.activation, padding=1)
-        assert np.array_equal(a.output, b.output)
 
 
 class TestEndToEndLatencyPipeline:

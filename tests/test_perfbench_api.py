@@ -8,10 +8,11 @@ what the benchmark relies on: ``backends.get_backend()`` with its
 splits gather from im2col + fold time and marks the fully-connected
 layers that ran the popcount GEMM: each call's count is that of the
 route the host cost model (:class:`repro.core.packed.HostProduct`)
-prices lowest for its shape.  It also checks that CI runs only modules
-and benchmark files that exist.
+prices lowest for its shape.  It also checks that CI runs only modules,
+benchmark files and tests that exist.
 """
 
+import ast
 import importlib.util
 import re
 import sys
@@ -171,3 +172,20 @@ def test_ci_names_only_what_exists():
     assert "perfbench/run.py" in paths
     for path in paths:
         assert (REPO / path).exists(), path
+    # pytest targets: each file or directory exists, and each
+    # ``::Class::test`` node is defined where it says
+    targets = set(re.findall(r"tests/[\w./-]+(?:::\w+)*", ci))
+    assert "tests/serve/test_drain.py" in targets
+    assert any("::" in target for target in targets)
+    for target in targets:
+        path, *nodes = target.split("::")
+        assert (REPO / path).exists(), target
+        scope = ast.parse((REPO / path).read_text()).body if nodes else []
+        for name in nodes:
+            defs = {
+                node.name: node for node in scope
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef))
+            }
+            assert name in defs, target
+            scope = defs[name].body
