@@ -15,7 +15,7 @@ Subpackages
     Modeled cost of the CUTLASS/cuBLAS kernels the paper compares against.
 ``repro.perf``
     Analytical latency model (roofline + occupancy + launch overhead) with
-    per-device calibration (RTX 3090, A100).
+    one fitted calibration over the RTX 3090 and A100 device specs.
 ``repro.nn``
     APNN framework (paper section 5): modules, models (AlexNet, VGG-Variant,
     ResNet-18), kernel-fusion pass, minimal-traffic dataflow, engine.

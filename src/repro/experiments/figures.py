@@ -1006,7 +1006,7 @@ def fault_tolerance_study():
             (
                 "crash-no-restart",
                 FaultPlan.of(FaultPlan.crash("worker-0", FAULT_CRASH_US)),
-                ClusterPolicy(restart_crashed=False),
+                ClusterPolicy(max_restarts=0),
                 None,
             ),
             (

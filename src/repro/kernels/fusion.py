@@ -143,10 +143,6 @@ def apply_epilogue(acc: np.ndarray, ops: Sequence) -> np.ndarray:
     return out
 
 
-def _epilogue_elementwise_ops(ops: Sequence, elements: int) -> int:
-    return sum(op.ops_per_element() * elements for op in ops)
-
-
 def _chain_out_bits(ops: Sequence) -> int:
     for op in reversed(list(ops)):
         if isinstance(op, QuantizeOp):
@@ -168,14 +164,18 @@ def fused_cost(base: KernelCost, ops: Sequence, elements: int) -> KernelCost:
     """Cost of the GEMM/conv with the epilogue folded into its launch.
 
     The epilogue adds CUDA-core math but no launches and no intermediate
-    DRAM traffic; the final write shrinks to the chain's output size
-    (pooling reduces elements, quantization reduces bits).
+    DRAM traffic: each op spends the math :func:`unfused_costs` charges
+    it, on the elements it receives.  The final write shrinks to the
+    chain's output size (pooling reduces elements, quantization reduces
+    bits).
     """
     if elements < 1:
         raise ValueError("elements must be >= 1")
     counters = base.counters.copy()
-    counters.cuda_ops += _epilogue_elementwise_ops(ops, elements)
-    out_elements = _chain_out_elements(elements, ops)
+    out_elements = elements
+    for op in ops:
+        counters.cuda_ops += op.ops_per_element() * out_elements
+        out_elements = _chain_out_elements(out_elements, [op])
     out_bits = _chain_out_bits(ops)
     counters.global_bytes_written -= elements * 4  # the raw int32 write
     counters.global_bytes_written += out_elements * out_bits // 8
@@ -197,7 +197,7 @@ def unfused_costs(base: KernelCost, ops: Sequence, elements: int) -> list[Kernel
         out_elements = _chain_out_elements(in_elements, [op])
         out_bits = op.out_bits if isinstance(op, QuantizeOp) else in_bits
         counters = ExecutionCounters(
-            cuda_ops=_epilogue_elementwise_ops([op], in_elements),
+            cuda_ops=op.ops_per_element() * in_elements,
             global_bytes_read=in_elements * in_bits // 8,
             global_bytes_written=out_elements * out_bits // 8,
             blocks=max(1, in_elements // 4096),

@@ -11,6 +11,7 @@ from .engine import (
     LibraryBackend,
     ModelReport,
     PlannedGroup,
+    backend_key,
 )
 from .fusion_pass import EPILOGUE_TYPES, FusedGroup, fuse_graph
 from .layers import (
@@ -54,6 +55,7 @@ __all__ = [
     "APNNBackend",
     "BNNBackend",
     "LibraryBackend",
+    "backend_key",
     "InferenceEngine",
     "GroupReport",
     "ModelReport",

@@ -15,14 +15,16 @@ Decides the bit-width of every tensor crossing a kernel boundary:
 
 The planner also quantifies the inter-layer traffic under the packed
 dataflow versus the naive 32-bit dataflow, which is the invariant tested
-against the paper's claim.
+against the paper's claim.  It decides only what each group *writes*;
+what each GEMM computes at -- per-layer overrides and the first layer's
+:data:`INPUT_BITS` included -- is :class:`~repro.nn.engine
+.InferenceEngine`'s one precision assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.types import PrecisionPair
 from .fusion_pass import FusedGroup
 from .layers import Conv2d, Linear
 
@@ -34,11 +36,9 @@ INPUT_BITS = 8
 
 @dataclass(frozen=True)
 class GroupPlan:
-    """Precision assignment for one fused group."""
+    """Boundary precision of one fused group's output."""
 
     name: str
-    weight_bits: int
-    activation_in_bits: int
     out_bits: int
     is_gemm: bool
     #: number of scalar elements this group writes across the boundary
@@ -47,10 +47,9 @@ class GroupPlan:
 
 @dataclass
 class DataflowPlan:
-    """Per-group precisions plus boundary-traffic accounting."""
+    """Per-group boundary precisions plus traffic accounting."""
 
     groups: list[GroupPlan]
-    pair: PrecisionPair
 
     @property
     def packed_traffic_bytes(self) -> int:
@@ -79,7 +78,6 @@ def _elements(shape: tuple[int, ...]) -> int:
 def plan_dataflow(
     groups: list[FusedGroup],
     group_output_shapes: list[tuple[int, ...]],
-    pair: PrecisionPair,
 ) -> DataflowPlan:
     """Assign boundary precisions to fused groups.
 
@@ -101,38 +99,20 @@ def plan_dataflow(
     act_bits = INPUT_BITS
     for i, (group, out_shape) in enumerate(zip(groups, group_output_shapes)):
         is_gemm = isinstance(group.main, (Conv2d, Linear))
-        qbits = group.quantize_bits
-        if is_gemm:
-            if i == last_gemm:
-                out_bits = 32  # logits stay int32 (paper 5.1)
-            elif qbits is not None:
-                out_bits = qbits
-            else:
-                out_bits = 32
-            plans.append(
-                GroupPlan(
-                    name=group.name,
-                    weight_bits=pair.weight.bits,
-                    activation_in_bits=act_bits,
-                    out_bits=out_bits,
-                    is_gemm=True,
-                    out_elements=_elements(out_shape),
-                )
-            )
-            act_bits = out_bits if out_bits <= 8 else 32
+        if i == last_gemm:
+            out_bits = 32  # logits stay int32 (paper 5.1)
+        elif group.quantize_bits is not None:
+            out_bits = group.quantize_bits
         else:
-            out_bits = qbits if qbits is not None else (
-                act_bits if act_bits <= 8 else 32
+            # a GEMM writes raw int32; a pure epilogue passes its input on
+            out_bits = 32 if is_gemm else act_bits
+        plans.append(
+            GroupPlan(
+                name=group.name or "epilogue",
+                out_bits=out_bits,
+                is_gemm=is_gemm,
+                out_elements=_elements(out_shape),
             )
-            plans.append(
-                GroupPlan(
-                    name=group.name or "epilogue",
-                    weight_bits=0,
-                    activation_in_bits=act_bits,
-                    out_bits=out_bits,
-                    is_gemm=False,
-                    out_elements=_elements(out_shape),
-                )
-            )
-            act_bits = out_bits
-    return DataflowPlan(groups=plans, pair=pair)
+        )
+        act_bits = out_bits
+    return DataflowPlan(groups=plans)

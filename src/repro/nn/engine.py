@@ -25,21 +25,25 @@ shape propagation, dataflow assignment, tile autotuning, cost assembly)
 once and returns a reusable :class:`CompiledPlan`; ``estimate(batch)``
 compiles and prices in one call -- required for ImageNet-scale latency
 tables -- while ``forward(x)`` runs the float reference semantics for
-functional tests and examples.  The serving layer (:mod:`repro.serve`)
-memoizes compiled plans so repeat requests never re-plan.
+functional tests and examples.  Every engine prices with the one fitted
+calibration (:data:`~repro.perf.calibration.DEFAULT_CALIBRATION`).
+
+A plan's identity is the engine's :attr:`InferenceEngine.plan_identity`
+-- model name, :func:`backend_key` and device name, computed once --
+plus the batch and input shape.  The serving layer (:mod:`repro.serve`)
+memoizes compiled plans under it so repeat requests never re-plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..core.types import Encoding, Precision, PrecisionPair
+from ..core.types import PrecisionPair
 from ..kernels.autotune import autotune
 from ..kernels.tiling import TileConfig
-from ..perf.calibration import DEFAULT_CALIBRATION, Calibration
 from ..perf.cost import (
     KernelCost,
     baseline_conv_cost,
@@ -51,7 +55,7 @@ from ..perf.cost import (
 from ..perf.model import LatencyBreakdown, LatencyModel
 from ..tensorcore.counters import ExecutionCounters
 from ..tensorcore.device import DeviceSpec, RTX3090
-from .dataflow import DataflowPlan, GroupPlan, plan_dataflow
+from .dataflow import INPUT_BITS, DataflowPlan, GroupPlan, plan_dataflow
 from .fusion_pass import fuse_graph
 from .layers import (
     AdaptiveAvgPool2d,
@@ -69,6 +73,7 @@ __all__ = [
     "APNNBackend",
     "BNNBackend",
     "LibraryBackend",
+    "backend_key",
     "GroupReport",
     "ModelReport",
     "PlannedGroup",
@@ -100,16 +105,13 @@ class APNNBackend:
     """
 
     pair: PrecisionPair
-    first_layer_activation_bits: int = 8
     layer_pairs: tuple[tuple[str, PrecisionPair], ...] = ()
 
     @classmethod
-    def mixed(cls, default: str, overrides: dict[str, str],
-              first_layer_activation_bits: int = 8) -> "APNNBackend":
+    def mixed(cls, default: str, overrides: dict[str, str]) -> "APNNBackend":
         """Convenience constructor from precision-name strings."""
         return cls(
             pair=PrecisionPair.parse(default),
-            first_layer_activation_bits=first_layer_activation_bits,
             layer_pairs=tuple(
                 (name, PrecisionPair.parse(p)) for name, p in overrides.items()
             ),
@@ -131,8 +133,6 @@ class APNNBackend:
 @dataclass(frozen=True)
 class BNNBackend:
     """TCBNN-style binary baseline [25]."""
-
-    first_layer_activation_bits: int = 8
 
     @property
     def name(self) -> str:
@@ -167,6 +167,21 @@ class LibraryBackend:
     @property
     def element_bits(self) -> int:
         return {"fp32": 32, "fp16": 16, "int8": 8}[self.precision]
+
+
+def backend_key(backend) -> str:
+    """Canonical plan-key string for a backend's precision config.
+
+    ``backend.name`` alone is ambiguous for mixed-precision APNN backends
+    (every override set renders as ``+mixed``), so the key spells out the
+    per-layer pairs.
+    """
+    if isinstance(backend, APNNBackend):
+        parts = [f"APNN:{backend.pair.name}"]
+        for layer, pair in sorted(backend.layer_pairs, key=lambda lp: lp[0]):
+            parts.append(f"{layer}={pair.name}")
+        return "|".join(parts)
+    return backend.name
 
 
 @dataclass
@@ -276,42 +291,12 @@ def _cost_from_dict(data: Mapping[str, Any]) -> KernelCost:
     )
 
 
-def _precision_to_dict(p: Precision) -> dict[str, Any]:
-    return {"bits": p.bits, "encoding": p.encoding.value}
-
-
-def _precision_from_dict(data: Mapping[str, Any]) -> Precision:
-    return Precision(bits=data["bits"], encoding=Encoding(data["encoding"]))
-
-
 def _dataflow_to_dict(dataflow: DataflowPlan) -> dict[str, Any]:
-    return {
-        "pair": {
-            "weight": _precision_to_dict(dataflow.pair.weight),
-            "activation": _precision_to_dict(dataflow.pair.activation),
-        },
-        "groups": [
-            {
-                "name": g.name,
-                "weight_bits": g.weight_bits,
-                "activation_in_bits": g.activation_in_bits,
-                "out_bits": g.out_bits,
-                "is_gemm": g.is_gemm,
-                "out_elements": g.out_elements,
-            }
-            for g in dataflow.groups
-        ],
-    }
+    return {"groups": [asdict(g) for g in dataflow.groups]}
 
 
 def _dataflow_from_dict(data: Mapping[str, Any]) -> DataflowPlan:
-    return DataflowPlan(
-        groups=[GroupPlan(**g) for g in data["groups"]],
-        pair=PrecisionPair(
-            weight=_precision_from_dict(data["pair"]["weight"]),
-            activation=_precision_from_dict(data["pair"]["activation"]),
-        ),
-    )
+    return DataflowPlan(groups=[GroupPlan(**g) for g in data["groups"]])
 
 
 @dataclass(frozen=True)
@@ -460,20 +445,17 @@ class InferenceEngine:
     """Prices (and functionally runs) one model on one backend/device."""
 
     def __init__(
-        self,
-        model: Sequential,
-        backend,
-        device: DeviceSpec = RTX3090,
-        *,
-        fuse: bool = True,
-        calibration: Calibration = DEFAULT_CALIBRATION,
+        self, model: Sequential, backend, device: DeviceSpec = RTX3090
     ) -> None:
         self.model = model
         self.backend = backend
         self.device = device
-        self.fuse = fuse
-        self.latency_model = LatencyModel(device, calibration)
+        self.latency_model = LatencyModel(device)
         self.groups = fuse_graph(model)
+        #: ``(model name, backend key, device name)``: the part of every
+        #: plan's identity this engine fixes; a plan key adds the batch
+        #: and input shape.
+        self.plan_identity = (model.name, backend_key(backend), device.name)
 
     # ------------------------------------------------------------------
     # functional path
@@ -573,7 +555,7 @@ class InferenceEngine:
         if isinstance(self.backend, LibraryBackend):
             # libraries fuse element-wise epilogues but not pooling
             return isinstance(layer, (BatchNorm2d, ReLU, Quantize, Flatten))
-        return self.fuse
+        return True
 
     def _quantize_is_noop(self, layer) -> bool:
         return (
@@ -608,15 +590,8 @@ class InferenceEngine:
                 all_fused = False
                 standalone.append((layer, elems, elems_chain[i + 1]))
         if group.residual_add:
-            # the add is element-wise on the group output; fused when the
-            # backend fuses epilogues, else one more kernel
-            if self.fuse or library:
-                fused_ops += _elements(out_shape)
-            else:
-                all_fused = False
-                standalone.append(
-                    ("residual-add", _elements(out_shape), _elements(out_shape))
-                )
+            # the add is element-wise on the group output, always fused
+            fused_ops += _elements(out_shape)
 
         counters.cuda_ops += fused_ops
         # producing kernel writes the final packed boundary tensor when the
@@ -630,15 +605,11 @@ class InferenceEngine:
         costs = [replace(base, counters=counters)]
 
         for layer, in_elems, out_elems in standalone:
-            name = layer if isinstance(layer, str) else layer.name
-            ops = (
-                1 if isinstance(layer, str)
-                else _EPILOGUE_OPS_PER_ELEMENT[type(layer)]
-            )
             costs.append(
                 _elementwise_cost(
-                    f"{group.name}/{name}", in_elems, boundary_bits,
-                    out_elems, boundary_bits, ops,
+                    f"{group.name}/{layer.name}", in_elems, boundary_bits,
+                    out_elems, boundary_bits,
+                    _EPILOGUE_OPS_PER_ELEMENT[type(layer)],
                 )
             )
         return costs
@@ -667,8 +638,9 @@ class InferenceEngine:
         epilogue-only groups.
 
         The single source of truth for precision assignment -- per-layer
-        overrides and the first-GEMM activation override included -- shared
-        by :meth:`compile` and :meth:`gemm_problems` so ``repro.bench``
+        overrides and the first GEMM's int8 image
+        (:data:`~repro.nn.dataflow.INPUT_BITS`) included -- shared by
+        :meth:`compile` and :meth:`gemm_problems` so ``repro.bench``
         always benchmarks the pairs the plans actually dispatch.
         """
         pair = getattr(self.backend, "pair", None)
@@ -686,7 +658,7 @@ class InferenceEngine:
                 w_bits = layer_pair.weight.bits
                 a_bits = (
                     layer_pair.activation.bits if first_gemm_seen
-                    else self.backend.first_layer_activation_bits
+                    else INPUT_BITS
                 )
             else:
                 w_bits = a_bits = self.backend.element_bits
@@ -707,7 +679,7 @@ class InferenceEngine:
         pair = getattr(self.backend, "pair", None)
         dataflow = plans = None
         if pair is not None:
-            dataflow = plan_dataflow(self.groups, shapes, pair)
+            dataflow = plan_dataflow(self.groups, shapes)
             plans = dataflow.groups
 
         planned: list[PlannedGroup] = []
@@ -761,7 +733,7 @@ class InferenceEngine:
         """The GEMM problems this model dispatches at ``batch``.
 
         Walks the same fused groups and precision assignment as
-        :meth:`compile` (first-layer activation override included) and
+        :meth:`compile` (the first layer's 8-bit image included) and
         returns each Conv2d/Linear group's (implicit-)GEMM shape.  This is
         how ``repro.bench`` derives serving-relevant shapes: the packed
         fast path is benchmarked on exactly the matrix products a served

@@ -237,12 +237,9 @@ class AvgPool2d(_Pool2d):
 
 
 class AdaptiveAvgPool2d(Module):
-    """Global average pooling to a target spatial size (ResNet head)."""
+    """Global average pooling to 1x1 (ResNet head)."""
 
-    def __init__(self, out_size: int = 1, name: str = "gap") -> None:
-        if out_size != 1:
-            raise ValueError("only global (1x1) adaptive pooling is supported")
-        self.out_size = out_size
+    def __init__(self, name: str = "gap") -> None:
         self.name = name
 
     def forward(self, x: np.ndarray) -> np.ndarray:

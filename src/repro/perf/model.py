@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..tensorcore.device import DeviceSpec
-from .calibration import DEFAULT_CALIBRATION, Calibration
+from .calibration import DEFAULT_CALIBRATION
 from .cost import KernelCost
 
 __all__ = [
@@ -69,15 +69,11 @@ class LatencyBreakdown:
 
 
 class LatencyModel:
-    """Prices kernel costs on one device with one calibration."""
+    """Prices kernel costs on one device with the fitted calibration
+    (:data:`~repro.perf.calibration.DEFAULT_CALIBRATION`)."""
 
-    def __init__(
-        self,
-        device: DeviceSpec,
-        calibration: Calibration = DEFAULT_CALIBRATION,
-    ) -> None:
+    def __init__(self, device: DeviceSpec) -> None:
         self.device = device
-        self.calibration = calibration
 
     # ------------------------------------------------------------------
     # occupancy
@@ -96,7 +92,7 @@ class LatencyModel:
         """Fraction of peak TC throughput this grid can drive."""
         sat = (
             self.device.sm_count
-            * self.calibration.compute_saturation_blocks_per_sm
+            * DEFAULT_CALIBRATION.compute_saturation_blocks_per_sm
         )
         # Hosting limit: blocks runnable at once can never exceed the
         # per-SM residency limit.
@@ -109,7 +105,7 @@ class LatencyModel:
     def memory_utilization(self, cost: KernelCost) -> float:
         """Fraction of streaming DRAM bandwidth this grid can drive."""
         frac = (
-            self.calibration.mem_parallelism
+            DEFAULT_CALIBRATION.mem_parallelism
             * cost.counters.blocks
             / self.device.sm_count
         )
@@ -120,7 +116,7 @@ class LatencyModel:
     # ------------------------------------------------------------------
     def kernel_latency(self, cost: KernelCost) -> LatencyBreakdown:
         """Price one kernel (or fused launch chain)."""
-        dev, cal = self.device, self.calibration
+        dev, cal = self.device, DEFAULT_CALIBRATION
         counters = cost.counters
         counters.validate()
         if counters.kernel_launches < 1:

@@ -96,8 +96,6 @@ from .plan_cache import (
     PlanCacheStats,
     PlanCacheStore,
     PlanKey,
-    backend_key,
-    calibration_key,
 )
 from .policies import (
     AdmissionPolicy,
@@ -139,8 +137,6 @@ __all__ = [
     "PlanCacheStats",
     "PlanCacheStore",
     "STORE_SCHEMA_VERSION",
-    "backend_key",
-    "calibration_key",
     "BatchDecision",
     "DynamicBatcher",
     "DEFAULT_CANDIDATE_BATCHES",

@@ -55,7 +55,6 @@ because real processes die in real time.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import itertools
 import os
@@ -67,10 +66,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..core.types import PrecisionPair
-from ..nn.engine import APNNBackend, InferenceEngine
+from ..nn.engine import APNNBackend, InferenceEngine, backend_key
 from ..nn.models import alexnet, micro_cnn, resnet18
 from ..obs import Tracer
-from ..perf.calibration import DEFAULT_CALIBRATION, Calibration
 from ..tensorcore.device import RTX3090, DeviceSpec
 from .ipc import (
     IPC_SCHEMA_VERSION,
@@ -82,7 +80,7 @@ from .ipc import (
 )
 from .metrics import ServerMetrics
 from .placement import PlacementPolicy
-from .plan_cache import PlanCache, PlanCacheStore, backend_key
+from .plan_cache import PlanCache, PlanCacheStore
 from .server import (
     ClusterError,
     ClusterPolicy,
@@ -298,7 +296,7 @@ def result_payload(
     identity and retry count: two dispatches of the same request on any
     replica at any time produce identical bytes, because the priced
     batch-1 total is a deterministic function of (model architecture,
-    backend, device, calibration) and everything else here is identity.
+    backend, device) and everything else here is identity.
     """
     return canonical_json({
         "backend": backend_key(backend),
@@ -820,7 +818,6 @@ class ClusterCoordinator(InferenceServer):
         pair: str | PrecisionPair = "w1a2",
         candidate_batches: Sequence[int] = DEFAULT_CLUSTER_BATCHES,
         cache_dir: str | Path | None = None,
-        calibration: Calibration = DEFAULT_CALIBRATION,
         tracer: Tracer | None = None,
         **options,
     ) -> None:
@@ -870,7 +867,6 @@ class ClusterCoordinator(InferenceServer):
             candidate_batches=(*candidate_batches, 1),
             placement=placement,
             cache_dir=cache_dir,
-            calibration=calibration,
             tracer=tracer,
             **options,
         )
@@ -955,25 +951,3 @@ class ClusterCoordinator(InferenceServer):
             raise RuntimeError(f"worker {name} has no live process")
         await transport.call({"type": "set_slow", "seconds": seconds})
 
-
-# ----------------------------------------------------------------------
-# CLI entry: `python -m repro.serve.cluster --worker`
-# ----------------------------------------------------------------------
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.serve.cluster",
-        description="Cluster worker process (spawned by the coordinator; "
-                    "speaks length-prefixed JSON frames on stdin/stdout).",
-    )
-    parser.add_argument(
-        "--worker", action="store_true",
-        help="run as a worker subprocess (the only supported mode)",
-    )
-    args = parser.parse_args(argv)
-    if not args.worker:
-        parser.error("pass --worker (coordinators are created in-process)")
-    return _worker_main()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

@@ -102,10 +102,10 @@ def result_digest(
     """SHA-256 hex digest of one result's deterministic coordinates.
 
     Covers exactly the quantities that are pure functions of (model,
-    backend, device, precision, calibration, client tag) -- never
-    wall-time-dependent batching/queueing fields -- so the same logical
-    request digests identically whether served over HTTP, WebSocket, or
-    a direct in-process ``submit``.
+    backend, device, precision, client tag) -- never wall-time-dependent
+    batching/queueing fields -- so the same logical request digests
+    identically whether served over HTTP, WebSocket, or a direct
+    in-process ``submit``.
     """
     payload = canonical_json(
         {"model": model, "pair": pair, "tag": tag, "unit_us": unit_us}

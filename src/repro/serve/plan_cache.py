@@ -5,15 +5,18 @@ assembly) is the expensive half of pricing it -- tens of milliseconds per
 (model, backend, batch) combination, against microseconds to re-price an
 existing :class:`~repro.nn.engine.CompiledPlan`.  A serving process sees
 the same handful of combinations millions of times, so the cache keys
-plans by every planning input:
+plans by exactly what varies in real use (:class:`PlanKey`):
 
 * model name and input shape,
 * backend identity *including* the precision configuration (a mixed
   per-layer override produces a different key than the uniform pair),
-* device,
-* batch size, and
-* the latency model's calibration constants (the memoized priced total
-  is calibration-dependent even though the plan itself is not).
+* device, and
+* batch size.
+
+Every engine prices with the one fitted calibration, so it is not part
+of the key.  The engine computes its fixed part -- model, backend key,
+device -- once (:attr:`~repro.nn.engine.InferenceEngine.plan_identity`);
+:meth:`PlanCache.key_for` adds only the batch and shape.
 
 Eviction is LRU with a configurable capacity; every lookup updates the
 hit/miss counters the metrics layer reports.
@@ -35,7 +38,6 @@ Cold starts are handled by two mechanisms on top of the LRU memo:
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import threading
 import time
@@ -44,9 +46,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..nn.engine import APNNBackend, BNNBackend, CompiledPlan, InferenceEngine
+from ..nn.engine import CompiledPlan, InferenceEngine
 from ..obs import NULL_TRACER
-from ..perf.calibration import Calibration
 
 __all__ = [
     "PlanKey",
@@ -54,12 +55,7 @@ __all__ = [
     "PlanCache",
     "PlanCacheStore",
     "STORE_SCHEMA_VERSION",
-    "backend_key",
-    "calibration_key",
 ]
-
-#: Capacity of the per-object fingerprint memo (see ``PlanCache._memo_key``).
-_MEMO_CAPACITY = 1024
 
 #: Schema version stamped on every persisted plan record.  Bump when the
 #: serialized layout of :class:`~repro.nn.engine.CompiledPlan` or
@@ -67,43 +63,12 @@ _MEMO_CAPACITY = 1024
 #:
 #: v2 added the kernel backend to plan identity; v3 removed it again,
 #: because pricing never runs a kernel, so a plan does not depend on it.
-STORE_SCHEMA_VERSION = 3
+#: v4 removed the calibration from :class:`PlanKey` and each dataflow
+#: group's copy of its GEMM precision.
+STORE_SCHEMA_VERSION = 4
 
-
-def backend_key(backend) -> str:
-    """Canonical cache-key string for a backend's precision config.
-
-    ``backend.name`` alone is ambiguous for mixed-precision APNN backends
-    (every override set renders as ``+mixed``), so the key spells out the
-    per-layer pairs.
-    """
-    if isinstance(backend, APNNBackend):
-        parts = [f"APNN:{backend.pair.name}",
-                 f"first_a{backend.first_layer_activation_bits}"]
-        for layer, pair in sorted(backend.layer_pairs, key=lambda lp: lp[0]):
-            parts.append(f"{layer}={pair.name}")
-        return "|".join(parts)
-    if isinstance(backend, BNNBackend):
-        return f"BNN|first_a{backend.first_layer_activation_bits}"
-    return backend.name
-
-
-def calibration_key(calibration: Calibration) -> tuple:
-    """Hashable fingerprint of a calibration's fitted constants."""
-    parts = []
-    for f in dataclasses.fields(calibration):
-        value = getattr(calibration, f.name)
-        if isinstance(value, Mapping):
-            value = tuple(sorted(value.items()))
-        parts.append((f.name, value))
-    return tuple(parts)
-
-
-def _freeze(value):
-    """Recursively turn JSON lists back into the tuples hashing needs."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
+#: File name of the JSON-lines store inside its cache directory.
+STORE_FILENAME = "plans.jsonl"
 
 
 @dataclass(frozen=True)
@@ -115,7 +80,6 @@ class PlanKey:
     device: str
     batch: int
     input_shape: tuple[int, ...]
-    calibration: tuple
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (tuples flatten to arrays)."""
@@ -125,7 +89,6 @@ class PlanKey:
             "device": self.device,
             "batch": self.batch,
             "input_shape": list(self.input_shape),
-            "calibration": self.calibration,
         }
 
     @classmethod
@@ -136,7 +99,6 @@ class PlanKey:
             device=data["device"],
             batch=data["batch"],
             input_shape=tuple(data["input_shape"]),
-            calibration=_freeze(data["calibration"]),
         )
 
 
@@ -204,11 +166,9 @@ class PlanCacheStore:
     not counted).  Duplicate keys keep the newest record.
     """
 
-    def __init__(
-        self, cache_dir: str | Path, filename: str = "plans.jsonl"
-    ) -> None:
+    def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
-        self.path = self.cache_dir / filename
+        self.path = self.cache_dir / STORE_FILENAME
         #: Damaged lines the most recent :meth:`load` skipped (torn
         #: appends, corrupt bytes); the metrics layer surfaces this as
         #: ``store_recovered_lines``.
@@ -300,14 +260,6 @@ class PlanCache:
         self._plans: OrderedDict[PlanKey, tuple[CompiledPlan, float]] = (
             OrderedDict()
         )
-        # backend_key()/calibration_key() are rebuild-heavy and the
-        # batcher's sweep calls them per lookup; memoize per object (the
-        # strong ref pins the id).  LRU-bounded at _MEMO_CAPACITY: going
-        # over evicts the stalest entries one by one, never the whole
-        # working set at once.
-        self._fingerprints: OrderedDict[int, tuple[object, object]] = (
-            OrderedDict()
-        )
         # Single-flight registry: PlanKey -> future of the one in-flight
         # compile.  Entries never outlive their ensure_async call.
         self._inflight: dict[PlanKey, asyncio.Future] = {}
@@ -342,28 +294,7 @@ class PlanCache:
         batch: int,
         input_shape: tuple[int, ...],
     ) -> PlanKey:
-        return PlanKey(
-            model=engine.model.name,
-            backend=self._memo_key(engine.backend, backend_key),
-            device=engine.device.name,
-            batch=batch,
-            input_shape=tuple(input_shape),
-            calibration=self._memo_key(
-                engine.latency_model.calibration, calibration_key
-            ),
-        )
-
-    def _memo_key(self, obj, compute):
-        entry = self._fingerprints.get(id(obj))
-        if entry is not None and entry[0] is obj:
-            self._fingerprints.move_to_end(id(obj))
-            return entry[1]
-        entry = (obj, compute(obj))
-        self._fingerprints[id(obj)] = entry
-        self._fingerprints.move_to_end(id(obj))
-        while len(self._fingerprints) > _MEMO_CAPACITY:
-            self._fingerprints.popitem(last=False)
-        return entry[1]
+        return PlanKey(*engine.plan_identity, batch, tuple(input_shape))
 
     def get(
         self,
@@ -575,7 +506,6 @@ class PlanCache:
 
     def clear(self) -> None:
         self._plans.clear()
-        self._fingerprints.clear()
         self._persisted.clear()
         self._hits = self._misses = self._evictions = 0
         self._compiles = self._inloop_compiles = self._coalesced = 0

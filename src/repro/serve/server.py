@@ -88,7 +88,6 @@ from ..core.types import PrecisionPair
 from ..nn.engine import APNNBackend, InferenceEngine
 from ..nn.module import Sequential
 from ..obs import NULL_TRACER, Tracer
-from ..perf.calibration import DEFAULT_CALIBRATION, Calibration
 from ..tensorcore.counters import ExecutionCounters
 from ..tensorcore.device import DeviceSpec
 from .batcher import DEFAULT_CANDIDATE_BATCHES, DynamicBatcher
@@ -151,14 +150,14 @@ class ClusterPolicy:
     """Fault-tolerance knobs of one server.
 
     ``max_attempts`` bounds dispatches *per request* (first try plus
-    retries); ``max_restarts`` bounds respawns *per worker name*.  The
-    heartbeat settings only matter for subprocess workers -- crash
-    detection of real processes is inherently wall-clock -- and are
-    tuned so an idle worker pongs many times per timeout.
+    retries); ``max_restarts`` bounds respawns *per worker name* (0: a
+    crashed worker stays down).  The heartbeat settings only matter for
+    subprocess workers -- crash detection of real processes is
+    inherently wall-clock -- and are tuned so an idle worker pongs many
+    times per timeout.
     """
 
     max_attempts: int = 3
-    restart_crashed: bool = True
     max_restarts: int = 1
     restart_delay_us: float = 1_000.0
     heartbeat_interval_s: float = 0.25
@@ -441,7 +440,6 @@ class InferenceServer:
         autoswitch: PrecisionAutoswitcher | None = None,
         placement: PlacementPolicy | None = None,
         time_scale: float = 0.0,
-        calibration: Calibration = DEFAULT_CALIBRATION,
         cache_dir: str | Path | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -485,7 +483,6 @@ class InferenceServer:
         self.admission = admission
         self.autoswitch = autoswitch
         self.time_scale = time_scale
-        self._calibration = calibration
 
         self.policy = ClusterPolicy()
         self._worker_specs: list[tuple[str, object, DeviceSpec]] = [
@@ -524,7 +521,7 @@ class InferenceServer:
         for model_name, served in self.models.items():
             for wname, backend, device in self._worker_specs:
                 self._engines[(model_name, wname, "")] = InferenceEngine(
-                    served.model, backend, device, calibration=calibration
+                    served.model, backend, device
                 )
 
         self._queues: dict[str, deque[_PendingRequest]] = {
@@ -733,12 +730,11 @@ class InferenceServer:
     async def unit_price_us(self, model: str) -> float:
         """Modeled batch-1 service microseconds of ``model``.
 
-        Deterministic function of (model, backend, device, precision,
-        calibration) on the first worker -- the pricing quantity the
-        HTTP gateway folds into result digests, so a gateway response
-        and a direct :meth:`submit` against the same server derive
-        identical bytes.  Compiles the batch-1 plan off-loop on first
-        use.
+        Deterministic function of (model, backend, device, precision) on
+        the first worker -- the pricing quantity the HTTP gateway folds
+        into result digests, so a gateway response and a direct
+        :meth:`submit` against the same server derive identical bytes.
+        Compiles the batch-1 plan off-loop on first use.
         """
         if model not in self.models:
             raise KeyError(
@@ -880,8 +876,7 @@ class InferenceServer:
                 worker = self._workers[stage.worker]
                 self._stage_engines[(model_name, stage.index, stage.worker)] = (
                     InferenceEngine(
-                        stage.submodel, worker.backend, worker.device,
-                        calibration=self._calibration,
+                        stage.submodel, worker.backend, worker.device
                     )
                 )
         self.metrics.replica_counts = ctl.placement.replica_counts()
@@ -919,8 +914,7 @@ class InferenceServer:
             )
             degraded = replace(backend, pair=pair, layer_pairs=layer_pairs)
             engine = InferenceEngine(
-                self.models[model].model, degraded, device,
-                calibration=self._calibration,
+                self.models[model].model, degraded, device
             )
             self._engines[key] = engine
         return engine
@@ -1571,10 +1565,7 @@ class InferenceServer:
                         f"{r.attempts} dispatches (max_attempts="
                         f"{self.policy.max_attempts})"
                     ))
-        if first and (
-            self.policy.restart_crashed
-            and worker.restarts < self.policy.max_restarts
-        ):
+        if first and worker.restarts < self.policy.max_restarts:
             worker.restarts += 1
             worker.restart(at_us)
         self._cond.notify_all()

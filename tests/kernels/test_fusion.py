@@ -146,6 +146,18 @@ class TestFusionCosts:
         fused = fused_cost(base, ops, elements=1000)
         assert fused.counters.cuda_ops == base.counters.cuda_ops + 1000
 
+    def test_fused_epilogue_math_matches_unfused_chain(self):
+        """Each fused op pays for the elements it receives: after a 2x2
+        pool the quantizer sees a quarter of the GEMM's output."""
+        ops = [AvgPoolOp(2), QuantizeOp(AffineQuantizer(bits=2, scale=1.0))]
+        elements = 64 * 256
+        base = self._base()
+        fused = fused_cost(base, ops, elements)
+        chain = unfused_costs(base, ops, elements)
+        epilogue_ops = sum(c.counters.cuda_ops for c in chain[1:])
+        assert epilogue_ops == elements + 3 * elements // 4
+        assert fused.counters.cuda_ops == base.counters.cuda_ops + epilogue_ops
+
     def test_elements_validated(self):
         with pytest.raises(ValueError):
             fused_cost(self._base(), [ReLUOp()], elements=0)

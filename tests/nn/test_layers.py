@@ -167,10 +167,6 @@ class TestPooling:
         assert out.shape == (2, 5, 1, 1)
         np.testing.assert_allclose(out[..., 0, 0], x.mean(axis=(2, 3)))
 
-    def test_adaptive_only_1x1(self):
-        with pytest.raises(ValueError):
-            AdaptiveAvgPool2d(2)
-
 
 class TestQuantizeAndFlatten:
     def test_quantize_levels(self):

@@ -133,21 +133,21 @@ class TestFuseGraph:
 
 
 class TestDataflow:
-    def _plan(self, model, pair_name="w1a2"):
-        engine = InferenceEngine(model, APNNBackend(PrecisionPair.parse(pair_name)))
+    def _engine(self, model):
+        return InferenceEngine(model, APNNBackend(PrecisionPair.parse("w1a2")))
+
+    def _plan(self, model):
+        engine = self._engine(model)
         records = engine._walk_shapes((8, 3, 224, 224))
-        shapes = [r[3] for r in records]
-        return plan_dataflow(engine.groups, shapes, PrecisionPair.parse(pair_name))
+        return plan_dataflow(engine.groups, [r[3] for r in records])
 
     def test_first_layer_consumes_8bit(self):
-        plan = self._plan(alexnet(input_size=224))
-        first_gemm = next(g for g in plan.groups if g.is_gemm)
-        assert first_gemm.activation_in_bits == 8
+        problems = self._engine(alexnet(input_size=224)).gemm_problems(8)
+        assert problems[0].a_bits == 8
 
     def test_intermediate_layers_consume_q_bits(self):
-        plan = self._plan(alexnet(input_size=224))
-        gemms = [g for g in plan.groups if g.is_gemm]
-        assert all(g.activation_in_bits == 2 for g in gemms[1:])
+        problems = self._engine(alexnet(input_size=224)).gemm_problems(8)
+        assert all(p.a_bits == 2 for p in problems[1:])
 
     def test_output_layer_keeps_int32(self):
         plan = self._plan(alexnet(input_size=224))
@@ -162,4 +162,4 @@ class TestDataflow:
     def test_mismatched_lengths_rejected(self):
         groups = fuse_graph(alexnet(input_size=224))
         with pytest.raises(ValueError):
-            plan_dataflow(groups, [(1, 1)], PrecisionPair.parse("w1a2"))
+            plan_dataflow(groups, [(1, 1)])

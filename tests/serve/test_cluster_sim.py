@@ -123,7 +123,7 @@ class TestCrashWithoutRestart:
         run = run_cluster_trace(
             make_fault_cluster(
                 MODELS, num_workers=2, faults=faults,
-                policy=ClusterPolicy(restart_crashed=False),
+                policy=ClusterPolicy(max_restarts=0),
             ),
             TRACE,
         )
@@ -146,7 +146,7 @@ class TestCrashWithoutRestart:
         faults = FaultPlan.of(FaultPlan.crash("worker-0", MID_BATCH_US))
         cluster = make_fault_cluster(
             MODELS, num_workers=1, faults=faults,
-            policy=ClusterPolicy(restart_crashed=False),
+            policy=ClusterPolicy(max_restarts=0),
         )
 
         async def run():

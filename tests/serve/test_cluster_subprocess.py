@@ -164,7 +164,7 @@ class TestHeartbeat:
             policy=ClusterPolicy(
                 heartbeat_interval_s=0.05,
                 heartbeat_timeout_s=0.5,
-                restart_crashed=False,
+                max_restarts=0,
             ),
         )
 

@@ -47,7 +47,7 @@ pytestmark = pytest.mark.serving
 W1A2 = PrecisionPair.parse("w1a2")
 
 #: One plan cache shared by every server in this module: plan keys are
-#: structural (model/backend/device/batch/shape/calibration), so reuse
+#: structural (model/backend/device/batch/shape), so reuse
 #: is safe and keeps the ten-model cluster tests fast.
 _CACHE = PlanCache(max_entries=1024)
 

@@ -1,5 +1,7 @@
 """Plan-cache invariants: keying, hit/miss accounting, pricing parity."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import PrecisionPair
@@ -9,8 +11,9 @@ from repro.nn import (
     InferenceEngine,
     LibraryBackend,
     alexnet,
+    backend_key,
 )
-from repro.serve import PlanCache, backend_key
+from repro.serve import PlanCache, PlanKey
 from repro.tensorcore import A100, RTX3090
 
 pytestmark = pytest.mark.serving
@@ -77,20 +80,20 @@ class TestKeying:
         cache.get(eng, 8, (3, 64, 64))
         assert cache.stats().misses == 2
 
-    def test_changing_calibration_misses(self, net):
-        """Priced totals are calibration-dependent; the key must be too."""
-        from dataclasses import replace
-
-        from repro.perf import DEFAULT_CALIBRATION
-
+    def test_key_is_engine_identity_plus_batch_and_shape(self, engine):
         cache = PlanCache()
-        slow = replace(DEFAULT_CALIBRATION, mem_parallelism=0.5)
-        a = InferenceEngine(net, APNNBackend(W1A2))
-        b = InferenceEngine(net, APNNBackend(W1A2), calibration=slow)
-        t_a = cache.total_us(a, 8, SHAPE)
-        t_b = cache.total_us(b, 8, SHAPE)
-        assert cache.stats().misses == 2
-        assert t_a != t_b
+        key = cache.key_for(engine, 8, SHAPE)
+        assert engine.plan_identity == (
+            engine.model.name, backend_key(engine.backend), engine.device.name
+        )
+        assert (key.model, key.backend, key.device) == engine.plan_identity
+        assert (key.batch, key.input_shape) == (8, SHAPE)
+        assert [f.name for f in fields(PlanKey)] == [
+            "model", "backend", "device", "batch", "input_shape"
+        ]
+        # a second engine over an equal backend object shares the key
+        twin = InferenceEngine(engine.model, APNNBackend(W1A2))
+        assert cache.key_for(twin, 8, SHAPE) == key
 
     def test_mixed_precision_overrides_distinct_keys(self):
         base = APNNBackend(W1A2)
@@ -98,15 +101,6 @@ class TestKeying:
         mixed_b = APNNBackend.mixed("w1a2", {"conv2": "w2a8"})
         keys = {backend_key(b) for b in (base, mixed_a, mixed_b)}
         assert len(keys) == 3
-
-    def test_bnn_first_layer_bits_distinct_keys(self, net):
-        """Two BNN configs must not collide on one cached plan."""
-        assert backend_key(BNNBackend(8)) != backend_key(BNNBackend(4))
-        cache = PlanCache()
-        t8 = cache.total_us(InferenceEngine(net, BNNBackend(8)), 8, SHAPE)
-        t4 = cache.total_us(InferenceEngine(net, BNNBackend(4)), 8, SHAPE)
-        assert cache.stats().misses == 2
-        assert t8 != t4
 
 
 class TestPricingParity:
@@ -148,53 +142,6 @@ class TestEviction:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().lookups == 0
-        assert not cache._fingerprints  # memoized keys purged too
-
-    def test_fingerprint_memo_bounded(self, engine):
-        cache = PlanCache()
-        cache.get(engine, 8, SHAPE)
-        cache._fingerprints.update(
-            {-(i + 1): (object(), "x") for i in range(1024)}
-        )
-        # Next lookup with a fresh backend object evicts stale entries
-        # instead of growing without bound; the key result is unchanged.
-        fresh = InferenceEngine(engine.model, APNNBackend(W1A2))
-        assert cache.get(fresh, 8, SHAPE) is cache.get(engine, 8, SHAPE)
-        assert len(cache._fingerprints) <= 1024
-
-    def test_fingerprint_memo_evicts_oldest_not_everything(self):
-        """Regression: a full memo used to be wholesale-clear()ed,
-        discarding every hot backend/calibration fingerprint at once.
-        Overflow must evict the stalest entries one by one and keep
-        recently used ones memoized."""
-        cache = PlanCache()
-        counts = {"hot": 0}
-        hot = object()
-
-        def compute_hot(obj):
-            counts["hot"] += 1
-            return "hot-fingerprint"
-
-        assert cache._memo_key(hot, compute_hot) == "hot-fingerprint"
-        # fill to exactly capacity (hot + 1023 others), keeping refs so
-        # ids stay unique
-        fill = [object() for _ in range(1023)]
-        for obj in fill:
-            cache._memo_key(obj, lambda o: "fill")
-        assert len(cache._fingerprints) == 1024
-        # touch the hot entry, then overflow well past capacity
-        cache._memo_key(hot, compute_hot)
-        churn = [object() for _ in range(512)]
-        for obj in churn:
-            cache._memo_key(obj, lambda o: "churn")
-        assert len(cache._fingerprints) == 1024  # bounded, not cleared
-        # the recently used entry survived the overflow: no recompute
-        cache._memo_key(hot, compute_hot)
-        assert counts["hot"] == 1
-        # the stalest fill entries (untouched since insertion) are gone
-        assert id(fill[0]) not in cache._fingerprints
-        # the freshest churn entries are present
-        assert id(churn[-1]) in cache._fingerprints
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):

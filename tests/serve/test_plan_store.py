@@ -174,13 +174,19 @@ class TestStore:
 
     def test_stale_schema_is_migration_not_damage(self, engine, tmp_path):
         """A version-mismatched record is a planned migration skip; it
-        must not inflate the recovery counter."""
+        must not inflate the recovery counter.  That holds for a newer
+        version and for a v3 record, whose key still carried the
+        calibration."""
         store = PlanCacheStore(tmp_path)
         writer = PlanCache(store=store)
         writer.total_us(engine, 8, SHAPE)
         record = json.loads(store.path.read_text().strip())
-        record["version"] = STORE_SCHEMA_VERSION + 1
-        store.path.write_text(json.dumps(record) + "\n")
+        newer = dict(record, version=STORE_SCHEMA_VERSION + 1)
+        v3_key = {**record["key"], "calibration": [["mem_parallelism", 1.0]]}
+        v3 = dict(record, version=3, key=v3_key)
+        store.path.write_text(
+            json.dumps(newer) + "\n" + json.dumps(v3) + "\n"
+        )
         assert store.load() == {}
         assert store.recovered_lines == 0
 
