@@ -114,11 +114,16 @@ def binarize(x: np.ndarray) -> QuantizedTensor:
     weight binarization the paper's Case II/III inputs come from.  Zeros map
     to +1 (digit 1) so every element is representable in one bipolar bit.
     """
+    # a cast is a copy of our own, so |x| may overwrite it: one float64
+    # copy of the weights alive at a time, never the caller's array
+    copied = isinstance(x, np.ndarray) and x.dtype != np.float64
     x = np.asarray(x, dtype=np.float64)
-    alpha = float(np.mean(np.abs(x))) if x.size else 1.0
+    digits = (x >= 0).astype(digit_dtype(1))
+    alpha = (
+        float(np.mean(np.abs(x, out=x if copied else None))) if x.size else 1.0
+    )
     if alpha == 0.0:
         alpha = 1.0
-    digits = (x >= 0).astype(digit_dtype(1))
     return QuantizedTensor(
         digits=digits,
         precision=Precision(1, Encoding.BIPOLAR),
@@ -149,15 +154,35 @@ class QEMQuantizer:
         self.precision = precision
         self.iters = iters
 
-    def _project(self, y: np.ndarray) -> np.ndarray:
-        """Project real values onto the digit grid, returning digits."""
+    def _project(
+        self,
+        x: np.ndarray,
+        scale: float = 1.0,
+        work: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Project ``x / scale`` onto the digit grid, returning digits.
+
+        ``work`` (float64, ``x``'s shape) ends holding the digits as
+        float64 -- small integers, exact -- which :meth:`fit` decodes
+        without a range scan.
+        """
         prec = self.precision
-        if prec.encoding is Encoding.UNSIGNED:
-            digits = np.rint(y)
-        else:
-            # bipolar levels are 2*d - (2**b - 1): odd-spaced grid, step 2
-            digits = np.rint((y + prec.num_levels - 1) / 2.0)
-        return np.clip(digits, 0, prec.num_levels - 1).astype(digit_dtype(prec.bits))
+        if work is None:
+            work = np.empty(np.shape(x))
+        np.divide(x, scale, out=work)
+        if prec.encoding is Encoding.BIPOLAR:
+            # bipolar levels are 2*d - (2**b - 1): odd-spaced grid, step 2,
+            # so d = rint((y + L - 1) / 2) for y = x / scale, taken as
+            # ((y + L) - 1) / 2, the order that expression evaluates in
+            np.add(work, prec.num_levels, out=work)
+            np.subtract(work, 1, out=work)
+            np.divide(work, 2.0, out=work)
+        np.rint(work, out=work)
+        # maximum-then-minimum is np.clip on finite values, without its
+        # slower generic loop
+        np.maximum(work, 0, out=work)
+        np.minimum(work, prec.num_levels - 1, out=work)
+        return work.astype(digit_dtype(prec.bits))
 
     def fit(self, x: np.ndarray) -> QuantizedTensor:
         """Quantize ``x`` with an error-minimizing scale."""
@@ -172,16 +197,23 @@ class QEMQuantizer:
         scale = float(np.max(np.abs(x))) / max_level if np.any(x) else 1.0
         if scale == 0.0:
             scale = 1.0
-        digits = self._project(x / scale)
+        a, b = self.precision.decode_affine
+        flat = x.ravel()
+        work = np.empty(x.shape)
+        decoded = np.empty(x.size)
+        digits = self._project(x, scale, work)
         for _ in range(self.iters):
-            decoded = self.precision.decode(digits).astype(np.float64)
-            denom = float(np.dot(decoded.ravel(), decoded.ravel()))
+            # decode(digits) in float64: work holds the digits, a*d + b is
+            # exact, and they are in range by construction
+            np.multiply(work.ravel(), a, out=decoded)
+            np.add(decoded, b, out=decoded)
+            denom = float(np.dot(decoded, decoded))
             if denom == 0.0:
                 break
-            new_scale = float(np.dot(x.ravel(), decoded.ravel())) / denom
+            new_scale = float(np.dot(flat, decoded)) / denom
             if new_scale <= 0.0:
                 break
-            new_digits = self._project(x / new_scale)
+            new_digits = self._project(x, new_scale, work)
             if new_scale == scale and np.array_equal(new_digits, digits):
                 break
             scale, digits = new_scale, new_digits

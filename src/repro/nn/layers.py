@@ -4,10 +4,14 @@ Float reference semantics live here; the arbitrary-precision execution of
 the same layers is the engine's job (it maps ``Conv2d``/``Linear`` onto
 APConv/APMM kernel costs and folds the element-wise layers into fused
 epilogues).  Weight layout is ``(C_out, C_in, KH, KW)`` / ``(out, in)``;
-activations are NCHW.
+activations are NCHW.  ``Conv2d`` and ``Linear`` draw their Kaiming
+weights from a caller's generator at construction, and otherwise defer
+the draw to a :class:`DrawPlan` until the weight is first read.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -15,6 +19,7 @@ from ..kernels.layout import conv_output_shape, conv_weight_matrix, im2col
 from .module import Module, Parameter
 
 __all__ = [
+    "DrawPlan",
     "Conv2d",
     "Linear",
     "BatchNorm2d",
@@ -28,8 +33,53 @@ __all__ = [
 
 
 def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int):
-    # float32 keeps ImageNet-sized models (VGG fc ~100M weights) affordable
+    # float32 halves a drawn model (AlexNet-224's 61M weights, 244 MB);
+    # a model that is only planned and priced draws none (DrawPlan)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
+
+
+class DrawPlan:
+    """One seeded generator's weight draws, deferred to the first read.
+
+    A model builder hands every layer it constructs one plan.  Each layer
+    records its weight's shape and fan-in in construction order, and the
+    first read of any recorded :attr:`Parameter.data` replays every
+    recorded :func:`_kaiming` draw from ``default_rng(seed)``, under a
+    lock, so each weight's bytes equal an eager build from that
+    generator while a model that is only planned, priced and served
+    never allocates one.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._pending: list[tuple[Parameter, int]] = []
+        self._lock = threading.Lock()
+
+    def record(self, shape: tuple[int, ...], fan_in: int) -> Parameter:
+        param = Parameter(shape=shape, plan=self)
+        with self._lock:
+            self._pending.append((param, fan_in))
+        return param
+
+    def draw(self) -> None:
+        """Fill every recorded parameter not drawn yet, in record order."""
+        with self._lock:
+            for param, fan_in in self._pending:
+                param._data = _kaiming(self._rng, param.shape, fan_in)
+            self._pending.clear()
+
+
+def _weight(
+    rng: np.random.Generator | DrawPlan | None,
+    shape: tuple[int, ...],
+    fan_in: int,
+) -> Parameter:
+    """A Kaiming weight.  A caller's generator draws it now, because the
+    caller goes on using that stream; otherwise it is recorded in the
+    given plan, or in a plan of its own seeded 0."""
+    if isinstance(rng, np.random.Generator):
+        return Parameter(_kaiming(rng, shape, fan_in))
+    return (DrawPlan(0) if rng is None else rng).record(shape, fan_in)
 
 
 class Conv2d(Module):
@@ -43,20 +93,19 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         bias: bool = False,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | DrawPlan | None = None,
         name: str = "",
     ) -> None:
         if min(in_channels, out_channels, kernel, stride) < 1 or padding < 0:
             raise ValueError("invalid Conv2d geometry")
-        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel * kernel
-        self.weight = Parameter(
-            _kaiming(rng, (out_channels, in_channels, kernel, kernel), fan_in)
+        self.weight = _weight(
+            rng, (out_channels, in_channels, kernel, kernel),
+            in_channels * kernel * kernel,
         )
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
         self.name = name or f"conv{in_channels}-{out_channels}k{kernel}s{stride}"
@@ -101,17 +150,14 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         bias: bool = True,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | DrawPlan | None = None,
         name: str = "",
     ) -> None:
         if min(in_features, out_features) < 1:
             raise ValueError("invalid Linear geometry")
-        rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(
-            _kaiming(rng, (out_features, in_features), in_features)
-        )
+        self.weight = _weight(rng, (out_features, in_features), in_features)
         self.bias = Parameter(np.zeros(out_features)) if bias else None
         self.name = name or f"fc{in_features}-{out_features}"
 

@@ -15,6 +15,13 @@ fuses into producing kernels.  ``num_classes`` and input resolution are
 configurable so the unit tests and the synthetic-accuracy study can run
 scaled-down instances.  :func:`micro_cnn` is no paper network: it is the
 cheap model population of the serving placement and cluster studies.
+
+A builder draws no weight.  It hands its layers one
+:class:`~repro.nn.layers.DrawPlan` seeded ``seed``, and the first read
+of any weight draws them all, in construction order, byte-identical to
+drawing them eagerly from ``default_rng(seed)``.  Planning, pricing and
+serving read layer shapes only, so a model that is never executed never
+allocates its weights (AlexNet-224's 61.1M parameters are 244 MB).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .layers import (
     AdaptiveAvgPool2d,
     BatchNorm2d,
     Conv2d,
+    DrawPlan,
     Flatten,
     Linear,
     MaxPool2d,
@@ -47,10 +55,10 @@ class BasicBlock(Module):
         in_channels: int,
         out_channels: int,
         stride: int = 1,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | DrawPlan | None = None,
         name: str = "",
     ) -> None:
-        rng = rng or np.random.default_rng(0)
+        rng = DrawPlan(0) if rng is None else rng
         self.conv1 = Conv2d(in_channels, out_channels, 3, stride, 1, rng=rng)
         self.bn1 = BatchNorm2d(out_channels)
         self.relu = ReLU()
@@ -81,10 +89,6 @@ class BasicBlock(Module):
         )
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def alexnet(
     num_classes: int = 1000,
     activation_bits: int = 2,
@@ -92,7 +96,7 @@ def alexnet(
     seed: int = 0,
 ) -> Sequential:
     """AlexNet [20] with APNN quantization markers."""
-    r = _rng(seed)
+    r = DrawPlan(seed)
     if input_size < 63:
         raise ValueError("AlexNet needs input_size >= 63")
     fc_spatial = ((((input_size + 2 * 2 - 11) // 4 + 1) - 3) // 2 + 1)
@@ -139,7 +143,7 @@ def vgg_variant(
     seed: int = 1,
 ) -> Sequential:
     """VGG-Variant of Cai et al. [2]: 7x7 stem + 256/512 3-conv stages."""
-    r = _rng(seed)
+    r = DrawPlan(seed)
     if input_size % 32 != 0:
         raise ValueError("vgg_variant needs input_size divisible by 32")
     q = activation_bits
@@ -184,7 +188,7 @@ def resnet18(
     seed: int = 2,
 ) -> Sequential:
     """ResNet-18 [12] with APNN quantization markers between stages."""
-    r = _rng(seed)
+    r = DrawPlan(seed)
     if input_size % 32 != 0:
         raise ValueError("resnet18 needs input_size divisible by 32")
     q = activation_bits
@@ -231,7 +235,7 @@ def micro_cnn(
     """
     key = (name, seed, tuple(input_shape), num_classes)
     if key not in _micro_cache:
-        r = _rng(seed)
+        r = DrawPlan(seed)
         c, h = 16, input_shape[1]
         _micro_cache[key] = Sequential(
             [

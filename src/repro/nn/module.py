@@ -16,26 +16,55 @@ Every module implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .layers import DrawPlan
 
 __all__ = ["Parameter", "Module", "Sequential"]
 
 
-@dataclass
 class Parameter:
-    """A named float tensor owned by a module."""
+    """A named float tensor owned by a module.
 
-    data: np.ndarray
+    Either it holds its array from construction, or it is one recorded
+    draw of a :class:`~repro.nn.layers.DrawPlan`, which fills every
+    parameter it recorded on the first read of any one's :attr:`data`.
+    :attr:`shape` and :attr:`size` answer from the recorded shape, so
+    shape propagation, planning, pricing and serving never allocate a
+    weight.
+    """
+
+    __slots__ = ("_data", "_shape", "_plan")
+
+    def __init__(
+        self,
+        data: np.ndarray | None = None,
+        *,
+        shape: tuple[int, ...] | None = None,
+        plan: DrawPlan | None = None,
+    ) -> None:
+        self._data = data
+        self._shape = tuple(shape if data is None else data.shape)
+        self._plan = plan
+
+    @property
+    def data(self) -> np.ndarray:
+        """The array, drawn with the rest of its plan on first read."""
+        if self._data is None:
+            self._plan.draw()
+        return self._data
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._shape
 
     @property
     def size(self) -> int:
-        return int(self.data.size)
+        return math.prod(self._shape)
 
 
 class Module:

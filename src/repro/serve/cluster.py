@@ -114,10 +114,13 @@ class ModelSpec:
 
     Subprocess workers cannot receive live :class:`~repro.nn.module
     .Sequential` objects over a JSON pipe; they receive specs and call
-    :meth:`build`.  Construction is deterministic (seeded RNG, fixed
-    architecture per ``kind``), so the coordinator and every worker
-    derive identical layer geometry -- and therefore identical plan
-    keys and identical plan prices -- from the same spec.
+    :meth:`build`.  Construction is deterministic (the builder seeded
+    with ``seed``, fixed architecture per ``kind``, the model named
+    ``name``), so the coordinator and every worker derive identical
+    layer geometry -- and therefore identical plan keys and identical
+    plan prices -- from the same spec.  A plan key names the model but
+    holds no class count, so specs that differ in ``num_classes`` need
+    distinct names.
     """
 
     kind: str                          #: "micro" | "alexnet" | "resnet18"
@@ -154,31 +157,25 @@ class ModelSpec:
         )
 
     def build(self):
-        """Construct the model (memoized per spec -- read-only planning
-        input, shareable across engines and tests)."""
-        return _build_model(self)
+        """Construct the model, named ``name`` and seeded ``seed``.
 
-
-_model_cache: dict[ModelSpec, object] = {}
-
-
-def _build_model(spec: ModelSpec):
-    if spec.kind == "micro":
-        return micro_cnn(
-            spec.name, spec.seed, spec.input_shape, spec.num_classes
+        A build draws no weight: the builders defer every draw to the
+        first read of a weight, which planning, pricing and serving never
+        make, so each worker spawn and restart pays for shapes alone.
+        ``micro`` models are memoized by :func:`~repro.nn.models
+        .micro_cnn`.
+        """
+        if self.kind == "micro":
+            return micro_cnn(
+                self.name, self.seed, self.input_shape, self.num_classes
+            )
+        builder = alexnet if self.kind == "alexnet" else resnet18
+        model = builder(
+            num_classes=self.num_classes, input_size=self.input_shape[1],
+            seed=self.seed,
         )
-    if spec in _model_cache:
-        return _model_cache[spec]
-    if spec.kind == "alexnet":
-        model = alexnet(
-            num_classes=spec.num_classes, input_size=spec.input_shape[1]
-        )
-    else:
-        model = resnet18(
-            num_classes=spec.num_classes, input_size=spec.input_shape[1]
-        )
-    _model_cache[spec] = model
-    return model
+        model.name = self.name
+        return model
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     AffineQuantizer,
     Encoding,
     Precision,
     QEMQuantizer,
+    QuantizedTensor,
     binarize,
     digit_dtype,
 )
@@ -198,3 +200,124 @@ class TestDigitDtype:
         got = prec.decode(digits)
         assert got.dtype == np.int64
         assert np.array_equal(got, prec.decode(digits.astype(np.int64)))
+
+
+# ----------------------------------------------------------------------
+# oracles: the quantizers as they were before their buffer rewrite
+# ----------------------------------------------------------------------
+def _oracle_binarize(x: np.ndarray) -> QuantizedTensor:
+    x = np.asarray(x, dtype=np.float64)
+    alpha = float(np.mean(np.abs(x))) if x.size else 1.0
+    if alpha == 0.0:
+        alpha = 1.0
+    digits = (x >= 0).astype(digit_dtype(1))
+    return QuantizedTensor(
+        digits=digits,
+        precision=Precision(1, Encoding.BIPOLAR),
+        scale=alpha,
+    )
+
+
+class _OracleQEM(QEMQuantizer):
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        """Project real values onto the digit grid, returning digits."""
+        prec = self.precision
+        if prec.encoding is Encoding.UNSIGNED:
+            digits = np.rint(y)
+        else:
+            # bipolar levels are 2*d - (2**b - 1): odd-spaced grid, step 2
+            digits = np.rint((y + prec.num_levels - 1) / 2.0)
+        return np.clip(digits, 0, prec.num_levels - 1).astype(digit_dtype(prec.bits))
+
+    def fit(self, x: np.ndarray) -> QuantizedTensor:
+        """Quantize ``x`` with an error-minimizing scale."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.size == 0:
+            return QuantizedTensor(
+                digits=np.zeros_like(x, dtype=digit_dtype(self.precision.bits)),
+                precision=self.precision,
+                scale=1.0,
+            )
+        max_level = max(abs(self.precision.min_value), self.precision.max_value, 1)
+        scale = float(np.max(np.abs(x))) / max_level if np.any(x) else 1.0
+        if scale == 0.0:
+            scale = 1.0
+        digits = self._project(x / scale)
+        for _ in range(self.iters):
+            decoded = self.precision.decode(digits).astype(np.float64)
+            denom = float(np.dot(decoded.ravel(), decoded.ravel()))
+            if denom == 0.0:
+                break
+            new_scale = float(np.dot(x.ravel(), decoded.ravel())) / denom
+            if new_scale <= 0.0:
+                break
+            new_digits = self._project(x / new_scale)
+            if new_scale == scale and np.array_equal(new_digits, digits):
+                break
+            scale, digits = new_scale, new_digits
+        return QuantizedTensor(digits=digits, precision=self.precision, scale=scale)
+
+
+@st.composite
+def weight_arrays(draw):
+    """float32/float64 arrays, empty ones included, optionally all-zero,
+    constant or one-signed; magnitudes stay where the fit's float64 dot
+    products cannot overflow."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    elements = st.floats(
+        -(2.0**100), 2.0**100, width=32 if dtype is np.float32 else 64
+    )
+    shape = draw(
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=8)
+    )
+    x = draw(hnp.arrays(dtype, shape, elements=elements))
+    kind = draw(
+        st.sampled_from(("any", "zeros", "constant", "positive", "negative"))
+    )
+    if kind == "zeros":
+        return np.zeros_like(x)
+    if kind == "constant":
+        return np.full_like(x, draw(elements))
+    if kind == "positive":
+        return np.abs(x)
+    if kind == "negative":
+        return -np.abs(x)
+    return x
+
+
+def assert_same(got: QuantizedTensor, want: QuantizedTensor) -> None:
+    assert got.digits.dtype == want.digits.dtype
+    assert got.digits.shape == want.digits.shape
+    assert np.array_equal(got.digits, want.digits)
+    assert got.scale == want.scale
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=weight_arrays(), bits=st.integers(1, 16), bipolar=st.booleans(),
+        iters=st.integers(1, 25),
+    )
+    def test_qem_fit(self, x, bits, bipolar, iters):
+        prec = Precision(bits, Encoding.BIPOLAR if bipolar else Encoding.UNSIGNED)
+        assert_same(
+            QEMQuantizer(prec, iters).fit(x), _OracleQEM(prec, iters).fit(x)
+        )
+
+    @pytest.mark.parametrize("bits,encoding", [
+        (2, Encoding.BIPOLAR), (3, Encoding.BIPOLAR), (4, Encoding.BIPOLAR),
+        (2, Encoding.UNSIGNED),
+    ])
+    def test_qem_fit_layer_sized(self, bits, encoding):
+        """A conv weight's size, past every blocked loop of the dots."""
+        rng = np.random.default_rng(bits)
+        x = (rng.normal(size=(128, 64, 3, 3)) * 0.05).astype(np.float32)
+        prec = Precision(bits, encoding)
+        assert_same(QEMQuantizer(prec).fit(x), _OracleQEM(prec).fit(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=weight_arrays())
+    def test_binarize_leaves_its_input_alone(self, x):
+        before = x.tobytes()
+        assert_same(binarize(x), _oracle_binarize(x))
+        assert x.tobytes() == before

@@ -110,7 +110,6 @@ class TestFig8:
 
 
 class TestFig9:
-    @pytest.mark.slow
     def test_first_layer_largest(self):
         """Paper: 80.4% (AlexNet) and 47.5% (VGG-Variant) in conv1."""
         breakdown = figures.fig9_layer_breakdown(("AlexNet", "VGG-Variant"))

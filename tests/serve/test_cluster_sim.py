@@ -20,19 +20,25 @@ is the exhaustive, fast source of truth.
 
 import asyncio
 
+import numpy as np
 import pytest
 
+from repro.nn import APNNBackend, InferenceEngine, resnet18
 from repro.serve import (
     AdmissionPolicy,
     ClusterError,
     ClusterPolicy,
     FaultEvent,
     FaultPlan,
+    ModelSpec,
+    PlanCache,
     PrecisionAutoswitcher,
     poisson_trace,
 )
+from repro.tensorcore import RTX3090
 
 from harness import (
+    W1A2,
     ClusterRun,
     RecordingTracer,
     cluster_specs,
@@ -285,6 +291,39 @@ class TestDeterminism:
             net = spec.build()
             assert net is placement_micro_net(name, spec.seed)
             assert net.name == name
+
+
+class TestModelSpecs:
+    def test_specs_of_one_kind_get_their_own_plans(self):
+        """The built model carries the spec's name, so AlexNet specs that
+        differ in class count key and price their own plans."""
+        shape = (3, 64, 64)
+        engines = [
+            InferenceEngine(
+                ModelSpec(
+                    kind="alexnet", name=f"alexnet-{classes}",
+                    input_shape=shape, num_classes=classes,
+                ).build(),
+                APNNBackend(W1A2), RTX3090,
+            )
+            for classes in (10, 1000)
+        ]
+        cache = PlanCache()
+        assert len({cache.key_for(e, 8, shape) for e in engines}) == 2
+        for engine in engines:
+            own = engine.estimate(8, shape).total_us
+            assert cache.total_us(engine, 8, shape) == own
+
+    def test_spec_builds_from_its_seed(self):
+        spec = ModelSpec(
+            kind="resnet18", name="r-seed5", seed=5, input_shape=(3, 32, 32)
+        )
+        built = spec.build()
+        eager = resnet18(num_classes=10, input_size=32, seed=5)
+        assert built.name == "r-seed5"
+        assert np.array_equal(
+            built.layers[0].weight.data, eager.layers[0].weight.data
+        )
 
 
 class TestFailoverTracing:
