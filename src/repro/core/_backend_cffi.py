@@ -58,6 +58,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import cores
+from .packed import _MICRO_TILE as _TILE, HOST_RATES, HostProduct
+
 __all__ = [
     "kernels", "cache_dir", "popcount_branch", "loop_nest_build", "CFFI_SOURCE",
 ]
@@ -68,6 +71,7 @@ int repro_packed_gemm(const uint64_t *a, const uint64_t *b,
                       int64_t nwords, int32_t op_and, int64_t k,
                       int64_t popc_scale, int64_t k_scale,
                       int64_t wsum_scale, int64_t xsum_scale,
+                      int64_t i0, int64_t i1, int64_t j0, int64_t j1,
                       int64_t *out);
 int repro_popcount_branch(void);
 void repro_conv_gather(const uint64_t *src, int64_t images, int64_t h,
@@ -121,12 +125,12 @@ static inline __attribute__((always_inline)) __m512i popc_op(
    TILE_N columns, panel[(t*nwords + w)*TILE_N + c] = word w of plane t
    of column c.  Every (s, t) pair accumulates in registers and is
    shifted by s+t there; the tile is stored once, as popc_scale * sum +
-   row_bias[i] + col_bias[j] (cb: the panel's col_bias), under the
-   panel's column masks. */
+   rb[r] + col_bias[j] (rb: the tile's row_bias, cb: the panel's
+   col_bias), under the panel's column masks. */
 static inline __attribute__((always_inline)) void gemm_tile(
         const uint64_t *a, const uint64_t *panel, int64_t p, int64_t m,
         int64_t q, int64_t nwords, int64_t i0, int64_t rows,
-        const int op_and, __m512i scale, const int64_t *row_bias,
+        const int op_and, __m512i scale, const int64_t *rb,
         const __m512i cb[2], const __mmask8 mask[2], int64_t *out,
         int64_t n) {
     __m512i acc[TILE_M][2];
@@ -158,11 +162,11 @@ static inline __attribute__((always_inline)) void gemm_tile(
         }
     }
     for (int r = 0; r < rows; r++) {
-        const __m512i rb = _mm512_set1_epi64(row_bias[i0 + r]);
+        const __m512i bias = _mm512_set1_epi64(rb[r]);
         for (int h = 0; h < 2; h++)
             _mm512_mask_storeu_epi64(out + (i0 + r) * n + 8 * h, mask[h],
                 _mm512_add_epi64(_mm512_add_epi64(
-                    _mm512_mullox_epi64(acc[r][h], scale), rb), cb[h]));
+                    _mm512_mullox_epi64(acc[r][h], scale), bias), cb[h]));
     }
 }
 
@@ -170,19 +174,20 @@ static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
                      int64_t m, int64_t q, int64_t n, int64_t nwords,
                      int32_t op_and, int64_t popc_scale,
                      const int64_t *row_bias, const int64_t *col_bias,
+                     int64_t i0, int64_t i1, int64_t j0, int64_t j1,
                      int64_t *out) {
     size_t panel_bytes = (size_t)(q * nwords * TILE_N) * sizeof(uint64_t);
     uint64_t *panel = aligned_alloc(64, (panel_bytes + 63) & ~(size_t)63);
     if (panel == NULL)
         return 1;
     const __m512i scale = _mm512_set1_epi64(popc_scale);
-    for (int64_t j0 = 0; j0 < n; j0 += TILE_N) {
-        int64_t cols = n - j0 < TILE_N ? n - j0 : TILE_N;
-        /* word-major panel of columns j0 .. j0+cols-1, zero past n */
+    for (int64_t jt = j0; jt < j1; jt += TILE_N) {
+        int64_t cols = j1 - jt < TILE_N ? j1 - jt : TILE_N;
+        /* word-major panel of columns jt .. jt+cols-1, zero past j1 */
         for (int64_t t = 0; t < q; t++) {
             uint64_t *dst = panel + t * nwords * TILE_N;
             for (int64_t c = 0; c < cols; c++) {
-                const uint64_t *src = b + (t * n + j0 + c) * nwords;
+                const uint64_t *src = b + (t * n + jt + c) * nwords;
                 for (int64_t w = 0; w < nwords; w++)
                     dst[w * TILE_N + c] = src[w];
             }
@@ -194,44 +199,46 @@ static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
             (__mmask8)(cols >= 8 ? 0xFF : (1u << cols) - 1),
             (__mmask8)(cols > 8 ? (1u << (cols - 8)) - 1 : 0)};
         const __m512i cb[2] = {
-            _mm512_maskz_loadu_epi64(mask[0], col_bias + j0),
-            _mm512_maskz_loadu_epi64(mask[1], col_bias + j0 + 8)};
-        for (int64_t i0 = 0; i0 < m; i0 += TILE_M) {
-            int64_t rows = m - i0 < TILE_M ? m - i0 : TILE_M;
+            _mm512_maskz_loadu_epi64(mask[0], col_bias + (jt - j0)),
+            _mm512_maskz_loadu_epi64(mask[1], col_bias + (jt - j0) + 8)};
+        for (int64_t it = i0; it < i1; it += TILE_M) {
+            int64_t rows = i1 - it < TILE_M ? i1 - it : TILE_M;
             if (op_and)
-                gemm_tile(a, panel, p, m, q, nwords, i0, rows, 1, scale,
-                          row_bias, cb, mask, out + j0, n);
+                gemm_tile(a, panel, p, m, q, nwords, it, rows, 1, scale,
+                          row_bias + (it - i0), cb, mask, out + jt, n);
             else
-                gemm_tile(a, panel, p, m, q, nwords, i0, rows, 0, scale,
-                          row_bias, cb, mask, out + j0, n);
+                gemm_tile(a, panel, p, m, q, nwords, it, rows, 0, scale,
+                          row_bias + (it - i0), cb, mask, out + jt, n);
         }
     }
     free(panel);
     return 0;
 }
 #else
-/* Loop nest: one read-modify-write pass over out per (s, t) pair, j
-   blocked so the b rows of one block stay cache-resident across the i
-   sweep; then one pass applying the correction. */
+/* Loop nest: one read-modify-write pass over the block per (s, t)
+   pair, j blocked so the b rows of one block stay cache-resident across
+   the i sweep; then one pass applying the correction. */
 static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
                      int64_t m, int64_t q, int64_t n, int64_t nwords,
                      int32_t op_and, int64_t popc_scale,
                      const int64_t *row_bias, const int64_t *col_bias,
+                     int64_t i0, int64_t i1, int64_t j0, int64_t j1,
                      int64_t *out) {
     const int64_t BJ = 48;
-    memset(out, 0, (size_t)(m * n) * sizeof(int64_t));
+    for (int64_t i = i0; i < i1; i++)
+        memset(out + i * n + j0, 0, (size_t)(j1 - j0) * sizeof(int64_t));
     for (int64_t s = 0; s < p; s++) {
         for (int64_t t = 0; t < q; t++) {
             const int64_t shift = s + t;
             const uint64_t *ap = a + s * m * nwords;
             const uint64_t *bp = b + t * n * nwords;
-            for (int64_t j0 = 0; j0 < n; j0 += BJ) {
-                int64_t j1 = j0 + BJ < n ? j0 + BJ : n;
-                for (int64_t i = 0; i < m; i++) {
+            for (int64_t jb = j0; jb < j1; jb += BJ) {
+                int64_t je = jb + BJ < j1 ? jb + BJ : j1;
+                for (int64_t i = i0; i < i1; i++) {
                     const uint64_t *ar = ap + i * nwords;
                     int64_t *orow = out + i * n;
                     if (op_and) {
-                        for (int64_t j = j0; j < j1; j++) {
+                        for (int64_t j = jb; j < je; j++) {
                             const uint64_t *br = bp + j * nwords;
                             int64_t acc = 0;
                             for (int64_t w = 0; w < nwords; w++)
@@ -239,7 +246,7 @@ static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
                             orow[j] += acc << shift;
                         }
                     } else {
-                        for (int64_t j = j0; j < j1; j++) {
+                        for (int64_t j = jb; j < je; j++) {
                             const uint64_t *br = bp + j * nwords;
                             int64_t acc = 0;
                             for (int64_t w = 0; w < nwords; w++)
@@ -251,12 +258,12 @@ static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
             }
         }
     }
-    for (int64_t i = 0; i < m; i++) {
+    for (int64_t i = i0; i < i1; i++) {
         int64_t *orow = out + i * n;
-        for (int64_t j = 0; j < n; j++)
+        for (int64_t j = j0; j < j1; j++)
             orow[j] = (int64_t)((uint64_t)popc_scale * (uint64_t)orow[j]
-                                + (uint64_t)row_bias[i]
-                                + (uint64_t)col_bias[j]);
+                                + (uint64_t)row_bias[i - i0]
+                                + (uint64_t)col_bias[j - j0]);
     }
     return 0;
 }
@@ -264,34 +271,37 @@ static int gemm_body(const uint64_t *a, const uint64_t *b, int64_t p,
 
 /* Fused weighted popcount GEMM over plane-major packed operands with
    the operator plan's correction: a is (p*m, nwords), plane s of row i
-   at a[s*m + i]; b is (q*n, nwords); out is (m, n).  The correction
-   splits by axis into row_bias[i] = k_scale*K*Sp*Sq +
-   wsum_scale*Sq*roww[i] and col_bias[j] = xsum_scale*Sp*rowx[j]; it is
-   summed in uint64, so a term that wraps leaves an in-range result
-   exact.  Returns nonzero when a buffer cannot be allocated. */
+   at a[s*m + i]; b is (q*n, nwords); out is (m, n), of which the call
+   writes the block [i0, i1) x [j0, j1) and nothing else, so calls on
+   disjoint blocks may run at once.  The correction splits by axis into
+   row_bias[i] = k_scale*K*Sp*Sq + wsum_scale*Sq*roww[i] and col_bias[j]
+   = xsum_scale*Sp*rowx[j], counted for the block's rows and columns
+   only; it is summed in uint64, so a term that wraps leaves an in-range
+   result exact.  Returns nonzero when a buffer cannot be allocated. */
 int repro_packed_gemm(const uint64_t *a, const uint64_t *b,
                       int64_t p, int64_t m, int64_t q, int64_t n,
                       int64_t nwords, int32_t op_and, int64_t k,
                       int64_t popc_scale, int64_t k_scale,
                       int64_t wsum_scale, int64_t xsum_scale,
+                      int64_t i0, int64_t i1, int64_t j0, int64_t j1,
                       int64_t *out) {
-    int64_t *row_bias = malloc((size_t)(m + n) * sizeof(int64_t));
+    int64_t *row_bias = malloc((size_t)(i1 - i0 + j1 - j0) * sizeof(int64_t));
     if (row_bias == NULL)
         return 1;
-    int64_t *col_bias = row_bias + m;
+    int64_t *col_bias = row_bias + (i1 - i0);
     const uint64_t sp = ((uint64_t)1 << p) - 1;
     const uint64_t sq = ((uint64_t)1 << q) - 1;
     const uint64_t k_term = (uint64_t)k_scale * (uint64_t)k * sp * sq;
-    for (int64_t i = 0; i < m; i++)
-        row_bias[i] = (int64_t)(k_term + (wsum_scale == 0 ? 0
+    for (int64_t i = i0; i < i1; i++)
+        row_bias[i - i0] = (int64_t)(k_term + (wsum_scale == 0 ? 0
             : (uint64_t)wsum_scale * sq
               * (uint64_t)plane_sum(a, p, m, i, nwords)));
-    for (int64_t j = 0; j < n; j++)
-        col_bias[j] = xsum_scale == 0 ? 0 : (int64_t)(
+    for (int64_t j = j0; j < j1; j++)
+        col_bias[j - j0] = xsum_scale == 0 ? 0 : (int64_t)(
             (uint64_t)xsum_scale * sp
             * (uint64_t)plane_sum(b, q, n, j, nwords));
     int status = gemm_body(a, b, p, m, q, n, nwords, op_and, popc_scale,
-                           row_bias, col_bias, out);
+                           row_bias, col_bias, i0, i1, j0, j1, out);
     free(row_bias);
     return status;
 }
@@ -475,6 +485,9 @@ def _packed_gemm(
     defaults return the folded popcount sums alone.  ``a_words`` must be
     ``(p*m, nwords)`` and ``b_words`` ``(q*n, nwords)``: the C loop
     trusts both extents.
+
+    The output is computed in blocks of whole micro-kernel tiles along
+    its longer axis, one per :func:`repro.core.cores.split` part.
     """
     module = _build()
     ffi, lib = module.ffi, module.lib
@@ -490,14 +503,29 @@ def _packed_gemm(
     if not (m and n and nwords and p and q):
         return np.zeros((m, n), dtype=np.int64)
     out = np.empty((m, n), dtype=np.int64)
-    status = lib.repro_packed_gemm(
-        ffi.from_buffer("uint64_t *", a_words),
-        ffi.from_buffer("uint64_t *", b_words),
-        p, m, q, n, nwords, 1 if op_and else 0, k, *scales,
-        ffi.from_buffer("int64_t *", out),
-    )
-    if status:
-        raise MemoryError("packed_gemm could not allocate its buffers")
+    a_ptr = ffi.from_buffer("uint64_t *", a_words)
+    b_ptr = ffi.from_buffer("uint64_t *", b_words)
+    out_ptr = ffi.from_buffer("int64_t *", out)
+
+    def block(i0: int, i1: int, j0: int, j1: int) -> None:
+        status = lib.repro_packed_gemm(
+            a_ptr, b_ptr, p, m, q, n, nwords, 1 if op_and else 0, k,
+            *scales, i0, i1, j0, j1, out_ptr,
+        )
+        if status:
+            raise MemoryError("packed_gemm could not allocate its buffers")
+
+    tile_m, tile_n = _TILE
+    row_tiles, col_tiles = -(-m // tile_m), -(-n // tile_n)
+    if row_tiles >= col_tiles:
+        def part(lo: int, hi: int) -> None:
+            block(lo * tile_m, min(hi * tile_m, m), 0, n)
+    else:
+        def part(lo: int, hi: int) -> None:
+            block(0, m, lo * tile_n, min(hi * tile_n, n))
+    product = HostProduct(m, n, 64 * nwords, p, q)
+    us = product.popcount_us(nwords, popcount_branch())
+    cores.split(max(row_tiles, col_tiles), part, us)
     return out
 
 
@@ -512,12 +540,18 @@ def _conv_gather(
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     out = np.empty((images * oh * ow, kh * kw * cwords), dtype=np.uint64)
-    if out.size:
+    if not out.size:
+        return out
+    src, dst = ffi.from_buffer("uint64_t *", words), ffi.from_buffer("uint64_t *", out)
+    image_words, window_words = h * w * cwords, oh * ow * kh * kw * cwords
+
+    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
         lib.repro_conv_gather(
-            ffi.from_buffer("uint64_t *", words),
-            images, h, w, cwords, kh, kw, stride,
-            ffi.from_buffer("uint64_t *", out),
+            src + lo * image_words, hi - lo, h, w, cwords, kh, kw, stride,
+            dst + lo * window_words,
         )
+
+    cores.split(images, part, out.size / HOST_RATES.gather_words)
     return out
 
 

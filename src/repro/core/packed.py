@@ -57,7 +57,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import backends
+from . import backends, cores
 from .bitops import WORD_BITS, packed_words
 from .emulate import INT32_MAX, check_int32_accumulator
 from .opselect import TCOp, select_operator
@@ -173,7 +173,11 @@ class HostRates:
 #: The host table: fitted by ``python -m repro.bench.hostfit`` on a
 #: 2-vCPU x86-64 Xeon VM with AVX-512 VPOPCNTDQ (BLAS on both cores, the
 #: popcount kernel on one), branch 0 from the same C source built for
-#: x86-64-v3 in the same process.
+#: x86-64-v3 in the same process.  The fit predates the split across
+#: CPUs (:mod:`repro.core.cores`): the popcount GEMM, the gather and the
+#: packer were timed on one core, and they now run on every usable one
+#: while the fold's BLAS is held at one thread per part, so until a refit
+#: the routes lean toward the fold.
 HOST_RATES = HostRates(
     fold_macs={"float32": 63570.0, "float64": 23780.0, "int64": 907.4},
     fold_operands=760.2,
@@ -205,6 +209,17 @@ def _pack_work(rows: int, k: int, rates: HostRates) -> float:
         row += rates.pack_ragged_row_digits
     blocks = -(-rows // max(1, _PACK_BLOCK // max(k, 1)))
     return rows * (k + row) + blocks * rates.pack_pass_digits
+
+
+def _fold_us(m: int, n: int, k: int, p: int, q: int, rates: HostRates) -> float:
+    """The fold of ``(M, K) x (N, K)``: casting both operands into the
+    accumulator, ``M*N*K`` multiply-adds at its rate, the output pass."""
+    dtype = np.dtype(_fold_accumulator(k, p, q) or np.int64)
+    return (
+        m * n * k / rates.fold_macs[dtype.name]
+        + (m + n) * k / rates.fold_operands
+        + m * n / rates.fold_outputs
+    )
 
 
 def compiled_branch(
@@ -315,18 +330,12 @@ class HostProduct:
         elif path == "gather":
             raise ValueError("the gather path needs a conv window")
         if path == "fold":
-            dtype = np.dtype(_fold_accumulator(k, p, q) or np.int64)
-            return (
-                im2col_us
-                + m * n * k / rates.fold_macs[dtype.name]
-                + (m + n) * k / rates.fold_operands
-                + m * n / rates.fold_outputs
-            )
+            return im2col_us + _fold_us(m, n, k, p, q, rates)
         if path == "popcount":
             return (
                 im2col_us
                 + _pack_us(p, m, k, rates) + _pack_us(q, n, k, rates)
-                + self._popcount_us(packed_words(k), branch, rates)
+                + self.popcount_us(packed_words(k), branch, rates)
             )
         words = kernel * kernel * packed_words(cin)
         return (
@@ -335,7 +344,7 @@ class HostProduct:
             + _pack_us(p, m * kernel * kernel, cin, rates)
             + q * n * (words + kernel * rates.gather_run_words)
             / rates.gather_words
-            + self._popcount_us(words, branch, rates)
+            + self.popcount_us(words, branch, rates)
         )
 
     def popcount_pairs(self, branch: int) -> int:
@@ -346,7 +355,11 @@ class HostProduct:
             m, n = -(-m // tile_m) * tile_m, -(-n // tile_n) * tile_n
         return self.p_bits * self.q_bits * m * n
 
-    def _popcount_us(self, words: int, branch: int, rates: HostRates) -> float:
+    def popcount_us(
+        self, words: int, branch: int, rates: HostRates = HOST_RATES
+    ) -> float:
+        """Modeled microseconds of the popcount GEMM alone, over operands
+        of ``words`` packed words per row, on ``branch``."""
         return (
             self.popcount_pairs(branch)
             * (words + rates.popcount_pair_words[branch])
@@ -390,12 +403,16 @@ def _pack_planes(digits: np.ndarray, bits: int) -> np.ndarray:
     words, nbytes = packed_words(k), -(-k // 8)
     out = np.zeros((bits, rows, words * 8), dtype=np.uint8)
     step = max(1, _PACK_BLOCK // max(k, 1))
-    for r0 in range(0, rows, step):
-        block = digits[r0:r0 + step].astype(np.uint8, copy=False)
-        for s in range(bits):
-            out[s, r0:r0 + step, :nbytes] = np.packbits(
-                block & (1 << s), axis=-1, bitorder="little"
-            )
+
+    def part(lo: int, hi: int) -> None:  # blocks lo .. hi-1
+        for r0 in range(lo * step, min(hi * step, rows), step):
+            block = digits[r0:r0 + step].astype(np.uint8, copy=False)
+            for s in range(bits):
+                out[s, r0:r0 + step, :nbytes] = np.packbits(
+                    block & (1 << s), axis=-1, bitorder="little"
+                )
+
+    cores.split(-(-rows // step), part, _pack_us(bits, rows, k, HOST_RATES))
     return out.view("<u8").reshape(bits * rows, words)
 
 
@@ -436,24 +453,26 @@ def _popcount_matmul(
     return out
 
 
+def _fold_map(precision: Precision, decode: bool) -> tuple[int, int]:
+    """The ``(a, b)`` map still to apply for :meth:`Precision.decode`
+    after :func:`_fold_operand`: the identity when the cast decodes,
+    else the precision's :attr:`~Precision.decode_affine`."""
+    return (1, 0) if decode else precision.decode_affine
+
+
 def _fold_operand(
     digits: np.ndarray, dtype: type, precision: Precision, decode: bool
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """``digits`` cast into the fold's accumulator ``dtype``, and the
-    ``(a, b)`` map still to apply for :meth:`Precision.decode`.
-
-    With ``decode`` the cast holds decoded values and the map left is the
-    identity; otherwise it holds the digits and the map is the
-    precision's :attr:`~Precision.decode_affine`.
-    """
+) -> np.ndarray:
+    """``digits`` cast into the fold's accumulator ``dtype``, decoded
+    there with ``decode`` (see :func:`_fold_map`)."""
     a, b = precision.decode_affine
     if not decode or (a, b) == (1, 0):
-        return digits.astype(dtype, copy=False), (a, b)
+        return digits.astype(dtype, copy=False)
     # a fresh copy: int64 digits with copy=False would alias the caller's
     values = digits.astype(dtype)
     values *= a
     values += b
-    return values, (1, 0)
+    return values
 
 
 def _matrices(
@@ -562,22 +581,51 @@ def matmul_path(
     # A bipolar operand decodes in its cast when that costs fewer element
     # updates (its rows * K) than applying its map to the (M, N) output.
     m, n = w_digits.shape[0], x_digits.shape[0]
-    w_acc, (aw, bw) = _fold_operand(w_digits, dtype, weight, k <= n)
-    x_acc, (ax, bx) = _fold_operand(x_digits, dtype, feature, k <= m)
-    out = (w_acc @ x_acc.T).astype(np.int64)
-    # (aw*W + bw)(ax*X + bx).T over the cast operands.  Their row sums
-    # are bounded like the GEMM's partial sums, so the accumulator holds
-    # them exactly; int64 arithmetic wraps modulo 2**64 and |Y| <= bound
-    # < 2**63, so a correction that wraps near the int64 limit leaves Y
-    # exact.
-    if aw * ax != 1:
-        out *= aw * ax
-    if bx:
-        out += aw * bx * w_acc.sum(axis=1).astype(np.int64)[:, None]
-    if bw:
-        out += bw * ax * x_acc.sum(axis=1).astype(np.int64)[None, :]
-    if bw and bx:
-        out += bw * bx * k
+    w_decode, x_decode = k <= n, k <= m
+    (aw, bw), (ax, bx) = _fold_map(weight, w_decode), _fold_map(feature, x_decode)
+    out = np.empty((m, n), dtype=np.int64)
+
+    def block(out, w_acc, x_acc, w_sums, x_sums):
+        # (aw*W + bw)(ax*X + bx).T over the cast operands.  Their row
+        # sums are bounded like the GEMM's partial sums, so the
+        # accumulator holds them exactly; int64 arithmetic wraps modulo
+        # 2**64 and |Y| <= bound < 2**63, so a correction that wraps near
+        # the int64 limit leaves Y exact.
+        out[...] = w_acc @ x_acc.T
+        if aw * ax != 1:
+            out *= aw * ax
+        if bx:
+            out += aw * bx * w_sums[:, None]
+        if bw:
+            out += bw * ax * x_sums[None, :]
+        if bw and bx:
+            out += bw * bx * k
+
+    # Split the longer output axis: the other operand is cast once, and
+    # each part casts only its own rows of the split one.  Every partial
+    # sum is an exact integer, so a part's GEMM gives the elements the
+    # whole one would.
+    if m > n:
+        x_acc = _fold_operand(x_digits, dtype, feature, x_decode)
+        x_sums = _row_sums(x_acc, bw)
+
+        def part(lo: int, hi: int) -> None:
+            w_acc = _fold_operand(w_digits[lo:hi], dtype, weight, w_decode)
+            block(out[lo:hi], w_acc, x_acc, _row_sums(w_acc, bx), x_sums)
+    else:
+        w_acc = _fold_operand(w_digits, dtype, weight, w_decode)
+        w_sums = _row_sums(w_acc, bx)
+
+        def part(lo: int, hi: int) -> None:
+            x_acc = _fold_operand(x_digits[lo:hi], dtype, feature, x_decode)
+            block(out[:, lo:hi], w_acc, x_acc, w_sums, _row_sums(x_acc, bw))
+
+    cores.split(max(m, n), part, _fold_us(m, n, k, p_bits, q_bits, HOST_RATES))
     if check_overflow and bound > INT32_MAX:
         check_int32_accumulator(out)
     return out
+
+
+def _row_sums(acc: np.ndarray, needed: int) -> np.ndarray | None:
+    """int64 row sums of a cast operand where ``needed`` is nonzero."""
+    return acc.sum(axis=1).astype(np.int64) if needed else None

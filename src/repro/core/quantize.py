@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cores
 from .types import Encoding, Precision, digit_dtype
 
 __all__ = [
@@ -43,6 +44,10 @@ __all__ = [
     "QuantizedTensor",
     "binarize",
 ]
+
+#: Full-size passes of :meth:`AffineQuantizer.quantize`: divide, floor,
+#: maximum, minimum and the cast.
+_QUANTIZE_PASSES = 5
 
 
 @dataclass
@@ -81,9 +86,35 @@ class AffineQuantizer:
         return Precision(self.bits, Encoding.UNSIGNED)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Real values -> unsigned digits in ``[0, 2**bits - 1]``."""
-        digits = np.floor((np.asarray(x, dtype=np.float64) - self.zero_point) / self.scale)
-        return np.clip(digits, 0, (1 << self.bits) - 1).astype(digit_dtype(self.bits))
+        """Real values -> unsigned digits in ``[0, 2**bits - 1]``.
+
+        ``floor((x - z) / s)`` in float64, clamped, then cast: each part
+        of the split along axis 0 (:func:`repro.core.cores.split`) runs
+        these steps in place on one float64 buffer of its own, and the
+        digits keep ``x``'s memory order.  Subtracting a zero point of
+        +0.0 is the IEEE identity, so it is skipped.
+        """
+        x = np.asarray(x)
+        rows = x.reshape(1) if x.ndim == 0 else x
+        out = np.empty_like(rows, dtype=digit_dtype(self.bits))
+        top = (1 << self.bits) - 1
+
+        def part(lo: int, hi: int) -> None:
+            work = np.empty_like(rows[lo:hi], dtype=np.float64)
+            if self.zero_point:
+                np.subtract(rows[lo:hi], self.zero_point, out=work,
+                            dtype=np.float64)
+                np.divide(work, self.scale, out=work)
+            else:
+                np.divide(rows[lo:hi], self.scale, out=work, dtype=np.float64)
+            np.floor(work, out=work)
+            # maximum-then-minimum is np.clip, without its generic loop
+            np.maximum(work, 0, out=work)
+            np.minimum(work, top, out=work)
+            out[lo:hi] = work
+
+        cores.split(len(rows), part, _QUANTIZE_PASSES * rows.size * cores.ELEMENT_US)
+        return out.reshape(x.shape)
 
     def dequantize(self, digits: np.ndarray) -> np.ndarray:
         """Unsigned digits -> approximate real values."""

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core import cores
 from ..core.quantize import AffineQuantizer
 from ..perf.cost import KernelCost
 from ..tensorcore.counters import ExecutionCounters
@@ -62,11 +63,21 @@ class BatchNormOp:
         return cls(scale=scale, shift=np.asarray(beta) - np.asarray(mean) * scale)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 4:  # NCHW: per-channel
-            return x * self.scale[None, :, None, None] + self.shift[None, :, None, None]
-        if x.ndim == 2:  # (N, features)
-            return x * self.scale[None, :] + self.shift[None, :]
-        raise ValueError(f"BatchNormOp expects 2-D or 4-D input, got {x.ndim}-D")
+        """``x * scale + shift`` per channel (axis 1), split along axis 0."""
+        if x.ndim not in (2, 4):
+            raise ValueError(f"BatchNormOp expects 2-D or 4-D input, got {x.ndim}-D")
+        # per channel: (C,) -> (C, 1, 1) against NCHW's trailing axes
+        tail = (slice(None),) + (None,) * (x.ndim - 2)
+        scale, shift = np.asarray(self.scale)[tail], np.asarray(self.shift)[tail]
+        out = np.empty_like(x, dtype=np.result_type(x, scale, shift))
+
+        def part(lo: int, hi: int) -> None:
+            # x * scale + shift, the product written into the output
+            np.multiply(x[lo:hi], scale, out=out[lo:hi])
+            np.add(out[lo:hi], shift, out=out[lo:hi])
+
+        cores.split(x.shape[0], part, self.ops_per_element() * x.size * cores.ELEMENT_US)
+        return out
 
     def ops_per_element(self) -> int:
         return 2
@@ -77,7 +88,17 @@ class ReLUOp:
     """``y = max(x, 0)``."""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0)
+        """``max(x, 0)``, split along axis 0."""
+        x = np.asarray(x)
+        if x.ndim == 0:
+            return np.maximum(x, 0)
+        out = np.empty_like(x, dtype=np.result_type(x, 0))
+
+        def part(lo: int, hi: int) -> None:
+            np.maximum(x[lo:hi], 0, out=out[lo:hi])
+
+        cores.split(x.shape[0], part, x.size * cores.ELEMENT_US)
+        return out
 
     def ops_per_element(self) -> int:
         return 1
@@ -90,7 +111,7 @@ class QuantizeOp:
     quantizer: AffineQuantizer
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.quantizer.quantize(np.asarray(x, dtype=np.float64))
+        return self.quantizer.quantize(x)
 
     def ops_per_element(self) -> int:
         return 3  # subtract, divide, floor/clamp

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import cores
+from ..core.packed import HOST_RATES
+
 __all__ = ["im2col", "conv_weight_matrix", "conv_output_shape"]
 
 
@@ -51,20 +54,26 @@ def im2col(
     and handled by :mod:`repro.kernels.padding`).  Columns are
     channel-major, ``(kh, kw, C)`` with channels innermost (section
     4.2a), matching :func:`conv_weight_matrix`: one channel-last copy of
-    ``x``, then one copy of its windows that moves ``C``-long runs.  The
-    dtype of ``x`` is kept.
+    ``x``, then one copy of its windows that moves ``C``-long runs, both
+    split by image (:func:`repro.core.cores.split`).  The dtype of ``x``
+    is kept.
     """
     if x.ndim != 4:
         raise ValueError(f"expected 4-D NCHW tensor, got shape {x.shape}")
     n, c, h, w = x.shape
     oh, ow = conv_output_shape(h, w, kernel, stride, padding=0)
-    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x_cl, (kernel, kernel), axis=(1, 2)
-    )[:, ::stride, ::stride]
-    # (N, OH, OW, C, kh, kw) -> (N, OH, OW, kh, kw, C)
-    windows = windows.transpose(0, 1, 2, 4, 5, 3)
-    return np.ascontiguousarray(windows).reshape(n * oh * ow, kernel * kernel * c)
+    out = np.empty((n, oh, ow, kernel, kernel, c), dtype=x.dtype)
+
+    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
+        x_cl = np.ascontiguousarray(x[lo:hi].transpose(0, 2, 3, 1))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x_cl, (kernel, kernel), axis=(1, 2)
+        )[:, ::stride, ::stride]
+        # (N, OH, OW, C, kh, kw) -> (N, OH, OW, kh, kw, C)
+        out[lo:hi] = windows.transpose(0, 1, 2, 4, 5, 3)
+
+    cores.split(n, part, out.size / HOST_RATES.im2col_digits)
+    return out.reshape(n * oh * ow, kernel * kernel * c)
 
 
 def conv_weight_matrix(w: np.ndarray) -> np.ndarray:

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import backends
+from ..core import backends, cores
 from ..core.bitops import packed_words
-from ..core.packed import _check_digits, _pack_planes, _popcount_matmul
+from ..core.packed import HOST_RATES, _check_digits, _pack_planes, _popcount_matmul
 from ..core.types import Precision
 from .layout import conv_weight_matrix
 
@@ -88,7 +88,12 @@ def packed_conv_matmul(
     # Features: channel-last, C_in packed per pixel; the q feature planes
     # ride the images axis so the gathered rows come out plane-major --
     # exactly the virtual batched operand layout.
-    x_cl = np.ascontiguousarray(padded.transpose(0, 2, 3, 1))
+    x_cl = np.empty((batch, hp, wp, cin), dtype=padded.dtype)
+
+    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
+        x_cl[lo:hi] = padded[lo:hi].transpose(0, 2, 3, 1)
+
+    cores.split(batch, part, x_cl.size / HOST_RATES.layout_digits)
     x_words = _pack_planes(x_cl.reshape(batch * hp * wp, cin), q)
     gathered = gather(x_words.reshape(q * batch, hp, wp, cwords), kh, kw, stride)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import cores
 from ..core.opselect import EmulationCase, classify
 from ..core.types import Precision
 
@@ -73,14 +74,23 @@ def pad_digits(x: np.ndarray, padding: int, pad_digit: int) -> np.ndarray:
         raise ValueError(f"padding must be >= 0, got {padding}")
     if padding == 0:
         return x
-    # np.pad casts the constant into x's dtype without a warning: widen
-    # narrow digits first so a bipolar max digit (2**bits - 1) cannot wrap
-    x = x.astype(np.promote_types(x.dtype, np.min_scalar_type(pad_digit)), copy=False)
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=pad_digit,
-    )
+    # widen narrow digits to hold the constant, so a bipolar max digit
+    # (2**bits - 1) cannot wrap
+    dtype = np.promote_types(x.dtype, np.min_scalar_type(pad_digit))
+    n, c, h, w = x.shape
+    p = padding
+    out = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=dtype)
+
+    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
+        frame = out[lo:hi]
+        frame[:, :, :p] = pad_digit
+        frame[:, :, p + h:] = pad_digit
+        frame[:, :, p:p + h, :p] = pad_digit
+        frame[:, :, p:p + h, p + w:] = pad_digit
+        frame[:, :, p:p + h, p:p + w] = x[lo:hi]
+
+    cores.split(n, part, out.size * cores.ELEMENT_US)
+    return out
 
 
 def padding_correction(

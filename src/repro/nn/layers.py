@@ -15,6 +15,7 @@ import threading
 
 import numpy as np
 
+from ..core import cores
 from ..kernels.layout import conv_output_shape, conv_weight_matrix, im2col
 from .module import Module, Parameter
 
@@ -259,19 +260,28 @@ class MaxPool2d(_Pool2d):
     The output is the elementwise maximum of the ``k*k`` strided slices
     ``x[..., i::s, j::s]`` (one per window offset): a selection, so exact
     and dtype-preserving for floats and narrow digits alike, and far
-    cheaper than reducing a ``sliding_window_view``.
+    cheaper than reducing a ``sliding_window_view``.  Images are split
+    across the usable CPUs (:func:`repro.core.cores.split`).
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_nchw(x)
-        _, _, oh, ow = self.output_shape(x.shape)
+        shape = self.output_shape(x.shape)
+        _, _, oh, ow = shape
         k, s = self.kernel, self.stride
         rows, cols = (oh - 1) * s + 1, (ow - 1) * s + 1
-        out = x[:, :, :rows:s, :cols:s].copy()
-        for i in range(k):
-            for j in range(k):
-                if i or j:
-                    np.maximum(out, x[:, :, i:i + rows:s, j:j + cols:s], out=out)
+        out = np.empty(shape, dtype=x.dtype)
+
+        def part(lo: int, hi: int) -> None:  # images lo .. hi-1
+            view = out[lo:hi]
+            view[...] = x[lo:hi, :, :rows:s, :cols:s]
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        np.maximum(view, x[lo:hi, :, i:i + rows:s, j:j + cols:s],
+                                   out=view)
+
+        cores.split(shape[0], part, k * k * out.size * cores.ELEMENT_US)
         return out
 
 

@@ -195,6 +195,72 @@ class TestLoopNestBranch:
         assert np.array_equal(host, reference_matmul(w, x, wp, xp))
 
 
+def _gemm_blocks(module, a_words, b_words, p, m, q, n, op_and, k, scales,
+                 row_cuts, col_cuts):
+    """``repro_packed_gemm`` called once per block of the partition."""
+    ffi, lib = module.ffi, module.lib
+    nwords = a_words.shape[1]
+    out = np.full((m, n), -1, dtype=np.int64)  # an unwritten block shows
+    a_ptr = ffi.from_buffer("uint64_t *", a_words)
+    b_ptr = ffi.from_buffer("uint64_t *", b_words)
+    out_ptr = ffi.from_buffer("int64_t *", out)
+    for i0, i1 in zip(row_cuts, row_cuts[1:]):
+        for j0, j1 in zip(col_cuts, col_cuts[1:]):
+            status = lib.repro_packed_gemm(
+                a_ptr, b_ptr, p, m, q, n, nwords, int(op_and), k, *scales,
+                i0, i1, j0, j1, out_ptr,
+            )
+            assert status == 0
+    return out
+
+
+def _cuts(data, size):
+    """A random partition of ``range(size)`` as sorted cut points."""
+    inner = data.draw(st.lists(st.integers(1, size - 1), max_size=5)) \
+        if size > 1 else []
+    return sorted({0, size, *inner})
+
+
+@needs_cffi
+class TestPackedGemmBlocks:
+    """``repro_packed_gemm`` writes exactly its output block: any
+    partition of rows and columns, block by block, equals one call over
+    the whole output, on both C branches.  Ragged extents (``m`` not a
+    multiple of the 4-row tile, ``n`` not of the 16-column panel) put
+    partial tiles inside and at the edges of the blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, pair=st.sampled_from(PAIRS),
+           wenc=st.sampled_from([Encoding.UNSIGNED, Encoding.BIPOLAR]),
+           xenc=st.sampled_from([Encoding.UNSIGNED, Encoding.BIPOLAR]),
+           m=st.integers(1, 45).filter(lambda v: v % 4),
+           n=st.integers(1, 70).filter(lambda v: v % 16),
+           nwords=st.integers(1, 9), tail=st.integers(1, 64), data=st.data())
+    def test_blocks_tile_the_whole_output(
+        self, loop_nest_build, seed, pair, wenc, xenc, m, n, nwords, tail, data
+    ):
+        from repro.core.opselect import TCOp, select_operator
+
+        wp = Precision(pair.weight.bits, wenc)
+        xp = Precision(pair.activation.bits, xenc)
+        k = 64 * (nwords - 1) + tail
+        rng = np.random.default_rng(seed)
+        w = wp.random_digits(rng, (m, k))
+        x = xp.random_digits(rng, (n, k))
+        plan = select_operator(wp, xp)
+        args = (
+            _pack_planes(w, wp.bits), _pack_planes(x, xp.bits),
+            wp.bits, m, xp.bits, n, plan.op is TCOp.AND, k,
+            (plan.popc_scale, plan.k_scale, plan.wsum_scale, plan.xsum_scale),
+        )
+        row_cuts, col_cuts = _cuts(data, m), _cuts(data, n)
+        for module in (_backend_cffi._build(), loop_nest_build):
+            whole = _gemm_blocks(module, *args, [0, m], [0, n])
+            blocks = _gemm_blocks(module, *args, row_cuts, col_cuts)
+            assert np.array_equal(blocks, whole)
+            assert np.array_equal(whole, reference_matmul(w, x, wp, xp))
+
+
 @needs_cffi
 class TestConvIdentity:
     @settings(max_examples=30, deadline=None)

@@ -8,11 +8,15 @@ what the benchmark relies on: ``backends.get_backend()`` with its
 splits gather from im2col + fold time and marks the fully-connected
 layers that ran the popcount GEMM: each call's count is that of the
 route the host cost model (:class:`repro.core.packed.HostProduct`)
-prices lowest for its shape.  It also checks that CI runs only modules,
-benchmark files and tests that exist.
+prices lowest for its shape.  It pins the logits digests of two small
+forwards, AlexNet-w1a2 and ResNet-18-w2a4, with the kernels and epilogue
+ops split across CPUs as they are by default, split on every call, and
+held to one CPU.  It also checks that CI runs only modules, benchmark
+files and tests that exist.
 """
 
 import ast
+import hashlib
 import importlib.util
 import re
 import sys
@@ -21,9 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import PrecisionPair, backends
+from repro.core import PrecisionPair, backends, cores
 from repro.core.packed import PATH_KERNELS, HostProduct, compiled_branch
-from repro.nn import APNNBackend, alexnet
+from repro.nn import APNNBackend, alexnet, resnet18
 from repro.obs import Tracer
 from repro.serve import PlanCache
 from repro.tensorcore import RTX3090
@@ -73,6 +77,51 @@ def test_default_forward_matches_the_integer_reference(qnet, prepared):
                              backend="numpy")
     assert default.dtype == reference.dtype
     assert default.tobytes() == reference.tobytes()
+
+
+#: sha256 of the logits of two small forwards, taken before the kernels
+#: and epilogue ops split their work across CPUs: ``prepared``'s 67x67
+#: AlexNet-w1a2, and a 64x64 ResNet-18-w2a4 (BN, the residual add and
+#: the 1x1 stride-2 convs) at batch 2.  Both sides of the integer
+#: reference run the same epilogue ops, so only a pin catches a fault in
+#: one of them.
+ALEXNET_DIGEST = "655e6dc07e36aa7dc1bcd0c89f2c1c1fe08ecc62a2679043e6ee4c3cf8ff1262"
+RESNET_DIGEST = "e2abc9a4f4275c598a85058e18d7b02fc8cd22aa7701e49eee693a855f200cbf"
+
+
+@pytest.fixture(scope="module")
+def resnet_prepared(qnet):
+    size = 64
+    # QEMQuantizer.fit's np.dot sums in BLAS, whose split of the sum
+    # follows its thread count: one BLAS thread makes the weight scales,
+    # and so the digest, the same whatever the host's CPU count
+    with cores.hold_blas():
+        net, _ = qnet.prepare(
+            resnet18(activation_bits=4, input_size=size),
+            APNNBackend(PrecisionPair.parse("w2a4")), RTX3090, BATCH, size,
+            PlanCache(),
+        )
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(BATCH, 3, size, size),
+                          dtype=np.uint8) / 255.0
+    qnet.forward(net, images, calibrate=True)
+    return net, images
+
+
+@pytest.mark.parametrize("cpus", ["default", "every call split", "one CPU"])
+@pytest.mark.parametrize("network", ["alexnet", "resnet18"])
+def test_small_forwards_keep_their_pinned_digests(
+    qnet, prepared, resnet_prepared, monkeypatch, network, cpus
+):
+    net, images = prepared if network == "alexnet" else resnet_prepared
+    if cpus == "every call split":
+        monkeypatch.setattr(cores, "MIN_PART_US", 0.0)
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+    elif cpus == "one CPU":
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 1)
+    logits = qnet.forward(net, images)
+    want = ALEXNET_DIGEST if network == "alexnet" else RESNET_DIGEST
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == want
 
 
 def _kernel_spans(qnet, net, images, **kwargs) -> list[dict]:
