@@ -46,6 +46,11 @@ correction as it stores each output tile (:func:`_popcount_matmul`), so
 the paths are byte-identical.  The packed conv gather
 (:mod:`repro.kernels.packed_conv`) shares the packer, the model and
 that kernel.
+
+A quantized weight's range scan and packed planes are made once and
+kept (:mod:`repro.core.prepared`); the fold still casts it on every
+call, and the host model still prices a cold call, weight packing
+included.
 """
 
 
@@ -53,11 +58,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
-from . import backends, cores
+from . import backends, cores, prepared
 from .bitops import WORD_BITS, packed_words
 from .emulate import INT32_MAX, check_int32_accumulator
 from .opselect import TCOp, select_operator
@@ -367,12 +372,20 @@ class HostProduct:
         )
 
 
+def _digit_range(digits: np.ndarray) -> tuple[Any, Any]:
+    """``(min, max)`` of ``digits`` in their own dtype, so a float digit
+    such as -0.5 compares below 0; the min of an unsigned dtype, which
+    cannot hold a negative digit, is 0 without a scan."""
+    if not digits.size:
+        return 0, 0
+    low = 0 if digits.dtype.kind == "u" else digits.min()
+    return low, digits.max()
+
+
 def _check_digits(digits: np.ndarray, precision: Precision, name: str) -> None:
-    # an unsigned dtype cannot hold a negative digit: skip that scan
-    if digits.size and (
-        (digits.dtype.kind != "u" and digits.min() < 0)
-        or digits.max() >= precision.num_levels
-    ):
+    # a prepared weight is scanned once; its range holds for every call
+    low, high = prepared.form(digits, "range", lambda: _digit_range(digits))
+    if low < 0 or high >= precision.num_levels:
         raise ValueError(
             f"{name} digits out of range for {precision.bits}-bit precision: "
             f"[{digits.min()}, {digits.max()}]"
@@ -414,6 +427,12 @@ def _pack_planes(digits: np.ndarray, bits: int) -> np.ndarray:
 
     cores.split(-(-rows // step), part, _pack_us(bits, rows, k, HOST_RATES))
     return out.view("<u8").reshape(bits * rows, words)
+
+
+def _planes(digits: np.ndarray, bits: int) -> np.ndarray:
+    """:func:`_pack_planes` of ``(rows, K)`` digits, kept for a prepared
+    array (:mod:`repro.core.prepared`)."""
+    return prepared.form(digits, ("planes", bits), lambda: _pack_planes(digits, bits))
 
 
 def _popcount_matmul(
@@ -555,6 +574,11 @@ def matmul_path(
     ``"popcount"`` runs the ``p*q`` bit-plane products as one compiled
     popcount GEMM over operands packed with ``np.packbits``; it needs a
     compiled ``backend`` and digits of at most 8 bits.
+
+    An operand :mod:`repro.core.prepared` serves -- a quantizer's weight
+    -- has its digit range and packed planes made on its first call and
+    kept; any other is scanned and packed on every call, by the same
+    code.  The fold casts either on every call.
     """
     if path not in ("fold", "popcount"):
         raise ValueError(f"unknown matmul path {path!r}; valid: fold, popcount")
@@ -572,8 +596,8 @@ def matmul_path(
     _check_digits(x_digits, feature, "feature")
     if path == "popcount":
         return _popcount_matmul(
-            _pack_planes(w_digits, p_bits),
-            _pack_planes(x_digits, q_bits),
+            _planes(w_digits, p_bits),
+            _planes(x_digits, q_bits),
             weight, feature, k,
             backend=backend, check_overflow=check_overflow,
         )

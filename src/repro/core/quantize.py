@@ -17,7 +17,10 @@ This module implements:
 
 All quantizers return *digits* (raw codes) plus the float parameters needed
 to decode, so the integer kernels can run on digits while accuracy
-evaluation can reconstruct real values.
+evaluation can reconstruct real values.  The weight quantizers,
+:func:`binarize` and :meth:`QEMQuantizer.fit`, return read-only digits
+that :mod:`repro.core.prepared` registers, so the kernels do each
+weight's range scan and packing once, on first use.
 
 Digits are stored in :func:`~repro.core.types.digit_dtype` of their bit
 width -- ``uint8`` up to 8 bits, ``uint16`` up to 16, ``int64`` above --
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cores
+from . import cores, prepared
 from .types import Encoding, Precision, digit_dtype
 
 __all__ = [
@@ -144,6 +147,7 @@ def binarize(x: np.ndarray) -> QuantizedTensor:
     ``x ~= alpha * sign(x)`` with ``alpha = mean(|x|)`` -- the classic BNN
     weight binarization the paper's Case II/III inputs come from.  Zeros map
     to +1 (digit 1) so every element is representable in one bipolar bit.
+    The digits are read-only and prepared (:mod:`repro.core.prepared`).
     """
     # a cast is a copy of our own, so |x| may overwrite it: one float64
     # copy of the weights alive at a time, never the caller's array
@@ -156,7 +160,7 @@ def binarize(x: np.ndarray) -> QuantizedTensor:
     if alpha == 0.0:
         alpha = 1.0
     return QuantizedTensor(
-        digits=digits,
+        digits=prepared.freeze(digits),
         precision=Precision(1, Encoding.BIPOLAR),
         scale=alpha,
     )
@@ -216,11 +220,20 @@ class QEMQuantizer:
         return work.astype(digit_dtype(prec.bits))
 
     def fit(self, x: np.ndarray) -> QuantizedTensor:
-        """Quantize ``x`` with an error-minimizing scale."""
+        """Quantize ``x`` with an error-minimizing scale.
+
+        The digits are read-only and prepared (:mod:`repro.core.prepared`).
+        The alternation's dot products run with numpy's OpenBLAS held at
+        one thread (:func:`repro.core.cores.hold_blas`): OpenBLAS splits
+        a long sum by its thread count, so otherwise the scale's last bit
+        would follow the host's CPU count.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.size == 0:
             return QuantizedTensor(
-                digits=np.zeros_like(x, dtype=digit_dtype(self.precision.bits)),
+                digits=prepared.freeze(
+                    np.zeros_like(x, dtype=digit_dtype(self.precision.bits))
+                ),
                 precision=self.precision,
                 scale=1.0,
             )
@@ -233,22 +246,25 @@ class QEMQuantizer:
         work = np.empty(x.shape)
         decoded = np.empty(x.size)
         digits = self._project(x, scale, work)
-        for _ in range(self.iters):
-            # decode(digits) in float64: work holds the digits, a*d + b is
-            # exact, and they are in range by construction
-            np.multiply(work.ravel(), a, out=decoded)
-            np.add(decoded, b, out=decoded)
-            denom = float(np.dot(decoded, decoded))
-            if denom == 0.0:
-                break
-            new_scale = float(np.dot(flat, decoded)) / denom
-            if new_scale <= 0.0:
-                break
-            new_digits = self._project(x, new_scale, work)
-            if new_scale == scale and np.array_equal(new_digits, digits):
-                break
-            scale, digits = new_scale, new_digits
-        return QuantizedTensor(digits=digits, precision=self.precision, scale=scale)
+        with cores.hold_blas():
+            for _ in range(self.iters):
+                # decode(digits) in float64: work holds the digits, a*d + b
+                # is exact, and they are in range by construction
+                np.multiply(work.ravel(), a, out=decoded)
+                np.add(decoded, b, out=decoded)
+                denom = float(np.dot(decoded, decoded))
+                if denom == 0.0:
+                    break
+                new_scale = float(np.dot(flat, decoded)) / denom
+                if new_scale <= 0.0:
+                    break
+                new_digits = self._project(x, new_scale, work)
+                if new_scale == scale and np.array_equal(new_digits, digits):
+                    break
+                scale, digits = new_scale, new_digits
+        return QuantizedTensor(
+            digits=prepared.freeze(digits), precision=self.precision, scale=scale
+        )
 
     def error(self, x: np.ndarray) -> float:
         """Mean-squared quantization error at the fitted scale."""

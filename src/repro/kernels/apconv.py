@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import backends
+from ..core import backends, prepared
 from ..core.emulate import apbit_matmul, reference_matmul
 from ..core.packed import PATH_KERNELS, HostProduct, compiled_branch, matmul_path
 from ..core.types import Precision
@@ -46,6 +46,15 @@ from .padding import PaddingPlan, pad_digits, padding_correction, plan_padding
 from .tiling import TileConfig
 
 __all__ = ["APConvResult", "apconv"]
+
+
+def _weight_matrix(w_digits: np.ndarray) -> np.ndarray:
+    """:func:`~repro.kernels.layout.conv_weight_matrix` of ``w_digits``,
+    kept for a prepared weight and prepared itself, so the matmul's
+    forms of the matrix are kept too."""
+    return prepared.form(
+        w_digits, "conv_weight_matrix", lambda: conv_weight_matrix(w_digits)
+    )
 
 
 @dataclass
@@ -93,6 +102,11 @@ def apconv(
     kernels that ran: 2 for the gather, 1 for an im2col popcount GEMM.
     A traced call's span also carries ``path`` (``fold``, ``popcount``
     or ``gather``) and ``host_us``, the model's price of that path.
+
+    On the packed strategy a prepared weight (:mod:`repro.core.prepared`:
+    a quantizer's digits) keeps its range, its packed planes and, on the
+    im2col paths, its weight matrix from its first call; the reference
+    strategies never read them.
     """
     # Kernel-boundary tracing (wall clock; same hook as apmm).
     tracer = kernel_tracer()
@@ -143,7 +157,9 @@ def apconv(
         )
     else:
         cols = im2col(padded, kh, stride)  # (batch*OH*OW, kh*kw*C_in)
-        w_flat = conv_weight_matrix(w_digits)
+        # the references never read the prepared table
+        matrix = _weight_matrix if strategy == "packed" else conv_weight_matrix
+        w_flat = matrix(w_digits)
         if strategy == "packed":
             acc = matmul_path(path, w_flat, cols, weight, feature,
                               backend=run_backend)

@@ -3,9 +3,12 @@
 The layer-level GEMM kernel.  Given a ``p``-bit weight matrix ``W`` of
 shape ``(M, K)`` and a ``q``-bit feature matrix ``X`` of shape ``(N, K)``
 (both K-major, matching the Tensor-Core fragment layout), APMM produces
-``Y = decode(W) @ decode(X)^T`` as 32-bit integer accumulators.  The
-next layer's quantizer is an epilogue op (:mod:`repro.kernels.fusion`),
-not part of the kernel call.
+``Y = decode(W) @ decode(X)^T`` as an ``(M, N)`` int64 array on every
+strategy and path.  The Tensor Core's 32-bit accumulator is modeled by a
+check, not a dtype: the packed strategy scans its output for int32
+overflow only where :func:`~repro.core.packed.fold_exactness_bound`
+exceeds ``2**31 - 1``.  The next layer's quantizer is an epilogue op
+(:mod:`repro.kernels.fusion`), not part of the kernel call.
 
 Three execution strategies produce bit-identical results:
 
@@ -58,7 +61,11 @@ STRATEGIES = backends.STRATEGIES
 
 @dataclass
 class APMMResult:
-    """Integer accumulators plus the costed execution facts."""
+    """Accumulators plus the costed execution facts.
+
+    ``output`` is ``(M, N)`` int64; it was checked against the int32
+    accumulator only where the shape's exactness bound exceeds it.
+    """
 
     output: np.ndarray
     cost: KernelCost

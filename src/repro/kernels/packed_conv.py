@@ -22,14 +22,15 @@ enforces it).
 Packing and the fused weighted popcount GEMM, with the operator plan's
 correction applied in the kernel, are the ones
 :func:`repro.core.packed.packed_matmul` runs on its popcount path --
-same algebra, same int64 exactness.
+same algebra, same int64 exactness.  A prepared weight
+(:mod:`repro.core.prepared`) keeps its range and its packed planes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import backends, cores
+from ..core import backends, cores, prepared
 from ..core.bitops import packed_words
 from ..core.packed import HOST_RATES, _check_digits, _pack_planes, _popcount_matmul
 from ..core.types import Precision
@@ -98,9 +99,14 @@ def packed_conv_matmul(
     gathered = gather(x_words.reshape(q * batch, hp, wp, cwords), kh, kw, stride)
 
     # Weights: the gathered windows' K order, (KH, KW, C_in packed), one
-    # row per (plane, output channel).
-    w_flat = conv_weight_matrix(w_digits)
-    w_words = _pack_planes(w_flat.reshape(cout * kh * kw, cin), p)
+    # row per (plane, output channel).  A prepared weight keeps only the
+    # planes: its matrix is not read again.
+    w_words = prepared.form(
+        w_digits, ("gather planes", p),
+        lambda: _pack_planes(
+            conv_weight_matrix(w_digits).reshape(cout * kh * kw, cin), p
+        ),
+    )
 
     return _popcount_matmul(
         w_words.reshape(p * cout, kh * kw * cwords), gathered,

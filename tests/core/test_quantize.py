@@ -13,6 +13,7 @@ from repro.core import (
     QEMQuantizer,
     QuantizedTensor,
     binarize,
+    cores,
     digit_dtype,
 )
 
@@ -243,18 +244,20 @@ class _OracleQEM(QEMQuantizer):
         if scale == 0.0:
             scale = 1.0
         digits = self._project(x / scale)
-        for _ in range(self.iters):
-            decoded = self.precision.decode(digits).astype(np.float64)
-            denom = float(np.dot(decoded.ravel(), decoded.ravel()))
-            if denom == 0.0:
-                break
-            new_scale = float(np.dot(x.ravel(), decoded.ravel())) / denom
-            if new_scale <= 0.0:
-                break
-            new_digits = self._project(x / new_scale)
-            if new_scale == scale and np.array_equal(new_digits, digits):
-                break
-            scale, digits = new_scale, new_digits
+        # the dots sum on one BLAS thread, as fit's do
+        with cores.hold_blas():
+            for _ in range(self.iters):
+                decoded = self.precision.decode(digits).astype(np.float64)
+                denom = float(np.dot(decoded.ravel(), decoded.ravel()))
+                if denom == 0.0:
+                    break
+                new_scale = float(np.dot(x.ravel(), decoded.ravel())) / denom
+                if new_scale <= 0.0:
+                    break
+                new_digits = self._project(x / new_scale)
+                if new_scale == scale and np.array_equal(new_digits, digits):
+                    break
+                scale, digits = new_scale, new_digits
         return QuantizedTensor(digits=digits, precision=self.precision, scale=scale)
 
 
@@ -321,3 +324,27 @@ class TestAgainstOracles:
         before = x.tobytes()
         assert_same(binarize(x), _oracle_binarize(x))
         assert x.tobytes() == before
+
+
+def test_qem_fit_is_the_same_at_any_blas_thread_count():
+    """OpenBLAS splits a long dot product by its thread count, so an
+    unheld fit's scale would follow the host's CPU count."""
+    control = cores._blas_control()
+    if control is None or cores.usable_cpus() < 2:
+        pytest.skip("needs numpy's OpenBLAS thread control and two CPUs")
+    get, set_ = control
+    rng = np.random.default_rng(0)
+    xs = [rng.standard_normal(n).astype(np.float32)
+          for n in (36864, 73728, 147456, 294912)]
+    quantizer = QEMQuantizer(Precision(2, Encoding.BIPOLAR))
+    before = get()
+    fits = {}
+    try:
+        for threads in (2, 1):
+            set_(threads)
+            fits[threads] = [quantizer.fit(x) for x in xs]
+    finally:
+        set_(before)
+    for two, one in zip(fits[2], fits[1]):
+        assert two.scale.hex() == one.scale.hex()
+        assert two.digits.tobytes() == one.digits.tobytes()

@@ -92,15 +92,11 @@ RESNET_DIGEST = "e2abc9a4f4275c598a85058e18d7b02fc8cd22aa7701e49eee693a855f200cb
 @pytest.fixture(scope="module")
 def resnet_prepared(qnet):
     size = 64
-    # QEMQuantizer.fit's np.dot sums in BLAS, whose split of the sum
-    # follows its thread count: one BLAS thread makes the weight scales,
-    # and so the digest, the same whatever the host's CPU count
-    with cores.hold_blas():
-        net, _ = qnet.prepare(
-            resnet18(activation_bits=4, input_size=size),
-            APNNBackend(PrecisionPair.parse("w2a4")), RTX3090, BATCH, size,
-            PlanCache(),
-        )
+    net, _ = qnet.prepare(
+        resnet18(activation_bits=4, input_size=size),
+        APNNBackend(PrecisionPair.parse("w2a4")), RTX3090, BATCH, size,
+        PlanCache(),
+    )
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(BATCH, 3, size, size),
                           dtype=np.uint8) / 255.0
