@@ -4,7 +4,7 @@ An AST-based checker that encodes this repository's non-negotiables as
 executable rules: the simulated-clock determinism contract (no wall
 clock or hidden-global RNG under ``serve/``), the event-loop contract
 (no awaits under a held lock, no blocking calls in coroutines, no
-dropped coroutines), exception hygiene around IPC and futures, and
+dropped coroutines), exception hygiene around sockets and futures, and
 metrics schema drift against the README glossary and a committed
 version baseline.
 

@@ -5,7 +5,7 @@ node's ``lineno``) carries a pragma naming its rule.  Multiple rules
 may be allowed on one line (comma- or space-separated), and everything
 after ``--`` is a free-form reason for the human reader:
 
-    time.sleep(slow_sleep_s)  # repro: allow-wall-clock -- process-mode wedge hook
+    except (ConnectionError, OSError):  # repro: allow-swallowed-exception -- closing an already-reset transport
 
 The pragma grammar is deliberately strict: every token must be
 ``allow-<rule-name>``.  A token naming a rule the registry does not

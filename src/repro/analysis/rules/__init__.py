@@ -7,7 +7,7 @@ lazily on first use).  Each module groups one invariant family:
   no unseeded randomness in serving code).
 * :mod:`.async_safety` -- the event-loop contract (no awaits under a
   held lock, no blocking calls in coroutines, no dropped coroutines).
-* :mod:`.exceptions` -- exception hygiene around IPC and futures.
+* :mod:`.exceptions` -- exception hygiene around sockets and futures.
 * :mod:`.schema` -- metrics schema drift vs the README glossary and
   the committed version baseline.
 """

@@ -10,11 +10,9 @@ observability track and never steers control flow.
 The ``repro.obs`` wall track is exempt by scope (measuring wall time
 is its job), as is the ``serve/http`` gateway zone (real sockets are
 wall-bound by nature; the simulated-clock contract resumes at the
-backends it submits into).  The process-mode transport code in
-``cluster.py`` / ``ipc.py`` carries per-line
-``# repro: allow-wall-clock`` pragmas at its handful of genuinely
-wall-bound sites (heartbeat staleness, the wedge fault hook) rather
-than a blanket exemption.
+backends it submits into).  Everywhere else under ``serve/`` the rule
+holds without exception: no line there carries a
+``# repro: allow-wall-clock`` pragma.
 """
 
 from __future__ import annotations

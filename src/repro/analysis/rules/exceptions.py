@@ -1,12 +1,13 @@
 """Exception-hygiene rules for the serving stack.
 
-The failure-handling contract (PR 7) is that worker crashes surface as
+The failure-handling contract is that worker crashes surface as
 *events* -- ``WorkerCrashed``, failover traces, metrics counters --
 never as silently absorbed exceptions.  A swallowed exception around
-IPC frame handling or future resolution turns a crash into a hang: the
+socket I/O or future resolution turns a crash into a hang: the
 request's future is never resolved and the client waits forever.
-Deliberate best-effort swallows (teardown paths racing a dying
-subprocess) carry ``# repro: allow-swallowed-exception`` pragmas.
+Deliberate best-effort swallows (the gateway closing a connection its
+client already reset) carry ``# repro: allow-swallowed-exception``
+pragmas.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class SwallowedExceptionRule(ModuleRule):
 
     name: ClassVar[str] = "swallowed-exception"
     description: ClassVar[str] = (
-        "an except around IPC/future handling that neither uses the "
+        "an except around socket/future handling that neither uses the "
         "exception nor re-raises turns crashes into hangs"
     )
     category: ClassVar[str] = "exception-hygiene"

@@ -898,7 +898,7 @@ def placement_study():
 
 
 # ----------------------------------------------------------------------
-# fault-tolerance study (multi-process cluster failure handling)
+# fault-tolerance study (cluster failure handling)
 # ----------------------------------------------------------------------
 FAULT_SEED = 3
 FAULT_NUM_REQUESTS = 24
@@ -912,7 +912,7 @@ FAULT_SLOW_FACTOR = 50.0
 
 
 def fault_tolerance_study():
-    """Failure handling of the multi-process cluster, one scenario per row.
+    """Failure handling of the simulated cluster, one scenario per row.
 
     Replays one dense Poisson trace against a two-worker
     :class:`~repro.serve.cluster.ClusterCoordinator` under scripted

@@ -8,8 +8,9 @@ of the GEMM machinery:
 
 * **channel-major data organization** (section 4.2a) -- every path
   orders ``K`` channel-innermost, so the ``K``-contiguous window reads are
-  aligned and coalesced; the cost model charges the naive NCHW layout a
-  4x read amplification when the ablation flag is flipped;
+  aligned and coalesced; :func:`~repro.perf.cost.conv_cost` charges the
+  naive NCHW layout a 4x read amplification when its ``channel_major``
+  flag is off (its ``double_caching`` flag prices the uncached design);
 * **input-aware padding** (section 4.2b) -- the padding digit and the
   counter correction come from :mod:`repro.kernels.padding`, keyed by the
   operand encodings;

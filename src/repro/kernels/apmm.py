@@ -31,8 +31,9 @@ Regardless of strategy, the returned :class:`APMMResult` carries the
 kernel cost assembled from the *batched double caching* design: the
 ``p*q`` bit-plane products are issued as one virtual large BMMA whose grid
 covers ``ceil(pM/bm) x ceil(qN/bn)`` blocks, tiles staged in shared
-memory, accumulators pinned in fragments.  Ablation flags reproduce the
-naive designs the paper compares against.
+memory, accumulators pinned in fragments.  The naive designs the paper
+compares against are priced by :func:`~repro.perf.cost.gemm_cost`'s
+``batch_planes`` and ``double_caching`` flags, not by this entry point.
 """
 
 from __future__ import annotations

@@ -35,13 +35,13 @@ latency tables (Tables 2-4) toward serving live traffic:
     simulated clock -- the one serving core.  Each loop hands its batch
     to the worker's executor, and fails a crashed worker's batch over
     with bounded retry and restarts.
-``cluster`` / ``ipc``
-    Fault-tolerant multi-process scale-out: a server subclass over N
-    named workers -- deterministic simulations driven by a
-    ``FaultPlan``, or real subprocesses speaking length-prefixed JSON
-    frames (``ipc``) over pipes -- with heartbeat crash detection and
-    exactly-once, byte-identical result payloads, all sharing one
-    persistent ``PlanCacheStore``.
+``cluster``
+    Fault-injected cluster simulation: a server subclass over N named
+    workers that crash, slow down and damage the shared
+    ``PlanCacheStore`` at the simulated instants a ``FaultPlan``
+    scripts, with bounded retry, failover, restarts and exactly-once,
+    byte-identical result payloads (``result_payload``, rendered by
+    ``canonical_json``).
 ``http``
     Network ingress (subpackage :mod:`repro.serve.http`, imported on
     demand): a stdlib HTTP/1.1 + WebSocket gateway over an
@@ -61,16 +61,8 @@ from .cluster import (
     FaultEvent,
     FaultPlan,
     ModelSpec,
-    result_payload,
-)
-from .ipc import (
-    IPC_SCHEMA_VERSION,
-    FrameError,
     canonical_json,
-    decode_payload,
-    encode_frame,
-    read_frame,
-    write_frame,
+    result_payload,
 )
 from .metrics import (
     METRICS_SCHEMA_VERSION,
@@ -178,13 +170,7 @@ __all__ = [
     "ModelSpec",
     "WorkerCrashed",
     "result_payload",
-    "IPC_SCHEMA_VERSION",
-    "FrameError",
     "canonical_json",
-    "encode_frame",
-    "decode_payload",
-    "read_frame",
-    "write_frame",
     "TraceEvent",
     "RejectedRequest",
     "poisson_trace",

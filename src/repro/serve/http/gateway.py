@@ -65,7 +65,7 @@ import time
 from typing import Any
 
 from ...obs import NULL_TRACER, Tracer
-from ..ipc import canonical_json
+from ..cluster import canonical_json
 from ..policies import AdmissionRejected
 from ..server import InferenceServer, ServerDraining
 from .protocol import (

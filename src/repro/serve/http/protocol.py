@@ -1,8 +1,7 @@
 """Minimal HTTP/1.1 request parsing and RFC 6455 WebSocket framing.
 
 The gateway (:mod:`repro.serve.http.gateway`) fronts real sockets, so
-this module owns the two wire formats it speaks -- with the same
-discipline :mod:`repro.serve.ipc` applies to the cluster pipes:
+this module owns the two wire formats it speaks, under one discipline:
 
 * **hard size bounds** turn a corrupt or hostile length field into a
   loud :class:`ProtocolError` instead of an unbounded allocation

@@ -27,10 +27,10 @@ The registry aggregates:
   pipeline-stage service counters, rebalance counters, and two
   invariant guards -- ``dropped_requests`` and ``reordered_dispatches``
   -- that must stay zero through any number of placement swaps;
-* fault-tolerance counters from the multi-process cluster layer
+* fault-tolerance counters from the cluster layer
   (:mod:`repro.serve.cluster`): request retries, batch failovers,
-  per-worker crash / restart / heartbeat-timeout tallies, and damaged
-  plan-store lines recovered at load;
+  per-worker crash / restart tallies, and damaged plan-store lines
+  recovered at load;
 * plan-cache (incl. persistence) and autotune-cache hit rates, pulled
   in at report time.
 """
@@ -60,17 +60,18 @@ __all__ = [
 #: tooling can detect shape drift instead of mis-keying silently.  The
 #: unstamped pre-observability shape counts as version 1; version 2
 #: added the stamp itself plus the queue high-water mark; version 3
-#: added the multi-process fault-tolerance counters (retries,
-#: failovers, worker crashes/restarts, heartbeat timeouts, recovered
-#: store lines); version 4 added the HTTP/WebSocket gateway counters
+#: added the cluster fault-tolerance counters (retries, failovers,
+#: worker crashes/restarts, worker timeouts, recovered store lines);
+#: version 4 added the HTTP/WebSocket gateway counters
 #: (connections, requests, bad requests, 503s, WS connections/messages,
 #: backpressure waits, send-queue high water); version 5 added the
 #: active kernel-backend identity (``kernel_backend``,
 #: ``kernel_backend_compiled``, ``kernel_backend_capabilities``);
 #: version 6 removed those three again, because serving prices plans
-#: and never runs a kernel.  Bump on any key addition, removal, or
-#: meaning change.
-METRICS_SCHEMA_VERSION = 6
+#: and never runs a kernel; version 7 removed the worker-timeout
+#: count, which only the subprocess worker (since deleted) ever set.
+#: Bump on any key addition, removal, or meaning change.
+METRICS_SCHEMA_VERSION = 7
 
 #: Sliding-window length for per-request latency percentiles.
 DEFAULT_LATENCY_WINDOW = 10_000
@@ -204,16 +205,14 @@ class ServerMetrics:
         #: placement swaps (CI fails the placement experiment otherwise).
         self.dropped_requests: int = 0
         self.reordered_dispatches: int = 0
-        #: Fault-tolerance counters (the multi-process cluster layer):
-        #: request re-dispatches after a worker failure, batches failed
-        #: over to a surviving replica, per-worker crash / restart
-        #: tallies, heartbeat timeouts that declared a worker dead, and
+        #: Fault-tolerance counters (the cluster layer): request
+        #: re-dispatches after a worker failure, batches failed over to
+        #: a surviving replica, per-worker crash / restart tallies, and
         #: damaged plan-store lines skipped at load.
         self.retries: int = 0
         self.failovers: int = 0
         self.worker_crashes: dict[str, int] = {}
         self.worker_restarts: dict[str, int] = {}
-        self.heartbeat_timeouts: dict[str, int] = {}
         self.store_recovered_lines: int = 0
         #: HTTP/WebSocket gateway counters (:mod:`repro.serve.http`):
         #: connections accepted, HTTP requests served, malformed
@@ -358,7 +357,7 @@ class ServerMetrics:
         self.dropped_requests += count
 
     # ------------------------------------------------------------------
-    # fault tolerance (the multi-process cluster layer)
+    # fault tolerance (the cluster layer)
     # ------------------------------------------------------------------
     def record_failover(self, worker: str, requests: int) -> None:
         """One lost batch re-routed off ``worker``: ``requests`` of its
@@ -368,19 +367,13 @@ class ServerMetrics:
         self.retries += requests
 
     def record_worker_crash(self, worker: str) -> None:
-        """One worker process (or simulated worker) found dead."""
+        """One worker crashed."""
         self.worker_crashes[worker] = self.worker_crashes.get(worker, 0) + 1
 
     def record_worker_restart(self, worker: str) -> None:
-        """One crashed worker respawned by the coordinator."""
+        """One crashed worker restarted."""
         self.worker_restarts[worker] = (
             self.worker_restarts.get(worker, 0) + 1
-        )
-
-    def record_heartbeat_timeout(self, worker: str) -> None:
-        """One worker declared dead by heartbeat timeout (not EOF)."""
-        self.heartbeat_timeouts[worker] = (
-            self.heartbeat_timeouts.get(worker, 0) + 1
         )
 
     def record_store_recovery(self, lines: int) -> None:
@@ -434,10 +427,6 @@ class ServerMetrics:
         return sum(self.worker_restarts.values())
 
     @property
-    def total_heartbeat_timeouts(self) -> int:
-        return sum(self.heartbeat_timeouts.values())
-
-    @property
     def total_rejected(self) -> int:
         return sum(self.rejected.values())
 
@@ -478,7 +467,6 @@ class ServerMetrics:
             "failovers": self.failovers,
             "worker_crashes": self.total_worker_crashes,
             "worker_restarts": self.total_worker_restarts,
-            "heartbeat_timeouts": self.total_heartbeat_timeouts,
             "store_recovered_lines": self.store_recovered_lines,
             "gateway_connections": self.gateway_connections,
             "gateway_http_requests": self.gateway_http_requests,
@@ -619,8 +607,7 @@ class ServerMetrics:
             )
             lines.append(f"replicas        : {gauge}")
         lines.append(
-            f"fault tolerance : {self.total_worker_crashes} crashes "
-            f"({self.total_heartbeat_timeouts} by heartbeat), "
+            f"fault tolerance : {self.total_worker_crashes} crashes, "
             f"{self.total_worker_restarts} restarts, "
             f"{self.failovers} failovers, {self.retries} retries, "
             f"{self.store_recovered_lines} recovered store lines"

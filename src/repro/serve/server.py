@@ -62,14 +62,15 @@ executor, which returns the hop's service time (and, for cluster
 workers, each request's canonical result payload) or raises
 :class:`WorkerCrashed`; the last hop completes the batch through one
 completion path, whatever its hop count.  The base executor is the
-in-process pricing path above; the cluster
-layer (:mod:`repro.serve.cluster`) adds a :class:`FaultPlan
-<repro.serve.cluster.FaultPlan>`-driven simulation and real worker
-subprocesses.  Failover lives in the loop: a crashed worker's batch
-requeues at the head of its model queue and retries elsewhere, at most
-``ClusterPolicy.max_attempts`` dispatches per request, and crashed
-workers restart within ``ClusterPolicy.max_restarts``.  The in-process
-executor never crashes, so a plain server never takes that path.
+in-process pricing path above; the cluster layer
+(:mod:`repro.serve.cluster`) subclasses it to crash, slow down and
+damage the plan store where a :class:`FaultPlan
+<repro.serve.cluster.FaultPlan>` says.  Failover lives in the loop: a
+crashed worker's batch requeues at the head of its model queue and
+retries elsewhere, at most ``ClusterPolicy.max_attempts`` dispatches
+per request, and crashed workers restart within
+``ClusterPolicy.max_restarts``.  The base executor never crashes, so a
+plain server never takes that path.
 """
 
 from __future__ import annotations
@@ -134,13 +135,10 @@ class ClusterError(RuntimeError):
 
 
 class WorkerCrashed(RuntimeError):
-    """A worker died with a batch in flight (retryable).
+    """A worker died with a batch in flight (retryable) at the simulated
+    instant ``at_us``."""
 
-    ``at_us`` is the simulated crash instant when one is scripted;
-    ``None`` means the crash is noticed now on the simulated clock.
-    """
-
-    def __init__(self, message: str, at_us: float | None = None) -> None:
+    def __init__(self, message: str, at_us: float) -> None:
         super().__init__(message)
         self.at_us = at_us
 
@@ -150,18 +148,14 @@ class ClusterPolicy:
     """Fault-tolerance knobs of one server.
 
     ``max_attempts`` bounds dispatches *per request* (first try plus
-    retries); ``max_restarts`` bounds respawns *per worker name* (0: a
-    crashed worker stays down).  The heartbeat settings only matter for
-    subprocess workers -- crash detection of real processes is
-    inherently wall-clock -- and are tuned so an idle worker pongs many
-    times per timeout.
+    retries); ``max_restarts`` bounds restarts *per worker name* (0: a
+    crashed worker stays down), each ``restart_delay_us`` after its
+    crash on the simulated clock.
     """
 
     max_attempts: int = 3
     max_restarts: int = 1
     restart_delay_us: float = 1_000.0
-    heartbeat_interval_s: float = 0.25
-    heartbeat_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -176,8 +170,6 @@ class ClusterPolicy:
             raise ValueError(
                 f"restart_delay_us must be >= 0, got {self.restart_delay_us}"
             )
-        if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat settings must be positive")
 
 
 DEFAULT_INPUT_SHAPE = (3, 224, 224)
@@ -270,9 +262,8 @@ class _Worker:
     for its modeled price on the simulated clock (sleeping
     ``time_scale`` real seconds per microsecond) and never crashes.
     :mod:`repro.serve.cluster` subclasses it with a ``FaultPlan``-driven
-    simulation and with a subprocess over :mod:`repro.serve.ipc`; a
-    cluster rejects shard specs, so those executors only see whole
-    models.
+    simulation; a cluster rejects shard specs, so that executor only
+    sees whole models.
 
     ``generation`` increments at every crash; a worker loop carries the
     generation it was spawned for and exits once it has moved on, so a
@@ -315,16 +306,6 @@ class _Worker:
         # concurrent workers interleave like real executors.
         await asyncio.sleep(service_us * self.server.time_scale)
         return service_us, None
-
-    def restart(self, at_us: float) -> None:
-        """Bring the crashed worker back (under the lock), one restart
-        delay after the crash on the simulated clock."""
-        self.server._revive_locked(
-            self, at_us + self.server.policy.restart_delay_us
-        )
-
-    async def close(self) -> None:
-        """Release whatever backs this worker (at stop)."""
 
 
 @dataclass
@@ -675,8 +656,6 @@ class InferenceServer:
         while self._tasks:
             tasks, self._tasks = self._tasks, []
             await asyncio.gather(*tasks)
-        for worker in self._workers.values():
-            await worker.close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -1413,9 +1392,7 @@ class InferenceServer:
         except WorkerCrashed as exc:
             async with self._cond:
                 self._crash_locked(
-                    worker,
-                    self._sim_now_us if exc.at_us is None else exc.at_us,
-                    generation, job.requests, job.model,
+                    worker, exc.at_us, generation, job.requests, job.model
                 )
             return False
         except Exception as exc:
@@ -1519,11 +1496,12 @@ class InferenceServer:
     ) -> None:
         """Mark ``worker`` dead and fail its lost batch over (under the lock).
 
-        Idempotent against racing detectors (a subprocess's EOF callback
-        vs the loop's in-flight error): only the call matching the
-        worker's live generation marks the crash and schedules the
-        restart; ``lost`` requests are requeued regardless, because only
-        their dispatching loop holds them.
+        Only a call from the loop of the worker's live generation marks
+        the crash and restarts the worker, so a stale loop can never
+        crash a restarted one; ``lost`` requests are requeued regardless,
+        because only their dispatching loop holds them.  A restart brings
+        the worker back ``restart_delay_us`` after the crash, with a
+        fresh loop for its new generation.
         """
         first = worker.alive and worker.generation == generation
         if first:
@@ -1567,24 +1545,20 @@ class InferenceServer:
                     ))
         if first and worker.restarts < self.policy.max_restarts:
             worker.restarts += 1
-            worker.restart(at_us)
+            worker.alive = True
+            worker.sim_free_at_us = at_us + self.policy.restart_delay_us
+            self.metrics.record_worker_restart(worker.name)
+            if self.tracer.enabled:
+                self.tracer.event(
+                    f"restart:{worker.name}", "failover",
+                    worker.sim_free_at_us, lane=worker.name,
+                    worker=worker.name,
+                )
+            self._tasks.append(asyncio.create_task(
+                self._worker_loop(worker, worker.generation),
+                name=f"serve-{worker.name}-r{worker.restarts}",
+            ))
         self._cond.notify_all()
-
-    def _revive_locked(self, worker: _Worker, free_at_us: float) -> None:
-        """Bring a crashed worker back, free from ``free_at_us``, with a
-        fresh loop for its new generation (under the lock)."""
-        worker.alive = True
-        worker.sim_free_at_us = free_at_us
-        self.metrics.record_worker_restart(worker.name)
-        if self.tracer.enabled:
-            self.tracer.event(
-                f"restart:{worker.name}", "failover", free_at_us,
-                lane=worker.name, worker=worker.name,
-            )
-        self._tasks.append(asyncio.create_task(
-            self._worker_loop(worker, worker.generation),
-            name=f"serve-{worker.name}-r{worker.restarts}",
-        ))
 
     def _price_fn(self, hops):
         """Whole-request price: the sum of every hop's plan total."""

@@ -16,7 +16,7 @@ class TestCollectPragmas:
         assert pragmas[1].bad_tokens == ()
 
     def test_reason_after_dashes_is_ignored(self):
-        src = "x()  # repro: allow-wall-clock -- heartbeat is wall time\n"
+        src = "x()  # repro: allow-wall-clock -- soak runs stamp wall time\n"
         pragmas = collect_pragmas(src)
         assert pragmas[1].rules == ("wall-clock",)
         assert pragmas[1].bad_tokens == ()

@@ -386,17 +386,16 @@ def run_trace(
 
 
 # ----------------------------------------------------------------------
-# multi-process cluster (fault-tolerance tests)
+# cluster (fault-tolerance tests)
 # ----------------------------------------------------------------------
 def cluster_specs(
     hot: tuple[str, ...] = CLUSTER_HOT,
     cold: tuple[str, ...] = CLUSTER_COLD,
 ) -> dict[str, ModelSpec]:
-    """The cluster population as *serializable* specs.
+    """The cluster population as :class:`ModelSpec` data.
 
     Same names, seeds, architecture and input geometry as
-    :func:`hot_cold_models`, but as :class:`ModelSpec` data -- the form
-    worker subprocesses can rebuild from, and the only form
+    :func:`hot_cold_models`, but as specs -- the only form
     :class:`ClusterCoordinator` accepts.
     """
     return {
@@ -412,22 +411,19 @@ def make_fault_cluster(
     models: dict[str, ModelSpec] | None = None,
     *,
     num_workers: int = CLUSTER_WORKERS,
-    mode: str = "sim",
     faults: FaultPlan | None = None,
     policy: ClusterPolicy | None = None,
     **kwargs,
 ) -> ClusterCoordinator:
-    """A coordinator over the standard population (sim by default).
+    """A coordinator over the standard population.
 
-    ``mode="process"`` spawns real worker subprocesses -- mark such
-    tests ``slow``.  Restart delay defaults small so scripted crash /
-    restart sequences fit inside short test traces.
+    Restart delay defaults small so scripted crash / restart sequences
+    fit inside short test traces.
     """
     kwargs.setdefault("candidate_batches", CLUSTER_BATCHES)
     return ClusterCoordinator(
         models if models is not None else cluster_specs(),
         num_workers,
-        mode=mode,
         faults=faults,
         policy=(
             policy if policy is not None

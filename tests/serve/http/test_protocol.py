@@ -2,9 +2,9 @@
 
 Pinned scenarios for both codecs; the hypothesis suite
 (``test_protocol_properties.py``) generalizes the roundtrips across
-arbitrary payloads, fragmentation, masking and chunk boundaries.  The
-discipline mirrors ``test_cluster_ipc.py``: torn input is a loud
-:class:`ProtocolError`, clean EOF between messages is not.
+arbitrary payloads, fragmentation, masking and chunk boundaries.  Torn
+input is a loud :class:`ProtocolError`; clean EOF between messages is
+not.
 """
 
 import asyncio

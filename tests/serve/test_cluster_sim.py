@@ -1,8 +1,8 @@
 """Deterministic fault injection against the simulated cluster.
 
-Every failure mode the multi-process coordinator handles -- worker
-crash (idle, pre-dispatch, mid-batch), slow worker, plan-store
-corruption -- is scripted here as a :class:`FaultPlan` at exact
+Every failure mode the cluster coordinator handles -- worker crash
+(idle, pre-dispatch, mid-batch), slow worker, plan-store corruption --
+is scripted here as a :class:`FaultPlan` at exact
 simulated instants, so each scenario replays bit-identically with no
 wall-clock sleeps.  The invariants under *every* schedule:
 
@@ -13,9 +13,8 @@ wall-clock sleeps.  The invariants under *every* schedule:
 * ``reordered_dispatches`` stays zero -- failover requeues at the head,
   so retried work cannot overtake earlier arrivals.
 
-The ``slow``-marked subprocess suite (``test_cluster_subprocess.py``)
-re-asserts the same invariants against real killed processes; this file
-is the exhaustive, fast source of truth.
+The property suite (``test_cluster_properties.py``) asserts the same
+invariants over random schedules; this file pins the named scenarios.
 """
 
 import asyncio
@@ -26,13 +25,15 @@ import pytest
 from repro.nn import APNNBackend, InferenceEngine, resnet18
 from repro.serve import (
     AdmissionPolicy,
+    ClusterCoordinator,
     ClusterError,
     ClusterPolicy,
     FaultEvent,
     FaultPlan,
     ModelSpec,
+    PlacementPolicy,
     PlanCache,
-    PrecisionAutoswitcher,
+    PlanCacheStore,
     poisson_trace,
 )
 from repro.tensorcore import RTX3090
@@ -62,6 +63,10 @@ N = len(TRACE)
 #: finishes near 190 us on the simulated clock).
 MID_BATCH_US = 50.0
 
+#: A restart delay short enough that a restarted worker rejoins while
+#: TRACE still has work queued.
+QUICK_RESTART_US = 5.0
+
 
 @pytest.fixture(scope="module")
 def baseline():
@@ -69,6 +74,23 @@ def baseline():
     run = run_cluster_trace(make_fault_cluster(MODELS, num_workers=2), TRACE)
     run.assert_invariants(N)
     return run
+
+
+def _outcomes(cluster) -> list:
+    """Replay TRACE through ``cluster`` and return each submit's result
+    or exception, in trace order (``run_cluster_trace`` raises on the
+    first failed request instead)."""
+
+    async def run():
+        await cluster.start()
+        outcomes = await asyncio.gather(
+            *(cluster.submit(e.model, arrival_us=e.t_us) for e in TRACE),
+            return_exceptions=True,
+        )
+        await cluster.stop()
+        return outcomes
+
+    return asyncio.run(run())
 
 
 class TestFaultFree:
@@ -87,6 +109,22 @@ class TestFaultFree:
 
     def test_batches_coalesce(self, baseline):
         assert any(r.batch_size > 1 for r in baseline.results)
+
+    def test_start_prewarms_every_candidate_plan_into_the_store(
+        self, baseline, tmp_path
+    ):
+        """``start()`` prewarms by default: no dispatch compiles a cold
+        plan, and the store under ``cache_dir`` holds every (model,
+        candidate batch) plan, so a later run over it replans nothing."""
+        cluster = make_fault_cluster(MODELS, num_workers=2, cache_dir=tmp_path)
+        run = run_cluster_trace(cluster, TRACE)
+        run.assert_invariants(N)
+        assert run.payloads() == baseline.payloads()
+        expected = len(MODELS) * len(cluster.candidate_batches)
+        assert cluster.metrics.prewarmed_plans == expected
+        assert cluster.metrics.cold_dispatches == 0
+        stored = PlanCache(store=PlanCacheStore(tmp_path)).stats()
+        assert stored.persisted_entries == expected
 
 
 class TestMidBatchCrash:
@@ -119,6 +157,129 @@ class TestMidBatchCrash:
 
     def test_failover_never_reorders(self, run):
         assert run.cluster.metrics.reordered_dispatches == 0
+
+
+class TestIdleCrash:
+    """A worker that dies before taking any work loses no batch."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        faults = FaultPlan.of(FaultPlan.crash("worker-0", 0.0))
+        run = run_cluster_trace(
+            make_fault_cluster(
+                MODELS, num_workers=2, faults=faults,
+                policy=ClusterPolicy(max_restarts=0),
+            ),
+            TRACE,
+        )
+        run.assert_invariants(N)
+        return run
+
+    def test_byte_identical_to_fault_free(self, run, baseline):
+        assert run.payloads() == baseline.payloads()
+
+    def test_nothing_is_failed_over(self, run):
+        m = run.cluster.metrics
+        assert m.worker_crashes == {"worker-0": 1}
+        assert m.failovers == 0
+        assert m.retries == 0
+        assert not run.retried()
+
+    def test_dead_worker_serves_nothing(self, run):
+        assert run.cluster.alive_workers() == ("worker-1",)
+        assert {r.worker for r in run.results} == {"worker-1"}
+
+
+class TestPostTraceCrash:
+    def test_crash_after_the_last_dispatch_never_fires(self, baseline):
+        """A scripted instant the simulated clock never reaches is a
+        no-op: no crash is counted and no worker goes down."""
+        faults = FaultPlan.of(FaultPlan.crash("worker-0", 10_000.0))
+        run = run_cluster_trace(
+            make_fault_cluster(MODELS, num_workers=2, faults=faults), TRACE
+        )
+        run.assert_invariants(N)
+        assert run.payloads() == baseline.payloads()
+        assert run.cluster.metrics.total_worker_crashes == 0
+        assert run.cluster.alive_workers() == ("worker-0", "worker-1")
+
+
+class TestRestart:
+    """A crashed worker comes back ``restart_delay_us`` later and serves
+    again."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        tracer = RecordingTracer()
+        faults = FaultPlan.of(FaultPlan.crash("worker-0", MID_BATCH_US))
+        run = run_cluster_trace(
+            make_fault_cluster(
+                MODELS, num_workers=2, faults=faults, tracer=tracer,
+                policy=ClusterPolicy(restart_delay_us=QUICK_RESTART_US),
+            ),
+            TRACE,
+        )
+        run.assert_invariants(N)
+        return run, tracer
+
+    def test_restart_lands_restart_delay_after_the_crash(self, traced):
+        _, tracer = traced
+        at = {e.name: e.start_us for e in tracer.events_in("failover")}
+        assert at["crash:worker-0"] == MID_BATCH_US
+        assert at["restart:worker-0"] == MID_BATCH_US + QUICK_RESTART_US
+
+    def test_restarted_worker_serves_again(self, traced):
+        run, _ = traced
+        assert run.cluster.alive_workers() == ("worker-0", "worker-1")
+        assert any(
+            r.worker == "worker-0"
+            and r.start_us >= MID_BATCH_US + QUICK_RESTART_US
+            for r in run.results
+        )
+
+    def test_byte_identical_to_fault_free(self, traced, baseline):
+        run, _ = traced
+        assert run.payloads() == baseline.payloads()
+
+
+class TestRestartBudget:
+    """``max_restarts`` is per worker: a crash past it keeps the worker
+    down, and the survivor serves the rest."""
+
+    SECOND_CRASH_US = 60.0
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        faults = FaultPlan.of(
+            FaultPlan.crash("worker-0", 30.0),
+            FaultPlan.crash("worker-0", self.SECOND_CRASH_US),
+        )
+        run = run_cluster_trace(
+            make_fault_cluster(
+                MODELS, num_workers=2, faults=faults,
+                policy=ClusterPolicy(
+                    max_restarts=1, restart_delay_us=QUICK_RESTART_US
+                ),
+            ),
+            TRACE,
+        )
+        run.assert_invariants(N)
+        return run
+
+    def test_only_the_first_crash_is_restarted(self, run):
+        m = run.cluster.metrics
+        assert m.worker_crashes == {"worker-0": 2}
+        assert m.worker_restarts == {"worker-0": 1}
+
+    def test_worker_stays_down_once_the_budget_is_spent(self, run):
+        assert run.cluster.alive_workers() == ("worker-1",)
+        assert all(
+            r.worker == "worker-1"
+            for r in run.results if r.start_us >= self.SECOND_CRASH_US
+        )
+
+    def test_byte_identical_to_fault_free(self, run, baseline):
+        assert run.payloads() == baseline.payloads()
 
 
 class TestCrashWithoutRestart:
@@ -203,6 +364,39 @@ class TestRetryBudget:
         m = run.cluster.metrics
         assert m.total_worker_crashes >= 2
         assert max(r.attempts for r in run.results) <= 4
+
+    @pytest.fixture(scope="class")
+    def exhausted(self):
+        """One dispatch per request: a batch lost mid-flight has no
+        retry left."""
+        faults = FaultPlan.of(FaultPlan.crash("worker-0", MID_BATCH_US))
+        cluster = make_fault_cluster(
+            MODELS, num_workers=2, faults=faults,
+            policy=ClusterPolicy(max_attempts=1),
+        )
+        return cluster, _outcomes(cluster)
+
+    def test_exhausted_requests_fail_loudly_and_count_dropped(
+        self, exhausted
+    ):
+        cluster, outcomes = exhausted
+        errors = [o for o in outcomes if isinstance(o, ClusterError)]
+        assert errors, "the lost batch must fail, not hang or vanish"
+        assert all("max_attempts=1" in str(e) for e in errors)
+        assert cluster.metrics.dropped_requests == len(errors)
+        assert cluster.metrics.failovers == 0
+        assert cluster.metrics.retries == 0
+
+    def test_everything_else_completes_byte_identically(
+        self, exhausted, baseline
+    ):
+        cluster, outcomes = exhausted
+        served = [o for o in outcomes if not isinstance(o, BaseException)]
+        errors = [o for o in outcomes if isinstance(o, BaseException)]
+        assert len(served) + len(errors) == N
+        assert all(r.attempts == 1 for r in served)
+        assert {r.payload for r in served} < set(baseline.payloads())
+        assert cluster.metrics.reordered_dispatches == 0
 
 
 class TestSlowWorker:
@@ -433,13 +627,6 @@ class TestSchedulingPolicies:
 
 
 class TestValidation:
-    def test_fault_plan_rejected_in_process_mode(self):
-        with pytest.raises(ValueError, match="simulated"):
-            make_fault_cluster(
-                MODELS, mode="process",
-                faults=FaultPlan.of(FaultPlan.crash("worker-0", 1.0)),
-            )
-
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ValueError):
             FaultEvent(kind="meteor", at_us=0.0)
@@ -448,9 +635,76 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultEvent(kind="crash", at_us=0.0, worker=None)
 
-    def test_autoswitch_rejected_in_process_mode(self):
-        with pytest.raises(ValueError, match="autoswitch"):
-            make_fault_cluster(
-                MODELS, mode="process",
-                autoswitch=PrecisionAutoswitcher.from_spec({8: "w1a1"}),
+    def test_slow_needs_a_worker(self):
+        with pytest.raises(ValueError, match="needs a worker"):
+            FaultEvent(kind="slow", at_us=0.0, factor=2.0)
+
+    def test_store_damage_needs_no_worker(self):
+        plan = FaultPlan.of(
+            FaultPlan.corrupt_store(80.0), FaultPlan.corrupt_store(30.0)
+        )
+        assert plan.corruption_times() == (30.0, 80.0)
+
+    @pytest.mark.parametrize("kind", ["crash", "slow", "corrupt_store"])
+    def test_negative_instant_rejected(self, kind):
+        with pytest.raises(ValueError, match="at_us"):
+            FaultEvent(kind=kind, at_us=-1.0, worker="worker-0")
+
+    def test_slow_factor_below_one_rejected(self):
+        with pytest.raises(ValueError, match="slow factor"):
+            FaultPlan.slow("worker-0", 0.0, factor=0.5)
+
+    def test_crash_times_are_per_worker_and_sorted(self):
+        plan = FaultPlan.of(
+            FaultPlan.crash("worker-1", 90.0),
+            FaultPlan.crash("worker-0", 60.0),
+            FaultPlan.crash("worker-1", 30.0),
+        )
+        assert plan.crash_times("worker-1") == (30.0, 90.0)
+        assert plan.crash_times("worker-0") == (60.0,)
+        assert plan.crash_times("worker-2") == ()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_attempts", 0), ("max_restarts", -1),
+         ("restart_delay_us", -1.0)],
+    )
+    def test_cluster_policy_bounds(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClusterPolicy(**{field: value})
+
+    def test_unknown_model_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            ModelSpec(kind="vgg16", name="v")
+
+    def test_input_shape_must_be_chw(self):
+        with pytest.raises(ValueError, match="input_shape"):
+            ModelSpec(kind="micro", name="m", input_shape=(16, 16))
+
+
+class TestCoordinatorValidation:
+    def test_needs_a_model(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            ClusterCoordinator({})
+
+    def test_needs_a_worker(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            ClusterCoordinator(MODELS, num_workers=0)
+
+    def test_models_must_be_specs(self):
+        spec = next(iter(MODELS.values()))
+        with pytest.raises(TypeError, match="ModelSpec"):
+            ClusterCoordinator({spec.name: spec.build()})
+
+    def test_sharded_placement_rejected(self):
+        name = next(iter(MODELS))
+        with pytest.raises(ValueError, match="pipeline-sharded"):
+            ClusterCoordinator(
+                MODELS, placement=PlacementPolicy(shard=((name, 2),))
             )
+
+    def test_execution_mode_is_not_an_option(self):
+        """The cluster has one executor and no option to pick one: a
+        ``mode`` keyword is an error, never silently ignored."""
+        with pytest.raises(TypeError, match="mode"):
+            ClusterCoordinator(MODELS, mode="sim")

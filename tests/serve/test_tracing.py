@@ -20,6 +20,7 @@ import pytest
 
 from repro.serve import (
     AdmissionPolicy,
+    FaultPlan,
     PlacementPolicy,
     ServedModel,
     burst_trace,
@@ -67,13 +68,31 @@ def _result_key(r):
     )
 
 
-#: Deployments the no-op contract must hold on: (factory, trace).
+#: Deployments the no-op contract must hold on: (factory, trace,
+#: worker crashes the run must see).  The faulted cluster crashes a
+#: worker mid-batch, so the traced crash / failover / restart branches
+#: are held to the contract too.
 _CLUSTER_MODELS = dict(list(cluster_specs().items())[:3])
+
+
+def _cluster_trace():
+    return poisson_trace(200_000, 60, list(_CLUSTER_MODELS), seed=3)
+
+
 DEPLOYMENTS = {
-    "server": (make_server, _trace),
+    "server": (make_server, _trace, 0),
     "cluster": (
         lambda **kw: make_fault_cluster(_CLUSTER_MODELS, num_workers=2, **kw),
-        lambda: poisson_trace(200_000, 60, list(_CLUSTER_MODELS), seed=3),
+        _cluster_trace,
+        0,
+    ),
+    "cluster-faulted": (
+        lambda **kw: make_fault_cluster(
+            _CLUSTER_MODELS, num_workers=2,
+            faults=FaultPlan.of(FaultPlan.crash("worker-0", 50.0)), **kw,
+        ),
+        _cluster_trace,
+        1,
     ),
 }
 
@@ -85,7 +104,7 @@ DEPLOYMENTS = {
 def test_tracing_on_off_byte_identical_results_and_metrics(deployment):
     from repro.kernels.autotune import clear_cache
 
-    make, trace = DEPLOYMENTS[deployment]
+    make, trace, crashes = DEPLOYMENTS[deployment]
     # the autotune memo is process-global, so its hit counters depend on
     # every run before this one; level the field so the snapshots below
     # compare tracing on/off rather than cache history
@@ -98,6 +117,7 @@ def test_tracing_on_off_byte_identical_results_and_metrics(deployment):
     traced = run_trace(make(tracer=tracer), trace(), prewarm=True)
 
     assert len(tracer) > 0  # the traced run really recorded spans
+    assert traced.server.metrics.total_worker_crashes == crashes
     base_keys = [_result_key(r) for r in baseline.results]
     assert [_result_key(r) for r in explicit_off.results] == base_keys
     assert [_result_key(r) for r in traced.results] == base_keys
