@@ -30,8 +30,8 @@ route the host cost model (:class:`repro.core.packed.HostProduct`)
 prices lowest -- the compiled popcount GEMM or the BLAS fold.  With
 cffi, every conv kernel additionally times the full conv entry point on
 ``backend="numpy"`` (im2col + fold) against ``backend="cffi"`` (the
-packed window gather or an im2col popcount GEMM where the model prefers
-it, else the same fold).
+packed window gather or, on an AVX-512 VNNI build, the int8 conv where
+the model prefers it, else the same fold).
 The gate then also requires byte-identity between the two and, above
 the smoke tier, a compiled geometric mean no slower than numpy.  Runs
 without cffi simply omit the comparison; the gate skips those checks.
@@ -271,9 +271,10 @@ def conv_suite(tier: str = "fast") -> list[ConvSpec]:
         ConvSpec("w1a2", batch=4, cin=64, cout=64, hw=28),
         ConvSpec("w2a2", batch=4, cin=64, cout=128, hw=14),
         # ResNet-18-shaped w2a4 convs on each side of the host cost
-        # model's decision: on the AVX-512 micro-kernel the 3x3 stride-1
-        # conv takes the gather, and the 1x1 stride-2 conv, whose windows
-        # read one pixel in four, stays on im2col + fold
+        # model's decision: on the AVX-512 micro-kernel without VNNI the
+        # 3x3 stride-1 conv takes the gather, and the 1x1 stride-2 conv,
+        # whose windows read one pixel in four, stays on im2col + fold;
+        # with VNNI both take the int8 path, and so does the w2a2 row
         ConvSpec("w2a4", batch=2, cin=64, cout=64, hw=28),
         ConvSpec("w2a4", batch=4, cin=64, cout=128, hw=28,
                  kernel=1, stride=2, padding=0),

@@ -1,35 +1,52 @@
-"""Fit the host cost model's rates: ``python -m repro.bench.hostfit``.
+"""Fit the host cost model's rates: ``taskset -c 0 python -m repro.bench.hostfit``.
 
-:class:`repro.core.packed.HostProduct` prices the fold, the popcount GEMM
-and the conv gather as counted work divided by the rates of
-:data:`repro.core.packed.HOST_RATES`.  This command measures those rates
-the way Markidis et al. characterize a unit: it times each primitive the
-paths are made of in one process -- the fold (cast, BLAS GEMM, int64
-output pass), ``im2col``, the ``np.packbits`` packer, the window gather
-and the popcount GEMM on both of its compiled branches -- over the
-README's crossover shapes and every AlexNet-w1a2 and ResNet-18-w2a4
-layer of the perfbench forwards, and fits one rate per primitive.
+:class:`repro.core.packed.HostProduct` prices the fold, the popcount
+GEMM, the conv gather and the int8 conv as counted work divided by the
+rates of :data:`repro.core.packed.HOST_RATES`.  This command measures
+those rates the way Markidis et al. characterize a unit: it times each
+primitive the paths are made of in one process -- the fold (cast, BLAS
+GEMM, int64 output pass), ``im2col``, the ``np.packbits`` packer, the
+window gather, the popcount GEMM on both of its compiled branches, and
+the int8 path's weight decode, panel writer and AVX-512 VNNI GEMM --
+over the README's crossover shapes, every AlexNet-w1a2 and
+ResNet-18-w2a4 layer of the perfbench forwards and a sweep of
+precision pairs over their conv shapes, and fits one rate per
+primitive.
+
+Run it on one CPU, as the command line above does.  Every path splits
+its work alike across the usable CPUs (:mod:`repro.core.cores`), so the
+rates are per-core work: that is what the paths are compared on, and
+what :data:`repro.core.cores.MIN_PART_US` divides.
 
 Branch 1, the AVX-512 micro-kernel, is the host build where the CPU has
 AVX-512 VPOPCNTDQ; branch 0, the scalar loop nest, is the same C source
 built for x86-64-v3 (:func:`repro.core._backend_cffi.loop_nest_build`)
-and swapped in for its timings.  A branch this host cannot run keeps
+and swapped in for its timings.  The int8 kernels run only in a build
+for AVX-512 VNNI, so they are timed on the host build and priced
+alike on either branch.  A branch or kernel this host cannot run keeps
 its committed rates.
 
 It prints, as markdown:
 
 * the fitted ``HOST_RATES`` literal, to paste into ``core/packed.py``;
 * the README crossover tables on both branches -- measured fold time
-  over popcount time, bold where the fitted model takes the popcount
-  side -- and how many cells the model and the swept-bits rule it
-  replaced (``p*q*64*words <= 2*K``) put on the faster side;
-* every benchmark layer's measured path times, the route the model
-  takes on each branch and its measured over modeled time.
+  over popcount (GEMM) or gather (conv) time, bold where the fitted
+  model takes the compiled side -- and how many cells the model and the
+  swept-bits rule it replaced (``p*q*64*words <= 2*K``) put on the
+  faster side;
+* emulation against native int8: the gather's speedup over the int8
+  path per precision pair and conv shape, the CPU analogue of the
+  paper's Figs. 5-8;
+* every benchmark layer's measured path times, and per build (branch,
+  with or without VNNI) the route the model takes, its measured over
+  modeled time and its measured time over the fastest measured path.
 
 Every timing is the median of seven rounds that each run all of one
 shape's calls, in alternating order, on ``uint8`` digits (bipolar
-weights, unsigned features, as the forwards quantize them).  The run
-takes a few minutes on 2 vCPUs and builds into a temporary directory.
+weights, unsigned features, as the forwards quantize them) and on
+weights that are not prepared, so each call does its weight work as the
+model prices it.  The run takes about a minute on one core of a 2-vCPU
+VM and builds into a temporary directory.
 """
 
 from __future__ import annotations
@@ -54,13 +71,23 @@ from ..core.packed import (
     HostRates,
     _pack_planes,
     _popcount_matmul,
+    _vnni_gemm_work,
+    _vnni_panel_work,
     matmul_path,
 )
 from ..core.types import Encoding, Precision
 from ..kernels.layout import conv_weight_matrix, im2col
-from ..kernels.packed_conv import packed_conv_matmul
+from ..kernels.packed_conv import (
+    _channel_last,
+    _vnni_weights,
+    packed_conv_matmul,
+    vnni_conv_matmul,
+)
 
-__all__ = ["ALEXNET", "RESNET18", "GemmShape", "ConvShape", "fit", "main"]
+__all__ = [
+    "ALEXNET", "NATIVE_CONVS", "RESNET18", "GemmShape", "ConvShape", "fit",
+    "main",
+]
 
 #: Rounds each shape's timings take the median of.
 ROUNDS = 7
@@ -151,6 +178,19 @@ RESNET18 = [
     GemmShape("fc", "w2a4", 1000, 4, 512),
 ]
 
+#: Emulation against native int8: each pair over the 3x3 stride-1 conv
+#: shapes of ResNet-18 and AlexNet's conv3.  A cell that is a benchmark
+#: layer is that layer, measured once.
+NATIVE_PAIRS = ("w1a1", "w1a2", "w2a2", "w1a4", "w2a4", "w4a4", "w2a8")
+NATIVE_SHAPES = [
+    shape for shape in RESNET18
+    if isinstance(shape, ConvShape) and shape.kernel == 3 and shape.stride == 1
+] + [ALEXNET[2]]
+NATIVE_CONVS = [
+    dataclasses.replace(shape, pair=pair)
+    for shape in NATIVE_SHAPES for pair in NATIVE_PAIRS
+]
+
 #: Shapes whose fold is timed with a wider accumulator forced, for the
 #: float64 and int64 multiply-add rates.
 WIDE_FOLDS = [GemmShape("wide", "w2a4", 256, 256, 2048),
@@ -169,6 +209,9 @@ class Samples:
     kernel: dict[int, list[tuple[tuple[float, ...], float]]] = field(
         default_factory=dict
     )
+    vnni_weights: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
+    panels: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
+    vnni: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
     #: measured whole-path µs: (shape, branch) -> path -> µs
     paths: dict[tuple[Any, int], dict[str, float]] = field(default_factory=dict)
 
@@ -260,7 +303,8 @@ def measure_gemm(s: Samples, shape: GemmShape, builds: dict[int, Any]) -> None:
         s.paths[shape, b] = {"fold": t["fold"], "popcount": t[f"popcount {b}"]}
 
 
-def measure_conv(s: Samples, shape: ConvShape, builds: dict[int, Any]) -> None:
+def measure_conv(s: Samples, shape: ConvShape, builds: dict[int, Any],
+                 vnni: bool) -> None:
     wp, xp = _precisions(shape.pair)
     p, q = wp.bits, xp.bits
     rng = np.random.default_rng(0)
@@ -269,10 +313,9 @@ def measure_conv(s: Samples, shape: ConvShape, builds: dict[int, Any]) -> None:
     w = _digits(rng, wp, (shape.cout, cin, kernel, kernel))
     x = _digits(rng, xp, (shape.batch, cin, side, side))
     product = shape.product()
-    # the im2col paths' operands, and the gather's as packed_conv_matmul
-    # builds them
+    # the fold's operands, and the gather's as packed_conv_matmul builds
+    # them
     w_flat, cols = conv_weight_matrix(w), im2col(x, kernel, stride)
-    w_words, x_words = _pack_planes(w_flat, p), _pack_planes(cols, q)
     cwords = packed_words(cin)
     x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, cin)
     w_rows = w_flat.reshape(-1, cin)
@@ -286,8 +329,6 @@ def measure_conv(s: Samples, shape: ConvShape, builds: dict[int, Any]) -> None:
         "im2col": lambda: im2col(x, kernel, stride),
         "fold gemm": lambda: matmul_path("fold", w_flat, cols, wp, xp,
                                          backend="numpy"),
-        "pack w": lambda: _pack_planes(w_flat, p),
-        "pack cols": lambda: _pack_planes(cols, q),
         "pack map": lambda: _pack_planes(x_cl, q),
         "pack w rows": lambda: _pack_planes(w_rows, p),
         "gather": lambda: gather(map_words, kernel, kernel, stride),
@@ -296,36 +337,46 @@ def measure_conv(s: Samples, shape: ConvShape, builds: dict[int, Any]) -> None:
             backend="numpy"),
     }
     for b, build in builds.items():
-        calls[f"kernel {b}"] = _on(build, lambda: _popcount_matmul(
-            w_words, x_words, wp, xp, product.k, backend="cffi"))
         calls[f"gather kernel {b}"] = _on(build, lambda: _popcount_matmul(
             w_gather, gathered, wp, xp, product.k, backend="cffi"))
-        calls[f"popcount {b}"] = _on(build, lambda: matmul_path(
-            "popcount", conv_weight_matrix(w), im2col(x, kernel, stride),
-            wp, xp, backend="cffi"))
         calls[f"gather path {b}"] = _on(build, lambda: packed_conv_matmul(
             w, x, wp, xp, stride=stride, backend="cffi"))
+    vnni = vnni and product.int8_exact()
+    if vnni:
+        # the int8 kernels, on the host build
+        x_u8 = _channel_last(x, np.uint8)
+        w_panels = _vnni_weights(w, wp)
+        panels = _backend_cffi._vnni_panels(x_u8, kernel, stride)
+        calls.update({
+            "vnni weights": lambda: _vnni_weights(w, wp),
+            "panels": lambda: _backend_cffi._vnni_panels(x_u8, kernel, stride),
+            "vnni gemm": lambda: _backend_cffi._vnni_gemm(
+                w_panels, panels, product.m, product.n),
+            "vnni path": lambda: vnni_conv_matmul(
+                w, x, wp, xp, stride=stride, backend="cffi"),
+        })
     t = _medians_us(calls)
     s.im2col.append(((x.size, x.size // cin, cols.size), t["im2col"]))
     s.fold.append((_fold_work(w_flat, cols), t["fold gemm"]))
     s.pack += [
-        (_pack_work(w_flat, p), t["pack w"]),
-        (_pack_work(cols, q), t["pack cols"]),
         (_pack_work(x_cl, q), t["pack map"]),
         (_pack_work(w_rows, p), t["pack w rows"]),
     ]
     s.gather.append(((gathered.size, gathered.shape[0] * kernel),
                      t["gather"]))
+    if vnni:
+        s.vnni_weights.append(((product.m * product.k,), t["vnni weights"]))
+        s.panels.append((_vnni_panel_work(product.n, product.k, kernel),
+                         t["panels"]))
+        s.vnni.append((_vnni_gemm_work(product.m, product.n, product.k),
+                       t["vnni gemm"]))
     for b in builds:
-        s.kernel.setdefault(b, []).extend([
-            (_kernel_work(product, b, packed_words(product.k)), t[f"kernel {b}"]),
+        s.kernel.setdefault(b, []).append(
             (_kernel_work(product, b, kernel * kernel * cwords),
-             t[f"gather kernel {b}"]),
-        ])
-        s.paths[shape, b] = {
-            "fold": t["fold"], "popcount": t[f"popcount {b}"],
-            "gather": t[f"gather path {b}"],
-        }
+             t[f"gather kernel {b}"]))
+        s.paths[shape, b] = {"fold": t["fold"], "gather": t[f"gather path {b}"]}
+        if vnni:
+            s.paths[shape, b]["vnni"] = t["vnni path"]
 
 
 def measure_wide(s: Samples) -> None:
@@ -384,7 +435,8 @@ def _ratios(samples, coef: Sequence[float]) -> list[float]:
 def fit(s: Samples, base: HostRates = HOST_RATES
         ) -> tuple[HostRates, dict[str, list[float]]]:
     """Rates fitted to ``s``, and each primitive's measured / fitted
-    times; a branch without samples keeps ``base``'s rates."""
+    times; a branch or the int8 kernels without samples keep ``base``'s
+    rates."""
     quality: dict[str, list[float]] = {}
 
     def fitted(name: str, samples) -> list[float]:
@@ -411,7 +463,8 @@ def fit(s: Samples, base: HostRates = HOST_RATES
     layout, layout_pixel, windows = fitted("im2col", s.im2col)
     pack, pack_row, pack_ragged, pack_pass = fitted("pack", s.pack)
     gather, gather_run = fitted("gather", s.gather)
-    rates = HostRates(
+    rates = dataclasses.replace(
+        base,
         fold_macs=fold_macs,
         fold_operands=_rate(operands),
         fold_outputs=_rate(outputs),
@@ -427,6 +480,18 @@ def fit(s: Samples, base: HostRates = HOST_RATES
         popcount_words=(words[0], words[1]),
         popcount_pair_words=(pair_words[0], pair_words[1]),
     )
+    if s.vnni:
+        (weights,) = fitted("vnni weights", s.vnni_weights)
+        panel, panel_run = fitted("panel writer", s.panels)
+        quads, output = fitted("VNNI GEMM", s.vnni)
+        rates = dataclasses.replace(
+            rates,
+            vnni_weight_digits=_rate(weights),
+            panel_bytes=_rate(panel),
+            panel_run_bytes=panel_run / panel,
+            vnni_quads=_rate(quads),
+            vnni_output_quads=output / quads,
+        )
     return rates, quality
 
 
@@ -485,7 +550,7 @@ def _crossover(s: Samples, rates: HostRates, branch: int, shape,
 def readme_tables(s: Samples, rates: HostRates,
                   branches: Sequence[int]) -> list[str]:
     """The crossover tables, and how many cells each rule gets right."""
-    head = " | ".join(f"{BRANCH_NAMES[b]} N = 8 | 64 | 256 | 1024"
+    head = " | ".join(f"{BRANCH_NAMES[b]} N = " + " | ".join(map(str, README_GEMM_N))
                       for b in branches)
     lines = [f"| GEMM, M = K = 2048 | {head} |",
              "|---|" + "---|" * len(README_GEMM_N) * len(branches)]
@@ -530,26 +595,80 @@ def readme_tables(s: Samples, rates: HostRates,
     return lines + [""] + [f"- {t}" for t in tallies]
 
 
-def layer_table(s: Samples, rates: HostRates, branches: Sequence[int],
+def configs(branches: Sequence[int], vnni: bool) -> list[tuple[int, bool]]:
+    """The builds the model routes for: each branch, with and without
+    the int8 kernels where this host has them."""
+    return [(b, v) for b in branches for v in ((True, False) if vnni else (False,))]
+
+
+def config_name(config: tuple[int, bool]) -> str:
+    branch, vnni = config
+    return BRANCH_NAMES[branch] + (" + VNNI" if vnni else "")
+
+
+def route(product: HostProduct, config: tuple[int, bool],
+          rates: HostRates) -> str:
+    """The model's route for ``product`` on ``config`` under ``rates``."""
+    branch, vnni = config
+    return min(product.paths(branch, vnni),
+               key=lambda path: product.host_us(path, branch, rates))
+
+
+def layer_table(s: Samples, rates: HostRates, builds: Sequence[tuple[int, bool]],
                 network: str, shapes: Sequence[GemmShape | ConvShape]) -> list[str]:
-    """Per layer: measured ms per path, the model's route, measured/modeled."""
-    lines = [f"| {network} | " + " | ".join(
-        f"{BRANCH_NAMES[b]}: fold ms | popcount ms | gather ms | route "
-        "| measured / modeled" for b in branches) + " |",
-        "|---|" + "---|" * 5 * len(branches)]
+    """Per layer: measured ms per path, and per build the model's route
+    with its measured / modeled time and its measured time over the
+    fastest measured path the build can run."""
+    branches = sorted({b for b, _ in builds}, reverse=True)
+    lines = [f"| {network} | fold ms | "
+             + " | ".join(f"popcount or gather ms, {BRANCH_NAMES[b]}"
+                          for b in branches)
+             + " | vnni ms | "
+             + " | ".join(f"{config_name(c)}: route, measured / modeled, "
+                          "over fastest" for c in builds) + " |",
+             "|---|" + "---|" * (2 + len(branches) + len(builds))]
     for shape in shapes:
         product = shape.product()
-        cells = []
-        for b in branches:
-            t = s.paths[shape, b]
-            route = min(product.paths(b),
-                        key=lambda path: product.host_us(path, b, rates))
-            ratio = t[route] / product.host_us(route, b, rates)
-            cells += [f"{t['fold'] / 1e3:.2f}", f"{t['popcount'] / 1e3:.2f}",
-                      f"{t['gather'] / 1e3:.2f}" if "gather" in t else "—",
-                      route, f"{ratio:.2f}"]
+        other = "gather" if isinstance(shape, ConvShape) else "popcount"
+        cells = [f"{s.paths[shape, branches[0]]['fold'] / 1e3:.2f}"]
+        cells += [f"{s.paths[shape, b][other] / 1e3:.2f}" for b in branches]
+        vnni_us = s.paths[shape, branches[0]].get("vnni")
+        cells.append("—" if vnni_us is None else f"{vnni_us / 1e3:.2f}")
+        for config in builds:
+            t = s.paths[shape, config[0]]
+            taken = route(product, config, rates)
+            fastest = min(t[path] for path in product.paths(*config))
+            cells.append(
+                f"{taken} {t[taken] / product.host_us(taken, config[0], rates):.2f}"
+                f" / {t[taken] / fastest:.2f}")
         lines.append(f"| {shape.name} | " + " | ".join(cells) + " |")
     return lines
+
+
+def native_table(s: Samples, rates: HostRates, branch: int) -> list[str]:
+    """Emulation against native int8 on ``branch`` with VNNI: the
+    gather's speedup over the int8 path (vnni time over gather time) per
+    pair and shape, bold where the model takes the gather."""
+    lines = ["| conv shape, batch | " + " | ".join(
+        f"{pair} (p·q {_bits(pair)[0] * _bits(pair)[1]})"
+        for pair in NATIVE_PAIRS) + " |",
+        "|---|" + "---|" * len(NATIVE_PAIRS)]
+    hits = 0
+    for base in NATIVE_SHAPES:
+        cells = []
+        for pair in NATIVE_PAIRS:
+            shape = dataclasses.replace(base, pair=pair)
+            t = s.paths[shape, branch]
+            speedup = t["vnni"] / t["gather"]
+            taken = route(shape.product(), (branch, True), rates)
+            cells.append(f"**{speedup:.2f}**" if taken == "gather"
+                         else f"{speedup:.2f}")
+            hits += (taken == "gather") == (speedup > 1)
+        lines.append(f"| {base.name} @{base.hw}, b{base.batch} | "
+                     + " | ".join(cells) + " |")
+    return lines + ["", f"- {BRANCH_NAMES[branch]} + VNNI: the model takes "
+                    f"the faster of the two in {hits} of {len(NATIVE_CONVS)} "
+                    "cells"]
 
 
 def builds(directory: Path) -> dict[int, Any]:
@@ -569,15 +688,22 @@ def main() -> int:
     if not backends.get_backend().compiled:
         print("hostfit needs the cffi kernels", file=sys.stderr)
         return 2
+    vnni = _backend_cffi.vnni_build()
+    if not vnni:
+        print("no AVX-512 VNNI build: the int8 rates keep their committed "
+              "values", file=sys.stderr)
     samples = Samples()
+    convs = README_CONVS + [s for s in ALEXNET + RESNET18
+                            if isinstance(s, ConvShape)]
+    if vnni:
+        convs += [s for s in NATIVE_CONVS if s not in convs]
     with tempfile.TemporaryDirectory() as tmp:
         loaded = builds(Path(tmp))
         for gemm in README_GEMMS + [s for s in ALEXNET + RESNET18
                                     if isinstance(s, GemmShape)]:
             measure_gemm(samples, gemm, loaded)
-        for conv in README_CONVS + [s for s in ALEXNET + RESNET18
-                                    if isinstance(s, ConvShape)]:
-            measure_conv(samples, conv, loaded)
+        for conv in convs:
+            measure_conv(samples, conv, loaded, vnni)
         measure_wide(samples)
     rates, quality = fit(samples)
     branches = list(loaded)
@@ -587,10 +713,14 @@ def main() -> int:
     print("\n".join(quality_table(quality)))
     print("\n## README crossover cells\n")
     print("\n".join(readme_tables(samples, rates, branches)))
+    if vnni:
+        print("\n## Emulation against native int8: gather speedup over vnni\n")
+        print("\n".join(native_table(samples, rates, branches[0])))
     for network, shapes in (("AlexNet-w1a2", ALEXNET),
                             ("ResNet-18-w2a4", RESNET18)):
         print(f"\n## {network} layers\n")
-        print("\n".join(layer_table(samples, rates, branches, network, shapes)))
+        print("\n".join(layer_table(samples, rates, configs(branches, vnni),
+                                     network, shapes)))
     return 0
 
 

@@ -1,11 +1,12 @@
 """cffi kernel backend: the packed hot loops as C.
 
-Two functions mirror the numpy packed path exactly (bit for bit); their
-callers are the popcount GEMM of :mod:`repro.core.packed` (``apmm`` and
-the im2col conv, where the host cost model,
+Every kernel mirrors the numpy packed path exactly (bit for bit).  Two
+serve the popcount emulation: the popcount GEMM of
+:mod:`repro.core.packed` (``apmm``, where the host cost model,
 :class:`repro.core.packed.HostProduct`, prices it below the fold) and
-the packed conv gather (:mod:`repro.kernels.packed_conv`).  Operands arrive already packed, by
-``np.packbits`` in :mod:`repro.core.packed`:
+the packed conv gather (:mod:`repro.kernels.packed_conv`).  Their
+operands arrive already packed, by ``np.packbits`` in
+:mod:`repro.core.packed`:
 
 * ``repro_packed_gemm`` -- the *fused weighted* popcount-reduce GEMM
   with the operator plan's affine correction (the paper's APMM, §4.1):
@@ -34,6 +35,29 @@ read-modify-write pass over the output per plane pair, followed by one
 correction pass; a portable 16-lane tile was slower than that loop on an
 AVX2 target.
 
+Two more are the native int8 conv, the host's counterpart of the
+CUTLASS int8 kernels the paper measures its emulation against
+(:func:`repro.kernels.packed_conv.vnni_conv_matmul`):
+
+* ``repro_vnni_panels`` -- copies the im2col windows of a channel-last
+  u8 map straight into 32-pixel k-quad panels (each panel's 32 windows
+  gathered as ``kernel`` runs of ``kernel * C_in`` bytes into a scratch
+  block, then written one k-quad row of 128 bytes at a time);
+* ``repro_vnni_gemm`` -- an 8x32 register-tiled GEMM: each k-quad
+  broadcasts four s8 weights of each of 8 rows and multiplies them with
+  ``_mm512_dpbusd_epi32`` against two 16-pixel halves of a panel, which
+  adds four u8 x s8 products into each int32 lane without saturating.
+  Each tile's 16 accumulators are widened to int64 and stored once.
+  Every partial sum is exact because the caller admits only products
+  whose :func:`repro.core.packed.fold_exactness_bound` is below
+  ``2**31``.
+
+They exist only where the compiler targets AVX-512F, BW and VNNI
+(``repro_vnni_build()`` reports 1; elsewhere both return 2 and
+:func:`vnni_build` is False), independently of the popcount branch: a
+CPU can have VNNI without VPOPCNTDQ.  Both split in whole panels or
+tiles through :func:`repro.core.cores.split`.
+
 The shared object is compiled once per C-source hash and host CPU
 feature set, and cached under ``REPRO_CFFI_CACHE`` (default
 ``~/.cache/repro/cffi``), so only the first process on a machine pays
@@ -41,7 +65,7 @@ the ~seconds of gcc; everyone after does a dlopen.  The CPU features are
 part of the name because the build targets the host: a cache shared
 with another machine must not hand it an object with instructions its
 CPU lacks.  ``-march=native`` matters: it selects the AVX-512
-micro-kernel where the host has it, and without ``-mpopcnt`` gcc lowers
+micro-kernel and the VNNI kernels where the host has them, and without ``-mpopcnt`` gcc lowers
 ``__builtin_popcountll`` to a libgcc bit-twiddling routine and the loop
 nest runs ~10x slower, so the build tries native flags first and falls
 back to plain ``-O3`` on compilers that reject them.
@@ -59,10 +83,18 @@ from typing import Any, Callable
 import numpy as np
 
 from . import cores
-from .packed import _MICRO_TILE as _TILE, HOST_RATES, HostProduct
+from .packed import (
+    _MICRO_TILE as _TILE,
+    _VNNI_TILE,
+    HOST_RATES,
+    HostProduct,
+    _vnni_gemm_us,
+    _vnni_panel_us,
+)
 
 __all__ = [
-    "kernels", "cache_dir", "popcount_branch", "loop_nest_build", "CFFI_SOURCE",
+    "kernels", "cache_dir", "popcount_branch", "vnni_build", "loop_nest_build",
+    "CFFI_SOURCE",
 ]
 
 CFFI_CDEF = """
@@ -77,6 +109,13 @@ int repro_popcount_branch(void);
 void repro_conv_gather(const uint64_t *src, int64_t images, int64_t h,
                        int64_t w, int64_t cwords, int64_t kh, int64_t kw,
                        int64_t stride, uint64_t *out);
+int repro_vnni_build(void);
+int repro_vnni_panels(const uint8_t *src, int64_t images, int64_t h,
+                      int64_t w, int64_t c, int64_t kernel, int64_t stride,
+                      int64_t b0, int64_t b1, uint8_t *out);
+int repro_vnni_gemm(const int8_t *wpan, const uint8_t *xpan, int64_t m,
+                    int64_t n, int64_t kquads, int64_t i0, int64_t i1,
+                    int64_t b0, int64_t b1, int64_t *out);
 """
 
 CFFI_SOURCE = r"""
@@ -84,11 +123,18 @@ CFFI_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-#if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
+#if defined(__AVX512F__)
 #include <immintrin.h>
+#endif
+#if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
 #define REPRO_TILED 1
 #else
 #define REPRO_TILED 0
+#endif
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VNNI__)
+#define REPRO_VNNI 1
+#else
+#define REPRO_VNNI 0
 #endif
 
 /* 1 when repro_packed_gemm is the AVX-512 micro-kernel, 0 when it is
@@ -330,6 +376,133 @@ void repro_conv_gather(const uint64_t *src, int64_t images, int64_t h,
         }
     }
 }
+
+/* 1 when the int8 conv kernels below are the AVX-512 VNNI ones, 0 when
+   the build has none (both then return 2). */
+int repro_vnni_build(void) { return REPRO_VNNI; }
+
+#define PANEL_N 32
+#define PANEL_M 8
+
+/* The im2col windows of a conv over a channel-last u8 map
+   (images, h, w, c), written straight into 32-pixel k-quad panels for
+   panels b0 .. b1-1: byte e of k-quad kq of pixel 32*b + x lands at
+   out[(b*kquads + kq)*128 + 4*x + e], where window byte 4*kq + e is in
+   (kernel row, kernel column, channel) order.  Bytes past K and pixels
+   past the last window are zero.  A panel's 32 windows are first copied
+   whole, as kernel runs of kernel*c bytes, into a scratch block; each
+   k-quad row of the panel is then written contiguously from it.
+   Returns 1 when the scratch block cannot be allocated. */
+int repro_vnni_panels(const uint8_t *src, int64_t images, int64_t h,
+                      int64_t w, int64_t c, int64_t kernel, int64_t stride,
+                      int64_t b0, int64_t b1, uint8_t *out) {
+#if REPRO_VNNI
+    const int64_t oh = (h - kernel) / stride + 1, ow = (w - kernel) / stride + 1;
+    const int64_t pixels = images * oh * ow, run = kernel * c;
+    const int64_t kquads = (kernel * run + 3) / 4;
+    /* 32 windows of kquads*4 bytes, zero past K: only the first K
+       bytes of each are rewritten */
+    uint32_t *rows = calloc((size_t)(PANEL_N * kquads), sizeof(uint32_t));
+    if (rows == NULL)
+        return 1;
+    for (int64_t b = b0; b < b1; b++) {
+        for (int64_t x = 0; x < PANEL_N; x++) {
+            uint8_t *row = (uint8_t *)(rows + x * kquads);
+            const int64_t j = b * PANEL_N + x;
+            if (j >= pixels) {
+                memset(row, 0, (size_t)(kquads * 4));
+                continue;
+            }
+            const int64_t img = j / (oh * ow), oy = j % (oh * ow) / ow;
+            const int64_t ox = j % ow;
+            const uint8_t *win = src
+                + ((img * h + oy * stride) * w + ox * stride) * c;
+            for (int64_t i = 0; i < kernel; i++)
+                memcpy(row + i * run, win + i * w * c, (size_t)run);
+        }
+        uint32_t *panel = (uint32_t *)out + b * kquads * PANEL_N;
+        for (int64_t kq = 0; kq < kquads; kq++)
+            for (int64_t x = 0; x < PANEL_N; x++)
+                panel[kq * PANEL_N + x] = rows[x * kquads + kq];
+    }
+    free(rows);
+    return 0;
+#else
+    (void)src; (void)images; (void)h; (void)w; (void)c; (void)kernel;
+    (void)stride; (void)b0; (void)b1; (void)out;
+    return 2;
+#endif
+}
+
+#if REPRO_VNNI
+/* One 8x32 output tile: rows i0 .. i0+rows-1 against one pixel panel,
+   over every k-quad.  wt holds the tile's weight quads as
+   wt[kq*8 + r] (s8, so each int32 is four weights of row r), xt the
+   panel's as xt[kq*32 + x] (u8).  Each vpdpbusd adds four u8 x s8
+   products to each of sixteen int32 lanes without saturating; the
+   caller guarantees every partial sum fits in int32. */
+static inline __attribute__((always_inline)) void vnni_tile(
+        const int32_t *wt, const int32_t *xt, int64_t kquads, int64_t rows,
+        const __mmask8 mask[4], int64_t *out, int64_t n) {
+    __m512i acc[PANEL_M][2];
+    for (int r = 0; r < PANEL_M; r++)
+        acc[r][0] = acc[r][1] = _mm512_setzero_si512();
+    for (int64_t kq = 0; kq < kquads; kq++) {
+        const __m512i x0 = _mm512_loadu_si512(xt + kq * PANEL_N);
+        const __m512i x1 = _mm512_loadu_si512(xt + kq * PANEL_N + 16);
+        for (int r = 0; r < PANEL_M; r++) {
+            const __m512i wq = _mm512_set1_epi32(wt[kq * PANEL_M + r]);
+            acc[r][0] = _mm512_dpbusd_epi32(acc[r][0], x0, wq);
+            acc[r][1] = _mm512_dpbusd_epi32(acc[r][1], x1, wq);
+        }
+    }
+    for (int64_t r = 0; r < rows; r++) {
+        for (int h = 0; h < 2; h++) {
+            int64_t *dst = out + r * n + 16 * h;
+            _mm512_mask_storeu_epi64(dst, mask[2 * h], _mm512_cvtepi32_epi64(
+                _mm512_castsi512_si256(acc[r][h])));
+            _mm512_mask_storeu_epi64(dst + 8, mask[2 * h + 1],
+                _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc[r][h], 1)));
+        }
+    }
+}
+#endif
+
+/* int8 GEMM over s8 weight panels and u8 pixel panels: out[i, j] (an
+   (m, n) int64 array) = sum over k of weight i's byte k times pixel j's
+   byte k, accumulated in int32, for rows [i0, i1) (i0 a multiple of 8)
+   and the pixels of panels b0 .. b1-1; nothing else is written, so
+   calls on disjoint blocks may run at once.  wpan is
+   (ceil(m/8), kquads, 8, 4): quad kq of row 8*t + r at
+   wpan[((t*kquads + kq)*8 + r)*4], rows past m zero.  xpan is
+   repro_vnni_panels' output.  Each panel is reused across every row
+   tile while the weights stream. */
+int repro_vnni_gemm(const int8_t *wpan, const uint8_t *xpan, int64_t m,
+                    int64_t n, int64_t kquads, int64_t i0, int64_t i1,
+                    int64_t b0, int64_t b1, int64_t *out) {
+#if REPRO_VNNI
+    (void)m;
+    for (int64_t b = b0; b < b1; b++) {
+        const int64_t cols = n - b * PANEL_N < PANEL_N ? n - b * PANEL_N : PANEL_N;
+        __mmask8 mask[4];
+        for (int g = 0; g < 4; g++) {
+            const int64_t live = cols - 8 * g;
+            mask[g] = (__mmask8)(live >= 8 ? 0xFF : live > 0 ? (1u << live) - 1 : 0);
+        }
+        const int32_t *xt = (const int32_t *)xpan + b * kquads * PANEL_N;
+        for (int64_t it = i0; it < i1; it += PANEL_M) {
+            const int64_t rows = i1 - it < PANEL_M ? i1 - it : PANEL_M;
+            vnni_tile((const int32_t *)wpan + it * kquads, xt, kquads, rows,
+                      mask, out + it * n + b * PANEL_N, n);
+        }
+    }
+    return 0;
+#else
+    (void)wpan; (void)xpan; (void)m; (void)n; (void)kquads; (void)i0;
+    (void)i1; (void)b0; (void)b1; (void)out;
+    return 2;
+#endif
+}
 """
 
 #: Native flags first (they select the AVX-512 micro-kernel where the
@@ -466,6 +639,17 @@ def popcount_branch() -> int:
     return int(_build().lib.repro_popcount_branch())
 
 
+def vnni_build() -> bool:
+    """Whether the loaded build compiled the int8 conv kernels.
+
+    True where the compiler targeted AVX-512 VNNI (``-march=native`` on
+    such a CPU), whichever popcount branch it compiled.  The host cost
+    model (:func:`repro.core.packed.compiled_vnni`) offers the ``vnni``
+    conv path only then.
+    """
+    return bool(_build().lib.repro_vnni_build())
+
+
 def _packed_gemm(
     a_words: np.ndarray,
     b_words: np.ndarray,
@@ -555,10 +739,99 @@ def _conv_gather(
     return out
 
 
+def _vnni_panels(x_map: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """The im2col windows of a channel-last u8 map as k-quad panels.
+
+    ``(images, h, w, c)`` uint8 -> ``(ceil(N/32), ceil(K/4), 32, 4)``
+    uint8 for the ``N = images*oh*ow`` windows of ``K =
+    kernel*kernel*c`` bytes in ``(KH, KW, C)`` order, zero past ``N``
+    and ``K``; written in whole panels, one
+    :func:`repro.core.cores.split` part each.
+    """
+    module = _build()
+    ffi, lib = module.ffi, module.lib
+    if not lib.repro_vnni_build():
+        raise RuntimeError("the loaded build has no AVX-512 VNNI kernels")
+    x_map = np.ascontiguousarray(x_map, dtype=np.uint8)
+    images, h, w, c = x_map.shape
+    n = images * ((h - kernel) // stride + 1) * ((w - kernel) // stride + 1)
+    k = kernel * kernel * c
+    tile_n = _VNNI_TILE[1]
+    blocks = -(-n // tile_n)
+    panels = np.empty((blocks, -(-k // 4), tile_n, 4), dtype=np.uint8)
+    src, dst = ffi.from_buffer("uint8_t *", x_map), ffi.from_buffer("uint8_t *", panels)
+
+    def part(lo: int, hi: int) -> None:  # panels lo .. hi-1
+        if lib.repro_vnni_panels(src, images, h, w, c, kernel, stride, lo, hi, dst):
+            raise MemoryError("vnni panel writer could not allocate its row")
+
+    cores.split(blocks, part, _vnni_panel_us(n, k, kernel, HOST_RATES))
+    return panels
+
+
+def _vnni_gemm(w_panels: np.ndarray, panels: np.ndarray, m: int, n: int) -> np.ndarray:
+    """``(m, n)`` int64 dot products of s8 weight panels and u8 panels.
+
+    ``w_panels`` is ``(ceil(m/8), kquads, 8, 4)`` int8 and ``panels``
+    ``(ceil(n/32), kquads, 32, 4)`` uint8, as :func:`_vnni_panels` writes
+    them.  Products accumulate in int32: the caller bounds every partial
+    sum below ``2**31``.  The output is computed in whole 8x32 tiles
+    along its longer axis, one :func:`repro.core.cores.split` part each.
+    """
+    module = _build()
+    ffi, lib = module.ffi, module.lib
+    if not lib.repro_vnni_build():
+        raise RuntimeError("the loaded build has no AVX-512 VNNI kernels")
+    w_panels = np.ascontiguousarray(w_panels, dtype=np.int8)
+    panels = np.ascontiguousarray(panels, dtype=np.uint8)
+    tile_m, tile_n = _VNNI_TILE
+    row_tiles, blocks = -(-m // tile_m), -(-n // tile_n)
+    kquads = panels.shape[1]
+    if (w_panels.shape != (row_tiles, kquads, tile_m, 4)
+            or panels.shape != (blocks, kquads, tile_n, 4)):
+        raise ValueError(
+            f"vnni panels {w_panels.shape} x {panels.shape} do not match "
+            f"m={m}, n={n}"
+        )
+    out = np.empty((m, n), dtype=np.int64)
+    if not out.size:
+        return out
+    w_ptr = ffi.from_buffer("int8_t *", w_panels)
+    x_ptr = ffi.from_buffer("uint8_t *", panels)
+    out_ptr = ffi.from_buffer("int64_t *", out)
+    if row_tiles >= blocks:
+        def part(lo: int, hi: int) -> None:
+            lib.repro_vnni_gemm(w_ptr, x_ptr, m, n, kquads, lo * tile_m,
+                                min(hi * tile_m, m), 0, blocks, out_ptr)
+    else:
+        def part(lo: int, hi: int) -> None:
+            lib.repro_vnni_gemm(w_ptr, x_ptr, m, n, kquads, 0, m, lo, hi, out_ptr)
+    cores.split(max(row_tiles, blocks), part,
+                _vnni_gemm_us(m, n, 4 * kquads, HOST_RATES))
+    return out
+
+
+def _vnni_conv(
+    x_map: np.ndarray, w_panels: np.ndarray, m: int, kernel: int, stride: int
+) -> np.ndarray:
+    """Conv of a channel-last u8 map with s8 weight panels, on int8:
+    :func:`_vnni_panels`, then :func:`_vnni_gemm`.
+
+    ``x_map`` is ``(images, h, w, c)`` uint8 and ``w_panels`` the
+    ``(ceil(m/8), ceil(K/4), 8, 4)`` int8 weights (``K = kernel*kernel*c``
+    in ``(KH, KW, C)`` order, zero past ``m`` and ``K``).  Returns ``(m,
+    images*oh*ow)`` int64 dot products.
+    """
+    images, h, w, _ = x_map.shape
+    n = images * ((h - kernel) // stride + 1) * ((w - kernel) // stride + 1)
+    return _vnni_gemm(w_panels, _vnni_panels(x_map, kernel, stride), m, n)
+
+
 def kernels() -> dict[str, Callable[..., Any]]:
     """Capability -> kernel table (builds/loads the shared object)."""
     _build()
     return {
         "packed_gemm": _packed_gemm,
         "conv_gather": _conv_gather,
+        "vnni_conv": _vnni_conv,
     }

@@ -6,16 +6,16 @@ Two fixed tiers:
   kernels, so every caller keeps the BLAS fold
   (:func:`repro.core.packed.packed_matmul`), after im2col for a conv.
 * ``cffi`` -- the ahead-of-time C kernels of
-  :mod:`repro.core._backend_cffi`: the fused weighted popcount GEMM and
-  the conv window gather.  Usable when its shared object builds or
-  loads.
+  :mod:`repro.core._backend_cffi`: the fused weighted popcount GEMM, the
+  conv window gather and, on a build for AVX-512 VNNI, the native int8
+  conv.  Usable when its shared object builds or loads.
 
 :func:`get_backend` picks ``cffi`` when it loads and ``numpy``
 otherwise; ``apmm``/``apconv`` also take a per-call ``backend=``
 (``"numpy"`` or ``"cffi"``).  Compiled kernels run where the host cost
-model (:class:`repro.core.packed.HostProduct`) prices the popcount
-product below the fold: the GEMM of
-:func:`~repro.core.packed.packed_matmul` and the conv window gather of
+model (:class:`repro.core.packed.HostProduct`) prices them below the
+fold: the popcount GEMM of :func:`~repro.core.packed.packed_matmul`,
+and the conv window gather and int8 conv of
 :mod:`repro.kernels.packed_conv`.
 
 Compiled kernels are byte-identical to the numpy path (enforced by the
@@ -51,8 +51,14 @@ __all__ = [
 #:   (``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` in one pass, stored with
 #:   the operator plan's affine correction);
 #: * ``conv_gather`` -- packed conv window gather over a word-packed
-#:   feature map (no im2col digit matrix).
-CAPABILITIES = ("packed_gemm", "conv_gather")
+#:   feature map (no im2col digit matrix);
+#: * ``vnni_conv`` -- the native int8 conv: a panel writer that copies
+#:   the im2col windows of a channel-last u8 map straight into 32-pixel
+#:   k-quad panels, and an AVX-512 VNNI GEMM of s8 weights against them.
+#:   Every build carries the entry, but only a build compiled for AVX-512
+#:   VNNI runs it (:func:`repro.core._backend_cffi.vnni_build`); the
+#:   host cost model offers it nowhere else.
+CAPABILITIES = ("packed_gemm", "conv_gather", "vnni_conv")
 
 #: Kernel execution strategies of `apmm`/`apconv`.  ``"packed"`` is the
 #: only backend-sensitive one; ``"integer"`` and ``"bitserial"`` are

@@ -33,24 +33,31 @@ reduction lengths.  The same bound decides the int32-accumulator check:
 The fold is not always the faster product.  Its GEMM costs the same at
 every precision, while the paper's own formulation -- ``p*q`` popcount
 products over bit-packed words (§3.1) -- costs ``p*q`` word operations
-per packed word of each output.  On the compiled ``cffi`` tier
-(:mod:`repro.core.backends`) a host cost model picks between them per
+per packed word of each output, and the host's native int8 unit
+(``vpdpbusd``, 64 products per instruction) costs the same at every
+pair up to ``w7a8``.  So a 512-bit popcount step gives about
+``512 / (3*p*q)`` products: emulation wins at ``p*q`` of 1 and 2, ties
+near 4 and loses from 8 on.  On the compiled ``cffi`` tier
+(:mod:`repro.core.backends`) a host cost model picks among them per
 call: :class:`HostProduct` counts each path's work from the call's
 shapes (for a conv, with its map, kernel and stride) and prices it with
-:data:`HOST_RATES`, constant rates of the host primitives fitted once
-by ``python -m repro.bench.hostfit`` on both branches of the compiled
-popcount GEMM (:func:`compiled_branch`).  The popcount path runs the
-fused weighted popcount GEMM on operands packed with ``np.packbits``
-(:func:`_pack_planes`); that kernel applies the operator plan's affine
-correction as it stores each output tile (:func:`_popcount_matmul`), so
-the paths are byte-identical.  The packed conv gather
-(:mod:`repro.kernels.packed_conv`) shares the packer, the model and
-that kernel.
+:data:`HOST_RATES`, constant per-core rates of the host primitives
+fitted once by ``taskset -c 0 python -m repro.bench.hostfit`` on both
+branches of the compiled popcount GEMM (:func:`compiled_branch`) and on
+the int8 kernels where the build has them (:func:`compiled_vnni`).  A
+GEMM chooses between the fold and the popcount GEMM, which runs on
+operands packed with ``np.packbits`` (:func:`_pack_planes`) and applies
+the operator plan's affine correction as it stores each output tile
+(:func:`_popcount_matmul`), so the paths are byte-identical.  A conv
+chooses among the im2col'd fold, the packed conv gather
+(:mod:`repro.kernels.packed_conv`), which shares the packer, the model
+and that kernel, and the int8 conv of the same module, where
+:meth:`HostProduct.int8_exact` admits it.
 
-A quantized weight's range scan and packed planes are made once and
-kept (:mod:`repro.core.prepared`); the fold still casts it on every
-call, and the host model still prices a cold call, weight packing
-included.
+A quantized weight's range scan, packed planes and s8 panels are made
+once and kept (:mod:`repro.core.prepared`); the fold still casts it on
+every call, and the host model still prices a cold call, weight packing
+and decoding included.
 """
 
 
@@ -74,6 +81,7 @@ __all__ = [
     "HostProduct",
     "HostRates",
     "compiled_branch",
+    "compiled_vnni",
     "fold_exactness_bound",
     "matmul_path",
     "packed_matmul",
@@ -106,10 +114,11 @@ def _fold_accumulator(k: int, p_bits: int, q_bits: int) -> type | None:
 
 #: The product paths, each with the compiled kernels it runs: the BLAS
 #: fold none, the popcount GEMM one, the conv gather two (the window
-#: gather and the popcount GEMM).  ``ExecutionCounters.compiled_kernels``
-#: reports these counts.
+#: gather and the popcount GEMM), the int8 conv two (the panel writer
+#: and the VNNI GEMM).  ``ExecutionCounters.compiled_kernels`` reports
+#: these counts.
 PATH_KERNELS: Mapping[str, int] = MappingProxyType(
-    {"fold": 0, "popcount": 1, "gather": 2}
+    {"fold": 0, "popcount": 1, "gather": 2, "vnni": 2}
 )
 
 #: Widest digit :func:`_pack_planes` packs: wider products only fold.
@@ -119,6 +128,14 @@ _PACK_MAX_BITS = 8
 #: :data:`repro.core._backend_cffi.CFFI_SOURCE`).  It computes whole
 #: tiles, so its work rounds ``M`` and ``N`` up to them.
 _MICRO_TILE = (4, 16)
+
+#: Output tile of the VNNI GEMM (``PANEL_M x PANEL_N``): eight weight
+#: rows by one 32-pixel panel, every ``K`` padded to whole k-quads.
+_VNNI_TILE = (8, 32)
+
+#: Widest weight and activation digits the int8 path takes: weights
+#: decode into s8, activation digits are its u8 operand.
+_VNNI_MAX_BITS = (7, 8)
 
 
 @dataclass(frozen=True)
@@ -168,6 +185,21 @@ class HostRates:
     #: words at that rate (zeroing, shifting and adding each pair's sum),
     #: by branch
     popcount_pair_words: tuple[float, float]
+    #: weight digits decoded into the int8 path's s8 panels, ``M*K`` per
+    #: call
+    vnni_weight_digits: float
+    #: panel bytes the panel writer fills, ``ceil(K/4)*4`` per pixel in
+    #: whole 32-pixel panels
+    panel_bytes: float
+    #: fixed work per window run (``kernel`` per pixel) of the panel
+    #: writer, in bytes at that rate
+    panel_run_bytes: float
+    #: k-quads of the VNNI GEMM (four u8 x s8 products into one int32,
+    #: one ``vpdpbusd`` lane), ``M*N*ceil(K/4)`` in whole 8x32 tiles
+    vnni_quads: float
+    #: fixed work per output of the VNNI GEMM (widening and storing it),
+    #: in k-quads at that rate
+    vnni_output_quads: float
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -175,29 +207,33 @@ class HostRates:
         )
 
 
-#: The host table: fitted by ``python -m repro.bench.hostfit`` on a
-#: 2-vCPU x86-64 Xeon VM with AVX-512 VPOPCNTDQ (BLAS on both cores, the
-#: popcount kernel on one), branch 0 from the same C source built for
-#: x86-64-v3 in the same process.  The fit predates the split across
-#: CPUs (:mod:`repro.core.cores`): the popcount GEMM, the gather and the
-#: packer were timed on one core, and they now run on every usable one
-#: while the fold's BLAS is held at one thread per part, so until a refit
-#: the routes lean toward the fold.
+#: The host table: fitted by ``taskset -c 0 python -m
+#: repro.bench.hostfit`` on one core of a 2-vCPU x86-64 Xeon VM with
+#: AVX-512 VPOPCNTDQ and VNNI, BLAS at one thread, branch 0 from the same
+#: C source built for x86-64-v3 in the same process.  Every rate is
+#: per-core work: every path splits alike across the usable CPUs
+#: (:mod:`repro.core.cores`), and :data:`~repro.core.cores.MIN_PART_US`
+#: divides a one-core price.
 HOST_RATES = HostRates(
-    fold_macs={"float32": 63570.0, "float64": 23780.0, "int64": 907.4},
-    fold_operands=760.2,
-    fold_outputs=475.7,
-    layout_digits=728.9,
-    layout_pixel_digits=25.93,
-    im2col_digits=4152.0,
-    pack_digits=5162.0,
-    pack_row_digits=83.36,
-    pack_ragged_row_digits=91.96,
-    pack_pass_digits=95160.0,
-    gather_words=650.5,
-    gather_run_words=3.819,
-    popcount_words=(1436.0, 8851.0),
-    popcount_pair_words=(3.429, 3.27),
+    fold_macs={"float32": 104900.0, "float64": 39880.0, "int64": 2595.0},
+    fold_operands=2159.0,
+    fold_outputs=1456.0,
+    layout_digits=3178.0,
+    layout_pixel_digits=31.9,
+    im2col_digits=16300.0,
+    pack_digits=15380.0,
+    pack_row_digits=93.96,
+    pack_ragged_row_digits=133.2,
+    pack_pass_digits=114600.0,
+    gather_words=2292.0,
+    gather_run_words=6.228,
+    popcount_words=(4063.0, 18560.0),
+    popcount_pair_words=(1.952, 1.875),
+    vnni_weight_digits=1528.0,
+    panel_bytes=14180.0,
+    panel_run_bytes=52.06,
+    vnni_quads=90560.0,
+    vnni_output_quads=26.52,
 )
 
 
@@ -227,6 +263,33 @@ def _fold_us(m: int, n: int, k: int, p: int, q: int, rates: HostRates) -> float:
     )
 
 
+def _vnni_panel_work(n: int, k: int, kernel: int) -> tuple[int, int]:
+    """The panel writer's bytes, ``ceil(K/4)*4`` per pixel of ``N``
+    rounded up to whole panels, and its window runs, ``kernel`` per
+    pixel."""
+    tile_n = _VNNI_TILE[1]
+    pixels = -(-n // tile_n) * tile_n
+    return pixels * -(-k // 4) * 4, pixels * kernel
+
+
+def _vnni_panel_us(n: int, k: int, kernel: int, rates: HostRates) -> float:
+    nbytes, runs = _vnni_panel_work(n, k, kernel)
+    return (nbytes + runs * rates.panel_run_bytes) / rates.panel_bytes
+
+
+def _vnni_gemm_work(m: int, n: int, k: int) -> tuple[int, int]:
+    """The VNNI GEMM's ``M*N*ceil(K/4)`` k-quads and ``M*N`` output
+    stores, in whole 8x32 tiles."""
+    tile_m, tile_n = _VNNI_TILE
+    outputs = -(-m // tile_m) * tile_m * (-(-n // tile_n) * tile_n)
+    return outputs * -(-k // 4), outputs
+
+
+def _vnni_gemm_us(m: int, n: int, k: int, rates: HostRates) -> float:
+    quads, outputs = _vnni_gemm_work(m, n, k)
+    return (quads + outputs * rates.vnni_output_quads) / rates.vnni_quads
+
+
 def compiled_branch(
     backend: "backends.Backend | str | None" = None,
 ) -> int | None:
@@ -242,6 +305,19 @@ def compiled_branch(
     from . import _backend_cffi
 
     return _backend_cffi.popcount_branch()
+
+
+def compiled_vnni(backend: "backends.Backend | str | None" = None) -> bool:
+    """Whether ``backend`` runs the int8 conv kernels: the loaded cffi
+    build compiled them for AVX-512 VNNI
+    (:func:`repro.core._backend_cffi.vnni_build`); never on numpy.  It
+    does not depend on :func:`compiled_branch`: a CPU can have VNNI
+    without VPOPCNTDQ."""
+    if not backends.resolve_backend(backend).compiled:
+        return False
+    from . import _backend_cffi
+
+    return _backend_cffi.vnni_build()
 
 
 @dataclass(frozen=True)
@@ -276,24 +352,41 @@ class HostProduct:
             (batch, cin, hp, wp, kernel, stride),
         )
 
-    def paths(self, branch: int | None) -> tuple[str, ...]:
-        """The paths that can run this product on ``branch``.
+    def int8_exact(self) -> bool:
+        """Whether the int8 path computes this product exactly: weights
+        of at most 7 bits decode into s8, activation digits of at most 8
+        bits are u8, and :func:`fold_exactness_bound` stays below
+        ``2**31``, so no int32 partial sum of ``vpdpbusd``, which does
+        not saturate, can wrap."""
+        max_p, max_q = _VNNI_MAX_BITS
+        return (
+            self.p_bits <= max_p and self.q_bits <= max_q
+            and fold_exactness_bound(self.k, self.p_bits, self.q_bits) < 1 << 31
+        )
+
+    def paths(self, branch: int | None, vnni: bool = False) -> tuple[str, ...]:
+        """The paths that can run this product on ``branch``, with the
+        int8 conv kernels where ``vnni`` (:func:`compiled_vnni`).
 
         Only the fold on numpy (``branch`` None) and for digits wider
-        than :func:`_pack_planes` packs; the gather only for a conv.
+        than :func:`_pack_planes` packs.  A GEMM adds the popcount GEMM;
+        a conv adds the gather, and the int8 path where ``vnni`` and
+        :meth:`int8_exact` hold.
         """
         if branch is None or max(self.p_bits, self.q_bits) > _PACK_MAX_BITS:
             return ("fold",)
         if self.window is None:
             return ("fold", "popcount")
-        return tuple(PATH_KERNELS)
+        if vnni and self.int8_exact():
+            return ("fold", "gather", "vnni")
+        return ("fold", "gather")
 
-    def cheapest(self, branch: int | None) -> str:
+    def cheapest(self, branch: int | None, vnni: bool = False) -> str:
         """The path with the lowest :meth:`host_us` (the fold on a tie).
 
         A product with one candidate path is not priced at all.
         """
-        candidates = self.paths(branch)
+        candidates = self.paths(branch, vnni)
         if len(candidates) == 1:
             return candidates[0]
         return min(candidates, key=lambda path: self.host_us(path, branch))
@@ -303,44 +396,60 @@ class HostProduct:
     ) -> float:
         """Modeled microseconds of ``path`` on popcount branch ``branch``.
 
+        Every rate is one core's, so a price is the work of one part when
+        :func:`repro.core.cores.split` runs the call as one.
+
         * ``fold``: a conv's im2col (the channel-last copy of its padded
           map, then ``N*K`` window digits), the cast of both operands
           into the accumulator, ``M*N*K`` multiply-adds at that
           accumulator's rate, and the int64 output pass;
-        * ``popcount``: a conv's im2col, packing ``(p*M + q*N)*K``
-          digits, and the popcount GEMM over ``ceil(K/64)`` words;
-        * ``gather``: the channel-last copy of the padded map, packing
-          its ``q`` planes (``batch*HP*WP*C_in`` digits each) and the
-          weights, copying ``q*N`` windows of
+        * ``popcount`` (a GEMM only): packing ``(p*M + q*N)*K`` digits,
+          and the popcount GEMM over ``ceil(K/64)`` words;
+        * ``gather`` (a conv only): the channel-last copy of the padded
+          map, packing its ``q`` planes (``batch*HP*WP*C_in`` digits
+          each) and the weights, copying ``q*N`` windows of
           ``kernel*kernel*ceil(C_in/64)`` words, and the popcount GEMM
-          over them.
+          over them;
+        * ``vnni`` (a conv that :meth:`int8_exact` admits): the
+          channel-last copy of the padded map, decoding the ``M*K``
+          weight digits into s8, the panel writer and the VNNI GEMM.
 
         The popcount GEMM costs ``p*q*M*N*(words + pair_words)`` word
         operations at the branch's rate, with ``M`` and ``N`` rounded up
-        to whole micro-kernel tiles on branch 1.
+        to whole micro-kernel tiles on branch 1.  The VNNI GEMM costs
+        ``M*N*(ceil(K/4) + output_quads)`` k-quads at one rate on either
+        branch, since it does not run the popcount GEMM.
         """
         if path not in PATH_KERNELS:
             raise ValueError(f"unknown path {path!r}; valid: {tuple(PATH_KERNELS)}")
         if path != "fold" and branch is None:
             raise ValueError(f"no {path} path without a compiled branch")
         m, n, k, p, q = self.m, self.n, self.k, self.p_bits, self.q_bits
-        layout_us = im2col_us = 0.0
-        if self.window is not None:
-            batch, cin, hp, wp, kernel, _ = self.window
-            pixels = batch * hp * wp
-            layout_us = (
-                pixels * (cin + rates.layout_pixel_digits) / rates.layout_digits
-            )
-            im2col_us = layout_us + n * k / rates.im2col_digits
-        elif path == "gather":
-            raise ValueError("the gather path needs a conv window")
-        if path == "fold":
-            return im2col_us + _fold_us(m, n, k, p, q, rates)
-        if path == "popcount":
+        if self.window is None:
+            if path in ("gather", "vnni"):
+                raise ValueError(f"the {path} path needs a conv window")
+            if path == "fold":
+                return _fold_us(m, n, k, p, q, rates)
             return (
-                im2col_us
-                + _pack_us(p, m, k, rates) + _pack_us(q, n, k, rates)
+                _pack_us(p, m, k, rates) + _pack_us(q, n, k, rates)
                 + self.popcount_us(packed_words(k), branch, rates)
+            )
+        if path == "popcount":
+            raise ValueError("a conv has no popcount path: it takes the gather")
+        batch, cin, hp, wp, kernel, _ = self.window
+        pixels = batch * hp * wp
+        layout_us = pixels * (cin + rates.layout_pixel_digits) / rates.layout_digits
+        if path == "fold":
+            return layout_us + n * k / rates.im2col_digits + _fold_us(
+                m, n, k, p, q, rates)
+        if path == "vnni":
+            if not self.int8_exact():
+                raise ValueError(
+                    f"the int8 path cannot run w{p}a{q} at K={k} exactly")
+            return (
+                layout_us + m * k / rates.vnni_weight_digits
+                + _vnni_panel_us(n, k, kernel, rates)
+                + _vnni_gemm_us(m, n, k, rates)
             )
         words = kernel * kernel * packed_words(cin)
         return (

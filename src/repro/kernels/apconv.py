@@ -18,12 +18,15 @@ of the GEMM machinery:
   (the workload is ``p*q`` binary convolutions batched into one kernel).
 
 All three execution strategies (``"packed"`` fast path -- the default:
-whichever of the compiled window gather of
-:mod:`repro.kernels.packed_conv`, the im2col'd popcount GEMM and the
-im2col'd fold the host cost model
-(:class:`~repro.core.packed.HostProduct`) prices lowest, instead of the
-per-plane broadcast -- / ``"integer"`` reference / ``"bitserial"``
-plane-wise Tensor-Core emulation) return identical outputs.
+whichever of the compiled window gather and the native int8 conv of
+:mod:`repro.kernels.packed_conv` and the im2col'd fold the host cost
+model (:class:`~repro.core.packed.HostProduct`) prices lowest, instead
+of the per-plane broadcast -- / ``"integer"`` reference /
+``"bitserial"`` plane-wise Tensor-Core emulation) return identical
+outputs.  The int8 conv is the paper's native baseline (its Figs. 5-8
+set APConv against CUTLASS int4/int8 on the same GPU): where the host
+has AVX-512 VNNI it is priced beside the popcount emulation, layer by
+layer, and runs wherever it is cheaper.
 """
 
 from __future__ import annotations
@@ -35,14 +38,20 @@ import numpy as np
 
 from ..core import backends, prepared
 from ..core.emulate import apbit_matmul, reference_matmul
-from ..core.packed import PATH_KERNELS, HostProduct, compiled_branch, matmul_path
+from ..core.packed import (
+    PATH_KERNELS,
+    HostProduct,
+    compiled_branch,
+    compiled_vnni,
+    matmul_path,
+)
 from ..core.types import Precision
 from ..obs import kernel_tracer
 from ..perf.cost import KernelCost, conv_cost
 from ..tensorcore.device import DeviceSpec, RTX3090
 from .autotune import TuneResult, autotune
 from .layout import conv_output_shape, conv_weight_matrix, im2col
-from .packed_conv import packed_conv_matmul
+from .packed_conv import packed_conv_matmul, vnni_conv_matmul
 from .padding import PaddingPlan, pad_digits, padding_correction, plan_padding
 from .tiling import TileConfig
 
@@ -95,19 +104,22 @@ def apconv(
     strategy decides its path once per call from the full shape -- the
     padded map, the kernel and the stride as well as ``M``, ``N`` and
     ``K`` -- with :meth:`~repro.core.packed.HostProduct.cheapest`: on
-    the compiled ``cffi`` backend the gather skips the im2col
-    digit-matrix materialization where the model prices it lowest, and
-    the im2col'd product runs on the popcount GEMM or the fold
-    otherwise; numpy always folds.  Outputs are byte-identical either
-    way, and ``cost.counters.compiled_kernels`` counts the compiled
-    kernels that ran: 2 for the gather, 1 for an im2col popcount GEMM.
-    A traced call's span also carries ``path`` (``fold``, ``popcount``
-    or ``gather``) and ``host_us``, the model's price of that path.
+    the compiled ``cffi`` backend the gather (the popcount emulation)
+    and, where the build has the AVX-512 VNNI kernels
+    (:func:`~repro.core.packed.compiled_vnni`), the int8 conv skip the
+    im2col digit matrix where the model prices them lowest, and the
+    im2col'd fold runs otherwise; numpy always folds.  Outputs are
+    byte-identical either way, and ``cost.counters.compiled_kernels``
+    counts the compiled kernels that ran: 2 for the gather (window
+    gather, popcount GEMM) and for the int8 conv (panel writer, VNNI
+    GEMM), 0 for the fold.  A traced call's span also carries ``path``
+    (``fold``, ``gather`` or ``vnni``) and ``host_us``, the model's
+    price of that path.
 
     On the packed strategy a prepared weight (:mod:`repro.core.prepared`:
-    a quantizer's digits) keeps its range, its packed planes and, on the
-    im2col paths, its weight matrix from its first call; the reference
-    strategies never read them.
+    a quantizer's digits) keeps its range, its packed planes or s8
+    panels and, on the fold, its weight matrix from its first call; the
+    reference strategies never read them.
     """
     # Kernel-boundary tracing (wall clock; same hook as apmm).
     tracer = kernel_tracer()
@@ -149,10 +161,11 @@ def apconv(
             weight.bits, feature.bits,
         )
         branch = compiled_branch(run_backend)
-        path = product.cheapest(branch)
-    if path == "gather":
-        # compiled window gather: the im2col digit matrix never exists
-        acc = packed_conv_matmul(
+        path = product.cheapest(branch, compiled_vnni(run_backend))
+    if path in ("gather", "vnni"):
+        # compiled window copies: the im2col digit matrix never exists
+        conv = packed_conv_matmul if path == "gather" else vnni_conv_matmul
+        acc = conv(
             w_digits, padded, weight, feature,
             stride=stride, backend=run_backend,
         )

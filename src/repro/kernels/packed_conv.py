@@ -1,29 +1,35 @@
-"""Packed-word convolution without im2col materialization.
+"""Compiled convolution without an im2col digit matrix.
 
 The default packed conv lowers onto APMM by materializing the im2col
 digit matrix -- ``(batch * OH * OW, C_in * KH * KW)`` digits, every
-input pixel duplicated ``KH * KW`` times *before* bit packing.  This
-module is the compiled alternative, the ``gather`` path of
-:class:`repro.core.packed.HostProduct`, taken where the host cost model
-prices it lowest: pack the padded feature map **once** (channel-last,
-``C_in`` bits per pixel packed into ``ceil(C_in / 64)`` words) and let
-the ``conv_gather`` kernel (:mod:`repro.core.backends`) copy each
-window's ``KH * KW`` word-runs straight into the GEMM operand -- the
-duplication happens on 64x-compressed words, and the digit matrix never
-exists.
+input pixel duplicated ``KH * KW`` times.  This module holds the two
+compiled alternatives of :class:`repro.core.packed.HostProduct`, each
+taken where the host cost model prices it lowest.
 
-The K order is the im2col path's, ``(KH, KW, C_in)`` (the weight side
-flattens through :func:`~repro.kernels.layout.conv_weight_matrix`), and
-the zero filler bits in each ``C_in`` word group are neutral for both
-``AND`` and ``XOR`` because both operands are zero there; outputs are
-therefore byte-identical to the im2col path (the hypothesis suite
-enforces it).
-
-Packing and the fused weighted popcount GEMM, with the operator plan's
-correction applied in the kernel, are the ones
+The ``gather`` path (:func:`packed_conv_matmul`), the popcount
+emulation: pack the padded feature map **once** (channel-last, ``C_in``
+bits per pixel packed into ``ceil(C_in / 64)`` words) and let the
+``conv_gather`` kernel (:mod:`repro.core.backends`) copy each window's
+``KH * KW`` word-runs straight into the GEMM operand -- the duplication
+happens on 64x-compressed words.  The zero filler bits in each ``C_in``
+word group are neutral for both ``AND`` and ``XOR`` because both
+operands are zero there.  Packing and the fused weighted popcount GEMM,
+with the operator plan's correction applied in the kernel, are the ones
 :func:`repro.core.packed.packed_matmul` runs on its popcount path --
-same algebra, same int64 exactness.  A prepared weight
-(:mod:`repro.core.prepared`) keeps its range and its packed planes.
+same algebra, same int64 exactness.
+
+The ``vnni`` path (:func:`vnni_conv_matmul`), native int8: copy the
+padded map channel-last as u8 digits and let the ``vnni_conv`` kernel
+write each window's ``KH`` byte runs straight into 32-pixel k-quad
+panels, then multiply the decoded s8 weights against them with AVX-512
+VNNI in int32.  It costs the same at every pair up to ``w7a8``, so it
+takes the convs whose ``p*q`` makes the emulation dearer.
+
+Both keep the im2col path's K order, ``(KH, KW, C_in)`` (the weight
+side flattens like :func:`~repro.kernels.layout.conv_weight_matrix`),
+so their outputs are byte-identical to it (the hypothesis suites
+enforce it).  A prepared weight (:mod:`repro.core.prepared`) keeps its
+range and its packed planes or s8 panels.
 """
 
 from __future__ import annotations
@@ -32,11 +38,31 @@ import numpy as np
 
 from ..core import backends, cores, prepared
 from ..core.bitops import packed_words
-from ..core.packed import HOST_RATES, _check_digits, _pack_planes, _popcount_matmul
+from ..core.packed import (
+    _VNNI_TILE,
+    HOST_RATES,
+    HostProduct,
+    _check_digits,
+    _pack_planes,
+    _popcount_matmul,
+)
 from ..core.types import Precision
 from .layout import conv_weight_matrix
 
-__all__ = ["packed_conv_matmul"]
+__all__ = ["packed_conv_matmul", "vnni_conv_matmul"]
+
+
+def _channel_last(padded: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``(batch, C_in, HP, WP)`` digits copied to ``(batch, HP, WP, C_in)``
+    in ``dtype``, split by image."""
+    batch, cin, hp, wp = padded.shape
+    x_cl = np.empty((batch, hp, wp, cin), dtype=dtype)
+
+    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
+        x_cl[lo:hi] = padded[lo:hi].transpose(0, 2, 3, 1)
+
+    cores.split(batch, part, x_cl.size / HOST_RATES.layout_digits)
+    return x_cl
 
 
 def packed_conv_matmul(
@@ -89,12 +115,7 @@ def packed_conv_matmul(
     # Features: channel-last, C_in packed per pixel; the q feature planes
     # ride the images axis so the gathered rows come out plane-major --
     # exactly the virtual batched operand layout.
-    x_cl = np.empty((batch, hp, wp, cin), dtype=padded.dtype)
-
-    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
-        x_cl[lo:hi] = padded[lo:hi].transpose(0, 2, 3, 1)
-
-    cores.split(batch, part, x_cl.size / HOST_RATES.layout_digits)
+    x_cl = _channel_last(padded, padded.dtype)
     x_words = _pack_planes(x_cl.reshape(batch * hp * wp, cin), q)
     gathered = gather(x_words.reshape(q * batch, hp, wp, cwords), kh, kw, stride)
 
@@ -112,3 +133,86 @@ def packed_conv_matmul(
         w_words.reshape(p * cout, kh * kw * cwords), gathered,
         weight, feature, cin * kh * kw, backend=backend,
     )
+
+
+def _vnni_weights(w_digits: np.ndarray, weight: Precision) -> np.ndarray:
+    """Decoded weights as the VNNI GEMM's s8 panels.
+
+    ``(C_out, C_in, KH, KW)`` digits -> ``(ceil(C_out/8), ceil(K/4), 8,
+    4)`` int8: quad ``kq`` of row ``8*t + r`` at ``[t, kq, r]``, K in the
+    ``(KH, KW, C_in)`` order of :func:`conv_weight_matrix`, zero past
+    ``C_out`` and ``K``.  Decoding runs in wrapping int8 arithmetic,
+    which is exact because every decoded value of at most 7 bits fits.
+    """
+    cout, cin, kh, kw = w_digits.shape
+    k = kh * kw * cin
+    tile_m = _VNNI_TILE[0]
+    rows, kquads = -(-cout // tile_m), -(-k // 4)
+    s8 = np.zeros((rows * tile_m, kquads * 4), dtype=np.int8)
+    values = s8[:cout, :k]
+    values.reshape(cout, kh, kw, cin)[...] = w_digits.transpose(0, 2, 3, 1)
+    a, b = weight.decode_affine
+    if a != 1:
+        values *= np.int8(a)
+    if b:
+        values += np.int8(b)
+    # each row's k-quads as int32, interleaved eight rows at a time
+    quads = s8.view(np.int32).reshape(rows, tile_m, kquads).transpose(0, 2, 1)
+    return np.ascontiguousarray(quads).view(np.int8).reshape(
+        rows, kquads, tile_m, 4
+    )
+
+
+def vnni_conv_matmul(
+    w_digits: np.ndarray,
+    padded: np.ndarray,
+    weight: Precision,
+    feature: Precision,
+    *,
+    stride: int = 1,
+    backend: "backends.Backend | str | None" = None,
+) -> np.ndarray:
+    """Implicit-GEMM conv on the host's int8 dot-product unit.
+
+    Takes and returns what :func:`packed_conv_matmul` does.  The padded
+    map is copied channel-last as u8 digits, the ``vnni_conv`` kernel
+    (:mod:`repro.core.backends`) writes its im2col windows straight into
+    32-pixel k-quad panels, and an AVX-512 VNNI GEMM multiplies the
+    decoded s8 weights against them, in int32, stored as int64.  Bipolar
+    activations then take the affine correction ``2*(W @ X.T) -
+    (2**q - 1)*rowsum(W)`` over the decoded weights ``W``.
+
+    Only products :meth:`~repro.core.packed.HostProduct.int8_exact`
+    admits run here: weights of at most 7 bits, activations of at most 8
+    and :func:`~repro.core.packed.fold_exactness_bound` below ``2**31``;
+    others raise :class:`ValueError`.  A prepared weight
+    (:mod:`repro.core.prepared`) keeps its range and its s8 panels.
+    """
+    conv = backends.kernel("vnni_conv", backend)
+    if conv is None:
+        raise RuntimeError("vnni_conv_matmul needs a compiled backend")
+    cout, cin, kh, kw = w_digits.shape
+    batch, cin_x, hp, wp = padded.shape
+    if cin != cin_x:
+        raise ValueError(
+            f"channel mismatch: weights C_in={cin}, features C_in={cin_x}"
+        )
+    product = HostProduct.conv(batch, cin, cout, hp, wp, kh, stride,
+                               weight.bits, feature.bits)
+    if not product.int8_exact():
+        raise ValueError(
+            f"the int8 path cannot run w{weight.bits}a{feature.bits} at "
+            f"K={product.k} exactly"
+        )
+    _check_digits(w_digits, weight, "weight")
+    _check_digits(padded, feature, "feature")
+    w_panels = prepared.form(
+        w_digits, ("vnni panels", weight), lambda: _vnni_weights(w_digits, weight)
+    )
+    out = conv(_channel_last(padded, np.uint8), w_panels, cout, kh, stride)
+    a, b = feature.decode_affine
+    if (a, b) != (1, 0):
+        rows = w_panels.sum(axis=(1, 3), dtype=np.int64).reshape(-1)[:cout]
+        out *= a
+        out += b * rows[:, None]
+    return out

@@ -28,8 +28,3 @@ def check(tmp_path):
 
     run.root = tmp_path
     return run
-
-
-def rules_of(result):
-    """The sorted rule names that fired."""
-    return sorted({f.rule for f in result.findings})

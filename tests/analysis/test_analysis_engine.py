@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import AnalysisConfig, Analyzer
 
-from conftest import rules_of
+from analysis_helpers import rules_of
 
 VIOLATION = """\
 import time

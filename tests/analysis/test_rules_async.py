@@ -5,7 +5,7 @@ compile inside ``async with self._cond`` wedged every coroutine that
 needed the batcher lock.
 """
 
-from conftest import rules_of
+from analysis_helpers import rules_of
 
 
 class TestLockHeldAwait:

@@ -4,7 +4,7 @@ Every rule gets the same trio: a violating snippet (fires), a clean
 snippet (silent), and the violating snippet with a pragma (suppressed).
 """
 
-from conftest import rules_of
+from analysis_helpers import rules_of
 
 
 class TestWallClock:

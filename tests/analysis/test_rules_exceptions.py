@@ -1,6 +1,6 @@
 """Fixture tests for the exception-hygiene rules (serve/-scoped)."""
 
-from conftest import rules_of
+from analysis_helpers import rules_of
 
 
 class TestBareExcept:

@@ -5,7 +5,7 @@ import json
 from repro.analysis import AnalysisConfig
 from repro.analysis.rules.schema import extract_schema, write_baseline
 
-from conftest import rules_of
+from analysis_helpers import rules_of
 
 METRICS = """\
 METRICS_SCHEMA_VERSION = 2

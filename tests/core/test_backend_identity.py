@@ -4,10 +4,10 @@ Hypothesis drives seeded-random operands through every ``wXaY`` pair
 (both encodings, ragged K including sub-word and non-multiple-of-64
 sizes) and asserts the compiled paths produce **byte-identical**
 results to the numpy paths: the ``np.packbits`` packer against
-``pack_bits``, and the popcount GEMM and the packed conv gather both
-through their entry points -- which take the route
-:meth:`repro.core.packed.HostProduct.cheapest` prices lowest -- and
-directly at every drawn shape, whatever the route.  Narrow digits
+``pack_bits``, and the popcount GEMM, the packed conv gather and, where
+the build has it, the int8 conv all through their entry points -- which
+take the route :meth:`repro.core.packed.HostProduct.cheapest` prices
+lowest -- and directly at every drawn shape, whatever the route.  Narrow digits
 (the quantizers' ``uint8``/``uint16``) must give every strategy and
 backend the result of the same digits held as int64.  Both C branches
 of the popcount GEMM are checked on any x86-64-v3 CPU: an x86-64-v3
@@ -39,11 +39,12 @@ from repro.core.packed import (
     _pack_planes,
     _popcount_matmul,
     compiled_branch,
+    compiled_vnni,
     matmul_path,
     packed_matmul,
 )
 from repro.kernels.layout import conv_weight_matrix, im2col
-from repro.kernels.packed_conv import packed_conv_matmul
+from repro.kernels.packed_conv import packed_conv_matmul, vnni_conv_matmul
 
 # hypothesis-heavy: the CI unit job deselects these and the serving job
 # (and tier-1) runs them
@@ -93,8 +94,9 @@ class TestPackPlanesIdentity:
 
 def _expected_compiled(product):
     """Compiled kernels the cffi route of ``product`` runs: 2 for the
-    gather, 1 for a popcount GEMM, 0 for the fold."""
-    return PATH_KERNELS[product.cheapest(compiled_branch("cffi"))]
+    gather and the int8 conv, 1 for a popcount GEMM, 0 for the fold."""
+    route = product.cheapest(compiled_branch("cffi"), compiled_vnni("cffi"))
+    return PATH_KERNELS[route]
 
 
 @needs_cffi
@@ -282,9 +284,8 @@ class TestConvIdentity:
         got = apconv(w, x, pair.weight, pair.activation,
                      stride=stride, padding=padding, backend="cffi")
         assert np.array_equal(got.output, ref.output)
-        # the dispatch, not only its output: the gather or an im2col
-        # popcount GEMM runs exactly where the rule routes it, and
-        # neither on numpy
+        # the dispatch, not only its output: the gather or the int8 conv
+        # runs exactly where the rule routes it, and neither on numpy
         p, q = pair.weight.bits, pair.activation.bits
         side = hw + 2 * padding
         product = HostProduct.conv(2, cin, 5, side, side, 3, stride, p, q)
@@ -298,6 +299,12 @@ class TestConvIdentity:
         want = packed_matmul(conv_weight_matrix(w), im2col(padded, 3, stride),
                              pair.weight, pair.activation, backend="numpy")
         assert np.array_equal(gathered, want)
+        # and the int8 conv, where this build has it
+        if compiled_vnni("cffi") and product.int8_exact():
+            int8 = vnni_conv_matmul(w, padded, pair.weight, pair.activation,
+                                    stride=stride, backend="cffi")
+            assert int8.dtype == want.dtype
+            assert np.array_equal(int8, want)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, pair=st.sampled_from(PAIRS),

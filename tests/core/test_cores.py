@@ -7,9 +7,9 @@ threshold, or without the BLAS control; BLAS's thread count after any
 hold equals the count before; a forked child gets a working pool; and
 importing, planning and serving start no pool thread and load no BLAS
 handle.  Every split site -- the fold, the popcount GEMM, the packer,
-the padding, ``im2col``, the conv gather with its channel-last copy, and
-the four epilogue ops -- gives the same bytes split as serially, and as
-the serial code it replaced.
+the padding, ``im2col``, the conv gather with its channel-last copy, the
+int8 conv's panel writer and GEMM, and the four epilogue ops -- gives
+the same bytes split as serially, and as the serial code it replaced.
 """
 
 import multiprocessing
@@ -34,7 +34,7 @@ from repro.core.quantize import AffineQuantizer
 from repro.kernels.apconv import apconv
 from repro.kernels.fusion import BatchNormOp, QuantizeOp, ReLUOp
 from repro.kernels.layout import im2col
-from repro.kernels.packed_conv import packed_conv_matmul
+from repro.kernels.packed_conv import packed_conv_matmul, vnni_conv_matmul
 from repro.kernels.padding import pad_digits
 from repro.nn.layers import MaxPool2d
 
@@ -360,6 +360,29 @@ class TestSplitSitesAreByteIdentical:
                          backend="cffi")
         _same(got, want)
         _same(got, matmul_path("fold", w.transpose(0, 2, 3, 1).reshape(6, -1),
+                               im2col(x, 3, stride), bits.weight, bits.activation))
+
+    @pytest.mark.skipif(not (HAS_CFFI and packed.compiled_vnni()),
+                        reason="the loaded build has no AVX-512 VNNI kernels")
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, batch=st.integers(2, 4), cout=st.integers(1, 70),
+           cin=st.sampled_from([3, 16, 64, 65]), stride=st.sampled_from([1, 2]),
+           pair=st.sampled_from(["w1a2", "w2a4", "w2a8"]))
+    def test_vnni_conv(self, seed, batch, cout, cin, stride, pair):
+        # the channel-last copy splits by image, the panel writer by
+        # 32-pixel panel, the GEMM along its longer axis in whole 8x32
+        # tiles
+        bits = PrecisionPair.parse(pair)
+        rng = np.random.default_rng(seed)
+        w = bits.weight.random_digits(rng, (cout, cin, 3, 3)).astype(np.uint8)
+        x = bits.activation.random_digits(rng, (batch, cin, 9, 9)).astype(np.uint8)
+        args = (w, x, bits.weight, bits.activation)
+        with forced_split() as spy:
+            got = vnni_conv_matmul(*args, stride=stride, backend="cffi")
+        assert 2 in spy
+        want = _serially(vnni_conv_matmul, *args, stride=stride, backend="cffi")
+        _same(got, want)
+        _same(got, matmul_path("fold", w.transpose(0, 2, 3, 1).reshape(cout, -1),
                                im2col(x, 3, stride), bits.weight, bits.activation))
 
     @settings(max_examples=30, deadline=None)

@@ -1,10 +1,11 @@
 """The host cost model that routes every packed product.
 
 :class:`repro.core.packed.HostProduct` prices the fold, the popcount
-GEMM and the conv gather from counted work and the committed
-:data:`~repro.core.packed.HOST_RATES`; ``apmm``, ``apconv`` and
-``packed_matmul`` run the cheapest.  The branch is passed in
-explicitly, so both compiled branches' routes are checked on any host.
+GEMM, the conv gather and the int8 conv from counted work and the
+committed :data:`~repro.core.packed.HOST_RATES`; ``apmm``, ``apconv``
+and ``packed_matmul`` run the cheapest.  The build -- its popcount
+branch, and whether it has the AVX-512 VNNI kernels -- is passed in
+explicitly, so every build's routes are checked on any host.
 """
 
 import pytest
@@ -14,34 +15,41 @@ from repro.core.packed import HOST_RATES, PATH_KERNELS, HostProduct
 
 MICRO_KERNEL, LOOP_NEST = 1, 0
 
-#: Every benchmark layer's route: (micro-kernel, loop nest).  On the
-#: micro-kernel, ResNet-18's 3x3 convs take the gather at both strides
-#: and its 1x1 stride-2 convs the fold, whose 4x smaller windows the
-#: gather would pack whole; AlexNet keeps conv1 on the fold, conv2-5 on
-#: the gather and fc6-fc8 on the popcount GEMM.  The loop nest's
-#: popcount GEMM is ~6x slower per word, so only the fully connected
-#: layers leave the fold there.
+#: The builds the table pins, as ``(branch, vnni)``: the micro-kernel
+#: with VNNI (an AVX-512 VPOPCNTDQ host), the loop nest without it (an
+#: x86-64-v3 host), and the loop nest with it (AVX-512 VNNI without
+#: VPOPCNTDQ, such as Cascade Lake).
+BUILDS = ((MICRO_KERNEL, True), (LOOP_NEST, False), (LOOP_NEST, True))
+
+#: Every benchmark layer's route on each of :data:`BUILDS`.  With VNNI,
+#: every ResNet-18 conv and both conv1s (p*q of 8 and more) take the int8
+#: path, whose ``vpdpbusd`` does 64 products per instruction; AlexNet's
+#: w1a2 conv2-conv5 keep the gather on the micro-kernel, which beats
+#: int8 at p*q = 2, and take int8 over the loop nest's slower popcount.
+#: Without VNNI the loop nest folds every conv but AlexNet's conv2-conv5,
+#: which take the gather.  The fully connected layers take the popcount
+#: GEMM on every build.
 ROUTES = {
-    ("alexnet", "conv1"): ("fold", "fold"),
-    ("alexnet", "conv2"): ("gather", "fold"),
-    ("alexnet", "conv3"): ("gather", "fold"),
-    ("alexnet", "conv4"): ("gather", "fold"),
-    ("alexnet", "conv5"): ("gather", "fold"),
-    ("alexnet", "fc6"): ("popcount", "popcount"),
-    ("alexnet", "fc7"): ("popcount", "popcount"),
-    ("alexnet", "fc8"): ("popcount", "popcount"),
-    ("resnet18", "conv1"): ("fold", "fold"),
-    ("resnet18", "conv64-64k3s1"): ("gather", "fold"),
-    ("resnet18", "conv64-128k3s2"): ("gather", "fold"),
-    ("resnet18", "conv64-128k1s2"): ("fold", "fold"),
-    ("resnet18", "conv128-128k3s1"): ("gather", "fold"),
-    ("resnet18", "conv128-256k3s2"): ("gather", "fold"),
-    ("resnet18", "conv128-256k1s2"): ("fold", "fold"),
-    ("resnet18", "conv256-256k3s1"): ("gather", "fold"),
-    ("resnet18", "conv256-512k3s2"): ("gather", "fold"),
-    ("resnet18", "conv256-512k1s2"): ("fold", "fold"),
-    ("resnet18", "conv512-512k3s1"): ("gather", "fold"),
-    ("resnet18", "fc"): ("popcount", "popcount"),
+    ("alexnet", "conv1"): ("vnni", "fold", "vnni"),
+    ("alexnet", "conv2"): ("gather", "gather", "vnni"),
+    ("alexnet", "conv3"): ("gather", "gather", "vnni"),
+    ("alexnet", "conv4"): ("gather", "gather", "vnni"),
+    ("alexnet", "conv5"): ("gather", "gather", "vnni"),
+    ("alexnet", "fc6"): ("popcount", "popcount", "popcount"),
+    ("alexnet", "fc7"): ("popcount", "popcount", "popcount"),
+    ("alexnet", "fc8"): ("popcount", "popcount", "popcount"),
+    ("resnet18", "conv1"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv64-64k3s1"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv64-128k3s2"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv64-128k1s2"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv128-128k3s1"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv128-256k3s2"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv128-256k1s2"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv256-256k3s1"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv256-512k3s2"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv256-512k1s2"): ("vnni", "fold", "vnni"),
+    ("resnet18", "conv512-512k3s1"): ("vnni", "fold", "vnni"),
+    ("resnet18", "fc"): ("popcount", "popcount", "popcount"),
 }
 
 LAYERS = [("alexnet", s) for s in ALEXNET] + [("resnet18", s) for s in RESNET18]
@@ -54,12 +62,12 @@ def test_the_table_covers_every_benchmark_layer():
 @pytest.mark.parametrize(
     "net,shape", LAYERS, ids=[f"{net}-{s.name}" for net, s in LAYERS]
 )
-def test_benchmark_layer_routes_on_both_branches(net, shape):
-    micro, loop = ROUTES[net, shape.name]
+def test_benchmark_layer_routes_on_every_build(net, shape):
     product = shape.product()
-    assert product.cheapest(MICRO_KERNEL) == micro
-    assert product.cheapest(LOOP_NEST) == loop
+    for (branch, vnni), route in zip(BUILDS, ROUTES[net, shape.name]):
+        assert product.cheapest(branch, vnni) == route
     assert product.cheapest(None) == "fold"
+    assert product.cheapest(None, True) == "fold"
 
 
 def test_resnet_strided_1x1_convs_never_take_the_gather():
@@ -72,9 +80,19 @@ def test_resnet_strided_1x1_convs_never_take_the_gather():
                     "fold", branch)
 
 
+def test_a_conv_never_takes_the_im2col_popcount_gemm():
+    for net, shape in LAYERS:
+        product = shape.product()
+        if isinstance(shape, ConvShape):
+            for branch in (MICRO_KERNEL, LOOP_NEST):
+                for vnni in (True, False):
+                    assert "popcount" not in product.paths(branch, vnni)
+
+
 class TestWideDigits:
     """Digits wider than 8 bits only fold: ``_pack_planes`` packs at most
-    8 bits, so the popcount GEMM and the gather are never candidates."""
+    8 bits and the int8 path takes at most 8-bit activations, so no
+    compiled path is ever a candidate."""
 
     WIDE = [(p, q) for p in (1, 2) for q in range(9, 17)]
 
@@ -86,13 +104,15 @@ class TestWideDigits:
         convs = [HostProduct.conv(64, 512, 512, 30, 30, 3, 1, p, q),
                  HostProduct.conv(256, 64, 64, 114, 114, 3, 1, p, q)]
         for product in gemms + convs:
-            assert product.paths(branch) == ("fold",)
-            assert product.cheapest(branch) == "fold"
+            for vnni in (True, False):
+                assert product.paths(branch, vnni) == ("fold",)
+                assert product.cheapest(branch, vnni) == "fold"
 
-    def test_at_eight_bits_the_compiled_paths_are_candidates(self):
+    def test_at_eight_bits_the_packed_paths_are_candidates(self):
+        # 8-bit weights do not fit s8: no int8 path
         conv = HostProduct.conv(4, 64, 64, 30, 30, 3, 1, 8, 8)
-        assert conv.paths(MICRO_KERNEL) == ("fold", "popcount", "gather")
-        assert HostProduct(64, 64, 64, 8, 8).paths(LOOP_NEST) == (
+        assert conv.paths(MICRO_KERNEL, True) == ("fold", "gather")
+        assert HostProduct(64, 64, 64, 8, 8).paths(LOOP_NEST, True) == (
             "fold", "popcount")
 
     @pytest.mark.parametrize("q", [9, 16])
@@ -132,15 +152,25 @@ class TestPrices:
         assert HostProduct(512, 512, 512, 1, 9).cheapest(MICRO_KERNEL) == "fold"
 
     def test_compiled_paths_need_a_branch(self):
-        product = HostProduct.conv(1, 64, 64, 10, 10, 3, 1, 1, 2)
-        assert product.host_us("fold", None) > 0
-        for path in ("popcount", "gather"):
+        conv = HostProduct.conv(1, 64, 64, 10, 10, 3, 1, 1, 2)
+        gemm = HostProduct(64, 64, 576, 1, 2)
+        for product in (conv, gemm):
+            assert product.host_us("fold", None) > 0
+        for product, path in ((gemm, "popcount"), (conv, "gather"),
+                              (conv, "vnni")):
             with pytest.raises(ValueError, match="compiled branch"):
                 product.host_us(path, None)
 
-    def test_the_gather_needs_a_conv(self):
+    @pytest.mark.parametrize("path", ["gather", "vnni"])
+    def test_conv_paths_need_a_conv(self, path):
         with pytest.raises(ValueError, match="conv window"):
-            HostProduct(64, 64, 576, 1, 2).host_us("gather", MICRO_KERNEL)
+            HostProduct(64, 64, 576, 1, 2).host_us(path, MICRO_KERNEL)
+
+    def test_a_conv_has_no_popcount_path(self):
+        conv = HostProduct.conv(1, 64, 64, 10, 10, 3, 1, 1, 2)
+        for branch in (MICRO_KERNEL, LOOP_NEST):
+            with pytest.raises(ValueError, match="no popcount path"):
+                conv.host_us("popcount", branch)
 
     def test_unknown_path(self):
         with pytest.raises(ValueError, match="unknown path"):
@@ -164,12 +194,20 @@ class TestPrices:
             LOOP_NEST)
 
     def test_every_path_reports_its_compiled_kernels(self):
-        assert dict(PATH_KERNELS) == {"fold": 0, "popcount": 1, "gather": 2}
+        assert dict(PATH_KERNELS) == {
+            "fold": 0, "popcount": 1, "gather": 2, "vnni": 2}
+
+    def test_the_int8_path_is_priced_alike_on_either_branch(self):
+        conv = HostProduct.conv(4, 64, 64, 58, 58, 3, 1, 2, 4)
+        assert conv.host_us("vnni", MICRO_KERNEL) == conv.host_us(
+            "vnni", LOOP_NEST) > 0
 
     def test_rates_are_positive(self):
         assert all(v > 0 for v in HOST_RATES.fold_macs.values())
         assert set(HOST_RATES.fold_macs) == {"float32", "float64", "int64"}
         assert min(HOST_RATES.popcount_words) > 0
+        assert min(HOST_RATES.vnni_quads, HOST_RATES.panel_bytes,
+                   HOST_RATES.vnni_weight_digits) > 0
 
 
 class TestFit:

@@ -282,7 +282,7 @@ class TestInt32CheckFromShapes:
         monkeypatch.setattr(packed, "check_int32_accumulator", spy)
         return calls
 
-    @pytest.mark.parametrize("path", ["fold", "popcount", "gather"])
+    @pytest.mark.parametrize("path", ["fold", "popcount", "gather", "vnni"])
     def test_skipped_below_the_bound(self, scans, path):
         wp, xp = Precision(1, B), Precision(2, U)
         W, X = _operands(5, 4, 3, 576, wp, xp)
@@ -293,12 +293,15 @@ class TestInt32CheckFromShapes:
         elif path == "popcount":
             out = matmul_path("popcount", W, X, wp, xp, backend="cffi")
         else:
-            from repro.kernels.packed_conv import packed_conv_matmul
+            from repro.kernels import packed_conv
 
+            if path == "vnni" and not packed.compiled_vnni("cffi"):
+                pytest.skip("the loaded build has no AVX-512 VNNI kernels")
+            conv = {"gather": packed_conv.packed_conv_matmul,
+                    "vnni": packed_conv.vnni_conv_matmul}[path]
             # one 3x3 window per image: the conv is the GEMM of W and X
-            out = packed_conv_matmul(W.reshape(4, 64, 3, 3),
-                                     X.reshape(3, 64, 3, 3), wp, xp,
-                                     backend="cffi")
+            out = conv(W.reshape(4, 64, 3, 3), X.reshape(3, 64, 3, 3), wp, xp,
+                       backend="cffi")
         assert scans == []
         assert np.array_equal(out, reference_matmul(W, X, wp, xp))
 
@@ -314,25 +317,29 @@ class TestInt32CheckFromShapes:
 
 
 class TestDigitRangeEveryPath:
-    """Out-of-range digits raise on the fold, the popcount GEMM and the
-    gather alike: the packer's uint8 narrowing must never see them."""
+    """Out-of-range digits raise on the fold, the popcount GEMM, the
+    gather and the int8 conv alike: the packer's and the int8 path's
+    narrowing must never see them."""
 
     WP, XP = Precision(1, B), Precision(2, U)
 
     @staticmethod
     def _run(path, w, x, wp, xp):
-        from repro.kernels.packed_conv import packed_conv_matmul
+        from repro.kernels import packed_conv
 
         if path != "fold" and not backends.get_backend().compiled:
             pytest.skip("cffi kernels do not load here")
-        if path == "gather":
-            return packed_conv_matmul(w.reshape(4, 64, 3, 3),
-                                      x.reshape(1, 64, 3, 3), wp, xp,
-                                      backend="cffi")
+        if path == "vnni" and not packed.compiled_vnni("cffi"):
+            pytest.skip("the loaded build has no AVX-512 VNNI kernels")
+        if path in ("gather", "vnni"):
+            conv = {"gather": packed_conv.packed_conv_matmul,
+                    "vnni": packed_conv.vnni_conv_matmul}[path]
+            return conv(w.reshape(4, 64, 3, 3), x.reshape(1, 64, 3, 3), wp, xp,
+                        backend="cffi")
         backend = "numpy" if path == "fold" else "cffi"
         return matmul_path(path, w, x, wp, xp, backend=backend)
 
-    @pytest.mark.parametrize("path", ["fold", "popcount", "gather"])
+    @pytest.mark.parametrize("path", ["fold", "popcount", "gather", "vnni"])
     @pytest.mark.parametrize("side", ["weight", "feature"])
     @pytest.mark.parametrize(
         "dtype,bad",

@@ -2,8 +2,8 @@
 
 ``binarize`` and ``QEMQuantizer.fit`` return read-only digits that the
 table registers, and the packed strategy of ``apmm`` and ``apconv``
-keeps each such weight's range, packed planes and conv matrix from its
-first call.  The contract: the digits cannot be written; a second call
+keeps each such weight's range, packed planes, s8 panels and conv matrix
+from its first call.  The contract: the digits cannot be written; a second call
 does no weight range scan, packing or matrix copy on any path and
 backend; the range check still rejects what it rejected before; a
 caller's own array, and an owner made writeable again, are computed
@@ -38,7 +38,10 @@ apconv_module = importlib.import_module("repro.kernels.apconv")
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 HAS_CFFI = backends.get_backend().compiled
+HAS_VNNI = packed.compiled_vnni() if HAS_CFFI else False
 needs_cffi = pytest.mark.skipif(not HAS_CFFI, reason="cffi kernels do not load here")
+needs_vnni = pytest.mark.skipif(
+    not HAS_VNNI, reason="the loaded build has no AVX-512 VNNI kernels")
 
 PAIR_NAMES = ["w1a1", "w1a2", "w1a4", "w2a2", "w2a4", "w4a4", "w2a8"]
 PAIRS = [PrecisionPair.parse(name) for name in PAIR_NAMES]
@@ -51,14 +54,15 @@ CASES = [
     pytest.param("apmm", "popcount", "cffi", marks=needs_cffi),
     pytest.param("apconv", "fold", "numpy"),
     pytest.param("apconv", "fold", "cffi", marks=needs_cffi),
-    pytest.param("apconv", "popcount", "cffi", marks=needs_cffi),
     pytest.param("apconv", "gather", "cffi", marks=needs_cffi),
+    pytest.param("apconv", "vnni", "cffi", marks=needs_vnni),
 ]
 
 
 def _route(path):
     """Every packed call takes ``path``, whatever the host model prices."""
-    return mock.patch.object(HostProduct, "cheapest", lambda self, branch: path)
+    return mock.patch.object(
+        HostProduct, "cheapest", lambda self, branch, vnni=False: path)
 
 
 def _weight(kernel, rng, precision, rows=6):
@@ -98,8 +102,8 @@ def _served(array):
 
 @pytest.fixture
 def weight_work(monkeypatch):
-    """Counts of weight-side work: range scans, packing and matrix copies
-    of a read-only (weight) array."""
+    """Counts of weight-side work: range scans, packing, s8 decoding and
+    matrix copies of a read-only (weight) array."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -117,6 +121,7 @@ def weight_work(monkeypatch):
         (packed, "_digit_range"),
         (packed, "_pack_planes"),
         (packed_conv, "_pack_planes"),
+        (packed_conv, "_vnni_weights"),
         (apconv_module, "conv_weight_matrix"),
         (packed_conv, "conv_weight_matrix"),
     ]:
@@ -170,8 +175,11 @@ class TestSecondCallDoesNoWeightWork:
                 assert out.tobytes() == want.tobytes()
                 if call == 0:
                     assert weight_work["_digit_range"] >= 1
-                    # the fold packs nothing; the other paths pack W
-                    assert (weight_work["_pack_planes"] > 0) == (path != "fold")
+                    # the popcount paths pack W, the int8 path decodes
+                    # it, the fold does neither
+                    packs = path in ("popcount", "gather")
+                    assert (weight_work["_pack_planes"] > 0) == packs
+                    assert (weight_work["_vnni_weights"] > 0) == (path == "vnni")
         assert dict(weight_work) == {}
 
     @pytest.mark.parametrize("kernel,path,backend", CASES)
@@ -301,7 +309,12 @@ def test_the_references_never_read_the_table(monkeypatch, kernel, strategy):
     _run(kernel, qt.digits, x, wp, xp, strategy=strategy, backend="numpy")
 
 
-PATHS = ("fold", "popcount", "gather") if HAS_CFFI else ("fold",)
+#: The paths each kernel runs on this host's default backend.
+APMM_PATHS = ("fold", "popcount") if HAS_CFFI else ("fold",)
+APCONV_PATHS = (
+    ("fold", "gather") + (("vnni",) if HAS_VNNI else ())
+    if HAS_CFFI else ("fold",)
+)
 BACKEND = "cffi" if HAS_CFFI else "numpy"
 
 
@@ -323,7 +336,7 @@ class TestPreparedEqualsTheIntegerReference:
         m=st.integers(1, 24),
         n=st.integers(1, 24),
         k=st.integers(1, 150),
-        path=st.sampled_from(PATHS[:2]),
+        path=st.sampled_from(APMM_PATHS),
     )
     def test_apmm(self, seed, pair, wenc, xenc, m, n, k, path):
         rng = np.random.default_rng(seed)
@@ -350,7 +363,7 @@ class TestPreparedEqualsTheIntegerReference:
         size=st.integers(0, 4),
         stride=st.integers(1, 2),
         padding=st.integers(0, 2),
-        path=st.sampled_from(PATHS),
+        path=st.sampled_from(APCONV_PATHS),
     )
     def test_apconv(
         self, seed, pair, wenc, xenc, cout, cin, kernel, size, stride,
@@ -381,7 +394,7 @@ class TestFormsAreKeyedByWhatTheyDependOn:
     equals the integer reference, so no call is served a form made for
     another."""
 
-    @pytest.mark.parametrize("path", PATHS[:2])
+    @pytest.mark.parametrize("path", APMM_PATHS)
     def test_apmm(self, path):
         rng = np.random.default_rng(6)
         w = _prepared_digits(rng, Precision(2, U), (40, 150))
@@ -402,7 +415,7 @@ class TestFormsAreKeyedByWhatTheyDependOn:
                 want = _reference("apmm", view, x, wp, xp)
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("path", APCONV_PATHS)
     def test_apconv(self, path):
         rng = np.random.default_rng(7)
         w = _prepared_digits(rng, Precision(2, B), (5, 70, 3, 3))

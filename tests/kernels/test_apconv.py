@@ -189,7 +189,12 @@ class TestHostSpan:
     @pytest.mark.parametrize("backend", ["numpy", "cffi"])
     def test_span_carries_the_path_and_its_host_price(self, backend):
         from repro.core import backends
-        from repro.core.packed import PATH_KERNELS, HostProduct, compiled_branch
+        from repro.core.packed import (
+            PATH_KERNELS,
+            HostProduct,
+            compiled_branch,
+            compiled_vnni,
+        )
         from repro.obs import trace_kernels
 
         if backend == "cffi" and not backends.get_backend().compiled:
@@ -198,9 +203,9 @@ class TestHostSpan:
         with trace_kernels() as tracer:
             res = apconv(w, x, self.WP, self.XP, padding=1, backend=backend)
         (span,) = tracer.spans_in("kernel")
-        branch = compiled_branch(backend)
+        branch, vnni = compiled_branch(backend), compiled_vnni(backend)
         product = HostProduct.conv(1, 64, 64, 30, 30, 3, 1, 2, 4)
-        path = product.cheapest(branch)
+        path = product.cheapest(branch, vnni)
         assert span.attributes["path"] == path
         assert span.attributes["host_us"] == product.host_us(path, branch)
         assert span.attributes["host_us"] > 0
@@ -208,12 +213,14 @@ class TestHostSpan:
         assert res.cost.counters.compiled_kernels == PATH_KERNELS[path]
         if branch is None:
             assert path == "fold"
+        elif vnni:
+            assert path == "vnni"  # w2a4: p*q = 8
         elif branch == 1:
             assert path == "gather"
 
     def test_untraced_calls_price_only_the_decision(self, monkeypatch):
         from repro.core import backends
-        from repro.core.packed import HostProduct
+        from repro.core.packed import HostProduct, compiled_vnni
         from repro.obs import trace_kernels
 
         priced = []
@@ -233,7 +240,8 @@ class TestHostSpan:
         if backends.get_backend().compiled:
             priced.clear()
             apconv(w, x, self.WP, self.XP, padding=1, backend="cffi")
-            assert sorted(priced) == ["fold", "gather", "popcount"]
+            int8 = ["vnni"] if compiled_vnni("cffi") else []
+            assert sorted(priced) == ["fold", "gather"] + int8
 
     def test_reference_strategies_carry_no_host_price(self):
         from repro.obs import trace_kernels

@@ -26,7 +26,12 @@ import numpy as np
 import pytest
 
 from repro.core import PrecisionPair, backends, cores
-from repro.core.packed import PATH_KERNELS, HostProduct, compiled_branch
+from repro.core.packed import (
+    PATH_KERNELS,
+    HostProduct,
+    compiled_branch,
+    compiled_vnni,
+)
 from repro.nn import APNNBackend, alexnet, resnet18
 from repro.obs import Tracer
 from repro.serve import PlanCache
@@ -150,8 +155,8 @@ def _routes(qnet, net, images, monkeypatch) -> list[str]:
     monkeypatch.setattr(qnet, "apconv", traced_conv)
     monkeypatch.setattr(qnet, "apmm", traced_mm)
     qnet.forward(net, images)
-    branch = compiled_branch()
-    return [product.cheapest(branch) for product in products]
+    branch, vnni = compiled_branch(), compiled_vnni()
+    return [product.cheapest(branch, vnni) for product in products]
 
 
 def test_gather_runs_only_on_cffi(qnet, prepared, monkeypatch):
@@ -167,9 +172,9 @@ def test_gather_runs_only_on_cffi(qnet, prepared, monkeypatch):
         assert attrs["compiled_kernels"] == PATH_KERNELS[route]
         assert attrs["kind"] == ("conv_fold" if route == "fold" else "gather")
     if compiled_branch() == 1:
-        # on the micro-kernel conv2 (C_in 64, 5x5 on a 7x7 map) takes the
-        # gather; conv3-conv5 see 3x3 maps here, whose nine windows the
-        # model may send to the im2col popcount GEMM instead
+        # on the micro-kernel conv2 (w1a2, C_in 64, 5x5 on a 7x7 map)
+        # takes the gather, with or without the int8 kernels: the
+        # popcount emulation beats int8 at p*q = 2
         assert routes[1] == "gather"
     numpy_kinds = _kernel_kinds(qnet, net, images, backend="numpy")
     assert "gather" not in numpy_kinds
@@ -186,12 +191,14 @@ def test_popcount_gemm_runs_only_on_cffi(qnet, prepared, monkeypatch):
     assert len(fc) == 3
     assert all(count == PATH_KERNELS[route] for count, route in fc)
     # w1a2 (p*q = 2) at K a multiple of 64: fc6-fc8 take the popcount
-    # GEMM whenever cffi loads; conv1 (w1a8, C_in 3) stays on the fold
+    # GEMM whenever cffi loads; conv1 (w1a8, C_in 3) takes the int8 path
+    # where the build has it, and the fold elsewhere
     if backends.get_backend().compiled:
         assert [route for _, route in fc] == ["popcount"] * 3
     else:
         assert fc == [(0, "fold")] * 3
-    assert first == [0]
+    assert routes[0] == ("vnni" if compiled_vnni() else "fold")
+    assert first == [PATH_KERNELS[routes[0]]]
     numpy_spans = _kernel_spans(qnet, net, images, backend="numpy")
     assert [a["compiled_kernels"] for a in numpy_spans] == [0] * len(spans)
 
