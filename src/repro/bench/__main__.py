@@ -20,7 +20,7 @@ a compiled geomean of at least 1x.
 
 ``--report`` additionally appends a trend row to ``BENCH_trend.csv`` and
 renders ``BENCH_report.md`` (kernel tables + serving modeled cost + trend
-history; ``--report-experiments`` folds in serving-experiment tables).
+history).
 ``--trace PATH`` records every kernel execution as wall-clock spans and
 writes a Chrome-trace JSON (open in ``chrome://tracing`` / Perfetto) plus
 a ``.jsonl`` span log next to it.
@@ -61,9 +61,7 @@ def _emit_report(args, report_dict: dict) -> int:
     )
     trend_path = args.trend or DEFAULT_BASELINE_PATH.parent / TREND_FILENAME
     rows = append_trend_row(trend_path, trend_row(report_dict))
-    md = render_report(
-        report_dict, rows, experiments=tuple(args.report_experiments or ()),
-    )
+    md = render_report(report_dict, rows)
     report_path = out_dir / REPORT_FILENAME
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(md)
@@ -148,10 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trend", type=pathlib.Path, default=None,
                         help="trend CSV to append to (default: "
                              "benchmarks/baselines/BENCH_trend.csv)")
-    parser.add_argument("--report-experiments", nargs="*", default=None,
-                        metavar="EXP",
-                        help="experiment ids to fold into the report "
-                             "(e.g. scheduling warmup placement)")
     parser.add_argument("--trace", type=pathlib.Path, default=None,
                         metavar="PATH",
                         help="record kernel executions and write a "

@@ -5,9 +5,10 @@ GEMM, the conv gather and the int8 conv as counted work divided by the
 rates of :data:`repro.core.packed.HOST_RATES`.  This command measures
 those rates the way Markidis et al. characterize a unit: it times each
 primitive the paths are made of in one process -- the fold (cast, BLAS
-GEMM, int64 output pass), ``im2col``, the ``np.packbits`` packer, the
-window gather, the popcount GEMM on both of its compiled branches, and
-the int8 path's weight decode, panel writer and AVX-512 VNNI GEMM --
+GEMM, int64 output pass), the layout pass with ``im2col``'s window copy,
+the ``np.packbits`` packer, the window gather, the popcount GEMM on both
+of its compiled branches, and the int8 path's weight decode, panel
+writer and AVX-512 VNNI GEMM --
 over the README's crossover shapes, every AlexNet-w1a2 and
 ResNet-18-w2a4 layer of the perfbench forwards and a sweep of
 precision pairs over their conv shapes, and fits one rate per
@@ -45,8 +46,10 @@ Every timing is the median of seven rounds that each run all of one
 shape's calls, in alternating order, on ``uint8`` digits (bipolar
 weights, unsigned features, as the forwards quantize them) and on
 weights that are not prepared, so each call does its weight work as the
-model prices it.  The run takes about a minute on one core of a 2-vCPU
-VM and builds into a temporary directory.
+model prices it; each conv path from the unpadded map, with its one
+layout pass (:func:`~repro.kernels.layout.pad_channel_last`), as
+``apconv`` runs it.  The run takes about a minute on one core of a
+2-vCPU VM and builds into a temporary directory.
 """
 
 from __future__ import annotations
@@ -76,9 +79,8 @@ from ..core.packed import (
     matmul_path,
 )
 from ..core.types import Encoding, Precision
-from ..kernels.layout import conv_weight_matrix, im2col
+from ..kernels.layout import conv_weight_matrix, im2col, pad_channel_last
 from ..kernels.packed_conv import (
-    _channel_last,
     _vnni_weights,
     packed_conv_matmul,
     vnni_conv_matmul,
@@ -308,58 +310,60 @@ def measure_conv(s: Samples, shape: ConvShape, builds: dict[int, Any],
     wp, xp = _precisions(shape.pair)
     p, q = wp.bits, xp.bits
     rng = np.random.default_rng(0)
-    side = shape.hw + 2 * shape.padding
     kernel, stride, cin = shape.kernel, shape.stride, shape.cin
     w = _digits(rng, wp, (shape.cout, cin, kernel, kernel))
-    x = _digits(rng, xp, (shape.batch, cin, side, side))
+    x = _digits(rng, xp, (shape.batch, cin, shape.hw, shape.hw))
     product = shape.product()
-    # the fold's operands, and the gather's as packed_conv_matmul builds
-    # them
-    w_flat, cols = conv_weight_matrix(w), im2col(x, kernel, stride)
+
+    def layout() -> np.ndarray:  # unsigned features pad with digit 0
+        return pad_channel_last(x, shape.padding, 0)
+
+    # every path's operands, from the one map as the paths build them
+    x_map = layout()
+    w_flat, cols = conv_weight_matrix(w), im2col(x_map, kernel, stride)
     cwords = packed_words(cin)
-    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, cin)
+    x_rows = x_map.reshape(-1, cin)
     w_rows = w_flat.reshape(-1, cin)
-    map_words = _pack_planes(x_cl, q).reshape(q * shape.batch, side, side,
-                                              cwords)
+    map_words = _pack_planes(x_rows, q).reshape(
+        q * shape.batch, *x_map.shape[1:3], cwords)
     gather = backends.kernel("conv_gather", "cffi")
     gathered = gather(map_words, kernel, kernel, stride)
     w_gather = _pack_planes(w_rows, p).reshape(p * shape.cout,
                                                kernel * kernel * cwords)
     calls = {
-        "im2col": lambda: im2col(x, kernel, stride),
+        "im2col": lambda: im2col(layout(), kernel, stride),
         "fold gemm": lambda: matmul_path("fold", w_flat, cols, wp, xp,
                                          backend="numpy"),
-        "pack map": lambda: _pack_planes(x_cl, q),
+        "pack map": lambda: _pack_planes(x_rows, q),
         "pack w rows": lambda: _pack_planes(w_rows, p),
         "gather": lambda: gather(map_words, kernel, kernel, stride),
         "fold": lambda: matmul_path(
-            "fold", conv_weight_matrix(w), im2col(x, kernel, stride), wp, xp,
-            backend="numpy"),
+            "fold", conv_weight_matrix(w), im2col(layout(), kernel, stride),
+            wp, xp, backend="numpy"),
     }
     for b, build in builds.items():
         calls[f"gather kernel {b}"] = _on(build, lambda: _popcount_matmul(
             w_gather, gathered, wp, xp, product.k, backend="cffi"))
         calls[f"gather path {b}"] = _on(build, lambda: packed_conv_matmul(
-            w, x, wp, xp, stride=stride, backend="cffi"))
+            w, layout(), wp, xp, stride=stride, backend="cffi"))
     vnni = vnni and product.int8_exact()
     if vnni:
         # the int8 kernels, on the host build
-        x_u8 = _channel_last(x, np.uint8)
         w_panels = _vnni_weights(w, wp)
-        panels = _backend_cffi._vnni_panels(x_u8, kernel, stride)
+        panels = _backend_cffi._vnni_panels(x_map, kernel, stride)
         calls.update({
             "vnni weights": lambda: _vnni_weights(w, wp),
-            "panels": lambda: _backend_cffi._vnni_panels(x_u8, kernel, stride),
+            "panels": lambda: _backend_cffi._vnni_panels(x_map, kernel, stride),
             "vnni gemm": lambda: _backend_cffi._vnni_gemm(
                 w_panels, panels, product.m, product.n),
             "vnni path": lambda: vnni_conv_matmul(
-                w, x, wp, xp, stride=stride, backend="cffi"),
+                w, layout(), wp, xp, stride=stride, backend="cffi"),
         })
     t = _medians_us(calls)
-    s.im2col.append(((x.size, x.size // cin, cols.size), t["im2col"]))
+    s.im2col.append(((x_map.size, x_map.size // cin, cols.size), t["im2col"]))
     s.fold.append((_fold_work(w_flat, cols), t["fold gemm"]))
     s.pack += [
-        (_pack_work(x_cl, q), t["pack map"]),
+        (_pack_work(x_rows, q), t["pack map"]),
         (_pack_work(w_rows, p), t["pack w rows"]),
     ]
     s.gather.append(((gathered.size, gathered.shape[0] * kernel),

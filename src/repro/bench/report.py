@@ -6,10 +6,11 @@ Turns the raw ``BENCH_kernels.json`` artifact into the repo's perf story:
   commit+suite (gemm/overall geomean, min/max speedup), appended from
   successive bench runs so regressions show up as a series, not a diff;
 * **markdown report** -- ``BENCH_report.md`` renders the kernel tables,
-  the serving modeled-cost rows, the trend table, and (optionally) the
-  serving experiments' scheduling/warmup/placement tables into one
-  artifact, via a section registry in the style of the experiment/figure
-  registry (:data:`repro.experiments.runner.EXPERIMENTS`).
+  the serving modeled-cost rows and the trend table into one artifact,
+  via a section registry in the style of the experiment/figure registry
+  (:data:`repro.experiments.runner.EXPERIMENTS`).  The experiment tables
+  have one publisher, the experiments runner, so they are not rendered
+  here.
 
 Used by ``python -m repro.bench --report`` and the CI ``report`` job.
 """
@@ -226,32 +227,12 @@ SECTIONS: dict[str, Callable[[Mapping[str, Any], Sequence[Mapping]], str]] = {
 
 
 def render_report(
-    report: Mapping[str, Any],
-    trend: Sequence[Mapping] = (),
-    *,
-    experiments: Sequence[str] = (),
+    report: Mapping[str, Any], trend: Sequence[Mapping] = ()
 ) -> str:
-    """Render the full markdown perf report.
-
-    ``experiments`` names entries of the experiment registry (e.g.
-    ``("scheduling", "warmup", "placement")``) whose rendered tables are
-    folded in as extra sections -- the serving perf story next to the
-    kernel numbers.  Experiment failures become an error note in the
-    report rather than killing it: the report is a CI artifact and must
-    materialize even when one study regresses.
-    """
+    """Render the full markdown perf report."""
     parts = [f"# Bench report -- `{report.get('suite', '?')}` suite"]
     for title, render in SECTIONS.items():
         body = render(report, trend)
         if body:
             parts.append(f"## {title}\n\n{body}")
-    if experiments:
-        from ..experiments.runner import run_experiment
-
-        for name in experiments:
-            try:
-                body = f"```\n{run_experiment(name)}\n```"
-            except Exception as exc:  # noqa: BLE001 -- see docstring
-                body = f"**error:** experiment `{name}` failed: {exc}"
-            parts.append(f"## Experiment: {name}\n\n{body}")
     return "\n\n".join(parts) + "\n"

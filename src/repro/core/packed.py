@@ -263,6 +263,12 @@ def _fold_us(m: int, n: int, k: int, p: int, q: int, rates: HostRates) -> float:
     )
 
 
+def _layout_us(pixels: int, cin: int, rates: HostRates) -> float:
+    """The channel-last copy of a conv's padded map: ``pixels`` pixels of
+    ``cin`` digits, and each pixel's fixed work."""
+    return pixels * (cin + rates.layout_pixel_digits) / rates.layout_digits
+
+
 def _vnni_panel_work(n: int, k: int, kernel: int) -> tuple[int, int]:
     """The panel writer's bytes, ``ceil(K/4)*4`` per pixel of ``N``
     rounded up to whole panels, and its window runs, ``kernel`` per
@@ -438,7 +444,7 @@ class HostProduct:
             raise ValueError("a conv has no popcount path: it takes the gather")
         batch, cin, hp, wp, kernel, _ = self.window
         pixels = batch * hp * wp
-        layout_us = pixels * (cin + rates.layout_pixel_digits) / rates.layout_digits
+        layout_us = _layout_us(pixels, cin, rates)
         if path == "fold":
             return layout_us + n * k / rates.im2col_digits + _fold_us(
                 m, n, k, p, q, rates)

@@ -21,8 +21,8 @@ from .fusion import (
     fused_cost,
     unfused_costs,
 )
-from .layout import conv_output_shape, conv_weight_matrix, im2col
-from .padding import PaddingPlan, pad_digits, padding_correction, plan_padding
+from .layout import conv_output_shape, conv_weight_matrix, im2col, pad_channel_last
+from .padding import PaddingPlan, padding_correction, plan_padding
 from .tiling import (
     CANDIDATE_TILES,
     DEFAULT_BK,
@@ -50,12 +50,12 @@ __all__ = [
     "CANDIDATE_TILES",
     "DEFAULT_BK",
     "WARPS_PER_BLOCK",
+    "pad_channel_last",
     "im2col",
     "conv_weight_matrix",
     "conv_output_shape",
     "PaddingPlan",
     "plan_padding",
-    "pad_digits",
     "padding_correction",
     "BatchNormOp",
     "ReLUOp",

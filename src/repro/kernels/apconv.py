@@ -7,10 +7,13 @@ implicit GEMM: ``M = C_out``, ``N_gemm = N * OH * OW``,
 of the GEMM machinery:
 
 * **channel-major data organization** (section 4.2a) -- every path
-  orders ``K`` channel-innermost, so the ``K``-contiguous window reads are
-  aligned and coalesced; :func:`~repro.perf.cost.conv_cost` charges the
-  naive NCHW layout a 4x read amplification when its ``channel_major``
-  flag is off (its ``double_caching`` flag prices the uncached design);
+  reads one padded channel-last map
+  (:func:`~repro.kernels.layout.pad_channel_last`, written once per
+  call) and orders ``K`` channel-innermost, so the ``K``-contiguous
+  window reads are aligned and coalesced;
+  :func:`~repro.perf.cost.conv_cost` charges the naive NCHW layout a 4x
+  read amplification when its ``channel_major`` flag is off (its
+  ``double_caching`` flag prices the uncached design);
 * **input-aware padding** (section 4.2b) -- the padding digit and the
   counter correction come from :mod:`repro.kernels.padding`, keyed by the
   operand encodings;
@@ -50,9 +53,9 @@ from ..obs import kernel_tracer
 from ..perf.cost import KernelCost, conv_cost
 from ..tensorcore.device import DeviceSpec, RTX3090
 from .autotune import TuneResult, autotune
-from .layout import conv_output_shape, conv_weight_matrix, im2col
+from .layout import conv_output_shape, conv_weight_matrix, im2col, pad_channel_last
 from .packed_conv import packed_conv_matmul, vnni_conv_matmul
-from .padding import PaddingPlan, pad_digits, padding_correction, plan_padding
+from .padding import PaddingPlan, padding_correction, plan_padding
 from .tiling import TileConfig
 
 __all__ = ["APConvResult", "apconv"]
@@ -97,9 +100,12 @@ def apconv(
     ``backend`` kernel-backend selector); geometry is NCHW digits in, in
     any unsigned dtype (the quantizers' narrow
     :func:`~repro.core.types.digit_dtype`) or int64, and
-    ``(N, C_out, OH, OW)`` int64 accumulators out.  Every strategy
+    ``(N, C_out, OH, OW)`` int64 accumulators out.  Every strategy and
+    route reads the one padded channel-last map
+    :func:`~repro.kernels.layout.pad_channel_last` writes per call, and
     lowers K in the channel-major ``(KH, KW, C_in)`` order: features
-    through :func:`~repro.kernels.layout.im2col`, weights through
+    through :func:`~repro.kernels.layout.im2col` or a compiled window
+    copy, weights through
     :func:`~repro.kernels.layout.conv_weight_matrix`.  The packed
     strategy decides its path once per call from the full shape -- the
     padded map, the kernel and the stride as well as ``M``, ``N`` and
@@ -143,7 +149,7 @@ def apconv(
 
     oh, ow = conv_output_shape(h, w, kh, stride, padding)
     pplan = plan_padding(weight, feature)
-    padded = pad_digits(x_digits, padding, pplan.pad_digit)
+    x_map = pad_channel_last(x_digits, padding, pplan.pad_digit)
 
     m, n_gemm = cout, batch * oh * ow
     tune = None
@@ -157,7 +163,7 @@ def apconv(
         # one decision per call, from the full shape: the map, the
         # kernel and the stride as well as M, N and K
         product = HostProduct.conv(
-            batch, cin, cout, padded.shape[2], padded.shape[3], kh, stride,
+            batch, cin, cout, x_map.shape[1], x_map.shape[2], kh, stride,
             weight.bits, feature.bits,
         )
         branch = compiled_branch(run_backend)
@@ -166,11 +172,11 @@ def apconv(
         # compiled window copies: the im2col digit matrix never exists
         conv = packed_conv_matmul if path == "gather" else vnni_conv_matmul
         acc = conv(
-            w_digits, padded, weight, feature,
+            w_digits, x_map, weight, feature,
             stride=stride, backend=run_backend,
         )
     else:
-        cols = im2col(padded, kh, stride)  # (batch*OH*OW, kh*kw*C_in)
+        cols = im2col(x_map, kh, stride)  # (batch*OH*OW, kh*kw*C_in)
         # the references never read the prepared table
         matrix = _weight_matrix if strategy == "packed" else conv_weight_matrix
         w_flat = matrix(w_digits)

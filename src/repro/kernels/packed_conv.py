@@ -6,24 +6,28 @@ input pixel duplicated ``KH * KW`` times.  This module holds the two
 compiled alternatives of :class:`repro.core.packed.HostProduct`, each
 taken where the host cost model prices it lowest.
 
+Both take the padded channel-last map
+:func:`~repro.kernels.layout.pad_channel_last` writes, the one operand
+layout every conv path reads.
+
 The ``gather`` path (:func:`packed_conv_matmul`), the popcount
-emulation: pack the padded feature map **once** (channel-last, ``C_in``
-bits per pixel packed into ``ceil(C_in / 64)`` words) and let the
-``conv_gather`` kernel (:mod:`repro.core.backends`) copy each window's
-``KH * KW`` word-runs straight into the GEMM operand -- the duplication
-happens on 64x-compressed words.  The zero filler bits in each ``C_in``
-word group are neutral for both ``AND`` and ``XOR`` because both
-operands are zero there.  Packing and the fused weighted popcount GEMM,
+emulation: pack that map **once** (``C_in`` bits per pixel packed into
+``ceil(C_in / 64)`` words) and let the ``conv_gather`` kernel
+(:mod:`repro.core.backends`) copy each window's ``KH * KW`` word-runs
+straight into the GEMM operand -- the duplication happens on
+64x-compressed words.  The zero filler bits in each ``C_in`` word group
+are neutral for both ``AND`` and ``XOR`` because both operands are zero
+there.  Packing and the fused weighted popcount GEMM,
 with the operator plan's correction applied in the kernel, are the ones
 :func:`repro.core.packed.packed_matmul` runs on its popcount path --
 same algebra, same int64 exactness.
 
-The ``vnni`` path (:func:`vnni_conv_matmul`), native int8: copy the
-padded map channel-last as u8 digits and let the ``vnni_conv`` kernel
-write each window's ``KH`` byte runs straight into 32-pixel k-quad
-panels, then multiply the decoded s8 weights against them with AVX-512
-VNNI in int32.  It costs the same at every pair up to ``w7a8``, so it
-takes the convs whose ``p*q`` makes the emulation dearer.
+The ``vnni`` path (:func:`vnni_conv_matmul`), native int8: let the
+``vnni_conv`` kernel write each window's ``KH`` byte runs of the u8 map
+straight into 32-pixel k-quad panels, then multiply the decoded s8
+weights against them with AVX-512 VNNI in int32.  It costs the same at
+every pair up to ``w7a8``, so it takes the convs whose ``p*q`` makes the
+emulation dearer.
 
 Both keep the im2col path's K order, ``(KH, KW, C_in)`` (the weight
 side flattens like :func:`~repro.kernels.layout.conv_weight_matrix`),
@@ -36,11 +40,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import backends, cores, prepared
+from ..core import backends, prepared
 from ..core.bitops import packed_words
 from ..core.packed import (
     _VNNI_TILE,
-    HOST_RATES,
     HostProduct,
     _check_digits,
     _pack_planes,
@@ -52,22 +55,9 @@ from .layout import conv_weight_matrix
 __all__ = ["packed_conv_matmul", "vnni_conv_matmul"]
 
 
-def _channel_last(padded: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``(batch, C_in, HP, WP)`` digits copied to ``(batch, HP, WP, C_in)``
-    in ``dtype``, split by image."""
-    batch, cin, hp, wp = padded.shape
-    x_cl = np.empty((batch, hp, wp, cin), dtype=dtype)
-
-    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
-        x_cl[lo:hi] = padded[lo:hi].transpose(0, 2, 3, 1)
-
-    cores.split(batch, part, x_cl.size / HOST_RATES.layout_digits)
-    return x_cl
-
-
 def packed_conv_matmul(
     w_digits: np.ndarray,
-    padded: np.ndarray,
+    x_map: np.ndarray,
     weight: Precision,
     feature: Precision,
     *,
@@ -80,10 +70,10 @@ def packed_conv_matmul(
     ----------
     w_digits:
         ``(C_out, C_in, KH, KW)`` weight digits.
-    padded:
-        ``(batch, C_in, HP, WP)`` feature digits, *already padded* (the
-        caller owns input-aware padding; this function only sees the
-        framed map, exactly like :func:`~repro.kernels.layout.im2col`).
+    x_map:
+        ``(batch, HP, WP, C_in)`` feature digits, already padded and
+        channel-last by :func:`~repro.kernels.layout.pad_channel_last`
+        (the caller owns input-aware padding).
     stride:
         Window stride (square kernels, like the rest of APConv).
     backend:
@@ -102,21 +92,20 @@ def packed_conv_matmul(
         raise RuntimeError("packed_conv_matmul needs a compiled backend")
 
     cout, cin, kh, kw = w_digits.shape
-    batch, cin_x, hp, wp = padded.shape
+    batch, hp, wp, cin_x = x_map.shape
     if cin != cin_x:
         raise ValueError(
             f"channel mismatch: weights C_in={cin}, features C_in={cin_x}"
         )
     _check_digits(w_digits, weight, "weight")
-    _check_digits(padded, feature, "feature")
+    _check_digits(x_map, feature, "feature")
     p, q = weight.bits, feature.bits
     cwords = packed_words(cin)
 
-    # Features: channel-last, C_in packed per pixel; the q feature planes
-    # ride the images axis so the gathered rows come out plane-major --
-    # exactly the virtual batched operand layout.
-    x_cl = _channel_last(padded, padded.dtype)
-    x_words = _pack_planes(x_cl.reshape(batch * hp * wp, cin), q)
+    # Features: C_in packed per pixel; the q feature planes ride the
+    # images axis so the gathered rows come out plane-major -- exactly
+    # the virtual batched operand layout.
+    x_words = _pack_planes(x_map.reshape(batch * hp * wp, cin), q)
     gathered = gather(x_words.reshape(q * batch, hp, wp, cwords), kh, kw, stride)
 
     # Weights: the gathered windows' K order, (KH, KW, C_in packed), one
@@ -165,7 +154,7 @@ def _vnni_weights(w_digits: np.ndarray, weight: Precision) -> np.ndarray:
 
 def vnni_conv_matmul(
     w_digits: np.ndarray,
-    padded: np.ndarray,
+    x_map: np.ndarray,
     weight: Precision,
     feature: Precision,
     *,
@@ -174,13 +163,13 @@ def vnni_conv_matmul(
 ) -> np.ndarray:
     """Implicit-GEMM conv on the host's int8 dot-product unit.
 
-    Takes and returns what :func:`packed_conv_matmul` does.  The padded
-    map is copied channel-last as u8 digits, the ``vnni_conv`` kernel
-    (:mod:`repro.core.backends`) writes its im2col windows straight into
-    32-pixel k-quad panels, and an AVX-512 VNNI GEMM multiplies the
-    decoded s8 weights against them, in int32, stored as int64.  Bipolar
-    activations then take the affine correction ``2*(W @ X.T) -
-    (2**q - 1)*rowsum(W)`` over the decoded weights ``W``.
+    Takes and returns what :func:`packed_conv_matmul` does.  The
+    ``vnni_conv`` kernel (:mod:`repro.core.backends`) writes the map's
+    im2col windows, as u8 digits, straight into 32-pixel k-quad panels,
+    and an AVX-512 VNNI GEMM multiplies the decoded s8 weights against
+    them, in int32, stored as int64.  Bipolar activations then take the
+    affine correction ``2*(W @ X.T) - (2**q - 1)*rowsum(W)`` over the
+    decoded weights ``W``.
 
     Only products :meth:`~repro.core.packed.HostProduct.int8_exact`
     admits run here: weights of at most 7 bits, activations of at most 8
@@ -192,7 +181,7 @@ def vnni_conv_matmul(
     if conv is None:
         raise RuntimeError("vnni_conv_matmul needs a compiled backend")
     cout, cin, kh, kw = w_digits.shape
-    batch, cin_x, hp, wp = padded.shape
+    batch, hp, wp, cin_x = x_map.shape
     if cin != cin_x:
         raise ValueError(
             f"channel mismatch: weights C_in={cin}, features C_in={cin_x}"
@@ -205,11 +194,12 @@ def vnni_conv_matmul(
             f"K={product.k} exactly"
         )
     _check_digits(w_digits, weight, "weight")
-    _check_digits(padded, feature, "feature")
+    _check_digits(x_map, feature, "feature")
     w_panels = prepared.form(
         w_digits, ("vnni panels", weight), lambda: _vnni_weights(w_digits, weight)
     )
-    out = conv(_channel_last(padded, np.uint8), w_panels, cout, kh, stride)
+    # in range, so a wider map narrows exactly; a u8 map is not copied
+    out = conv(x_map.astype(np.uint8, copy=False), w_panels, cout, kh, stride)
     a, b = feature.decode_affine
     if (a, b) != (1, 0):
         rows = w_panels.sum(axis=(1, 3), dtype=np.int64).reshape(-1)[:cout]

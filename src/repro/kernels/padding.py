@@ -15,6 +15,10 @@ strategies, keyed by operand encodings:
 We add the symmetric fourth case (unsigned weight x bipolar feature) for
 completeness: pad digit 1 (+1) with the same counter correction.
 
+This module decides the digit and the correction; the border itself is
+written by :func:`~repro.kernels.layout.pad_channel_last`, in the same
+pass that lays the map out channel-last for every conv path.
+
 The correction is exact: for pad value ``v`` the padded lanes contribute
 ``v * sum(W over out-of-frame taps)`` to each output pixel, which equals
 ``v`` times the cross-correlation of the pad-indicator mask with the
@@ -29,11 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import cores
 from ..core.opselect import EmulationCase, classify
 from ..core.types import Precision
 
-__all__ = ["PaddingPlan", "plan_padding", "pad_digits", "padding_correction"]
+__all__ = ["PaddingPlan", "plan_padding", "padding_correction"]
 
 
 @dataclass(frozen=True)
@@ -64,33 +67,6 @@ def plan_padding(weight: Precision, feature: Precision) -> PaddingPlan:
     pad_value = int(feature.decode(np.array([pad_digit]))[0])
     return PaddingPlan(case, pad_digit=pad_digit, pad_value=pad_value,
                        needs_correction=True)
-
-
-def pad_digits(x: np.ndarray, padding: int, pad_digit: int) -> np.ndarray:
-    """Spatially pad an (N, C, H, W) digit tensor with a constant digit."""
-    if x.ndim != 4:
-        raise ValueError(f"expected 4-D NCHW digits, got shape {x.shape}")
-    if padding < 0:
-        raise ValueError(f"padding must be >= 0, got {padding}")
-    if padding == 0:
-        return x
-    # widen narrow digits to hold the constant, so a bipolar max digit
-    # (2**bits - 1) cannot wrap
-    dtype = np.promote_types(x.dtype, np.min_scalar_type(pad_digit))
-    n, c, h, w = x.shape
-    p = padding
-    out = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=dtype)
-
-    def part(lo: int, hi: int) -> None:  # images lo .. hi-1
-        frame = out[lo:hi]
-        frame[:, :, :p] = pad_digit
-        frame[:, :, p + h:] = pad_digit
-        frame[:, :, p:p + h, :p] = pad_digit
-        frame[:, :, p:p + h, p + w:] = pad_digit
-        frame[:, :, p:p + h, p:p + w] = x[lo:hi]
-
-    cores.split(n, part, out.size * cores.ELEMENT_US)
-    return out
 
 
 def padding_correction(

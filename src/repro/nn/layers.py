@@ -16,7 +16,13 @@ import threading
 import numpy as np
 
 from ..core import cores
-from ..kernels.layout import conv_output_shape, conv_weight_matrix, im2col
+from ..kernels.fusion import BatchNormOp, ReLUOp
+from ..kernels.layout import (
+    conv_output_shape,
+    conv_weight_matrix,
+    im2col,
+    pad_channel_last,
+)
 from .module import Module, Parameter
 
 __all__ = [
@@ -117,11 +123,8 @@ class Conv2d(Module):
             raise ValueError(
                 f"{self.name}: expected {self.in_channels} channels, got {c}"
             )
-        xpad = np.pad(
-            x,
-            ((0, 0), (0, 0), (self.padding,) * 2, (self.padding,) * 2),
-        )
-        cols = im2col(xpad, self.kernel, self.stride)
+        cols = im2col(pad_channel_last(x, self.padding, 0), self.kernel,
+                      self.stride)
         out = cols @ conv_weight_matrix(self.weight.data).T
         oh, ow = conv_output_shape(h, w, self.kernel, self.stride, self.padding)
         out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
@@ -198,9 +201,7 @@ class BatchNorm2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ValueError(f"{self.name}: bad input shape {x.shape}")
-        scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
-        shift = self.beta.data - self.running_mean * scale
-        return x * scale[None, :, None, None] + shift[None, :, None, None]
+        return BatchNormOp(*self.folded_scale_shift()).apply(x)
 
     def output_shape(self, input_shape):
         return input_shape
@@ -218,7 +219,7 @@ class ReLU(Module):
         self.name = name
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0)
+        return ReLUOp().apply(x)
 
     def output_shape(self, input_shape):
         return input_shape

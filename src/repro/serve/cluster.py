@@ -55,7 +55,7 @@ from ..nn.models import alexnet, micro_cnn, resnet18
 from ..obs import Tracer
 from ..tensorcore.device import RTX3090, DeviceSpec
 from .placement import PlacementPolicy
-from .plan_cache import PlanCacheStore
+from .plan_cache import PlanCache, PlanCacheStore
 from .server import (
     ClusterPolicy,
     InferenceServer,
@@ -333,7 +333,11 @@ class ClusterCoordinator(InferenceServer):
 
     Each worker prices its batches in-process on the simulated clock,
     with ``faults`` scripting its crashes, slowdowns and store damage
-    deterministically.  Pipeline sharding is not supported on clusters.
+    deterministically.  ``cache_dir`` persists the workers' shared plan
+    cache as a :class:`~repro.serve.plan_cache.PlanCacheStore` there
+    (pass it or ``plan_cache``, not both); the damaged lines its load
+    skipped are counted in the metrics.  Pipeline sharding is not
+    supported on clusters.
     ``start()`` prewarms every (model, candidate batch) plan by default,
     so no dispatch takes the cold-compile path: the batches a fault
     schedule produces then never depend on how long a compile took, and
@@ -375,6 +379,13 @@ class ClusterCoordinator(InferenceServer):
             pair = PrecisionPair.parse(pair)
         self._corruptions: deque[float] = deque(faults.corruption_times())
         self._store_damage_seen = 0
+        if cache_dir is not None:
+            if options.get("plan_cache") is not None:
+                raise ValueError(
+                    "pass plan_cache or cache_dir, not both (a supplied "
+                    "cache keeps its own store configuration)"
+                )
+            options["plan_cache"] = PlanCache(store=PlanCacheStore(cache_dir))
         backend = APNNBackend(pair)
         super().__init__(
             {
@@ -384,10 +395,15 @@ class ClusterCoordinator(InferenceServer):
             [(backend, RTX3090)] * num_workers,
             candidate_batches=(*candidate_batches, 1),
             placement=placement,
-            cache_dir=cache_dir,
             tracer=tracer,
             **options,
         )
+        if cache_dir is not None:
+            # the store just loaded: count the damaged lines it skipped
+            # (crash-during-append debris)
+            self.metrics.record_store_recovery(
+                self.plan_cache.stats().store_recovered_lines
+            )
         if policy is not None:
             self.policy = policy
 

@@ -38,7 +38,9 @@ single-flight across racing workers), then re-runs its selection against
 the live queues -- other workers keep draining warm queues and clients
 keep submitting for the whole compile.  ``start(prewarm=True)``
 pre-compiles the batcher's candidate batches for every (model, worker)
-pair before any traffic lands, and ``cache_dir=`` persists every
+pair before any traffic lands, and a plan cache over a
+:class:`~repro.serve.plan_cache.PlanCacheStore`
+(``plan_cache=PlanCache(store=PlanCacheStore(dir))``) persists every
 compiled plan so a restarted server replans nothing.
 
 Placement (:mod:`repro.serve.placement`) decides *which* models each
@@ -82,7 +84,6 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..core.types import PrecisionPair
@@ -99,7 +100,7 @@ from .placement import (
     StagePlan,
     pipeline_stages,
 )
-from .plan_cache import PlanCache, PlanCacheStore
+from .plan_cache import PlanCache
 from .policies import (
     AdmissionPolicy,
     AdmissionRejected,
@@ -388,12 +389,6 @@ class InferenceServer:
     time_scale:
         Real seconds slept per simulated microsecond of batch service
         (0 = don't sleep, just yield).
-    cache_dir:
-        Optional directory for plan-cache persistence: the server builds
-        its :class:`~repro.serve.plan_cache.PlanCache` over a
-        :class:`~repro.serve.plan_cache.PlanCacheStore` there, loading
-        every previously compiled plan on construction and appending
-        each new one.  Mutually exclusive with ``plan_cache``.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given, the server
         records hierarchical spans on the simulated clock -- admission
@@ -421,7 +416,6 @@ class InferenceServer:
         autoswitch: PrecisionAutoswitcher | None = None,
         placement: PlacementPolicy | None = None,
         time_scale: float = 0.0,
-        cache_dir: str | Path | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if not models:
@@ -430,22 +424,12 @@ class InferenceServer:
             raise ValueError("server needs at least one (backend, device)")
         if time_scale < 0:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-        if plan_cache is not None and cache_dir is not None:
-            raise ValueError(
-                "pass plan_cache or cache_dir, not both (a supplied cache "
-                "keeps its own store configuration)"
-            )
         self.models: dict[str, ServedModel] = {
             name: m if isinstance(m, ServedModel) else ServedModel(m)
             for name, m in models.items()
         }
         self.batcher = DynamicBatcher(slo_ms, candidate_batches)
-        if plan_cache is not None:
-            self.plan_cache = plan_cache
-        elif cache_dir is not None:
-            self.plan_cache = PlanCache(store=PlanCacheStore(cache_dir))
-        else:
-            self.plan_cache = PlanCache()
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._executor: ThreadPoolExecutor | None = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
@@ -454,12 +438,6 @@ class InferenceServer:
             # default to the null tracer, so only a traced server pays.
             self.plan_cache.tracer = self.tracer
         self.metrics = ServerMetrics()
-        # A store built here just loaded; surface any damaged lines it
-        # skipped (crash-during-append debris) in this server's metrics.
-        if cache_dir is not None:
-            self.metrics.record_store_recovery(
-                self.plan_cache.stats().store_recovered_lines
-            )
         self.discipline = make_discipline(discipline)
         self.admission = admission
         self.autoswitch = autoswitch

@@ -43,7 +43,7 @@ from repro.core.packed import (
     matmul_path,
     packed_matmul,
 )
-from repro.kernels.layout import conv_weight_matrix, im2col
+from repro.kernels.layout import conv_weight_matrix, im2col, pad_channel_last
 from repro.kernels.packed_conv import packed_conv_matmul, vnni_conv_matmul
 
 # hypothesis-heavy: the CI unit job deselects these and the serving job
@@ -292,16 +292,16 @@ class TestConvIdentity:
         assert got.cost.counters.compiled_kernels == _expected_compiled(product)
         assert ref.cost.counters.compiled_kernels == 0
         # the gather itself, whichever route the rule took: against the
-        # fold of the same padded map
-        padded = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
-        gathered = packed_conv_matmul(w, padded, pair.weight, pair.activation,
+        # fold of the same padded channel-last map
+        x_map = pad_channel_last(x, padding, 0)
+        gathered = packed_conv_matmul(w, x_map, pair.weight, pair.activation,
                                       stride=stride, backend="cffi")
-        want = packed_matmul(conv_weight_matrix(w), im2col(padded, 3, stride),
+        want = packed_matmul(conv_weight_matrix(w), im2col(x_map, 3, stride),
                              pair.weight, pair.activation, backend="numpy")
         assert np.array_equal(gathered, want)
         # and the int8 conv, where this build has it
         if compiled_vnni("cffi") and product.int8_exact():
-            int8 = vnni_conv_matmul(w, padded, pair.weight, pair.activation,
+            int8 = vnni_conv_matmul(w, x_map, pair.weight, pair.activation,
                                     stride=stride, backend="cffi")
             assert int8.dtype == want.dtype
             assert np.array_equal(int8, want)
@@ -322,7 +322,7 @@ class TestConvIdentity:
         assert product.cheapest(compiled_branch("cffi")) == "fold"
         rng = np.random.default_rng(seed)
         w = pair.weight.random_digits(rng, (5, cin, 3, 3))
-        x = feature.random_digits(rng, (2, cin, hw, hw))
+        x = feature.random_digits(rng, (2, hw, hw, cin))
         got = packed_conv_matmul(w, x, pair.weight, feature,
                                  stride=stride, backend="cffi")
         want = packed_matmul(conv_weight_matrix(w), im2col(x, 3, stride),

@@ -7,7 +7,7 @@ threshold, or without the BLAS control; BLAS's thread count after any
 hold equals the count before; a forked child gets a working pool; and
 importing, planning and serving start no pool thread and load no BLAS
 handle.  Every split site -- the fold, the popcount GEMM, the packer,
-the padding, ``im2col``, the conv gather with its channel-last copy, the
+the padded channel-last layout pass, ``im2col``, the conv gather, the
 int8 conv's panel writer and GEMM, and the four epilogue ops -- gives
 the same bytes split as serially, and as the serial code it replaced.
 """
@@ -33,9 +33,8 @@ from repro.core.packed import _pack_planes, matmul_path
 from repro.core.quantize import AffineQuantizer
 from repro.kernels.apconv import apconv
 from repro.kernels.fusion import BatchNormOp, QuantizeOp, ReLUOp
-from repro.kernels.layout import im2col
+from repro.kernels.layout import im2col, pad_channel_last
 from repro.kernels.packed_conv import packed_conv_matmul, vnni_conv_matmul
-from repro.kernels.padding import pad_digits
 from repro.nn.layers import MaxPool2d
 
 HAS_CFFI = backends.get_backend().compiled
@@ -315,33 +314,36 @@ class TestSplitSitesAreByteIdentical:
     def test_im2col(self, seed, batch, c, hw, kernel,
                     stride):
         x = np.random.default_rng(seed).integers(
-            0, 16, (batch, c, hw, hw), dtype=np.uint8)
+            0, 16, (batch, hw, hw, c), dtype=np.uint8)
         with forced_split() as spy:
             got = im2col(x, kernel, stride)
         assert spy == [2]
         _same(got, _serially(im2col, x, kernel, stride))
         # the unsplit lowering it replaced
         windows = np.lib.stride_tricks.sliding_window_view(
-            np.ascontiguousarray(x.transpose(0, 2, 3, 1)), (kernel, kernel),
-            axis=(1, 2))[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+            x, (kernel, kernel), axis=(1, 2)
+        )[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
         _same(got, np.ascontiguousarray(windows).reshape(got.shape))
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, batch=st.integers(2, 4), hw=st.integers(1, 6),
-           padding=st.integers(1, 3),
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, batch=st.integers(2, 4), c=st.integers(1, 5),
+           hw=st.integers(1, 6), padding=st.integers(0, 3),
            pad_digit=st.sampled_from([0, 1, 255, 256, 65535]),
-           dtype=st.sampled_from([np.uint8, np.uint16, np.int64]))
-    def test_pad_digits(self, seed, batch, hw, padding, pad_digit, dtype):
+           dtype=st.sampled_from([np.uint8, np.uint16, np.int64, np.float32]))
+    def test_pad_channel_last(self, seed, batch, c, hw, padding, pad_digit,
+                              dtype):
         x = np.random.default_rng(seed).integers(
-            0, 200, (batch, 3, hw, hw)).astype(dtype)
+            0, 200, (batch, c, hw, hw)).astype(dtype)
         with forced_split() as spy:
-            got = pad_digits(x, padding, pad_digit)
+            got = pad_channel_last(x, padding, pad_digit)
         assert spy == [2]
-        _same(got, _serially(pad_digits, x, padding, pad_digit))
-        # np.pad, which it replaced, on digits widened to hold the constant
+        _same(got, _serially(pad_channel_last, x, padding, pad_digit))
+        # np.pad and a channel-last copy, the two passes it replaced, on
+        # digits widened to hold the constant
         wide = x.astype(np.promote_types(x.dtype, np.min_scalar_type(pad_digit)))
-        _same(got, np.pad(wide, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2),
-                          constant_values=pad_digit))
+        framed = np.pad(wide, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2),
+                        constant_values=pad_digit)
+        _same(got, np.ascontiguousarray(framed.transpose(0, 2, 3, 1)))
 
     @pytest.mark.skipif(not HAS_CFFI, reason="cffi kernels do not load here")
     @settings(max_examples=20, deadline=None)
@@ -351,7 +353,7 @@ class TestSplitSitesAreByteIdentical:
         bits = PrecisionPair.parse(pair)
         rng = np.random.default_rng(seed)
         w = bits.weight.random_digits(rng, (6, cin, 3, 3)).astype(np.uint8)
-        x = bits.activation.random_digits(rng, (batch, cin, 7, 7)).astype(np.uint8)
+        x = bits.activation.random_digits(rng, (batch, 7, 7, cin)).astype(np.uint8)
         args = (w, x, bits.weight, bits.activation)
         with forced_split() as spy:
             got = packed_conv_matmul(*args, stride=stride, backend="cffi")
@@ -369,13 +371,13 @@ class TestSplitSitesAreByteIdentical:
            cin=st.sampled_from([3, 16, 64, 65]), stride=st.sampled_from([1, 2]),
            pair=st.sampled_from(["w1a2", "w2a4", "w2a8"]))
     def test_vnni_conv(self, seed, batch, cout, cin, stride, pair):
-        # the channel-last copy splits by image, the panel writer by
-        # 32-pixel panel, the GEMM along its longer axis in whole 8x32
-        # tiles
+        # the panel writer splits by 32-pixel panel, the GEMM along its
+        # longer axis in whole 8x32 tiles; an 11x11 map has at least 25
+        # windows per image, so two images fill at least two panels
         bits = PrecisionPair.parse(pair)
         rng = np.random.default_rng(seed)
         w = bits.weight.random_digits(rng, (cout, cin, 3, 3)).astype(np.uint8)
-        x = bits.activation.random_digits(rng, (batch, cin, 9, 9)).astype(np.uint8)
+        x = bits.activation.random_digits(rng, (batch, 11, 11, cin)).astype(np.uint8)
         args = (w, x, bits.weight, bits.activation)
         with forced_split() as spy:
             got = vnni_conv_matmul(*args, stride=stride, backend="cffi")

@@ -300,8 +300,8 @@ class TestInt32CheckFromShapes:
             conv = {"gather": packed_conv.packed_conv_matmul,
                     "vnni": packed_conv.vnni_conv_matmul}[path]
             # one 3x3 window per image: the conv is the GEMM of W and X
-            out = conv(W.reshape(4, 64, 3, 3), X.reshape(3, 64, 3, 3), wp, xp,
-                       backend="cffi")
+            out = conv(W.reshape(4, 3, 3, 64).transpose(0, 3, 1, 2),
+                       X.reshape(3, 3, 3, 64), wp, xp, backend="cffi")
         assert scans == []
         assert np.array_equal(out, reference_matmul(W, X, wp, xp))
 
@@ -334,8 +334,8 @@ class TestDigitRangeEveryPath:
         if path in ("gather", "vnni"):
             conv = {"gather": packed_conv.packed_conv_matmul,
                     "vnni": packed_conv.vnni_conv_matmul}[path]
-            return conv(w.reshape(4, 64, 3, 3), x.reshape(1, 64, 3, 3), wp, xp,
-                        backend="cffi")
+            return conv(w.reshape(4, 3, 3, 64).transpose(0, 3, 1, 2),
+                        x.reshape(1, 3, 3, 64), wp, xp, backend="cffi")
         backend = "numpy" if path == "fold" else "cffi"
         return matmul_path(path, w, x, wp, xp, backend=backend)
 

@@ -1,4 +1,7 @@
-"""Tests for APConv: correctness vs direct convolution, padding, cost."""
+"""Tests for APConv: correctness vs direct convolution, padding, cost,
+and the one layout pass every strategy and route reads."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Encoding, Precision
-from repro.kernels import TileConfig, apconv
+from repro.kernels import TileConfig, apconv, layout
 from repro.perf import conv_cost
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
@@ -252,3 +255,59 @@ class TestHostSpan:
         (span,) = tracer.spans_in("kernel")
         assert "path" not in span.attributes
         assert "host_us" not in span.attributes
+
+
+#: (strategy, backend, route the packed strategy is forced onto)
+LAYOUT_RUNS = [
+    ("packed", "numpy", "fold"),
+    ("integer", "numpy", None),
+    ("bitserial", "numpy", None),
+    ("packed", "cffi", "fold"),
+    ("packed", "cffi", "gather"),
+    ("packed", "cffi", "vnni"),
+]
+
+
+class TestOneLayoutPass:
+    """Every strategy and route reads the one padded channel-last map
+    :func:`~repro.kernels.layout.pad_channel_last` builds, once per
+    call."""
+
+    @pytest.mark.parametrize("padding", [0, 2])
+    @pytest.mark.parametrize(
+        "strategy,backend,path", LAYOUT_RUNS,
+        ids=[f"{s}-{b}-{p or 'reference'}" for s, b, p in LAYOUT_RUNS],
+    )
+    def test_one_layout_call_per_apconv_call(
+        self, monkeypatch, strategy, backend, path, padding
+    ):
+        from repro.core import backends
+        from repro.core.packed import PATH_KERNELS, HostProduct, compiled_vnni
+
+        if backend == "cffi" and not backends.get_backend().compiled:
+            pytest.skip("cffi kernels do not load here")
+        if path == "vnni" and not compiled_vnni(backend):
+            pytest.skip("the loaded build has no AVX-512 VNNI kernels")
+        # bipolar features pad with their top digit and take the counter
+        # correction
+        wp, xp = Precision(1, B), Precision(2, B)
+        W, X = _rand_conv(5, wp, xp, cin=8, h=7, w=7)
+        want = _direct_conv(wp.decode(W), xp.decode(X), 1, padding)
+
+        calls = []
+        real = layout.pad_channel_last
+
+        def counted(x, pad, pad_digit):
+            calls.append((pad, pad_digit))
+            return real(x, pad, pad_digit)
+
+        for module in (layout, importlib.import_module("repro.kernels.apconv")):
+            monkeypatch.setattr(module, "pad_channel_last", counted)
+        if path is not None:
+            monkeypatch.setattr(HostProduct, "cheapest",
+                                lambda self, branch, vnni=False: path)
+        res = apconv(W, X, wp, xp, padding=padding, strategy=strategy,
+                     backend=backend)
+        assert calls == [(padding, xp.num_levels - 1)]
+        assert res.cost.counters.compiled_kernels == PATH_KERNELS.get(path, 0)
+        assert np.array_equal(res.output, want)

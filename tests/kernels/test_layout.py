@@ -1,4 +1,5 @@
-"""Tests for the conv lowering: output shape, im2col and weight flattening."""
+"""Tests for the conv lowering: output shape, im2col of the padded
+channel-last map and weight flattening."""
 
 import numpy as np
 import pytest
@@ -29,23 +30,23 @@ class TestConvOutputShape:
 
 class TestIm2col:
     def test_shape(self):
-        x = np.arange(2 * 3 * 5 * 5).reshape(2, 3, 5, 5)
+        x = np.arange(2 * 5 * 5 * 3).reshape(2, 5, 5, 3)
         cols = im2col(x, kernel=3, stride=1)
         assert cols.shape == (2 * 3 * 3, 3 * 9)
 
     def test_identity_kernel1(self):
-        x = np.arange(1 * 2 * 3 * 3).reshape(1, 2, 3, 3)
+        x = np.arange(1 * 3 * 3 * 2).reshape(1, 3, 3, 2)
         cols = im2col(x, kernel=1)
         # row (h, w) must equal the channel vector at that pixel
-        assert np.array_equal(cols[0], x[0, :, 0, 0])
-        assert np.array_equal(cols[4], x[0, :, 1, 1])
+        assert np.array_equal(cols[0], x[0, 0, 0, :])
+        assert np.array_equal(cols[4], x[0, 1, 1, :])
 
     def test_column_order_matches_weight_flatten(self):
         """im2col columns must align with conv_weight_matrix(W)."""
         rng = np.random.default_rng(3)
         x = rng.integers(0, 8, size=(1, 2, 4, 4))
         w = rng.integers(0, 8, size=(3, 2, 2, 2))
-        cols = im2col(x, kernel=2)
+        cols = im2col(x.transpose(0, 2, 3, 1), kernel=2)
         got = (conv_weight_matrix(w) @ cols.T).reshape(3, 3, 3)
         # direct correlation reference
         ref = np.zeros((3, 3, 3), dtype=np.int64)
@@ -71,7 +72,7 @@ class TestIm2col:
         x = rng.integers(0, 16, size=(n, cin, kernel + extra, kernel + 2 * extra),
                          dtype=np.uint8)
         w = rng.integers(-8, 8, size=(3, cin, kernel, kernel))
-        cols = im2col(x, kernel, stride)
+        cols = im2col(np.ascontiguousarray(x.transpose(0, 2, 3, 1)), kernel, stride)
         assert cols.dtype == x.dtype
         oh, ow = conv_output_shape(*x.shape[2:], kernel, stride)
         got = conv_weight_matrix(w) @ cols.T.astype(np.int64)
@@ -85,14 +86,14 @@ class TestIm2col:
         assert np.array_equal(got, want)
 
     def test_stride_2(self):
-        x = np.arange(1 * 1 * 6 * 6).reshape(1, 1, 6, 6)
+        x = np.arange(1 * 6 * 6 * 1).reshape(1, 6, 6, 1)
         cols = im2col(x, kernel=2, stride=2)
         assert cols.shape == (9, 4)
         assert np.array_equal(cols[0], [0, 1, 6, 7])
         assert np.array_equal(cols[1], [2, 3, 8, 9])
 
     def test_batch_rows_blocked(self):
-        x = np.stack([np.zeros((1, 3, 3)), np.ones((1, 3, 3))]).astype(np.int64)
+        x = np.stack([np.zeros((3, 3, 1)), np.ones((3, 3, 1))]).astype(np.int64)
         cols = im2col(x, kernel=3)
         assert np.all(cols[0] == 0)
         assert np.all(cols[1] == 1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import Encoding, Precision, backends
 from repro.core.opselect import EmulationCase
-from repro.kernels import apconv, pad_digits, padding_correction, plan_padding
+from repro.kernels import apconv, pad_channel_last, padding_correction, plan_padding
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
 
@@ -43,29 +43,33 @@ class TestPaddingPlan:
         assert plan_padding(Precision(1, B), Precision(1, B)).case is EmulationCase.CASE_II
 
 
-class TestPadDigits:
-    def test_zero_padding_is_noop(self):
-        x = np.ones((1, 1, 2, 2), dtype=np.int64)
-        assert pad_digits(x, 0, 7) is x
+class TestPadChannelLast:
+    def test_zero_padding_returns_a_channel_last_copy(self):
+        x = np.arange(2 * 3 * 2 * 2, dtype=np.int64).reshape(2, 3, 2, 2)
+        out = pad_channel_last(x, 0, 7)
+        assert out is not x
+        assert not np.shares_memory(out, x)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, x.transpose(0, 2, 3, 1))
 
     def test_pad_geometry(self):
         x = np.ones((2, 3, 4, 5), dtype=np.int64)
-        out = pad_digits(x, 2, 0)
-        assert out.shape == (2, 3, 8, 9)
+        out = pad_channel_last(x, 2, 0)
+        assert out.shape == (2, 8, 9, 3)
 
     def test_pad_value_written(self):
-        x = np.zeros((1, 1, 2, 2), dtype=np.int64)
-        out = pad_digits(x, 1, 9)
-        assert out[0, 0, 0, 0] == 9
-        assert out[0, 0, 1, 1] == 0
+        x = np.zeros((1, 2, 2, 2), dtype=np.int64)
+        out = pad_channel_last(x, 1, 9)
+        assert np.all(out[0, 0, 0] == 9)
+        assert np.all(out[0, 1, 1] == 0)
 
     def test_negative_padding_rejected(self):
         with pytest.raises(ValueError):
-            pad_digits(np.zeros((1, 1, 2, 2), dtype=np.int64), -1, 0)
+            pad_channel_last(np.zeros((1, 1, 2, 2), dtype=np.int64), -1, 0)
 
     def test_rank_validated(self):
         with pytest.raises(ValueError):
-            pad_digits(np.zeros((2, 2)), 1, 0)
+            pad_channel_last(np.zeros((2, 2)), 1, 0)
 
 
 #: (feature bits, digit dtype): a bipolar feature pads with its max digit
@@ -79,20 +83,20 @@ if backends.get_backend().compiled:
 
 
 class TestNarrowDigitPadding:
-    """np.pad casts the pad digit into the input dtype; it must not wrap."""
+    """A pad digit the input dtype cannot hold widens it; it must not wrap."""
 
     @pytest.mark.parametrize("bits,dtype", NARROW_BIPOLAR)
     def test_pad_digit_not_wrapped(self, bits, dtype):
         pad_digit = (1 << bits) - 1
         x = np.zeros((1, 1, 2, 2), dtype=dtype)
-        out = pad_digits(x, 1, pad_digit)
+        out = pad_channel_last(x, 1, pad_digit)
         assert out[0, 0, 0, 0] == pad_digit
-        assert out[0, 0, 1, 1] == 0
+        assert out[0, 1, 1, 0] == 0
 
     def test_narrow_dtype_kept_when_pad_digit_fits(self):
         x = np.ones((1, 2, 3, 3), dtype=np.uint8)
-        assert pad_digits(x, 1, 0).dtype == np.uint8
-        assert pad_digits(x, 1, 255).dtype == np.uint8
+        assert pad_channel_last(x, 1, 0).dtype == np.uint8
+        assert pad_channel_last(x, 1, 255).dtype == np.uint8
 
     @pytest.mark.parametrize("bits,dtype", NARROW_BIPOLAR)
     @pytest.mark.parametrize("strategy,backend", STRATEGY_BACKENDS)

@@ -1,7 +1,7 @@
 """The native int8 conv path (``vnni``) of ``apconv``'s packed strategy.
 
-:func:`repro.kernels.packed_conv.vnni_conv_matmul` copies the padded map
-channel-last as u8 digits, writes its im2col windows into 32-pixel
+:func:`repro.kernels.packed_conv.vnni_conv_matmul` writes the im2col
+windows of the padded channel-last map, as u8 digits, into 32-pixel
 k-quad panels and multiplies s8 decoded weights against them with
 AVX-512 VNNI, in int32.  The contract: byte-identical to the ``integer``
 and ``bitserial`` strategies for every pair with ``p <= 7`` and
@@ -142,7 +142,7 @@ class TestWhereTheRouteIsOffered:
     def test_direct_calls_past_the_bound_raise(self):
         wp, xp = Precision(8, U), Precision(4, U)
         w = np.ones((2, 3, 1, 1), dtype=np.uint8)
-        x = np.ones((1, 3, 2, 2), dtype=np.uint8)
+        x = np.ones((1, 2, 2, 3), dtype=np.uint8)
         with pytest.raises(ValueError, match="int8 path"):
             packed_conv.vnni_conv_matmul(w, x, wp, xp, backend="cffi")
 

@@ -453,6 +453,21 @@ class TestStoreCorruption:
         run.assert_invariants(N)
         assert run.cluster.metrics.store_recovered_lines == 2
 
+    def test_damage_already_in_the_store_is_counted_at_construction(
+        self, tmp_path
+    ):
+        store = PlanCacheStore(tmp_path)
+        store.path.parent.mkdir(parents=True, exist_ok=True)
+        store.path.write_text('{"version": 1, "key": {"model\n')
+        cluster = make_fault_cluster(MODELS, num_workers=2, cache_dir=tmp_path)
+        assert cluster.plan_cache.store.cache_dir == store.cache_dir
+        assert cluster.metrics.store_recovered_lines == 1
+
+    def test_plan_cache_and_cache_dir_are_exclusive(self, tmp_path):
+        with pytest.raises(ValueError, match="not both"):
+            make_fault_cluster(MODELS, num_workers=2, plan_cache=PlanCache(),
+                               cache_dir=tmp_path)
+
 
 class TestDeterminism:
     def test_same_fault_plan_replays_bit_identically(self):

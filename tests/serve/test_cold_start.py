@@ -131,21 +131,6 @@ class TestPersistedColdStart:
         # identical trace, identical plans -> identical scheduling
         assert run2.results == run1.results
 
-    def test_cache_dir_kwarg_persists_across_servers(self, tmp_path):
-        server = make_server(cache_dir=tmp_path)
-        run_trace(server, _trace())
-        compiled = server.plan_cache.stats().compiles
-        assert compiled > 0
-
-        restarted = make_server(cache_dir=tmp_path)
-        run_trace(restarted, _trace())
-        stats = restarted.plan_cache.stats()
-        assert stats.compiles == 0
-        assert stats.persisted_entries == compiled
-
-    def test_plan_cache_and_cache_dir_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            make_server(plan_cache=RecordingPlanCache(), cache_dir=tmp_path)
 
 
 class TestWarmupEquivalence:

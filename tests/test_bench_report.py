@@ -124,18 +124,6 @@ def test_render_report_drops_empty_sections():
     assert "## Speedup trend" not in md
 
 
-def test_render_report_folds_in_experiments():
-    md = render_report(sample_report(), [], experiments=("table4",))
-    assert "## Experiment: table4" in md
-    assert "Table 4" in md
-
-
-def test_render_report_survives_a_failing_experiment():
-    md = render_report(sample_report(), [], experiments=("no-such-study",))
-    assert "## Experiment: no-such-study" in md
-    assert "**error:**" in md
-
-
 # ----------------------------------------------------------------------
 # CLI wiring
 # ----------------------------------------------------------------------
