@@ -17,6 +17,18 @@ idle workers spin in user space on the core the next split needs.  The
 thread control is found among the shared objects the process has
 loaded, the way threadpoolctl finds it, on the first hold.
 
+The same one-time lookup pins glibc's two allocator thresholds
+(``mallopt``): ``M_MMAP_THRESHOLD`` at 32 MiB, the cap of glibc's own
+dynamic threshold and the most it accepts, then ``M_TRIM_THRESHOLD`` at
+256 MiB.  Left dynamic, they move with the largest block freed so far,
+and a forward whose temporaries sit above them maps fresh pages from
+the kernel and hands them back on every call (ResNet-18-w2a4: about 4K
+minor faults per warm forward).  Pinned, a freed temporary's pages stay
+on the heap for the next forward; an array above 32 MiB is still mapped
+and unmapped on each use.  A process that only plans and serves takes
+no hold, so it never sets them; without ``mallopt`` (not glibc) nothing
+is set.
+
 A split runs as one part, inline, when one CPU is usable, when the call
 is already inside a part, when a part would get less than
 :data:`MIN_PART_US` of modeled work, or when the BLAS control is not
@@ -43,7 +55,8 @@ MIN_PART_US = 50.0
 
 #: Modeled microseconds of one numpy ufunc pass over one float64
 #: element, for pricing an epilogue op's parts: a multiply over 262,144
-#: elements takes 0.7 ns per element on that VM, more on fresh pages.
+#: elements takes 0.7 ns per element on that VM, on pages already
+#: mapped, as a warm forward's are once the allocator keeps them.
 ELEMENT_US = 1e-3
 
 #: The thread control of numpy's bundled OpenBLAS (scipy-openblas,
@@ -52,6 +65,11 @@ _BLAS_SYMBOLS = (
     "scipy_openblas_get_num_threads64_",
     "scipy_openblas_set_num_threads64_",
 )
+
+#: glibc ``mallopt`` settings, set in this order at the first lookup:
+#: ``M_MMAP_THRESHOLD`` (-3) at 32 MiB, then ``M_TRIM_THRESHOLD`` (-1)
+#: at 256 MiB.
+_MALLOPT = ((-3, 32 << 20), (-1, 256 << 20))
 
 _Control = tuple[Callable[[], int], Callable[[int], None]]
 #: The ``(get, set)`` control once looked up; None when not found.
@@ -119,11 +137,23 @@ def _find_blas() -> _Control | None:
     return None
 
 
+def _keep_freed_pages() -> None:
+    """Pin glibc's mmap and trim thresholds (:data:`_MALLOPT`)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # not glibc
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def _blas_control() -> _Control | None:
     global _blas, _blas_looked_up
     with _lock:
         if not _blas_looked_up:
             _blas, _blas_looked_up = _find_blas(), True
+            _keep_freed_pages()
         return _blas
 
 

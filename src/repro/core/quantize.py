@@ -42,11 +42,17 @@ from . import cores, prepared
 from .types import Encoding, Precision, digit_dtype
 
 __all__ = [
+    "STREAM_CHUNK",
     "AffineQuantizer",
     "QEMQuantizer",
     "QuantizedTensor",
     "binarize",
 ]
+
+#: Elements per streamed pass over a weight, 4 MiB of float64:
+#: :func:`binarize` and the Kaiming draw (:mod:`repro.nn.layers`) hold
+#: one such float64 chunk at a time, never a float64 copy of a weight.
+STREAM_CHUNK = 1 << 19
 
 #: Full-size passes of :meth:`AffineQuantizer.quantize`: divide, floor,
 #: maximum, minimum and the cast.
@@ -148,15 +154,25 @@ def binarize(x: np.ndarray) -> QuantizedTensor:
     weight binarization the paper's Case II/III inputs come from.  Zeros map
     to +1 (digit 1) so every element is representable in one bipolar bit.
     The digits are read-only and prepared (:mod:`repro.core.prepared`).
+
+    One pass streams ``x`` in float64 chunks of at most
+    :data:`STREAM_CHUNK` elements: each chunk's signs go straight into
+    the digits and its ``|x|`` is summed in numpy's pairwise order, so
+    ``alpha`` equals ``np.mean(np.abs(x.astype(np.float64)))`` bit for
+    bit while no float64 copy of the whole weight exists.  The caller's
+    array is never written.  ``x`` is read in C order: an input that is
+    not C-contiguous is first copied once in its own dtype, its digits
+    come back C-contiguous, and its ``alpha`` is the mean in C order,
+    which for a Fortran-ordered or transposed input can differ in the
+    last bit from ``np.mean``'s memory-order sum.  An empty input gets
+    ``alpha`` 1.0.
     """
-    # a cast is a copy of our own, so |x| may overwrite it: one float64
-    # copy of the weights alive at a time, never the caller's array
-    copied = isinstance(x, np.ndarray) and x.dtype != np.float64
-    x = np.asarray(x, dtype=np.float64)
-    digits = (x >= 0).astype(digit_dtype(1))
-    alpha = (
-        float(np.mean(np.abs(x, out=x if copied else None))) if x.size else 1.0
-    )
+    x = np.asarray(x)
+    flat = x.reshape(-1)  # a view when x is C-contiguous
+    digits = np.empty(x.shape, dtype=digit_dtype(1))
+    signs = digits.reshape(-1).view(np.bool_)
+    n = flat.size
+    alpha = float(_stream_abs_sum(flat, signs, 0, n) / n) if n else 1.0
     if alpha == 0.0:
         alpha = 1.0
     return QuantizedTensor(
@@ -164,6 +180,29 @@ def binarize(x: np.ndarray) -> QuantizedTensor:
         precision=Precision(1, Encoding.BIPOLAR),
         scale=alpha,
     )
+
+
+def _stream_abs_sum(
+    flat: np.ndarray, signs: np.ndarray, lo: int, hi: int
+) -> np.float64:
+    """The float64 sum of ``|flat[lo:hi]|``, with ``flat[lo:hi] >= 0``
+    written into ``signs[lo:hi]`` on the way.
+
+    numpy's float64 ``add.reduce`` of a contiguous run splits it at half
+    its length, rounded down to a multiple of 8, down to blocks of 128,
+    and adds the halves' sums.  This makes the same splits until a range
+    fits in one chunk and lets numpy sum that chunk, so the total is
+    numpy's sum of the whole float64 copy, bit for bit.
+    """
+    n = hi - lo
+    if n > STREAM_CHUNK:
+        half = n // 2
+        half -= half % 8
+        return (_stream_abs_sum(flat, signs, lo, lo + half)
+                + _stream_abs_sum(flat, signs, lo + half, hi))
+    chunk = flat[lo:hi].astype(np.float64)
+    np.greater_equal(chunk, 0, out=signs[lo:hi])
+    return np.add.reduce(np.abs(chunk, out=chunk))
 
 
 class QEMQuantizer:

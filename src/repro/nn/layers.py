@@ -16,6 +16,7 @@ import threading
 import numpy as np
 
 from ..core import cores
+from ..core.quantize import STREAM_CHUNK
 from ..kernels.fusion import BatchNormOp, ReLUOp
 from ..kernels.layout import (
     conv_output_shape,
@@ -40,9 +41,24 @@ __all__ = [
 
 
 def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int):
-    # float32 halves a drawn model (AlexNet-224's 61M weights, 244 MB);
-    # a model that is only planned and priced draws none (DrawPlan)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
+    """Kaiming-normal float32 weights of ``shape``, drawn in chunks.
+
+    float32 halves a drawn model (AlexNet-224's 61M weights, 244 MB), and
+    a model that is only planned and priced draws none (:class:`DrawPlan`).
+    Each chunk of :data:`~repro.core.quantize.STREAM_CHUNK` values is
+    drawn in float64 and cast into the output, so no float64 copy of the
+    weight exists.  The generator yields the same values in the same
+    order as one draw of the whole shape, so the bytes, and the
+    generator's next value, are those of
+    ``rng.normal(0.0, std, size=shape).astype(np.float32)``.
+    """
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    std = np.sqrt(2.0 / fan_in)
+    for lo in range(0, flat.size, STREAM_CHUNK):
+        hi = min(lo + STREAM_CHUNK, flat.size)
+        flat[lo:hi] = rng.normal(0.0, std, size=hi - lo)
+    return out
 
 
 class DrawPlan:

@@ -4,16 +4,19 @@ The contract: :func:`cores.split` runs ``fn(lo, hi)`` over contiguous
 parts covering ``range(n)``, the first on the calling thread; it runs
 as one part when one CPU is usable, inside a part, below the work
 threshold, or without the BLAS control; BLAS's thread count after any
-hold equals the count before; a forked child gets a working pool; and
-importing, planning and serving start no pool thread and load no BLAS
-handle.  Every split site -- the fold, the popcount GEMM, the packer,
+hold equals the count before; a forked child gets a working pool; the
+first lookup pins glibc's mmap and trim thresholds, so freed pages are
+reused; and importing, planning and serving start no pool thread, load
+no BLAS handle and set no threshold.  Every split site -- the fold, the popcount GEMM, the packer,
 the padded channel-last layout pass, ``im2col``, the conv gather, the
 int8 conv's panel writer and GEMM, and the four epilogue ops -- gives
 the same bytes split as serially, and as the serial code it replaced.
 """
 
+import ctypes
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -501,8 +504,87 @@ def test_a_forked_child_splits_on_a_fresh_pool(monkeypatch):
     assert got == want.tobytes()
 
 
+@pytest.fixture
+def first_lookup(monkeypatch):
+    """The one-time lookup not made yet, and ``mallopt`` in
+    ``ctypes.CDLL(None)`` replaced by a recorder: ``(calls, hide)``,
+    where ``hide()`` takes the symbol away."""
+    monkeypatch.setattr(cores, "_blas_looked_up", False)
+    monkeypatch.setattr(cores, "_blas", None)
+    calls, hidden = [], []
+    real_cdll = ctypes.CDLL
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    class Process:
+        def __getattr__(self, name):
+            if name == "mallopt":
+                if hidden:
+                    raise AttributeError(name)
+                return mallopt
+            return getattr(real_cdll(None), name)
+
+    monkeypatch.setattr(
+        ctypes, "CDLL",
+        lambda name, *a, **k: Process() if name is None else real_cdll(name, *a, **k),
+    )
+    return calls, lambda: hidden.append(True)
+
+
+class TestKeptPages:
+    def test_the_first_lookup_pins_both_thresholds_once(self, first_lookup):
+        calls, _ = first_lookup
+        assert cores._blas_control() is not None
+        with cores.hold_blas():
+            cores.split(2, lambda lo, hi: None, BIG_US)
+        # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 256 MiB
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_a_missing_mallopt_sets_nothing(self, first_lookup):
+        calls, hide = first_lookup
+        hide()
+        assert cores._blas_control() is not None
+        assert calls == []
+
+
+#: One split (the first lookup), then two rounds of allocating, touching
+#: and freeing four 20 MiB arrays; prints the second round's minor faults.
+_PAGES_SCRIPT = """
+import resource
+import numpy as np
+from repro.core import cores
+
+def round_trip():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(20 << 20, dtype=np.uint8) for _ in range(4)]
+    del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+cores.split(2, lambda lo, hi: None, 0.0)
+round_trip()
+print(round_trip())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+def test_after_the_first_split_freed_pages_are_reused(tmp_path):
+    """Left dynamic, glibc maps and unmaps each 20 MiB array: about 2,000
+    minor faults every round on a 2-vCPU x86-64 VM."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src),
+               REPRO_CFFI_CACHE=str(tmp_path / "cffi"))
+    out = subprocess.run(
+        [sys.executable, "-c", _PAGES_SCRIPT], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(out.stdout) <= 16
+
+
 #: Import, plan, price and replay a prewarmed server; then report whether
-#: a pool thread started or a BLAS handle was looked up.
+#: a pool thread started, a BLAS handle was looked up or an allocator
+#: threshold was set.
 _IDLE_SCRIPT = """
 import asyncio, threading
 import repro
@@ -511,6 +593,8 @@ from repro.nn import APNNBackend, InferenceEngine, alexnet, resnet18
 from repro.serve import InferenceServer, PlanCache, ServedModel, burst_trace, replay
 from repro.tensorcore import RTX3090
 
+kept = []
+cores._keep_freed_pages = lambda: kept.append(True)
 backend = APNNBackend(PrecisionPair.parse("w1a2"))
 engine = InferenceEngine(alexnet(num_classes=10, input_size=64), backend, RTX3090)
 cache = PlanCache()
@@ -530,7 +614,7 @@ async def run():
     return results
 
 assert len(asyncio.run(run())) == 16
-print(cores._pool is None, not cores._blas_looked_up,
+print(cores._pool is None, not cores._blas_looked_up, not kept,
       sorted(t.name for t in threading.enumerate() if t.name.startswith("repro-cores")))
 """
 
@@ -543,4 +627,4 @@ def test_importing_planning_and_serving_start_no_pool_and_load_no_blas(tmp_path)
         [sys.executable, "-c", _IDLE_SCRIPT], env=env,
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "True True []"
+    assert out.stdout.strip() == "True True True []"

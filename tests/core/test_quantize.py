@@ -1,5 +1,7 @@
 """Tests for quantizers (AffineQuantizer, QEM, binarize)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.core import (
     cores,
     digit_dtype,
 )
+from repro.core.quantize import STREAM_CHUNK
 
 
 class TestAffineQuantizer:
@@ -88,9 +91,86 @@ class TestBinarize:
         assert qt.scale == 1.0
         assert np.array_equal(qt.digits, np.ones(4))
 
-    def test_empty_input(self):
-        qt = binarize(np.array([]))
-        assert qt.digits.size == 0
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5, 2)])
+    def test_empty_input(self, shape):
+        qt = binarize(np.zeros(shape))
+        assert qt.digits.shape == shape
+        assert qt.digits.dtype == np.uint8
+        assert qt.scale == 1.0
+
+
+#: Sizes around numpy's pairwise blocks (8 and 128 elements) and around
+#: binarize's stream chunk.
+STREAM_SIZES = [
+    1, 7, 8, 127, 128, 129,
+    STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 5,
+]
+#: fc6's weight, AlexNet-224's largest: 37.7M elements.
+FC6 = (4096, 9216)
+
+
+def _signed_values(kind: str, n: int):
+    """``n`` values with exact and negative zeros, as ``kind``."""
+    rng = np.random.default_rng(n)
+    if kind == "int64":
+        return rng.integers(-1000, 1000, size=n)
+    x = rng.standard_normal(n)
+    x[::7] = 0.0
+    x[3::11] = -0.0
+    if kind == "float32":
+        return x.astype(np.float32)
+    return x.tolist() if kind == "list" else x
+
+
+def _mean_abs(x) -> float:
+    """numpy's mean of ``|x|`` over a whole float64 copy."""
+    copy = np.asarray(x).astype(np.float64)
+    return float(np.mean(np.abs(copy, out=copy)))
+
+
+class TestStreamedBinarize:
+    """binarize streams float64 chunks, yet its scale is numpy's mean of
+    the whole float64 copy bit for bit.  The sizes pin numpy's pairwise
+    split: a numpy whose split differs fails here first."""
+
+    @pytest.mark.parametrize("kind", ["float32", "float64", "int64", "list"])
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_scale_and_digits_equal_the_whole_array_ones(self, kind, n):
+        x = _signed_values(kind, n)
+        before = np.asarray(x).tobytes()
+        qt = binarize(x)
+        assert qt.scale.hex() == (_mean_abs(x) or 1.0).hex()  # all zeros: 1.0
+        assert qt.digits.dtype == np.uint8
+        assert np.array_equal(qt.digits, (np.asarray(x) >= 0).astype(np.uint8))
+        assert np.asarray(x).tobytes() == before
+
+    def test_a_non_c_contiguous_input_is_read_in_c_order(self):
+        x = np.asfortranarray(
+            np.random.default_rng(5).standard_normal((300, 7000)).astype(np.float32)
+        )
+        before = x.tobytes()
+        qt = binarize(x)
+        assert qt.scale == _mean_abs(np.ascontiguousarray(x))
+        assert qt.digits.flags.c_contiguous
+        assert np.array_equal(qt.digits, x >= 0)
+        assert x.tobytes() == before
+
+    def test_fc6_sized_weight(self):
+        x = np.random.default_rng(6).standard_normal(FC6, dtype=np.float32)
+        qt = binarize(x)
+        assert qt.scale == _mean_abs(x)
+        assert np.array_equal(qt.digits, x >= 0)
+
+    def test_fc6_sized_weight_allocates_its_digits_and_a_few_chunks(self):
+        x = np.random.default_rng(6).standard_normal(FC6, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            qt = binarize(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-array float64 copy this replaced was 288 MiB
+        assert peak <= qt.digits.nbytes + 4 * STREAM_CHUNK * 8
 
 
 class TestQEM:

@@ -1,14 +1,17 @@
 """Deferred weight draws: planning and pricing allocate no weight, the
-first read draws a model's weights exactly as an eager build would."""
+first read draws a model's weights exactly as an eager build would, and
+each draw streams into its float32 output chunk by chunk."""
 
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import PrecisionPair
+from repro.core.quantize import STREAM_CHUNK
 from repro.nn import (
     APNNBackend,
     BasicBlock,
@@ -174,3 +177,33 @@ class TestCallerGenerator:
         BasicBlock(4, 8, stride=2, rng=rng)
         Linear(5, 3, rng=rng)
         assert draws == [(8, 4, 3, 3), (8, 8, 3, 3), (8, 4, 1, 1), (3, 5)]
+
+
+class TestStreamedDraw:
+    """``_kaiming`` draws one chunk at a time into its float32 output, yet
+    its bytes and the generator's next value are one whole draw's."""
+
+    @pytest.mark.parametrize("shape", [
+        (0,), (1,), (STREAM_CHUNK - 1,), (STREAM_CHUNK,), (STREAM_CHUNK + 1,),
+        (2 * STREAM_CHUNK,), (3 * STREAM_CHUNK + 5,), (64, 3, 3, 3),
+        (3, 7, STREAM_CHUNK // 7 + 1),
+    ])
+    def test_chunks_equal_one_draw(self, shape):
+        streamed, whole = np.random.default_rng(11), np.random.default_rng(11)
+        got = layers._kaiming(streamed, shape, 27)
+        want = whole.normal(0.0, np.sqrt(2.0 / 27), size=shape).astype(np.float32)
+        assert got.dtype == np.float32
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert streamed.normal() == whole.normal()
+
+    def test_fc6_sized_draw_allocates_its_output_and_a_few_chunks(self):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            w = layers._kaiming(rng, (4096, 9216), 9216)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one whole float64 draw, the cast's source, was 288 MiB
+        assert peak <= w.nbytes + 4 * STREAM_CHUNK * 8
